@@ -57,14 +57,6 @@ SWEEP_COLUMNS = (
 
 FIELD_COLUMNS = ("x", "y", "geom_penalty", "dyn_penalty", "combined")
 
-_FIELD_MODES = {
-    "same_direction": InteractionMode.SAME_DIRECTION,
-    "opposite_direction": InteractionMode.OPPOSITE_DIRECTION,
-    "intersecting": InteractionMode.INTERSECTING,
-    "static_obstacle": InteractionMode.STATIC_OBSTACLE,
-}
-
-
 def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get(ENV_PREFIX + name, fallback)
 
@@ -206,7 +198,7 @@ def _parse_grid(spec: str) -> tuple[float, float, float, float, float]:
 
 def cmd_field(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
-    mode = _FIELD_MODES[args.mode]
+    mode = InteractionMode(args.mode)
     x_min, x_max, y_min, y_max, resolution = _parse_grid(args.grid)
 
     ego = ActorState(
@@ -312,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     field = sub.add_parser("field", help="dump the combined risk field over a grid")
     field.add_argument("--config", default=_env("CONFIG"), help="reward config JSON file")
-    field.add_argument("--mode", default="same_direction", choices=sorted(_FIELD_MODES))
+    field.add_argument("--mode", default="same_direction",
+                       choices=[m.value for m in InteractionMode])
     field.add_argument("--ego-speed", type=float, default=4.0, help="m/s")
     field.add_argument("--other-speed", type=float, default=0.0, help="m/s")
     field.add_argument("--grid", default=_env("GRID", "-30,30,-10,10,0.5"),

@@ -126,6 +126,8 @@ class Route:
         if self.lane_width <= 0.0:
             raise ConfigError(f"route.lane_width must be positive (got {self.lane_width})")
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        if not math.isfinite(cum[-1]):
+            raise ConfigError("route.centerline is too long: its length overflows")
         if not 0.0 <= self.goal_station <= cum[-1] + 1e-9:
             raise ConfigError(
                 f"route.goal_station must lie within [0, {cum[-1]:.6g}] (got {self.goal_station})"
@@ -251,10 +253,12 @@ class RewardConfig:
     offset_threshold: float = 0.5  # m, success-grade lateral offset
     a_comfort_max: float = 8.0    # m/s^2
     kappa_max: float = 0.3        # 1/m
-    speed_limit: float = 6.0      # m/s, defaults to v_max
+    speed_limit: float | None = None  # m/s; None takes v_max
     timeout_steps: int = 500
 
     def __post_init__(self) -> None:
+        if self.speed_limit is None:
+            object.__setattr__(self, "speed_limit", self.v_max)
         problems = validate_config_values(self)
         if problems:
             raise ConfigError("; ".join(problems))
@@ -283,8 +287,6 @@ class RewardConfig:
                 values[second] = 1.0 - float(values[first])
             elif second in values and first not in values:
                 values[first] = 1.0 - float(values[second])
-        if "speed_limit" not in values and "v_max" in values:
-            values["speed_limit"] = float(values["v_max"])
         return cls(**values)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -56,10 +57,15 @@ class WaypointFollower:
     speed: float  # m/s
 
     def __post_init__(self) -> None:
-        if len(self.waypoints) < 2:
-            raise ScenarioError("waypoint_follower script needs at least 2 waypoints")
         if not (math.isfinite(self.speed) and self.speed >= 0.0):
-            raise ScenarioError(f"waypoint_follower speed must be >= 0 (got {self.speed})")
+            raise ScenarioError(f"speed must be >= 0 (got {self.speed})")
+        try:
+            line = Route(
+                centerline=np.array(self.waypoints, dtype=float), lane_width=1.0, goal_station=0.0
+            )
+        except ConfigError as exc:
+            raise ScenarioError(str(exc).replace("route.centerline", "waypoints", 1)) from exc
+        object.__setattr__(self, "_line", line)
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,9 @@ class Braking:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.decel) and self.decel > 0.0):
-            raise ScenarioError(f"braking decel must be positive (got {self.decel})")
+            raise ScenarioError(f"decel must be positive (got {self.decel})")
         if not math.isfinite(self.trigger_station):
-            raise ScenarioError("braking trigger_station must be finite")
+            raise ScenarioError("trigger_station must be finite")
 
 
 ActorScript = ConstantVelocity | WaypointFollower | Braking
@@ -83,18 +89,18 @@ ActorScript = ConstantVelocity | WaypointFollower | Braking
 class SlotSpec:
     """Candidate actor placement; traffic density selects a subset of slots."""
 
-    kind: str                     # "vehicle" | "obstacle"
-    station: float                # m along the route
-    lateral_offset: float = 0.0   # m, left-positive
-    heading_offset_deg: float = 0.0
-    speed: float = 0.0            # m/s
-    length: float = 4.5
-    width: float = 1.8
-    speed_jitter: float = 0.0     # uniform +- jitter, resolved from the seed
-    lateral_jitter: float = 0.0
-    length_jitter: float = 0.0
-    width_jitter: float = 0.0
-    script: ActorScript = ConstantVelocity()
+    kind: str                 # "vehicle" | "obstacle"
+    station: float            # m along the route
+    lateral_offset: float     # m, left-positive
+    heading_offset_deg: float
+    speed: float              # m/s
+    length: float
+    width: float
+    speed_jitter: float       # uniform +- jitter, resolved from the seed
+    lateral_jitter: float
+    length_jitter: float
+    width_jitter: float
+    script: ActorScript
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,245 +119,249 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Scenario document handling
+# Scenario document handling: one field table per document object, read by a
+# single pass that both validates and builds.
 
-_TOP_LEVEL_KEYS = {
-    "schema_version", "seed", "max_steps", "traffic_density",
-    "route", "ego", "npcs", "obstacles", "slots",
-}
-_SPAWN_KEYS = {
-    "station", "lateral_offset", "heading_offset_deg", "speed", "length", "width",
-}
-_SLOT_KEYS = _SPAWN_KEYS | {
-    "kind", "speed_jitter", "lateral_jitter", "length_jitter", "width_jitter", "script",
-}
-_SCRIPT_KINDS = ("constant_velocity", "waypoint_follower", "braking")
+_REQUIRED = object()  # default of a field the document must give
 
 
 def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _check_spawn(spec: object, path: str, route_length: float, problems: list[str],
-                 extra_keys: set[str] = frozenset()) -> None:
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_points(value: object) -> bool:
+    return isinstance(value, list) and len(value) >= 2 and all(
+        isinstance(p, list) and len(p) == 2 and _is_number(p[0]) and _is_number(p[1])
+        for p in value
+    )
+
+
+def _as_is(value: object) -> object:
+    return value
+
+
+def _points(value: list) -> tuple[tuple[float, float], ...]:
+    return tuple((float(x), float(y)) for x, y in value)
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One document field: its default, the check its value must pass, its conversion."""
+
+    default: object  # taken as is when the field is absent; _REQUIRED if it must be given
+    check: Callable[[object], bool]
+    rule: str  # completes "<path> ..." when the check fails
+    convert: Callable[[object], object] = float
+
+
+def _finite(default: object = _REQUIRED) -> _Field:
+    return _Field(default, _is_number, "must be a finite number")
+
+
+def _positive(default: object = _REQUIRED) -> _Field:
+    return _Field(default, lambda v: _is_number(v) and v > 0.0, "must be positive")
+
+
+_NON_NEGATIVE = _Field(0.0, lambda v: _is_number(v) and v >= 0.0, "must be >= 0")
+_OBJECT = _Field(_REQUIRED, lambda v: isinstance(v, dict), "must be an object", _as_is)
+_LIST = _Field((), lambda v: isinstance(v, list), "must be a list", _as_is)
+_POINTS = _Field(_REQUIRED, _is_points, "must be a list of at least 2 [x, y] points", _points)
+
+_TOP_LEVEL = {
+    "schema_version": _Field(_REQUIRED, lambda v: _is_integer(v) and v == SCHEMA_VERSION,
+                             f"must equal {SCHEMA_VERSION}", int),
+    "seed": _Field(0, lambda v: _is_integer(v) and v >= 0, "must be a non-negative integer", int),
+    "max_steps": _Field(None, lambda v: v is None or (_is_integer(v) and v >= 1),
+                        "must be a positive integer", _as_is),
+    "traffic_density": _Field(1.0, lambda v: _is_number(v) and 0.0 <= v <= 1.0,
+                              "must lie in [0, 1]"),
+    "route": _OBJECT,
+    "ego": _OBJECT,
+    "npcs": _LIST,
+    "obstacles": _LIST,
+    "slots": _LIST,
+}
+_ROUTE = {"centerline": _POINTS, "lane_width": _positive(), "goal_station": _finite()}
+_SPAWN = {
+    "station": _finite(),
+    "lateral_offset": _finite(0.0),
+    "heading_offset_deg": _finite(0.0),
+    "speed": _NON_NEGATIVE,
+    "length": _positive(ActorState.length),  # the ActorState default footprint
+    "width": _positive(ActorState.width),
+}
+_OBSTACLE = {**_SPAWN, "speed": _Field(0.0, lambda v: _is_number(v) and v == 0.0, "must be 0")}
+_NPC = {
+    **_SPAWN,
+    "script": _Field(None, lambda v: v is None or isinstance(v, dict), "must be an object", _as_is),
+}
+_SLOT = {
+    **_NPC,
+    "kind": _Field(_REQUIRED, lambda v: v in ("vehicle", "obstacle"),
+                   "must be 'vehicle' or 'obstacle'", _as_is),
+    "speed_jitter": _NON_NEGATIVE,
+    "lateral_jitter": _NON_NEGATIVE,
+    "length_jitter": _NON_NEGATIVE,
+    "width_jitter": _NON_NEGATIVE,
+}
+_SCRIPTS = {  # script "kind" -> (script type, table of its other fields)
+    "constant_velocity": (ConstantVelocity, {}),
+    "waypoint_follower": (WaypointFollower, {"waypoints": _POINTS, "speed": _NON_NEGATIVE}),
+    "braking": (Braking, {"trigger_station": _finite(), "decel": _positive()}),
+}
+
+
+def _read(spec: object, path: str, table: dict[str, _Field], problems: list[str]) -> dict:
+    """Check one document object against its table.
+
+    Returns the converted value of every field that passed, defaults filled
+    in, and appends each failure to `problems` under its JSON path.
+    """
     if not isinstance(spec, dict):
         problems.append(f"{path} must be an object")
-        return
-    allowed = _SPAWN_KEYS | extra_keys
-    for key in sorted(set(spec) - allowed):
-        problems.append(f"{path}.{key} is not a recognised field")
-    station = spec.get("station")
-    if not (_is_number(station) and 0.0 <= station <= route_length):
-        problems.append(f"{path}.station must lie within [0, {route_length:.6g}] (got {station})")
-    for key, default in (("lateral_offset", 0.0), ("heading_offset_deg", 0.0), ("speed", 0.0)):
-        v = spec.get(key, default)
-        if not _is_number(v):
-            problems.append(f"{path}.{key} must be a finite number (got {v})")
-    for key, default in (("length", 4.5), ("width", 1.8)):
-        v = spec.get(key, default)
-        if not (_is_number(v) and v > 0.0):
-            problems.append(f"{path}.{key} must be positive (got {v})")
-    speed = spec.get("speed", 0.0)
-    if _is_number(speed) and speed < 0.0:
-        problems.append(f"{path}.speed must be >= 0 (got {speed})")
+        return {}
+    prefix = f"{path}." if path else ""
+    for key in sorted(set(spec) - set(table)):
+        problems.append(f"{prefix}{key} is not a recognised field")
+    values = {}
+    for key, field in table.items():
+        if key not in spec:
+            if field.default is _REQUIRED:
+                problems.append(f"{prefix}{key} is required")
+            else:
+                values[key] = field.default
+        elif field.check(spec[key]):
+            values[key] = field.convert(spec[key])
+        else:
+            problems.append(f"{prefix}{key} {field.rule} (got {reprlib.repr(spec[key])})")
+    return values
 
 
-def _check_script(spec: object, path: str, problems: list[str]) -> None:
+def _read_script(spec: dict | None, path: str, problems: list[str]) -> ActorScript | None:
     if spec is None:
-        return
-    if not isinstance(spec, dict) or "kind" not in spec:
-        problems.append(f"{path} must be an object with a 'kind' field")
-        return
-    kind = spec["kind"]
-    if kind not in _SCRIPT_KINDS:
-        problems.append(f"{path}.kind must be one of {_SCRIPT_KINDS} (got {kind!r})")
-        return
-    if kind == "waypoint_follower":
-        pts = spec.get("waypoints")
-        ok = (
-            isinstance(pts, list) and len(pts) >= 2
-            and all(isinstance(p, list) and len(p) == 2 and all(_is_number(c) for c in p) for p in pts)
-        )
-        if not ok:
-            problems.append(f"{path}.waypoints must be a list of at least 2 [x, y] points")
-        v = spec.get("speed", 0.0)
-        if not (_is_number(v) and v >= 0.0):
-            problems.append(f"{path}.speed must be >= 0 (got {v})")
-    elif kind == "braking":
-        if not _is_number(spec.get("trigger_station")):
-            problems.append(f"{path}.trigger_station must be a finite number")
-        d = spec.get("decel")
-        if not (_is_number(d) and d > 0.0):
-            problems.append(f"{path}.decel must be positive (got {d})")
-
-
-def validate_scenario_data(data: object) -> list[str]:
-    """Validate a parsed scenario document; return every violation found."""
-    if not isinstance(data, dict):
-        return ["scenario document must be a JSON object"]
-    problems: list[str] = []
-    for key in sorted(set(data) - _TOP_LEVEL_KEYS):
-        problems.append(f"{key} is not a recognised scenario field")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        problems.append(
-            f"schema_version must equal {SCHEMA_VERSION} (got {data.get('schema_version')})"
-        )
-    seed = data.get("seed", 0)
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
-        problems.append(f"seed must be a non-negative integer (got {seed})")
-    max_steps = data.get("max_steps")
-    if max_steps is not None and not (isinstance(max_steps, int) and max_steps >= 1):
-        problems.append(f"max_steps must be a positive integer (got {max_steps})")
-    density = data.get("traffic_density", 1.0)
-    if not (_is_number(density) and 0.0 <= density <= 1.0):
-        problems.append(f"traffic_density must lie in [0, 1] (got {density})")
-
-    route_length = math.inf
-    lane_width = math.inf
-    route_spec = data.get("route")
+        return ConstantVelocity()
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SCRIPTS:
+        problems.append(f"{path}.kind must be one of {tuple(_SCRIPTS)} (got {reprlib.repr(kind)})")
+        return None
+    script_type, table = _SCRIPTS[kind]
+    count = len(problems)
+    values = _read({k: v for k, v in spec.items() if k != "kind"}, path, table, problems)
+    if len(problems) > count:
+        return None
     try:
-        route = _build_route(route_spec)
-        route_length = route.length
-        lane_width = route.lane_width
-    except (ScenarioError, ConfigError, TypeError, ValueError) as exc:
-        problems.append(str(exc))  # Route errors already carry route.* paths
-
-    if "ego" not in data:
-        problems.append("ego is required")
-    else:
-        _check_spawn(data["ego"], "ego", route_length, problems)
-        offset = data["ego"].get("lateral_offset", 0.0) if isinstance(data["ego"], dict) else 0.0
-        if _is_number(offset) and abs(offset) > lane_width:
-            problems.append(
-                f"ego.lateral_offset must keep the ego on or near the lane (got {offset})"
-            )
-
-    for name in ("npcs", "obstacles", "slots"):
-        if name in data and not isinstance(data[name], list):
-            problems.append(f"{name} must be a list")
-
-    for i, spec in enumerate(data.get("npcs", []) if isinstance(data.get("npcs", []), list) else []):
-        _check_spawn(spec, f"npcs[{i}]", route_length, problems, extra_keys={"script"})
-        if isinstance(spec, dict):
-            _check_script(spec.get("script"), f"npcs[{i}].script", problems)
-    for i, spec in enumerate(
-        data.get("obstacles", []) if isinstance(data.get("obstacles", []), list) else []
-    ):
-        _check_spawn(spec, f"obstacles[{i}]", route_length, problems)
-        if isinstance(spec, dict) and spec.get("speed", 0.0) not in (0, 0.0):
-            problems.append(f"obstacles[{i}].speed must be 0")
-    for i, spec in enumerate(data.get("slots", []) if isinstance(data.get("slots", []), list) else []):
-        path = f"slots[{i}]"
-        if not isinstance(spec, dict):
-            problems.append(f"{path} must be an object")
-            continue
-        for key in sorted(set(spec) - _SLOT_KEYS):
-            problems.append(f"{path}.{key} is not a recognised field")
-        if spec.get("kind") not in ("vehicle", "obstacle"):
-            problems.append(f"{path}.kind must be 'vehicle' or 'obstacle' (got {spec.get('kind')})")
-        _check_spawn({k: v for k, v in spec.items() if k in _SPAWN_KEYS}, path, route_length, problems)
-        for key in ("speed_jitter", "lateral_jitter", "length_jitter", "width_jitter"):
-            v = spec.get(key, 0.0)
-            if not (_is_number(v) and v >= 0.0):
-                problems.append(f"{path}.{key} must be >= 0 (got {v})")
-        _check_script(spec.get("script"), f"{path}.script", problems)
-    return problems
-
-
-def _build_route(spec: object) -> Route:
-    if not isinstance(spec, dict):
-        raise ScenarioError("route must be an object with centerline, lane_width, goal_station")
-    try:
-        return Route(
-            centerline=np.array(spec["centerline"], dtype=float),
-            lane_width=float(spec["lane_width"]),
-            goal_station=float(spec["goal_station"]),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"route.{exc.args[0]} is required") from exc
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"route is invalid: {exc}") from exc
+        return script_type(**values)
+    except ScenarioError as exc:  # script errors name the field, e.g. "waypoints ..."
+        problems.append(f"{path}.{exc}")
+        return None
 
 
 def _spawn_actor(route: Route, spec: dict, kind: ActorKind) -> ActorState:
-    """Place an actor from route-relative coordinates."""
-    station = float(spec["station"])
-    offset = float(spec.get("lateral_offset", 0.0))
+    """Place an actor from a route-relative spec with every default filled in."""
+    station = spec["station"]
     base = route.point_at(station)
     tangent = route.tangent_at(station)
     normal = np.array([-tangent[1], tangent[0]])
-    heading = wrap_angle(
-        route.heading_at(station) + math.radians(float(spec.get("heading_offset_deg", 0.0)))
-    )
-    speed = 0.0 if kind is ActorKind.STATIC_OBSTACLE else float(spec.get("speed", 0.0))
+    heading = wrap_angle(route.heading_at(station) + math.radians(spec["heading_offset_deg"]))
     return ActorState(
-        position=base + offset * normal,
+        position=base + spec["lateral_offset"] * normal,
         heading=heading,
-        speed_long=speed,
-        length=float(spec.get("length", 4.5)),
-        width=float(spec.get("width", 1.8)),
+        speed_long=0.0 if kind is ActorKind.STATIC_OBSTACLE else spec["speed"],
+        length=spec["length"],
+        width=spec["width"],
         kind=kind,
     )
 
 
-def _build_script(spec: dict | None) -> ActorScript:
-    if spec is None:
-        return ConstantVelocity()
-    kind = spec["kind"]
-    if kind == "constant_velocity":
-        return ConstantVelocity()
-    if kind == "waypoint_follower":
-        return WaypointFollower(
-            waypoints=tuple((float(p[0]), float(p[1])) for p in spec["waypoints"]),
-            speed=float(spec.get("speed", 0.0)),
+def _read_actor(spec: object, path: str, table: dict[str, _Field], kind: ActorKind | None,
+                route: Route | None, problems: list[str]) -> dict:
+    """Read one actor spec, building its script and checking its station.
+
+    Given a kind, the actor is also placed, as `spec["actor"]`; slots have no
+    kind here because `realize_traffic` places them per episode.
+    """
+    count = len(problems)
+    values = _read(spec, path, table, problems)
+    if "script" in values:
+        values["script"] = _read_script(values["script"], f"{path}.script", problems)
+    station = values.get("station")
+    if route is not None and station is not None and not 0.0 <= station <= route.length:
+        problems.append(f"{path}.station must lie within [0, {route.length:.6g}] (got {station})")
+    if kind is not None and route is not None and len(problems) == count:
+        try:
+            values["actor"] = _spawn_actor(route, values, kind)
+        except ContractError as exc:  # a placement so far out that its position overflows
+            problems.append(f"{path} cannot be placed on the route: {exc}")
+    return values
+
+
+def _read_scenario(data: object) -> tuple[Scenario | None, list[str]]:
+    """The one pass over a scenario document: (scenario, []) or (None, problems)."""
+    if not isinstance(data, dict):
+        return None, ["scenario document must be a JSON object"]
+    problems: list[str] = []
+    top = _read(data, "", _TOP_LEVEL, problems)
+    route = None
+    if "route" in top:
+        values = _read(top["route"], "route", _ROUTE, problems)
+        if len(values) == len(_ROUTE):
+            try:
+                route = Route(**values)
+            except ConfigError as exc:
+                problems.append(str(exc))  # Route errors already carry route.* paths
+    ego = {}
+    if "ego" in top:
+        ego = _read_actor(top["ego"], "ego", _SPAWN, ActorKind.EGO_VEHICLE, route, problems)
+    if route is not None and "station" in ego:
+        if route.goal_station <= ego["station"]:
+            problems.append(
+                f"route.goal_station must lie past the ego spawn station {ego['station']:.6g} "
+                f"(got {route.goal_station:.6g})"
+            )
+        offset = ego.get("lateral_offset", 0.0)
+        if abs(offset) > route.lane_width:
+            problems.append(
+                f"ego.lateral_offset must keep the ego on or near the lane (got {offset})"
+            )
+    actors = {
+        name: [_read_actor(spec, f"{name}[{i}]", table, kind, route, problems)
+               for i, spec in enumerate(top.get(name, ()))]
+        for name, table, kind in (
+            ("npcs", _NPC, ActorKind.NPC_VEHICLE),
+            ("obstacles", _OBSTACLE, ActorKind.STATIC_OBSTACLE),
+            ("slots", _SLOT, None),
         )
-    return Braking(
-        trigger_station=float(spec["trigger_station"]), decel=float(spec["decel"])
-    )
+    }
+    if problems:
+        return None, problems
+    return Scenario(
+        route=route,
+        ego_spawn=ego["actor"],
+        npcs=tuple((spec["actor"], spec["script"]) for spec in actors["npcs"]),
+        obstacles=tuple(spec["actor"] for spec in actors["obstacles"]),
+        slots=tuple(SlotSpec(**spec) for spec in actors["slots"]),
+        traffic_density=top["traffic_density"],
+        seed=top["seed"],
+        max_steps=top["max_steps"],
+        schema_version=top["schema_version"],
+    ), []
+
+
+def validate_scenario_data(data: object) -> list[str]:
+    """Validate a parsed scenario document; return every violation found."""
+    return _read_scenario(data)[1]
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a validated Scenario from a parsed document."""
-    problems = validate_scenario_data(data)
+    scenario, problems = _read_scenario(data)
     if problems:
         raise ScenarioError("; ".join(problems))
-    route = _build_route(data["route"])
-    ego = _spawn_actor(route, data["ego"], ActorKind.EGO_VEHICLE)
-    npcs = tuple(
-        (_spawn_actor(route, spec, ActorKind.NPC_VEHICLE), _build_script(spec.get("script")))
-        for spec in data.get("npcs", [])
-    )
-    obstacles = tuple(
-        _spawn_actor(route, spec, ActorKind.STATIC_OBSTACLE) for spec in data.get("obstacles", [])
-    )
-    slots = tuple(
-        SlotSpec(
-            kind=spec["kind"],
-            station=float(spec["station"]),
-            lateral_offset=float(spec.get("lateral_offset", 0.0)),
-            heading_offset_deg=float(spec.get("heading_offset_deg", 0.0)),
-            speed=float(spec.get("speed", 0.0)),
-            length=float(spec.get("length", 4.5)),
-            width=float(spec.get("width", 1.8)),
-            speed_jitter=float(spec.get("speed_jitter", 0.0)),
-            lateral_jitter=float(spec.get("lateral_jitter", 0.0)),
-            length_jitter=float(spec.get("length_jitter", 0.0)),
-            width_jitter=float(spec.get("width_jitter", 0.0)),
-            script=_build_script(spec.get("script")),
-        )
-        for spec in data.get("slots", [])
-    )
-    return Scenario(
-        route=route,
-        ego_spawn=ego,
-        npcs=npcs,
-        obstacles=obstacles,
-        slots=slots,
-        traffic_density=float(data.get("traffic_density", 1.0)),
-        seed=int(data.get("seed", 0)),
-        max_steps=data.get("max_steps"),
-        schema_version=int(data["schema_version"]),
-    )
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -390,20 +400,14 @@ def realize_traffic(
         )
         for idx in chosen:
             slot = scenario.slots[idx]
-            jitter = rng.uniform(-1.0, 1.0, size=4)
-            speed = max(slot.speed + jitter[0] * slot.speed_jitter, 0.0)
-            lateral = slot.lateral_offset + jitter[1] * slot.lateral_jitter
-            length = max(slot.length + jitter[2] * slot.length_jitter, 0.3)
-            width = max(slot.width + jitter[3] * slot.width_jitter, 0.3)
-            kind = ActorKind.NPC_VEHICLE if slot.kind == "vehicle" else ActorKind.STATIC_OBSTACLE
-            spec = {
-                "station": slot.station,
-                "lateral_offset": lateral,
-                "heading_offset_deg": slot.heading_offset_deg,
-                "speed": speed,
-                "length": length,
-                "width": width,
+            jitter = rng.uniform(-1.0, 1.0, size=4).tolist()  # plain floats, like a read spec
+            spec = vars(slot) | {
+                "speed": max(slot.speed + jitter[0] * slot.speed_jitter, 0.0),
+                "lateral_offset": slot.lateral_offset + jitter[1] * slot.lateral_jitter,
+                "length": max(slot.length + jitter[2] * slot.length_jitter, 0.3),
+                "width": max(slot.width + jitter[3] * slot.width_jitter, 0.3),
             }
+            kind = ActorKind.NPC_VEHICLE if slot.kind == "vehicle" else ActorKind.STATIC_OBSTACLE
             actor = _spawn_actor(scenario.route, spec, kind)
             if kind is ActorKind.NPC_VEHICLE:
                 npcs.append((actor, slot.script))
@@ -452,9 +456,7 @@ def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float) -
             speed = new_speed
         return replace(state, position=position, speed_long=speed, accel_long=accel)
     # waypoint follower: advance by arc length along its private polyline
-    line = Route(
-        centerline=np.array(script.waypoints, dtype=float), lane_width=1.0, goal_station=0.0
-    )
+    line = script._line
     station = project_to_route(state.position, state.heading, line).station
     new_station = min(station + script.speed * dt, line.length)
     speed = script.speed if new_station < line.length else 0.0
@@ -548,6 +550,7 @@ class Observation:
     ego: ActorState
     pose: RouteFramePose
     others: tuple[ActorState, ...]
+    step: int  # steps already taken this episode; 0 at the first decision
 
 
 Policy = Callable[[Observation], tuple[float, float]]
@@ -589,12 +592,9 @@ def lane_follower_policy(
 def scripted_replay_policy(actions: Sequence[tuple[float, float]]) -> Policy:
     """Replay a recorded action sequence, then hold still."""
     actions = [(float(a), float(s)) for a, s in actions]
-    counter = {"i": 0}
 
     def policy(obs: Observation) -> tuple[float, float]:
-        i = counter["i"]
-        counter["i"] = i + 1
-        return actions[i] if i < len(actions) else (0.0, 0.0)
+        return actions[obs.step] if obs.step < len(actions) else (0.0, 0.0)
 
     return policy
 
@@ -678,7 +678,7 @@ def run_episode(
     speed_sum = 0.0
 
     for step in range(1, max_steps + 1):
-        obs = Observation(ego=world.ego, pose=pose, others=world.actors)
+        obs = Observation(ego=world.ego, pose=pose, others=world.actors, step=step - 1)
         accel_cmd, steer_cmd = policy(obs)
         accel_cmd = min(max(accel_cmd, -config.a_brk_max_x), config.a_acc_max_x)
         steer_limit = max(world.ego.speed_long, STEER_SPEED_FLOOR) * config.kappa_max

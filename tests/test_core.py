@@ -197,6 +197,11 @@ class TestConfig:
         path.write_text(json.dumps({"v_max": 9.0}))
         assert load_config(path).speed_limit == 9.0
 
+    def test_speed_limit_follows_v_max_in_constructor_too(self):
+        assert RewardConfig(v_max=10).speed_limit == 10.0
+        assert RewardConfig.from_dict({"v_max": 10}).speed_limit == 10.0
+        assert RewardConfig(v_max=10, speed_limit=7.0).speed_limit == 7.0
+
     def test_braking_order_enforced(self):
         with pytest.raises(ConfigError, match="a_brk_min_x"):
             RewardConfig(a_brk_min_x=9.0, a_brk_max_x=8.0)

@@ -33,7 +33,7 @@ from riskrl import (
     step_world,
 )
 from riskrl.cli import trace_rows
-from riskrl.sim import scenario_from_dict
+from riskrl.sim import scenario_from_dict, validate_scenario_data
 
 CFG = RewardConfig()
 
@@ -291,6 +291,32 @@ class TestScenarioLoading:
                 minimal_scenario_data(obstacles=[{"station": 20.0, "speed": 1.0}])
             )
 
+    @pytest.mark.parametrize("goal", [0.0, 3.0, 5.0])
+    def test_goal_must_lie_past_ego_spawn(self, goal):
+        data = minimal_scenario_data()
+        data["route"]["goal_station"] = goal
+        with pytest.raises(ScenarioError, match="route.goal_station"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("route", "goal_station", "70"),
+        ("route", "lane_width", True),
+        (None, "max_steps", True),
+    ])
+    def test_numeric_fields_must_be_json_numbers(self, section, key, value):
+        data = minimal_scenario_data()
+        (data[section] if section else data)[key] = value
+        problems = validate_scenario_data(data)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"{section}.{key}" if section else key)
+
+    def test_repeated_waypoints_fail_validation(self):
+        npcs = [{"station": 20.0, "speed": 2.0,
+                 "script": {"kind": "waypoint_follower", "speed": 2.0,
+                            "waypoints": [[20.0, 0.0], [30.0, 0.0], [30.0, 0.0], [40.0, 0.0]]}}]
+        with pytest.raises(ScenarioError, match=r"npcs\[0\].script.waypoints"):
+            scenario_from_dict(minimal_scenario_data(npcs=npcs))
+
     def test_heading_offset_places_crossing_actor(self):
         npcs = [{"station": 40.0, "lateral_offset": -20.0, "heading_offset_deg": 90.0,
                  "speed": 3.0}]
@@ -354,6 +380,14 @@ class TestRunEpisode:
         trace = run_episode(scenario, policy, CFG)
         actions = [r.action[0] for r in trace.records]
         assert actions == [2.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_replay_policy_object_is_reusable(self, scenarios_dir):
+        scenario = load_scenario(scenarios_dir / "empty_road.json")
+        policy = scripted_replay_policy([(2.0, 0.0)] * 30)
+        first = run_episode(scenario, policy, CFG)
+        second = run_episode(scenario, policy, CFG)
+        assert trace_rows(first) == trace_rows(second)
+        assert first.outcome is Outcome.SUCCESS
 
     def test_cumulative_reward_is_sum_of_step_totals(self, scenarios_dir):
         scenario = load_scenario(scenarios_dir / "intersection.json")
