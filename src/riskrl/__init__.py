@@ -10,6 +10,8 @@ The public surface mirrors the module layout:
 - :mod:`riskrl.cli` — the `riskrl` command-line tool
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     ActorKind,
     ActorState,
@@ -84,4 +86,5 @@ from .sim import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -2,8 +2,9 @@
 grids for heatmaps, and validate scenario/config documents.
 
 Outputs are plain CSV plus JSON summaries so plotting stays in external tools.
-Every flag can also be supplied through an environment variable named
-RISKRL_<FLAG> (for example RISKRL_SEED, RISKRL_CONFIG).
+Most flags can also be supplied through an environment variable named
+RISKRL_<FLAG> (for example RISKRL_SEED, RISKRL_CONFIG); `--mode`,
+`--ego-speed` and `--other-speed` have none.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     ConfigError,
     RewardConfig,
     ScenarioError,
+    _read_json,
     load_config,
     validate_config_data,
 )
@@ -151,11 +153,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         files = [scenario_path]
     scenarios = [load_scenario(f) for f in files]
-    densities = [float(d) for d in args.densities.split(",") if d.strip() != ""]
+    try:
+        densities = [float(d) for d in args.densities.split(",") if d.strip() != ""]
+    except ValueError:
+        densities = []
     if not densities or any(not 0.0 <= d <= 1.0 for d in densities):
-        raise ScenarioError(f"densities must lie in [0, 1] (got {args.densities!r})")
+        raise ScenarioError(f"--densities must be numbers in [0, 1] (got {args.densities!r})")
     if args.episodes < 1:
-        raise ScenarioError(f"episodes must be >= 1 (got {args.episodes})")
+        raise ScenarioError(f"--episodes must be >= 1 (got {args.episodes})")
     policy = build_policy(args.policy, config)
 
     rows = []
@@ -185,14 +190,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(spec: str) -> tuple[float, float, float, float, float]:
-    parts = [p for p in spec.split(",") if p.strip() != ""]
-    if len(parts) != 5:
-        raise ConfigError(f"grid must be 'x_min,x_max,y_min,y_max,resolution' (got {spec!r})")
-    x_min, x_max, y_min, y_max, resolution = (float(p) for p in parts)
+    try:
+        values = [float(p) for p in spec.split(",") if p.strip() != ""]
+    except ValueError:
+        values = []
+    if len(values) != 5 or not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--grid needs finite x_min,x_max,y_min,y_max,resolution (got {spec!r})")
+    x_min, x_max, y_min, y_max, resolution = values
     if resolution <= 0.0:
-        raise ConfigError(f"grid resolution must be positive (got {resolution})")
+        raise ConfigError(f"--grid resolution must be positive (got {resolution})")
     if x_max < x_min or y_max < y_min:
-        raise ConfigError("grid bounds must satisfy x_min <= x_max and y_min <= y_max")
+        raise ConfigError("--grid bounds must satisfy x_min <= x_max and y_min <= y_max")
     return x_min, x_max, y_min, y_max, resolution
 
 
@@ -200,6 +208,9 @@ def cmd_field(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
     mode = InteractionMode(args.mode)
     x_min, x_max, y_min, y_max, resolution = _parse_grid(args.grid)
+    for flag, speed in (("--ego-speed", args.ego_speed), ("--other-speed", args.other_speed)):
+        if not math.isfinite(speed):
+            raise ConfigError(f"{flag} must be a finite number (got {speed})")
 
     ego = ActorState(
         position=np.zeros(2), heading=0.0, speed_long=args.ego_speed, kind=ActorKind.EGO_VEHICLE
@@ -235,18 +246,7 @@ def cmd_field(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return 2
+    data = _read_json(args.path, ConfigError, "document")
     looks_like_scenario = isinstance(data, dict) and (
         "schema_version" in data or "route" in data or "ego" in data
     )
@@ -258,9 +258,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         label = "config"
     if problems:
         for problem in problems:
-            print(f"{path}: {problem}", file=sys.stderr)
+            print(f"{args.path}: {problem}", file=sys.stderr)
         return 2
-    print(f"{path}: valid {label}")
+    print(f"{args.path}: valid {label}")
     return 0
 
 
@@ -269,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="riskrl",
         description="Risk-aware driving reward toolkit: simulate, sweep, and inspect.",
         epilog=(
-            "Environment overrides: every flag can be set via RISKRL_<NAME>, e.g. "
-            "RISKRL_SCENARIO, RISKRL_CONFIG, RISKRL_POLICY, RISKRL_OUT, RISKRL_SEED, "
-            "RISKRL_DENSITIES, RISKRL_EPISODES, RISKRL_GRID."
+            "Environment overrides: RISKRL_SCENARIO, RISKRL_CONFIG, RISKRL_POLICY, "
+            "RISKRL_OUT, RISKRL_SEED, RISKRL_DENSITIES, RISKRL_EPISODES, RISKRL_GRID "
+            "set the flag of the same name; --mode, --ego-speed and --other-speed have none."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=BUILTIN_POLICIES, help="built-in driving policy")
     run.add_argument("--out", default=_env("OUT", "out"), help="output directory")
     run.add_argument("--seed", type=int,
-                     default=int(_env("SEED", "-1")), help="override the scenario seed")
+                     default=_env("SEED", "-1"), help="override the scenario seed")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="aggregate metrics over densities and episodes")
@@ -295,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=BUILTIN_POLICIES)
     sweep.add_argument("--densities", default=_env("DENSITIES", "0.5,0.75,1.0"),
                        help="comma-separated traffic densities in [0, 1]")
-    sweep.add_argument("--episodes", type=int, default=int(_env("EPISODES", "20")),
+    sweep.add_argument("--episodes", type=int, default=_env("EPISODES", "20"),
                        help="episodes per density")
-    sweep.add_argument("--seed", type=int, default=int(_env("SEED", "0")),
+    sweep.add_argument("--seed", type=int, default=_env("SEED", "0"),
                        help="base seed for the whole sweep")
     sweep.add_argument("--out", default=_env("OUT", "sweep.csv"), help="output CSV path")
     sweep.set_defaults(func=cmd_sweep)

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+import reprlib
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -215,8 +216,77 @@ def relative_displacement(ego: ActorState, other: ActorState) -> tuple[float, fl
     return float(local[0]), float(local[1])
 
 
-# Weight pairs that must sum to one; a missing partner takes the complement.
-_COMPLEMENT_PAIRS = (("w_geom", "w_dyn"), ("w_vel", "w_lane"))
+# ---------------------------------------------------------------------------
+# Document reading: one field table per document object, read by one pass that
+# checks every field and converts the values that pass.
+
+_REQUIRED = object()  # default of a field the document must give
+
+
+def _is_number(value: object) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One document field: its default, the check its value must pass, its conversion."""
+
+    default: object  # taken as is when the field is absent; _REQUIRED if it must be given
+    check: Callable[[object], bool]
+    rule: str  # completes "<path> ..." when the check fails
+    convert: Callable[[object], object] = float
+
+
+def _positive(default: object = _REQUIRED) -> _Field:
+    return _Field(default, lambda v: _is_number(v) and v > 0.0, "must be a positive finite number")
+
+
+def _read(spec: object, path: str, table: dict[str, _Field], problems: list[str]) -> dict:
+    """Check one document object against its table.
+
+    Returns the converted value of every field that passed, defaults filled
+    in, and appends each failure to `problems` under its JSON path.
+    """
+    if not isinstance(spec, dict):
+        problems.append(f"{path or 'document'} must be an object")
+        return {}
+    prefix = f"{path}." if path else ""
+    for key in sorted(set(spec) - set(table)):
+        problems.append(f"{prefix}{key} is an unknown field")
+    values = {}
+    for key, field in table.items():
+        if key not in spec:
+            if field.default is _REQUIRED:
+                problems.append(f"{prefix}{key} is required")
+            else:
+                values[key] = field.default
+        elif field.check(spec[key]):
+            values[key] = field.convert(spec[key])
+        else:
+            problems.append(f"{prefix}{key} {field.rule} (got {reprlib.repr(spec[key])})")
+    return values
+
+
+def _read_json(path: str | Path, error: type[ValueError], what: str) -> object:
+    """Read and parse a JSON file, raising `error` when either step fails."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -259,9 +329,11 @@ class RewardConfig:
     def __post_init__(self) -> None:
         if self.speed_limit is None:
             object.__setattr__(self, "speed_limit", self.v_max)
-        problems = validate_config_values(self)
+        values, problems = _read_config(vars(self))
         if problems:
             raise ConfigError("; ".join(problems))
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -273,84 +345,66 @@ class RewardConfig:
         Absent fields take defaults; for the paired weights, a single present
         member fixes the other to its complement.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        values = dict(data)
-        for name in ("p_min", "p_max", "p_outer", "timeout_steps"):
-            v = values.get(name)
-            if isinstance(v, float) and v.is_integer():
-                values[name] = int(v)
-        for first, second in _COMPLEMENT_PAIRS:
-            if first in values and second not in values:
-                values[second] = 1.0 - float(values[first])
-            elif second in values and first not in values:
-                values[first] = 1.0 - float(values[second])
+        values, problems = _read_config(data)
+        if problems:
+            raise ConfigError("; ".join(problems))
         return cls(**values)
 
 
-def validate_config_values(cfg: RewardConfig) -> list[str]:
-    """Return every invariant violation of a config, naming the fields."""
+def _is_whole(value: object) -> bool:
+    return _is_number(value) and float(value).is_integer()
+
+
+_EXPONENT = _Field(_REQUIRED, lambda v: _is_whole(v) and v >= 2 and v % 2 == 0,
+                   "must be an even integer >= 2", int)
+_WEIGHT = _Field(_REQUIRED, lambda v: _is_number(v) and 0.0 <= v <= 1.0, "must lie in [0, 1]")
+
+# The check of each RewardConfig field that is not simply a positive number;
+# every default comes from the dataclass field.
+_CONFIG_CHECKS = {
+    "beta": _Field(_REQUIRED, lambda v: _is_number(v) and 0.0 < v < 1.0,
+                   "must satisfy 0 < beta < 1"),
+    **dict.fromkeys(("p_min", "p_max", "p_outer"), _EXPONENT),
+    **dict.fromkeys(("w_geom", "w_dyn", "w_vel", "w_lane"), _WEIGHT),
+    "timeout_steps": _Field(_REQUIRED, lambda v: _is_whole(v) and v >= 1,
+                            "must be a positive integer", int),
+}
+_CONFIG = {
+    f.name: replace(_CONFIG_CHECKS.get(f.name, _positive()), default=f.default)
+    for f in fields(RewardConfig)
+}
+
+# Weight pairs that must sum to one; a missing partner takes the complement.
+_COMPLEMENT_PAIRS = (("w_geom", "w_dyn"), ("w_vel", "w_lane"))
+
+
+def _read_config(data: object) -> tuple[dict, list[str]]:
+    """The one pass over config values: (converted values, problems).
+
+    The cross-field rules run only once every field has passed.
+    """
     problems: list[str] = []
-    if not 0.0 < cfg.beta < 1.0:
-        problems.append(f"beta must satisfy 0 < beta < 1 (got {cfg.beta})")
-    positive = (
-        "v_max", "w_terminal", "r_x_geom", "r_y_geom", "rho",
-        "a_acc_max_x", "a_brk_min_x", "a_brk_max_x",
-        "a_acc_max_y", "a_brk_min_y", "a_brk_max_y",
-        "ttc_max", "v_desired", "dt", "offset_threshold",
-        "a_comfort_max", "kappa_max", "speed_limit",
-    )
-    for name in positive:
-        v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-            problems.append(f"{name} must be a positive finite number (got {v})")
-    for name in ("p_min", "p_max", "p_outer"):
-        v = getattr(cfg, name)
-        if not (isinstance(v, int) and v >= 2 and v % 2 == 0):
-            problems.append(f"{name} must be an even integer >= 2 (got {v})")
-    for name in ("w_geom", "w_dyn", "w_vel", "w_lane"):
-        v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
-            problems.append(f"{name} must lie in [0, 1] (got {v})")
-    if abs(cfg.w_geom + cfg.w_dyn - 1.0) > 1e-9:
-        problems.append(f"w_geom + w_dyn must equal 1 (got {cfg.w_geom + cfg.w_dyn})")
-    if abs(cfg.w_vel + cfg.w_lane - 1.0) > 1e-9:
-        problems.append(f"w_vel + w_lane must equal 1 (got {cfg.w_vel + cfg.w_lane})")
-    if cfg.a_brk_min_x > cfg.a_brk_max_x:
-        problems.append("a_brk_min_x must not exceed a_brk_max_x")
-    if cfg.a_brk_min_y > cfg.a_brk_max_y:
-        problems.append("a_brk_min_y must not exceed a_brk_max_y")
-    if not (isinstance(cfg.timeout_steps, int) and cfg.timeout_steps >= 1):
-        problems.append(f"timeout_steps must be a positive integer (got {cfg.timeout_steps})")
-    return problems
+    values = _read(data, "", _CONFIG, problems)
+    if problems:
+        return values, problems
+    for pair in _COMPLEMENT_PAIRS:
+        for given, partner in (pair, pair[::-1]):
+            if given in data and partner not in data:
+                values[partner] = 1.0 - values[given]
+        total = values[pair[0]] + values[pair[1]]
+        if abs(total - 1.0) > 1e-9:
+            problems.append(f"{pair[0]} + {pair[1]} must equal 1 (got {total})")
+    for axis in "xy":
+        if values[f"a_brk_min_{axis}"] > values[f"a_brk_max_{axis}"]:
+            problems.append(f"a_brk_min_{axis} must not exceed a_brk_max_{axis}")
+    return values, problems
 
 
 def validate_config_data(data: object) -> list[str]:
     """Validate a parsed config document without raising; return violations."""
-    if not isinstance(data, dict):
-        return ["config document must be a flat key-value object"]
-    try:
-        RewardConfig.from_dict(data)
-    except ConfigError as exc:
-        return str(exc).split("; ")
-    except (TypeError, ValueError) as exc:
-        return [str(exc)]
-    return []
+    return _read_config(data)[1]
 
 
 def load_config(path: str | Path) -> RewardConfig:
     """Load and validate a flat JSON config file; absent keys take defaults."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must contain a flat key-value object")
-    return RewardConfig.from_dict(data)
+    return RewardConfig.from_dict(_read_json(path, ConfigError, "config"))

@@ -94,7 +94,10 @@ def ellipsoid_penalty(d_x: float, d_y: float, params: EllipseParams) -> float:
     """
     tx = max(abs(d_x) - params.c_x, 0.0) / params.r_x
     ty = max(abs(d_y) - params.c_y, 0.0) / params.r_y
-    return (tx ** params.p_x + ty ** params.p_y + 1.0) ** (-params.p_outer)
+    try:
+        return (tx ** params.p_x + ty ** params.p_y + 1.0) ** (-params.p_outer)
+    except OverflowError:  # so far out that the field is at its limit, 0
+        return 0.0
 
 
 def accel_distance(v: float, rho: float, a_acc: float) -> float:

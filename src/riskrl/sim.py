@@ -8,7 +8,6 @@ share no mutable state and may run in parallel.
 
 from __future__ import annotations
 
-import json
 import math
 import reprlib
 from dataclasses import dataclass, replace
@@ -29,6 +28,7 @@ from .core import (
     project_to_route,
     wrap_angle,
 )
+from .core import _REQUIRED, _Field, _is_integer, _is_number, _positive, _read, _read_json
 from .reward import (
     STEER_SPEED_FLOOR,
     Outcome,
@@ -122,16 +122,6 @@ class Scenario:
 # Scenario document handling: one field table per document object, read by a
 # single pass that both validates and builds.
 
-_REQUIRED = object()  # default of a field the document must give
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_integer(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def _is_points(value: object) -> bool:
     return isinstance(value, list) and len(value) >= 2 and all(
@@ -148,22 +138,8 @@ def _points(value: list) -> tuple[tuple[float, float], ...]:
     return tuple((float(x), float(y)) for x, y in value)
 
 
-@dataclass(frozen=True)
-class _Field:
-    """One document field: its default, the check its value must pass, its conversion."""
-
-    default: object  # taken as is when the field is absent; _REQUIRED if it must be given
-    check: Callable[[object], bool]
-    rule: str  # completes "<path> ..." when the check fails
-    convert: Callable[[object], object] = float
-
-
 def _finite(default: object = _REQUIRED) -> _Field:
     return _Field(default, _is_number, "must be a finite number")
-
-
-def _positive(default: object = _REQUIRED) -> _Field:
-    return _Field(default, lambda v: _is_number(v) and v > 0.0, "must be positive")
 
 
 _NON_NEGATIVE = _Field(0.0, lambda v: _is_number(v) and v >= 0.0, "must be >= 0")
@@ -213,32 +189,6 @@ _SCRIPTS = {  # script "kind" -> (script type, table of its other fields)
     "waypoint_follower": (WaypointFollower, {"waypoints": _POINTS, "speed": _NON_NEGATIVE}),
     "braking": (Braking, {"trigger_station": _finite(), "decel": _positive()}),
 }
-
-
-def _read(spec: object, path: str, table: dict[str, _Field], problems: list[str]) -> dict:
-    """Check one document object against its table.
-
-    Returns the converted value of every field that passed, defaults filled
-    in, and appends each failure to `problems` under its JSON path.
-    """
-    if not isinstance(spec, dict):
-        problems.append(f"{path} must be an object")
-        return {}
-    prefix = f"{path}." if path else ""
-    for key in sorted(set(spec) - set(table)):
-        problems.append(f"{prefix}{key} is not a recognised field")
-    values = {}
-    for key, field in table.items():
-        if key not in spec:
-            if field.default is _REQUIRED:
-                problems.append(f"{prefix}{key} is required")
-            else:
-                values[key] = field.default
-        elif field.check(spec[key]):
-            values[key] = field.convert(spec[key])
-        else:
-            problems.append(f"{prefix}{key} {field.rule} (got {reprlib.repr(spec[key])})")
-    return values
 
 
 def _read_script(spec: dict | None, path: str, problems: list[str]) -> ActorScript | None:
@@ -301,8 +251,6 @@ def _read_actor(spec: object, path: str, table: dict[str, _Field], kind: ActorKi
 
 def _read_scenario(data: object) -> tuple[Scenario | None, list[str]]:
     """The one pass over a scenario document: (scenario, []) or (None, problems)."""
-    if not isinstance(data, dict):
-        return None, ["scenario document must be a JSON object"]
     problems: list[str] = []
     top = _read(data, "", _TOP_LEVEL, problems)
     route = None
@@ -366,16 +314,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario JSON file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(_read_json(path, ScenarioError, "scenario"))
 
 
 def realize_traffic(

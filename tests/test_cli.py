@@ -81,6 +81,31 @@ class TestCmdRun:
         assert (out / "summary.json").exists()
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize("argv, flag", [
+        (["field", "--ego-speed", "nan"], "--ego-speed"),
+        (["field", "--grid=0,1,0,1,nan"], "--grid"),
+        (["field", "--grid=0,1,0,1,x"], "--grid"),
+        (["sweep", "--densities", "abc"], "--densities"),
+    ])
+    def test_bad_value_names_its_flag(self, argv, flag, tmp_path, scenarios_dir, monkeypatch,
+                                      capsys):
+        monkeypatch.setenv("RISKRL_SCENARIO", str(scenarios_dir / "empty_road.json"))
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_bad_env_value_fails_only_the_subcommand_that_reads_it(
+        self, tmp_path, configs_dir, scenarios_dir, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("RISKRL_SEED", "x")
+        assert main(["validate", str(configs_dir / "default.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", str(scenarios_dir / "empty_road.json"),
+                  "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 class TestCmdSweep:
     def test_zero_episodes_rejected(self, tmp_path, scenarios_dir, capsys):
         code = main([

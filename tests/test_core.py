@@ -2,6 +2,8 @@
 
 import json
 import math
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -19,7 +21,17 @@ from riskrl import (
     relative_displacement,
     wrap_angle,
 )
-from riskrl.core import rotate
+import riskrl
+from riskrl.core import rotate, validate_config_data
+
+DEFAULT_CONFIG = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "default.json").read_text()
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5,
+)
 
 
 def straight_route(length=100.0, lane_width=3.5, goal=None):
@@ -209,3 +221,30 @@ class TestConfig:
     def test_default_config_file_is_valid(self, configs_dir):
         cfg = load_config(configs_dir / "default.json")
         assert cfg == RewardConfig()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("beta", "0.5"), ("timeout_steps", True), ("v_max", True), ("v_max", 10**400)],
+        ids=["string", "bool-integer", "bool-number", "int-beyond-float"],
+    )
+    def test_non_numbers_rejected_with_field_name(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RewardConfig.from_dict({key: value})
+        assert any(problem.startswith(key) for problem in validate_config_data({key: value}))
+
+    def test_integer_valued_exponent_loads_as_integer(self):
+        for cfg in (RewardConfig.from_dict({"p_min": 2.0}), RewardConfig(p_min=2.0)):
+            assert cfg.p_min == 2 and isinstance(cfg.p_min, int)
+
+    @given(key=st.sampled_from(sorted(DEFAULT_CONFIG)), value=JSON_VALUES)
+    def test_validation_agrees_with_loading(self, key, value):
+        data = {**DEFAULT_CONFIG, key: value}
+        if validate_config_data(data):
+            with pytest.raises(ConfigError):
+                RewardConfig.from_dict(data)
+        else:
+            RewardConfig.from_dict(data)
+
+
+def test_package_exports_no_module():
+    assert not [name for name in riskrl.__all__ if isinstance(getattr(riskrl, name), ModuleType)]

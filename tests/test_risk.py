@@ -113,6 +113,9 @@ class TestEllipsoidPenalty:
         assert ellipsoid_penalty(2.75 + 0.5, 1.4, PARAMS) < 1.0
         assert ellipsoid_penalty(2.75, 1.4 + 0.1, PARAMS) < 1.0
 
+    def test_overflow_far_out_gives_the_limit(self):
+        assert ellipsoid_penalty(1e200, 0.0, PARAMS) == 0.0
+
     def test_exponent_validation(self):
         with pytest.raises(ContractError):
             EllipseParams(c_x=1.0, c_y=1.0, r_x=1.0, r_y=1.0, p_x=3, p_y=2, p_outer=4)
