@@ -59,6 +59,17 @@ SWEEP_COLUMNS = (
 
 FIELD_COLUMNS = ("x", "y", "geom_penalty", "dyn_penalty", "combined")
 
+# The virtual actor `field` places in each cell; vehicles keep ActorState's
+# default footprint, and the 1 x 1 m obstacle stands still.
+_FIELD_ACTORS = {
+    InteractionMode.SAME_DIRECTION: {"heading": 0.0},
+    InteractionMode.OPPOSITE_DIRECTION: {"heading": math.pi},
+    InteractionMode.INTERSECTING: {"heading": math.pi / 2.0},
+    InteractionMode.STATIC_OBSTACLE: {"heading": 0.0, "speed_long": 0.0, "length": 1.0,
+                                      "width": 1.0, "kind": ActorKind.STATIC_OBSTACLE},
+}
+
+
 def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get(ENV_PREFIX + name, fallback)
 
@@ -215,27 +226,13 @@ def cmd_field(args: argparse.Namespace) -> int:
     ego = ActorState(
         position=np.zeros(2), heading=0.0, speed_long=args.ego_speed, kind=ActorKind.EGO_VEHICLE
     )
-    if mode is InteractionMode.STATIC_OBSTACLE:
-        other_heading, other_speed = 0.0, 0.0
-        other_kind, other_dims = ActorKind.STATIC_OBSTACLE, (1.0, 1.0)
-    else:
-        headings = {
-            InteractionMode.SAME_DIRECTION: 0.0,
-            InteractionMode.OPPOSITE_DIRECTION: math.pi,
-            InteractionMode.INTERSECTING: math.pi / 2.0,
-        }
-        other_heading, other_speed = headings[mode], args.other_speed
-        other_kind, other_dims = ActorKind.NPC_VEHICLE, (4.5, 1.8)
-
+    template = {"speed_long": args.other_speed} | _FIELD_ACTORS[mode]
     xs = np.arange(x_min, x_max + resolution / 2.0, resolution)
     ys = np.arange(y_min, y_max + resolution / 2.0, resolution)
     rows = []
     for y in ys:
         for x in xs:
-            other = ActorState(
-                position=np.array([x, y]), heading=other_heading, speed_long=other_speed,
-                length=other_dims[0], width=other_dims[1], kind=other_kind,
-            )
+            other = ActorState(position=np.array([x, y]), **template)
             geom = geometric_risk(ego, other, mode, config)
             dyn, _ = dynamic_risk(ego, other, mode, config)
             combined = config.w_geom * geom + config.w_dyn * dyn

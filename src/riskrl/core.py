@@ -221,19 +221,20 @@ def relative_displacement(ego: ActorState, other: ActorState) -> tuple[float, fl
 # checks every field and converts the values that pass.
 
 _REQUIRED = object()  # default of a field the document must give
+# Every document number lies in [-1e6, 1e6] and every positive field is at
+# least 1e-12, so that positions stay finite through an episode and no
+# divisor such as v_max * dt underflows to 0.
+_LARGEST, _SMALLEST = 1e6, 1e-12
 
 
 def _is_number(value: object) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
+    """A JSON number in [-1e6, 1e6]; so not NaN, infinite or an oversized integer."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= _LARGEST)
 
 
 def _is_integer(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, int) and _is_number(value)
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,7 @@ class _Field:
 
 
 def _positive(default: object = _REQUIRED) -> _Field:
-    return _Field(default, lambda v: _is_number(v) and v > 0.0, "must be a positive finite number")
+    return _Field(default, lambda v: _is_number(v) and v >= _SMALLEST, "must lie in [1e-12, 1e6]")
 
 
 def _read(spec: object, path: str, table: dict[str, _Field], problems: list[str]) -> dict:
@@ -356,7 +357,7 @@ def _is_whole(value: object) -> bool:
 
 
 _EXPONENT = _Field(_REQUIRED, lambda v: _is_whole(v) and v >= 2 and v % 2 == 0,
-                   "must be an even integer >= 2", int)
+                   "must be an even integer in [2, 1e6]", int)
 _WEIGHT = _Field(_REQUIRED, lambda v: _is_number(v) and 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
 # The check of each RewardConfig field that is not simply a positive number;
@@ -367,7 +368,7 @@ _CONFIG_CHECKS = {
     **dict.fromkeys(("p_min", "p_max", "p_outer"), _EXPONENT),
     **dict.fromkeys(("w_geom", "w_dyn", "w_vel", "w_lane"), _WEIGHT),
     "timeout_steps": _Field(_REQUIRED, lambda v: _is_whole(v) and v >= 1,
-                            "must be a positive integer", int),
+                            "must be an integer in [1, 1e6]", int),
 }
 _CONFIG = {
     f.name: replace(_CONFIG_CHECKS.get(f.name, _positive()), default=f.default)

@@ -213,17 +213,23 @@ def _mode_exponents(mode: InteractionMode, config: RewardConfig) -> tuple[int, i
     return config.p_min, config.p_max
 
 
+def _pair_ellipse(
+    ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig,
+    r_x: float, r_y: float,
+) -> EllipseParams:
+    """The pair's ellipse: centres from the footprints, exponents from the mode, given radii."""
+    c_x, c_y = clearance_center(ego, other, mode)
+    p_x, p_y = _mode_exponents(mode, config)
+    return EllipseParams(c_x=c_x, c_y=c_y, r_x=r_x, r_y=r_y, p_x=p_x, p_y=p_y,
+                         p_outer=config.p_outer)
+
+
 def geometric_risk(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
 ) -> float:
     """Risk field with fixed, speed-independent desired clearances."""
-    c_x, c_y = clearance_center(ego, other, mode)
-    p_x, p_y = _mode_exponents(mode, config)
     d_x, d_y = relative_displacement(ego, other)
-    params = EllipseParams(
-        c_x=c_x, c_y=c_y, r_x=config.r_x_geom, r_y=config.r_y_geom,
-        p_x=p_x, p_y=p_y, p_outer=config.p_outer,
-    )
+    params = _pair_ellipse(ego, other, mode, config, config.r_x_geom, config.r_y_geom)
     return ellipsoid_penalty(d_x, d_y, params)
 
 
@@ -274,12 +280,7 @@ def dynamic_risk(
     else:
         r_x = leading_clearance(v_ego, v_other, "long", config)
     r_y = max(_lateral_dynamic_radius(ego, other, d_y, config), config.r_y_geom)
-    p_x, p_y = _mode_exponents(mode, config)
-    c_x, c_y = clearance_center(ego, other, mode)
-    params = EllipseParams(
-        c_x=c_x, c_y=c_y, r_x=max(r_x, config.r_x_geom), r_y=r_y,
-        p_x=p_x, p_y=p_y, p_outer=config.p_outer,
-    )
+    params = _pair_ellipse(ego, other, mode, config, max(r_x, config.r_x_geom), r_y)
     return ellipsoid_penalty(d_x, d_y, params), math.inf
 
 

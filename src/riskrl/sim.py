@@ -139,20 +139,21 @@ def _points(value: list) -> tuple[tuple[float, float], ...]:
 
 
 def _finite(default: object = _REQUIRED) -> _Field:
-    return _Field(default, _is_number, "must be a finite number")
+    return _Field(default, _is_number, "must lie in [-1e6, 1e6]")
 
 
-_NON_NEGATIVE = _Field(0.0, lambda v: _is_number(v) and v >= 0.0, "must be >= 0")
+_NON_NEGATIVE = _Field(0.0, lambda v: _is_number(v) and v >= 0.0, "must lie in [0, 1e6]")
 _OBJECT = _Field(_REQUIRED, lambda v: isinstance(v, dict), "must be an object", _as_is)
 _LIST = _Field((), lambda v: isinstance(v, list), "must be a list", _as_is)
-_POINTS = _Field(_REQUIRED, _is_points, "must be a list of at least 2 [x, y] points", _points)
+_POINTS = _Field(_REQUIRED, _is_points,
+                 "must be a list of at least 2 [x, y] points in [-1e6, 1e6]", _points)
 
 _TOP_LEVEL = {
     "schema_version": _Field(_REQUIRED, lambda v: _is_integer(v) and v == SCHEMA_VERSION,
                              f"must equal {SCHEMA_VERSION}", int),
-    "seed": _Field(0, lambda v: _is_integer(v) and v >= 0, "must be a non-negative integer", int),
+    "seed": _Field(0, lambda v: _is_integer(v) and v >= 0, "must be an integer in [0, 1e6]", int),
     "max_steps": _Field(None, lambda v: v is None or (_is_integer(v) and v >= 1),
-                        "must be a positive integer", _as_is),
+                        "must be an integer in [1, 1e6]", _as_is),
     "traffic_density": _Field(1.0, lambda v: _is_number(v) and 0.0 <= v <= 1.0,
                               "must lie in [0, 1]"),
     "route": _OBJECT,
@@ -445,32 +446,27 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
 # Collision and off-road checks
 
 
-def _rect_corners(state: ActorState) -> np.ndarray:
-    """Corner coordinates (4, 2) of the actor's oriented footprint."""
-    c, s = math.cos(state.heading), math.sin(state.heading)
-    axes = np.array([[c, s], [-s, c]])  # rows: longitudinal, lateral unit vectors
-    half = np.array([state.length / 2.0, state.width / 2.0])
-    signs = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=float)
-    return state.position + (signs * half) @ axes
+def _footprints_overlap(a: ActorState, b: ActorState) -> bool:
+    """Separating-axis test on the four footprint axes; touching counts.
 
-
-def _rectangles_overlap(corners_a: np.ndarray, corners_b: np.ndarray) -> bool:
-    """Separating-axis test for two convex quadrilaterals; touching counts."""
-    for corners in (corners_a, corners_b):
-        edges = np.roll(corners, -1, axis=0) - corners
-        for edge in edges[:2]:  # opposite rectangle edges are parallel
-            axis = np.array([-edge[1], edge[0]])
-            proj_a = corners_a @ axis
-            proj_b = corners_b @ axis
-            if proj_a.max() < proj_b.min() or proj_b.max() < proj_a.min():
+    The footprints are apart on an axis when their centre distance projected
+    onto it exceeds the sum of their half-extents projected onto it.
+    """
+    (ax, ay), (bx, by) = a.position.tolist(), b.position.tolist()
+    boxes = [(math.cos(x.heading), math.sin(x.heading), x.length / 2.0, x.width / 2.0)
+             for x in (a, b)]
+    for c, s, _, _ in boxes:
+        for ux, uy in ((c, s), (-s, c)):
+            reach = sum(half_l * abs(ux * bc + uy * bs) + half_w * abs(uy * bc - ux * bs)
+                        for bc, bs, half_l, half_w in boxes)
+            if abs((bx - ax) * ux + (by - ay) * uy) > reach:
                 return False
     return True
 
 
 def detect_collision(ego: ActorState, actors: Iterable[ActorState]) -> bool:
     """True iff the ego's oriented rectangle overlaps any actor's."""
-    ego_corners = _rect_corners(ego)
-    return any(_rectangles_overlap(ego_corners, _rect_corners(a)) for a in actors)
+    return any(_footprints_overlap(ego, a) for a in actors)
 
 
 def check_offroad(pose: RouteFramePose, ego: ActorState, route: Route) -> bool:

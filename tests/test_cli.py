@@ -208,6 +208,17 @@ class TestCmdValidate:
         err = capsys.readouterr().err
         assert "beta" in err and "< 1" in err
 
+    def test_underflowing_step_distance_is_not_valid(self, tmp_path, scenarios_dir, capsys):
+        # v_max * dt would underflow to 0 and divide the progress reward by it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"v_max": 1e-200, "dt": 1e-200}))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "v_max must lie in [1e-12, 1e6]" in err and "dt must lie in [1e-12, 1e6]" in err
+        scenario = str(scenarios_dir / "empty_road.json")
+        out = str(tmp_path / "out")
+        assert main(["run", "--scenario", scenario, "--config", str(path), "--out", out]) == 2
+
     def test_malformed_document_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "beta": 0.25,\n  oops\n}\n')

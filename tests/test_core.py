@@ -232,6 +232,11 @@ class TestConfig:
             RewardConfig.from_dict({key: value})
         assert any(problem.startswith(key) for problem in validate_config_data({key: value}))
 
+    def test_huge_step_time_fails_with_the_range(self):
+        # a 1.7e308 s step would overflow the first advanced position to inf
+        problems = validate_config_data({"dt": 1.7e308})
+        assert problems == ["dt must lie in [1e-12, 1e6] (got 1.7e+308)"]
+
     def test_integer_valued_exponent_loads_as_integer(self):
         for cfg in (RewardConfig.from_dict({"p_min": 2.0}), RewardConfig(p_min=2.0)):
             assert cfg.p_min == 2 and isinstance(cfg.p_min, int)

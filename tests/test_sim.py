@@ -1,10 +1,14 @@
 """World stepping, collision/off-road detection, scenarios, episodes, metrics."""
 
+import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskrl import (
     ActorKind,
@@ -33,6 +37,7 @@ from riskrl import (
     step_world,
 )
 from riskrl.cli import trace_rows
+from riskrl.core import validate_config_data
 from riskrl.sim import scenario_from_dict, validate_scenario_data
 
 CFG = RewardConfig()
@@ -203,6 +208,13 @@ class TestDetectCollision:
             disagreements += sat != oracle
         assert disagreements == 0
 
+    @pytest.mark.parametrize("gap, hit", [(0.0, True), (1e-9, False)], ids=["touching", "gap"])
+    @pytest.mark.parametrize("dx, dy", [(4.5, 0.0), (4.5, 1.8)], ids=["edges", "corners"])
+    def test_exact_touch_is_a_collision(self, dx, dy, gap, hit):
+        ego = ActorState(position=[0.0, 0.0], heading=0.0, kind=ActorKind.EGO_VEHICLE)
+        other = ActorState(position=[dx + gap, dy + gap if dy else 0.0], heading=0.0)
+        assert detect_collision(ego, [other]) is hit
+
 
 class TestCheckOffroad:
     def test_centered_is_on_road(self):
@@ -316,6 +328,13 @@ class TestScenarioLoading:
                             "waypoints": [[20.0, 0.0], [30.0, 0.0], [30.0, 0.0], [40.0, 0.0]]}}]
         with pytest.raises(ScenarioError, match=r"npcs\[0\].script.waypoints"):
             scenario_from_dict(minimal_scenario_data(npcs=npcs))
+
+    def test_huge_speed_fails_validation_with_the_range(self):
+        # at 1e308 m/s the NPC's next position would overflow to inf mid-episode
+        problems = validate_scenario_data(
+            minimal_scenario_data(npcs=[{"station": 20.0, "speed": 1e308}])
+        )
+        assert problems == ["npcs[0].speed must lie in [0, 1e6] (got 1e+308)"]
 
     def test_heading_offset_places_crossing_actor(self):
         npcs = [{"station": 40.0, "lateral_offset": -20.0, "heading_offset_deg": 90.0,
@@ -471,3 +490,58 @@ class TestAggregateMetrics:
     def test_empty_input_rejected(self):
         with pytest.raises(ContractError):
             aggregate_metrics([])
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_SCENARIOS = {
+    path.name: json.loads(path.read_text())
+    for path in sorted((REPO_ROOT / "scenarios").glob("*.json"))
+}
+DEFAULT_CONFIG = json.loads((REPO_ROOT / "configs" / "default.json").read_text())
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5,
+)
+# Modest numbers come often, so that many mutants pass validation and run, and
+# so do extreme magnitudes, which overflow or underflow in an episode.
+LEAF_VALUES = (st.integers(-10, 60) | st.floats(-10.0, 60.0) | st.floats(1e100, 1e308)
+               | st.floats(1e-300, 1e-100) | ANY_JSON)
+# A problem starts with the JSON path of a field, e.g. "npcs[0].script.decel".
+PROBLEM_PATH = re.compile(r"[a-z_]+(\[\d+\])?(\.[a-z_]+(\[\d+\])?)* ")
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, (dict, list)) and value:
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaf_paths(item, path + (key,))
+    else:
+        yield path
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=st.sampled_from(sorted(SHIPPED_SCENARIOS)), data=st.data())
+def test_mutated_documents_fail_with_paths_or_run_within_bounds(name, data):
+    docs = copy.deepcopy({"scenario": SHIPPED_SCENARIOS[name], "config": DEFAULT_CONFIG})
+    # The step budget is short and never mutated, only so that each run stays quick.
+    docs["scenario"]["max_steps"] = 30
+    paths = [p for p in _leaf_paths(docs) if p[-1] != "max_steps"]
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
+        parent = docs
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(LEAF_VALUES)
+    problems = validate_scenario_data(docs["scenario"]) + validate_config_data(docs["config"])
+    if problems:
+        assert all(PROBLEM_PATH.match(problem) for problem in problems), problems
+        return
+    config = RewardConfig.from_dict(docs["config"])
+    scenario = scenario_from_dict(docs["scenario"])
+    step_bound = 2.0 + config.beta + config.beta ** 2 + 1e-12  # criterion 6
+    for policy in ("lane_follower", "full_throttle"):
+        trace = run_episode(scenario, build_policy(policy, config), config)
+        totals = [record.breakdown.total for record in trace.records]
+        assert trace.outcome is not Outcome.NONE
+        assert all(math.isfinite(total) for total in totals)
+        assert all(abs(total) <= step_bound for total in totals[:-1])
+        assert abs(totals[-1]) <= config.w_terminal + 1e-12
