@@ -6,6 +6,7 @@ so all operations are safe to call concurrently.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import reprlib
@@ -41,10 +42,15 @@ def wrap_angle(angle: float) -> float:
     return a
 
 
+def _rotate(x: float, y: float, angle: float) -> tuple[float, float]:
+    """Rotate (x, y) counter-clockwise by `angle` radians, in plain floats."""
+    c, s = math.cos(angle), math.sin(angle)
+    return c * x - s * y, s * x + c * y
+
+
 def rotate(vec: np.ndarray, angle: float) -> np.ndarray:
     """Rotate a 2-vector counter-clockwise by `angle` radians."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
+    return np.array(_rotate(vec[0], vec[1], angle))
 
 
 class ActorKind(Enum):
@@ -72,14 +78,22 @@ class ActorState:
     kind: ActorKind = ActorKind.NPC_VEHICLE
 
     def __post_init__(self) -> None:
-        pos = np.array(self.position, dtype=float).reshape(2)
+        x = y = math.nan
+        try:
+            raw = np.array(self.position)  # a copy, so the caller cannot change it
+            if raw.dtype.kind in "iuf":  # not booleans, strings, objects or complex numbers
+                pos = raw.astype(float, copy=False).reshape(2)
+                x, y = pos.tolist()
+        except ValueError:  # ragged, or not two values
+            pass
+        if not (math.isfinite(x) and math.isfinite(y)):
+            got = reprlib.repr(self.position)
+            raise ContractError(f"ActorState position must be two finite numbers (got {got})")
         pos.flags.writeable = False
         object.__setattr__(self, "position", pos)
-        values = (
-            pos[0], pos[1], self.heading, self.speed_long, self.speed_lat,
-            self.accel_long, self.length, self.width,
-        )
-        if not all(math.isfinite(v) for v in values):
+        if not (math.isfinite(self.heading) and math.isfinite(self.speed_long)
+                and math.isfinite(self.speed_lat) and math.isfinite(self.accel_long)
+                and math.isfinite(self.length) and math.isfinite(self.width)):
             raise ContractError("ActorState fields must be finite")
         if self.length <= 0.0 or self.width <= 0.0:
             raise ContractError("ActorState length and width must be positive")
@@ -90,7 +104,7 @@ class ActorState:
 
     def velocity_world(self) -> np.ndarray:
         """World-frame velocity vector, m/s."""
-        return rotate(np.array([self.speed_long, self.speed_lat]), self.heading)
+        return np.array(_rotate(self.speed_long, self.speed_lat, self.heading))
 
     @property
     def speed(self) -> float:
@@ -108,6 +122,7 @@ class Route:
     """Reference path: a polyline centerline with a lane corridor and a goal.
 
     Stations are arc lengths measured along the centerline from its first point.
+    The segment tables are built once here and are read-only arrays or tuples.
     """
 
     centerline: np.ndarray  # (N, 2), m
@@ -133,40 +148,53 @@ class Route:
             raise ConfigError(
                 f"route.goal_station must lie within [0, {cum[-1]:.6g}] (got {self.goal_station})"
             )
-        line.flags.writeable = False
-        cum.flags.writeable = False
-        seg_len.flags.writeable = False
+        # The projection normalises a segment by sqrt(d . d), the station lookups
+        # by its hypot length; the two can differ in the last bit, so each has
+        # its own tangent table.
+        seg_len2 = np.einsum("ij,ij->i", seg, seg)
+        tangent = (seg / np.sqrt(seg_len2)[:, None]).tolist()
+        unit = (seg / seg_len[:, None]).tolist()
+        for table in (line, seg, seg_len2):
+            table.flags.writeable = False
         object.__setattr__(self, "centerline", line)
-        object.__setattr__(self, "_cum_station", cum)
-        object.__setattr__(self, "_seg_len", seg_len)
+        object.__setattr__(self, "_seg", seg)
+        object.__setattr__(self, "_seg_len2", seg_len2)
+        object.__setattr__(self, "_seg_len", tuple(seg_len.tolist()))
+        object.__setattr__(self, "_stations", tuple(cum.tolist()))
+        object.__setattr__(self, "_tangent", tuple(map(tuple, tangent)))
+        object.__setattr__(self, "_tangent_heading", tuple(math.atan2(y, x) for x, y in tangent))
+        object.__setattr__(self, "_heading", tuple(math.atan2(y, x) for x, y in unit))
 
     @property
     def length(self) -> float:
         """Total arc length, m."""
-        return float(self._cum_station[-1])
+        return self._stations[-1]
 
-    def _segment_at(self, station: float) -> int:
+    def _segment_at(self, station: float) -> tuple[int, float]:
+        """(segment index, station clamped to the route)."""
         s = min(max(station, 0.0), self.length)
-        idx = int(np.searchsorted(self._cum_station, s, side="right") - 1)
-        return min(max(idx, 0), len(self._seg_len) - 1)
+        idx = bisect.bisect_right(self._stations, s) - 1
+        return min(max(idx, 0), len(self._seg_len) - 1), s
+
+    def _pose_at(self, station: float) -> tuple[float, float, float]:
+        """(x, y, heading) of the centerline at the (clamped) station, in plain floats."""
+        i, s = self._segment_at(station)
+        (ax, ay), (dx, dy) = self.centerline[i].tolist(), self._seg[i].tolist()
+        t = (s - self._stations[i]) / self._seg_len[i]
+        return ax + t * dx, ay + t * dy, self._heading[i]
 
     def point_at(self, station: float) -> np.ndarray:
         """Centerline point at the given (clamped) station."""
-        i = self._segment_at(station)
-        s = min(max(station, 0.0), self.length)
-        t = (s - self._cum_station[i]) / self._seg_len[i]
-        return self.centerline[i] + t * (self.centerline[i + 1] - self.centerline[i])
+        return np.array(self._pose_at(station)[:2])
 
     def tangent_at(self, station: float) -> np.ndarray:
         """Unit tangent of the segment containing the station."""
-        i = self._segment_at(station)
-        d = self.centerline[i + 1] - self.centerline[i]
-        return d / self._seg_len[i]
+        i, _ = self._segment_at(station)
+        return self._seg[i] / self._seg_len[i]
 
     def heading_at(self, station: float) -> float:
         """Heading of the route tangent, rad."""
-        t = self.tangent_at(station)
-        return math.atan2(t[1], t[0])
+        return self._pose_at(station)[2]
 
 
 @dataclass(frozen=True)
@@ -186,23 +214,20 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
     heading error relative to the local route tangent.
     """
     p = np.asarray(position, dtype=float).reshape(2)
-    line = route.centerline
-    a = line[:-1]
-    d = line[1:] - a
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    t = np.clip(np.einsum("ij,ij->i", p - a, d) / seg_len2, 0.0, 1.0)
-    foot = a + t[:, None] * d
-    diff = p - foot
+    a, d = route.centerline[:-1], route._seg
+    t = np.einsum("ij,ij->i", p - a, d) / route._seg_len2
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    diff = p - (a + t[:, None] * d)
     dist2 = np.einsum("ij,ij->i", diff, diff)
     i = int(np.argmin(dist2))  # argmin keeps the first (smallest-station) minimum
-    station = float(route._cum_station[i] + t[i] * route._seg_len[i])
-    tangent = d[i] / math.sqrt(seg_len2[i])
+    station = route._stations[i] + float(t[i]) * route._seg_len[i]
+    (tx, ty), (dx, dy) = route._tangent[i], diff[i].tolist()
     # magnitude is the distance to the nearest centerline point (matters in
     # corner wedges, where the foot is a vertex); the sign is the side of the
     # local travel direction, via the cross product tangent x (p - foot)
-    cross = float(tangent[0] * diff[i][1] - tangent[1] * diff[i][0])
-    offset = math.copysign(math.sqrt(dist2[i]), cross)
-    heading_error = wrap_angle(heading - math.atan2(tangent[1], tangent[0]))
+    offset = math.copysign(math.sqrt(dist2[i]), tx * dy - ty * dx)
+    heading_error = wrap_angle(heading - route._tangent_heading[i])
     return RouteFramePose(station=station, lateral_offset=offset, heading_error=heading_error)
 
 
@@ -211,9 +236,8 @@ def relative_displacement(ego: ActorState, other: ActorState) -> tuple[float, fl
 
     d_x points along the ego heading, d_y 90 deg to its left; signs preserved.
     """
-    world = other.position - ego.position
-    local = rotate(world, -ego.heading)
-    return float(local[0]), float(local[1])
+    (ex, ey), (ox, oy) = ego.position.tolist(), other.position.tolist()
+    return _rotate(ox - ex, oy - ey, -ego.heading)
 
 
 # ---------------------------------------------------------------------------

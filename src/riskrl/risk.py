@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal
 
-from .core import ActorKind, ActorState, ContractError, RewardConfig, relative_displacement, rotate, wrap_angle
+from .core import (
+    ActorKind, ActorState, ContractError, RewardConfig, _rotate, relative_displacement, wrap_angle,
+)
 
 Axis = Literal["long", "lat"]
 
@@ -92,10 +94,24 @@ def ellipsoid_penalty(d_x: float, d_y: float, params: EllipseParams) -> float:
     The numerators are clamped at zero so the penalty saturates at 1 anywhere
     inside the minimum-clearance box, not just on its boundary.
     """
-    tx = max(abs(d_x) - params.c_x, 0.0) / params.r_x
-    ty = max(abs(d_y) - params.c_y, 0.0) / params.r_y
+    return _ellipse(d_x, d_y, params.c_x, params.c_y, params.r_x, params.r_y,
+                    params.p_x, params.p_y, params.p_outer)
+
+
+def _ellipse(d_x: float, d_y: float, c_x: float, c_y: float, r_x: float, r_y: float,
+             p_x: int, p_y: int, p_outer: int) -> float:
+    """The risk field over plain numbers, with `EllipseParams`' radius and centre checks.
+
+    Callers pass exponents that are already even integers >= 2.
+    """
+    if r_x <= 0.0 or r_y <= 0.0:
+        raise ContractError("ellipse radii must be positive")
+    if c_x < 0.0 or c_y < 0.0:
+        raise ContractError("ellipse centers must be non-negative")
+    tx = max(abs(d_x) - c_x, 0.0) / r_x
+    ty = max(abs(d_y) - c_y, 0.0) / r_y
     try:
-        return (tx ** params.p_x + ty ** params.p_y + 1.0) ** (-params.p_outer)
+        return (tx ** p_x + ty ** p_y + 1.0) ** (-p_outer)
     except OverflowError:  # so far out that the field is at its limit, 0
         return 0.0
 
@@ -175,16 +191,18 @@ def ttc_circle(a: ActorState, b: ActorState) -> float:
     Returns the smallest non-negative root of the gap quadratic, 0.0 when the
     circles already overlap, and +inf when they never meet.
     """
-    dp = b.position - a.position
-    dv = b.velocity_world() - a.velocity_world()
+    (ax, ay), (bx, by) = a.position.tolist(), b.position.tolist()
+    avx, avy = _rotate(a.speed_long, a.speed_lat, a.heading)
+    bvx, bvy = _rotate(b.speed_long, b.speed_lat, b.heading)
+    dpx, dpy, dvx, dvy = bx - ax, by - ay, bvx - avx, bvy - avy
     radius = a.circumradius + b.circumradius
-    c = float(dp @ dp) - radius * radius
+    c = dpx * dpx + dpy * dpy - radius * radius
     if c <= 0.0:
         return 0.0
-    aa = float(dv @ dv)
+    aa = dvx * dvx + dvy * dvy
     if aa == 0.0:
         return math.inf
-    bb = float(dp @ dv)
+    bb = dpx * dvx + dpy * dvy
     disc = bb * bb - aa * c
     if disc < 0.0:
         return math.inf
@@ -213,15 +231,14 @@ def _mode_exponents(mode: InteractionMode, config: RewardConfig) -> tuple[int, i
     return config.p_min, config.p_max
 
 
-def _pair_ellipse(
+def _pair_penalty(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig,
-    r_x: float, r_y: float,
-) -> EllipseParams:
-    """The pair's ellipse: centres from the footprints, exponents from the mode, given radii."""
+    d_x: float, d_y: float, r_x: float, r_y: float,
+) -> float:
+    """The pair's field at (d_x, d_y): centres from the footprints, exponents from the mode."""
     c_x, c_y = clearance_center(ego, other, mode)
     p_x, p_y = _mode_exponents(mode, config)
-    return EllipseParams(c_x=c_x, c_y=c_y, r_x=r_x, r_y=r_y, p_x=p_x, p_y=p_y,
-                         p_outer=config.p_outer)
+    return _ellipse(d_x, d_y, c_x, c_y, r_x, r_y, p_x, p_y, config.p_outer)
 
 
 def geometric_risk(
@@ -229,8 +246,7 @@ def geometric_risk(
 ) -> float:
     """Risk field with fixed, speed-independent desired clearances."""
     d_x, d_y = relative_displacement(ego, other)
-    params = _pair_ellipse(ego, other, mode, config, config.r_x_geom, config.r_y_geom)
-    return ellipsoid_penalty(d_x, d_y, params)
+    return _pair_penalty(ego, other, mode, config, d_x, d_y, config.r_x_geom, config.r_y_geom)
 
 
 def _lateral_dynamic_radius(
@@ -244,7 +260,8 @@ def _lateral_dynamic_radius(
     """
     side = 0.0 if d_y == 0.0 else math.copysign(1.0, d_y)
     v_ego_lat = ego.speed_lat
-    v_other_lat = float(rotate(other.velocity_world(), -ego.heading)[1])
+    world_vx, world_vy = _rotate(other.speed_long, other.speed_lat, other.heading)
+    v_other_lat = _rotate(world_vx, world_vy, -ego.heading)[1]
     ego_toward = side * v_ego_lat > 0.0
     other_toward = side * v_other_lat < 0.0
     if ego_toward and other_toward:
@@ -280,8 +297,8 @@ def dynamic_risk(
     else:
         r_x = leading_clearance(v_ego, v_other, "long", config)
     r_y = max(_lateral_dynamic_radius(ego, other, d_y, config), config.r_y_geom)
-    params = _pair_ellipse(ego, other, mode, config, max(r_x, config.r_x_geom), r_y)
-    return ellipsoid_penalty(d_x, d_y, params), math.inf
+    r_x = max(r_x, config.r_x_geom)
+    return _pair_penalty(ego, other, mode, config, d_x, d_y, r_x, r_y), math.inf
 
 
 def assess_interaction(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -377,14 +377,23 @@ class World:
         return self.npcs + self.obstacles
 
 
-def _advance_along_heading(state: ActorState, dt: float) -> np.ndarray:
-    direction = np.array([math.cos(state.heading), math.sin(state.heading)])
-    return state.position + state.speed_long * dt * direction
+def _advance_along_heading(state: ActorState, dt: float) -> tuple[float, float]:
+    x, y = state.position.tolist()
+    step = state.speed_long * dt
+    return x + step * math.cos(state.heading), y + step * math.sin(state.heading)
+
+
+def _moved(state: ActorState, position: tuple[float, float], heading: float,
+           speed_long: float, accel_long: float) -> ActorState:
+    """`state` at a new pose and longitudinal motion; footprint, kind and lateral speed kept."""
+    return ActorState(position, heading, speed_long, state.speed_lat, accel_long,
+                      state.length, state.width, state.kind)
 
 
 def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float) -> ActorState:
     if isinstance(script, ConstantVelocity):
-        return replace(state, position=_advance_along_heading(state, dt))
+        return _moved(state, _advance_along_heading(state, dt), state.heading,
+                      state.speed_long, state.accel_long)
     if isinstance(script, Braking):
         station = project_to_route(state.position, state.heading, route).station
         position = _advance_along_heading(state, dt)
@@ -394,18 +403,14 @@ def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float) -
             new_speed = max(speed - script.decel * dt, 0.0)
             accel = (new_speed - speed) / dt
             speed = new_speed
-        return replace(state, position=position, speed_long=speed, accel_long=accel)
+        return _moved(state, position, state.heading, speed, accel)
     # waypoint follower: advance by arc length along its private polyline
     line = script._line
     station = project_to_route(state.position, state.heading, line).station
     new_station = min(station + script.speed * dt, line.length)
     speed = script.speed if new_station < line.length else 0.0
-    return replace(
-        state,
-        position=line.point_at(new_station),
-        heading=line.heading_at(new_station),
-        speed_long=speed,
-    )
+    x, y, heading = line._pose_at(new_station)
+    return _moved(state, (x, y), heading, speed, state.accel_long)
 
 
 def step_world(world: World, ego_action: tuple[float, float], config: RewardConfig) -> World:
@@ -425,9 +430,7 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
     heading = wrap_angle(ego.heading + steer_rate * dt)
     new_speed = min(max(ego.speed_long + accel_cmd * dt, 0.0), config.v_max)
     effective_accel = (new_speed - ego.speed_long) / dt
-    new_ego = replace(
-        ego, position=position, heading=heading, speed_long=new_speed, accel_long=effective_accel
-    )
+    new_ego = _moved(ego, position, heading, new_speed, effective_accel)
     new_npcs = tuple(
         _step_npc(state, script, world.route, dt)
         for state, script in zip(world.npcs, world.scripts)
@@ -446,13 +449,22 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
 # Collision and off-road checks
 
 
+# Relative margin on the circumcircle reject: far beyond rounding, so a pair it
+# rejects is one the separating-axis test would also find apart.
+_BROAD_PHASE_MARGIN = 1e-9
+
+
 def _footprints_overlap(a: ActorState, b: ActorState) -> bool:
     """Separating-axis test on the four footprint axes; touching counts.
 
     The footprints are apart on an axis when their centre distance projected
-    onto it exceeds the sum of their half-extents projected onto it.
+    onto it exceeds the sum of their half-extents projected onto it. Pairs
+    whose circumcircles are clearly disjoint are rejected before that test.
     """
     (ax, ay), (bx, by) = a.position.tolist(), b.position.tolist()
+    circumradii = a.circumradius + b.circumradius
+    if math.hypot(bx - ax, by - ay) > circumradii * (1.0 + _BROAD_PHASE_MARGIN):
+        return False
     boxes = [(math.cos(x.heading), math.sin(x.heading), x.length / 2.0, x.width / 2.0)
              for x in (a, b)]
     for c, s, _, _ in boxes:

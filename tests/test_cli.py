@@ -1,10 +1,13 @@
 """Command-line surface: run, sweep, field, validate."""
 
 import csv
+import gzip
 import json
+from pathlib import Path
 
 import pytest
 
+from riskrl import cli
 from riskrl.cli import FIELD_COLUMNS, SWEEP_COLUMNS, TRACE_COLUMNS, main
 
 GOLDEN_TRACE_HEADER = (
@@ -12,6 +15,14 @@ GOLDEN_TRACE_HEADER = (
     "terminal,l0_rules,l1_progress,l1_risk,l2_style,l3_comfort,total,"
     "max_risk_actor,geom_penalty,dyn_penalty,ttc"
 )
+
+
+# Outputs of the criterion-7 sweep shape (intersection.json, seed 7) frozen by the
+# benchmark, and the absolute tolerance it holds every compared float to.
+SWEEP_REFERENCE = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "sweep_intersection.json.gz"
+)
+REFERENCE_TOLERANCE = 1e-9
 
 
 def read_rows(path):
@@ -138,6 +149,36 @@ class TestCmdSweep:
         for row in rows[1:]:
             outcome_sum = sum(float(v) for v in row[2:6])
             assert outcome_sum == pytest.approx(100.0)
+
+    def test_matches_frozen_benchmark_reference(
+        self, tmp_path, scenarios_dir, configs_dir, monkeypatch
+    ):
+        reference = json.loads(gzip.decompress(SWEEP_REFERENCE.read_bytes()))
+        assert reference["key"] == {"seed": 7, "episodes": 20, "densities": [0.5, 0.75, 1.0]}
+        traces = []
+        run_episode = cli.run_episode
+
+        def capture(*args, **kwargs):
+            trace = run_episode(*args, **kwargs)
+            traces.append(trace)
+            return trace
+
+        monkeypatch.setattr(cli, "run_episode", capture)
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--scenario", str(scenarios_dir / "intersection.json"),
+            "--config", str(configs_dir / "default.json"),
+            "--densities", "0.5,0.75,1.0", "--episodes", "20", "--seed", "7", "--out", str(out),
+        ]) == 0
+        assert [(t.outcome.value, len(t.records)) for t in traces] == [
+            (outcome, steps) for outcome, steps, _ in reference["episodes"]
+        ]
+        for trace, (_, _, cumulative) in zip(traces, reference["episodes"]):
+            assert abs(trace.cumulative_reward - cumulative) <= REFERENCE_TOLERANCE
+        rows = [[float(v) for v in row] for row in read_rows(out)[1:]]
+        assert [len(row) for row in rows] == [len(row) for row in reference["rows"]]
+        for row, expected in zip(rows, reference["rows"]):
+            assert all(abs(a - b) <= REFERENCE_TOLERANCE for a, b in zip(row, expected))
 
     def test_scenario_directory_cycles_files(self, tmp_path, scenarios_dir):
         out = tmp_path / "s.csv"

@@ -55,6 +55,72 @@ def dense_nearest_distance(centerline: np.ndarray, point: np.ndarray, step=1e-4)
     return best
 
 
+def random_polyline(rng, points):
+    """A seeded polyline with uneven segment lengths and turns."""
+    headings = np.cumsum(rng.uniform(-1.2, 1.2, size=points - 1))
+    steps = rng.uniform(0.5, 20.0, size=points - 1)[:, None] * np.stack(
+        [np.cos(headings), np.sin(headings)], axis=1
+    )
+    return np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
+
+
+def numpy_projection(point, heading, centerline):
+    """The projection over segment arrays rebuilt on every call: (station, offset, heading error)."""
+    a = centerline[:-1]
+    d = centerline[1:] - a
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    seg_len2 = np.einsum("ij,ij->i", d, d)
+    t = np.clip(np.einsum("ij,ij->i", point - a, d) / seg_len2, 0.0, 1.0)
+    diff = point - (a + t[:, None] * d)
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    i = int(np.argmin(dist2))
+    station = float(np.concatenate([[0.0], np.cumsum(seg_len)])[i] + t[i] * seg_len[i])
+    tangent = d[i] / math.sqrt(seg_len2[i])
+    offset = math.copysign(math.sqrt(dist2[i]), tangent[0] * diff[i][1] - tangent[1] * diff[i][0])
+    return station, offset, wrap_angle(heading - math.atan2(tangent[1], tangent[0]))
+
+
+class TestRouteTables:
+    """Projection and station lookups over the tables built once per route."""
+
+    def test_projection_matches_per_call_segment_arrays(self):
+        rng = np.random.default_rng(8)
+        for points in (2, 3, 7, 40):
+            centerline = random_polyline(rng, points)
+            route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+            for point in centerline[:-1] + rng.uniform(-6.0, 6.0, size=(points - 1, 2)):
+                heading = float(rng.uniform(-4.0, 4.0))
+                pose = project_to_route(point, heading, route)
+                expected = numpy_projection(point, heading, centerline)
+                assert (pose.station, pose.lateral_offset, pose.heading_error) == expected
+
+    def test_station_lookups_match_segment_arrays(self):
+        rng = np.random.default_rng(9)
+        centerline = random_polyline(rng, 12)
+        route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+        d = np.diff(centerline, axis=0)
+        seg_len = np.hypot(d[:, 0], d[:, 1])
+        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        for station in np.concatenate([[-1.0, 0.0, route.length, route.length + 1.0], cum,
+                                       rng.uniform(0.0, route.length, size=30)]):
+            s = min(max(float(station), 0.0), route.length)
+            i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(d) - 1)
+            tangent = d[i] / seg_len[i]
+            assert route.point_at(station).tolist() == (
+                centerline[i] + (s - cum[i]) / seg_len[i] * d[i]
+            ).tolist()
+            assert route.tangent_at(station).tolist() == tangent.tolist()
+            assert route.heading_at(station) == math.atan2(tangent[1], tangent[0])
+
+    def test_tables_are_read_only(self):
+        route = straight_route()
+        for table in (route.centerline, route._seg, route._seg_len2):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        for table in (route._seg_len, route._stations, route._tangent, route._tangent_heading):
+            assert isinstance(table, tuple)
+
+
 class TestProjectToRoute:
     def test_point_on_centerline_midpoint(self):
         pose = project_to_route([50.0, 0.0], 0.0, straight_route())
@@ -142,6 +208,17 @@ class TestActorState:
     def test_dimensions_must_be_positive(self):
         with pytest.raises(ContractError):
             ActorState(position=[0, 0], heading=0.0, length=0.0)
+
+    @pytest.mark.parametrize(
+        "position",
+        [[1, 2, 3], [1, "x"], ["1", "2"], [True, False], [1 + 2j, 0.0], [1.0], None,
+         [[1.0, 2.0], [3.0]], [math.nan, 0.0], [0.0, math.inf]],
+        ids=["three", "string", "numeric-strings", "booleans", "complex", "one", "none", "ragged",
+             "nan", "inf"],
+    )
+    def test_malformed_position_names_position(self, position):
+        with pytest.raises(ContractError, match="position must be two finite numbers"):
+            ActorState(position=position, heading=0.0)
 
     def test_velocity_world_rotates_body_frame(self):
         state = ActorState(position=[0, 0], heading=math.pi / 2.0, speed_long=2.0, speed_lat=1.0)

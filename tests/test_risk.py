@@ -22,11 +22,13 @@ from riskrl import (
     ellipsoid_penalty,
     geometric_risk,
     leading_clearance,
+    relative_displacement,
     risk_reward,
     stop_distance,
     ttc_circle,
     ttc_penalty,
 )
+from riskrl.core import rotate
 
 CFG = RewardConfig()
 
@@ -342,3 +344,116 @@ class TestRiskReward:
         subset, _ = risk_reward(ego, others[:n_keep], CFG)
         assert -1.0 <= full <= 0.0
         assert abs(subset) <= abs(full) + 1e-15
+
+
+def rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def numpy_velocity(actor):
+    return rotation(actor.heading) @ np.array([actor.speed_long, actor.speed_lat])
+
+
+def numpy_ttc(a, b):
+    """The circumcircle TTC quadratic over numpy 2-vectors."""
+    dp = b.position - a.position
+    dv = numpy_velocity(b) - numpy_velocity(a)
+    radius = a.circumradius + b.circumradius
+    c = dp @ dp - radius * radius
+    if c <= 0.0:
+        return 0.0
+    aa, bb = dv @ dv, dp @ dv
+    disc = bb * bb - aa * c
+    if aa == 0.0 or disc < 0.0:
+        return math.inf
+    t_first = (-bb - math.sqrt(disc)) / aa
+    return t_first if t_first >= 0.0 else math.inf
+
+
+def random_pairs(count=400, seed=2024):
+    """Seeded ego-actor pairs; headings and kinds spread over all four interaction modes."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(count):
+        ego = car(x=float(rng.uniform(-20, 20)), y=float(rng.uniform(-20, 20)),
+                  heading=float(rng.uniform(-4, 4)), v=float(rng.uniform(0, 8)),
+                  v_lat=float(rng.uniform(-1, 1)), kind=ActorKind.EGO_VEHICLE)
+        x, y = float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30))
+        length, width = float(rng.uniform(0.5, 6)), float(rng.uniform(0.5, 3))
+        if i % 4 == 3:
+            other = obstacle(x, y, length=length, width=width)
+        else:
+            relative = (0.0, math.pi, math.pi / 2.0)[i % 4] + float(rng.uniform(-0.7, 0.7))
+            other = car(x=x, y=y, heading=ego.heading + relative, v=float(rng.uniform(0, 8)),
+                        v_lat=float(rng.uniform(-1, 1)), length=length, width=width)
+        pairs.append((ego, other))
+    return pairs
+
+
+class TestPlainFloatOracles:
+    """The float per-pair path against the numpy formulas and `EllipseParams` it replaces."""
+
+    def test_pairs_cover_every_mode(self):
+        modes = {classify_interaction(ego, other) for ego, other in random_pairs()}
+        assert modes == set(InteractionMode)
+
+    def test_frames_and_ttc_match_numpy(self):
+        finite = 0
+        for ego, other in random_pairs():
+            local = rotation(-ego.heading) @ (other.position - ego.position)
+            assert relative_displacement(ego, other) == pytest.approx(tuple(local), abs=1e-12)
+            for actor in (ego, other):
+                assert actor.velocity_world() == pytest.approx(numpy_velocity(actor), abs=1e-12)
+            expected = numpy_ttc(ego, other)
+            if math.isinf(expected):
+                assert ttc_circle(ego, other) == expected
+            else:
+                finite += 1
+                assert ttc_circle(ego, other) == pytest.approx(expected, abs=1e-12)
+        assert finite > 20
+
+    def test_penalties_equal_explicit_ellipse_params(self):
+        exponents = {
+            InteractionMode.SAME_DIRECTION: (CFG.p_max, CFG.p_min),
+            InteractionMode.INTERSECTING: (CFG.p_max, CFG.p_max),
+            InteractionMode.OPPOSITE_DIRECTION: (CFG.p_min, CFG.p_max),
+            InteractionMode.STATIC_OBSTACLE: (CFG.p_min, CFG.p_max),
+        }
+        for ego, other in random_pairs():
+            mode = classify_interaction(ego, other)
+            d_x, d_y = relative_displacement(ego, other)
+            c_x, c_y = clearance_center(ego, other, mode)
+            p_x, p_y = exponents[mode]
+
+            def field(r_x, r_y):
+                params = EllipseParams(c_x=c_x, c_y=c_y, r_x=r_x, r_y=r_y, p_x=p_x, p_y=p_y,
+                                       p_outer=CFG.p_outer)
+                return ellipsoid_penalty(d_x, d_y, params)
+
+            assert geometric_risk(ego, other, mode, CFG) == field(CFG.r_x_geom, CFG.r_y_geom)
+            penalty, ttc = dynamic_risk(ego, other, mode, CFG)
+            if mode is InteractionMode.INTERSECTING:
+                assert penalty == pytest.approx(ttc_penalty(numpy_ttc(ego, other), CFG), abs=1e-12)
+                continue
+            assert ttc == math.inf
+            v_ego, v_other = abs(ego.speed_long), abs(other.speed_long)
+            if mode is InteractionMode.OPPOSITE_DIRECTION:
+                r_x = approach_clearance(v_ego, v_other, "long", CFG)
+            elif mode is InteractionMode.STATIC_OBSTACLE:
+                r_x = leading_clearance(v_ego, 0.0, "long", CFG)
+            else:
+                r_x = leading_clearance(v_ego, v_other, "long", CFG)
+            # the lateral case, from the signed lateral velocities in the ego frame
+            side = 0.0 if d_y == 0.0 else math.copysign(1.0, d_y)
+            ego_lat = ego.speed_lat
+            other_lat = float(rotate(other.velocity_world(), -ego.heading)[1])
+            if side * ego_lat > 0.0 and side * other_lat < 0.0:
+                r_y = approach_clearance(abs(ego_lat), abs(other_lat), "lat", CFG)
+            elif side * ego_lat > 0.0:
+                r_y = leading_clearance(abs(ego_lat), abs(other_lat), "lat", CFG)
+            elif side * other_lat < 0.0:
+                r_y = away_clearance(max(-side * ego_lat, 0.0), abs(other_lat), CFG)
+            else:
+                r_y = 0.0
+            assert penalty == field(max(r_x, CFG.r_x_geom), max(r_y, CFG.r_y_geom))
