@@ -136,9 +136,11 @@ class Route:
         if not np.all(np.isfinite(line)):
             raise ConfigError("route.centerline must be finite")
         seg = np.diff(line, axis=0)
+        seg_len2 = np.einsum("ij,ij->i", seg, seg)
+        if not np.all(seg_len2 > 0.0):  # the projection divides by it
+            raise ConfigError("route.centerline has repeated consecutive points, or points so "
+                              "close that a segment's squared length underflows to 0")
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(seg_len <= 0.0):
-            raise ConfigError("route.centerline has repeated consecutive points")
         if self.lane_width <= 0.0:
             raise ConfigError(f"route.lane_width must be positive (got {self.lane_width})")
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
@@ -151,7 +153,6 @@ class Route:
         # The projection normalises a segment by sqrt(d . d), the station lookups
         # by its hypot length; the two can differ in the last bit, so each has
         # its own tangent table.
-        seg_len2 = np.einsum("ij,ij->i", seg, seg)
         tangent = (seg / np.sqrt(seg_len2)[:, None]).tolist()
         unit = (seg / seg_len[:, None]).tolist()
         for table in (line, seg, seg_len2):
@@ -211,9 +212,19 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
 
     Returns the station of the nearest centerline point (ties resolve to the
     smaller station), the signed lateral offset (left-positive), and the
-    heading error relative to the local route tangent.
+    heading error relative to the local route tangent. Raises ContractError
+    unless `position` is two finite numbers.
     """
-    p = np.asarray(position, dtype=float).reshape(2)
+    # Cheaper than ActorState's check, which copies and rejects more types:
+    # this is the hottest call, and most positions come from an ActorState.
+    try:
+        p = np.asarray(position, dtype=float).reshape(2)
+        x, y = p.tolist()
+    except (TypeError, ValueError):  # not numbers, or not two of them
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        got = reprlib.repr(position)
+        raise ContractError(f"project_to_route position must be two finite numbers (got {got})")
     a, d = route.centerline[:-1], route._seg
     t = np.einsum("ij,ij->i", p - a, d) / route._seg_len2
     np.maximum(t, 0.0, out=t)

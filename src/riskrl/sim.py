@@ -12,7 +12,8 @@ import math
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -85,24 +86,6 @@ class Braking:
 ActorScript = ConstantVelocity | WaypointFollower | Braking
 
 
-@dataclass(frozen=True)
-class SlotSpec:
-    """Candidate actor placement; traffic density selects a subset of slots."""
-
-    kind: str                 # "vehicle" | "obstacle"
-    station: float            # m along the route
-    lateral_offset: float     # m, left-positive
-    heading_offset_deg: float
-    speed: float              # m/s
-    length: float
-    width: float
-    speed_jitter: float       # uniform +- jitter, resolved from the seed
-    lateral_jitter: float
-    length_jitter: float
-    width_jitter: float
-    script: ActorScript
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Declarative world description; see docs in the repo for the file schema."""
@@ -111,11 +94,10 @@ class Scenario:
     ego_spawn: ActorState
     npcs: tuple[tuple[ActorState, ActorScript], ...] = ()
     obstacles: tuple[ActorState, ...] = ()
-    slots: tuple[SlotSpec, ...] = ()
+    slots: tuple[Mapping[str, object], ...] = ()  # slot specs as read, defaults filled in
     traffic_density: float = 1.0
     seed: int = 0
     max_steps: int | None = None
-    schema_version: int = SCHEMA_VERSION
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +195,14 @@ def _read_script(spec: dict | None, path: str, problems: list[str]) -> ActorScri
 
 def _spawn_actor(route: Route, spec: dict, kind: ActorKind) -> ActorState:
     """Place an actor from a route-relative spec with every default filled in."""
-    station = spec["station"]
-    base = route.point_at(station)
-    tangent = route.tangent_at(station)
-    normal = np.array([-tangent[1], tangent[0]])
-    heading = wrap_angle(route.heading_at(station) + math.radians(spec["heading_offset_deg"]))
+    station, offset = spec["station"], spec["lateral_offset"]
+    x, y, heading = route._pose_at(station)
+    i, _ = route._segment_at(station)
+    (dx, dy), length = route._seg[i].tolist(), route._seg_len[i]
+    # offset times the unit normal (-dy, dx) / length, grouped as tangent_at groups it
     return ActorState(
-        position=base + spec["lateral_offset"] * normal,
-        heading=heading,
+        position=(x - offset * (dy / length), y + offset * (dx / length)),
+        heading=wrap_angle(heading + math.radians(spec["heading_offset_deg"])),
         speed_long=0.0 if kind is ActorKind.STATIC_OBSTACLE else spec["speed"],
         length=spec["length"],
         width=spec["width"],
@@ -243,10 +225,7 @@ def _read_actor(spec: object, path: str, table: dict[str, _Field], kind: ActorKi
     if route is not None and station is not None and not 0.0 <= station <= route.length:
         problems.append(f"{path}.station must lie within [0, {route.length:.6g}] (got {station})")
     if kind is not None and route is not None and len(problems) == count:
-        try:
-            values["actor"] = _spawn_actor(route, values, kind)
-        except ContractError as exc:  # a placement so far out that its position overflows
-            problems.append(f"{path} cannot be placed on the route: {exc}")
+        values["actor"] = _spawn_actor(route, values, kind)
     return values
 
 
@@ -292,11 +271,10 @@ def _read_scenario(data: object) -> tuple[Scenario | None, list[str]]:
         ego_spawn=ego["actor"],
         npcs=tuple((spec["actor"], spec["script"]) for spec in actors["npcs"]),
         obstacles=tuple(spec["actor"] for spec in actors["obstacles"]),
-        slots=tuple(SlotSpec(**spec) for spec in actors["slots"]),
+        slots=tuple(MappingProxyType(spec) for spec in actors["slots"]),
         traffic_density=top["traffic_density"],
         seed=top["seed"],
         max_steps=top["max_steps"],
-        schema_version=top["schema_version"],
     ), []
 
 
@@ -341,16 +319,16 @@ def realize_traffic(
         for idx in chosen:
             slot = scenario.slots[idx]
             jitter = rng.uniform(-1.0, 1.0, size=4).tolist()  # plain floats, like a read spec
-            spec = vars(slot) | {
-                "speed": max(slot.speed + jitter[0] * slot.speed_jitter, 0.0),
-                "lateral_offset": slot.lateral_offset + jitter[1] * slot.lateral_jitter,
-                "length": max(slot.length + jitter[2] * slot.length_jitter, 0.3),
-                "width": max(slot.width + jitter[3] * slot.width_jitter, 0.3),
+            spec = slot | {
+                "speed": max(slot["speed"] + jitter[0] * slot["speed_jitter"], 0.0),
+                "lateral_offset": slot["lateral_offset"] + jitter[1] * slot["lateral_jitter"],
+                "length": max(slot["length"] + jitter[2] * slot["length_jitter"], 0.3),
+                "width": max(slot["width"] + jitter[3] * slot["width_jitter"], 0.3),
             }
-            kind = ActorKind.NPC_VEHICLE if slot.kind == "vehicle" else ActorKind.STATIC_OBSTACLE
+            kind = ActorKind.NPC_VEHICLE if slot["kind"] == "vehicle" else ActorKind.STATIC_OBSTACLE
             actor = _spawn_actor(scenario.route, spec, kind)
             if kind is ActorKind.NPC_VEHICLE:
-                npcs.append((actor, slot.script))
+                npcs.append((actor, slot["script"]))
             else:
                 obstacles.append(actor)
     return tuple(npcs), tuple(obstacles)
@@ -370,6 +348,9 @@ class World:
     npcs: tuple[ActorState, ...]
     scripts: tuple[ActorScript, ...]
     obstacles: tuple[ActorState, ...]
+    # Per NPC, the arc length a waypoint follower has reached on its polyline
+    # (None for other scripts); empty until the first step.
+    stations: tuple[float | None, ...] = ()
 
     @property
     def actors(self) -> tuple[ActorState, ...]:
@@ -390,10 +371,12 @@ def _moved(state: ActorState, position: tuple[float, float], heading: float,
                       state.length, state.width, state.kind)
 
 
-def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float) -> ActorState:
+def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float,
+              station: float | None) -> tuple[ActorState, float | None]:
+    """The NPC one step on, and the arc length it carries (waypoint followers only)."""
     if isinstance(script, ConstantVelocity):
         return _moved(state, _advance_along_heading(state, dt), state.heading,
-                      state.speed_long, state.accel_long)
+                      state.speed_long, state.accel_long), None
     if isinstance(script, Braking):
         station = project_to_route(state.position, state.heading, route).station
         position = _advance_along_heading(state, dt)
@@ -403,14 +386,16 @@ def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float) -
             new_speed = max(speed - script.decel * dt, 0.0)
             accel = (new_speed - speed) / dt
             speed = new_speed
-        return _moved(state, position, state.heading, speed, accel)
-    # waypoint follower: advance by arc length along its private polyline
+        return _moved(state, position, state.heading, speed, accel), None
+    # waypoint follower: advance by arc length from where it first meets its polyline;
+    # the carried arc length keeps a self-crossing polyline from sending it back
     line = script._line
-    station = project_to_route(state.position, state.heading, line).station
+    if station is None:
+        station = project_to_route(state.position, state.heading, line).station
     new_station = min(station + script.speed * dt, line.length)
     speed = script.speed if new_station < line.length else 0.0
     x, y, heading = line._pose_at(new_station)
-    return _moved(state, (x, y), heading, speed, state.accel_long)
+    return _moved(state, (x, y), heading, speed, state.accel_long), new_station
 
 
 def step_world(world: World, ego_action: tuple[float, float], config: RewardConfig) -> World:
@@ -431,17 +416,18 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
     new_speed = min(max(ego.speed_long + accel_cmd * dt, 0.0), config.v_max)
     effective_accel = (new_speed - ego.speed_long) / dt
     new_ego = _moved(ego, position, heading, new_speed, effective_accel)
-    new_npcs = tuple(
-        _step_npc(state, script, world.route, dt)
-        for state, script in zip(world.npcs, world.scripts)
-    )
+    carried = world.stations or (None,) * len(world.npcs)
+    stepped = [_step_npc(state, script, world.route, dt, station)
+               for state, script, station in zip(world.npcs, world.scripts, carried, strict=True)]
+    npcs, stations = zip(*stepped) if stepped else ((), ())
     return World(
         route=world.route,
         time=world.time + dt,
         ego=new_ego,
-        npcs=new_npcs,
+        npcs=npcs,
         scripts=world.scripts,
         obstacles=world.obstacles,
+        stations=stations,
     )
 
 

@@ -3,6 +3,8 @@
 import csv
 import gzip
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,33 @@ class TestCmdSweep:
         for row in rows[1:]:
             outcome_sum = sum(float(v) for v in row[2:6])
             assert outcome_sum == pytest.approx(100.0)
+
+    def test_sweeps_in_two_threads_match_a_serial_sweep(self, tmp_path, scenarios_dir):
+        args = [
+            "sweep", "--scenario", str(scenarios_dir / "intersection.json"),
+            "--densities", "0.5,1.0", "--episodes", "3", "--seed", "9",
+        ]
+        serial = tmp_path / "serial.csv"
+        assert main(args + ["--out", str(serial)]) == 0
+        outs = [tmp_path / f"thread_{i}.csv" for i in range(2)]
+        codes = [None] * len(outs)
+
+        def sweep(i):
+            codes[i] = main(args + ["--out", str(outs[i])])
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(outs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so the two sweeps interleave finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert codes == [0, 0]
+        assert [out.read_bytes() for out in outs] == [serial.read_bytes()] * len(outs)
 
     def test_matches_frozen_benchmark_reference(
         self, tmp_path, scenarios_dir, configs_dir, monkeypatch

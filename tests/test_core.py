@@ -166,6 +166,23 @@ class TestProjectToRoute:
                 lane_width=3.5,
                 goal_station=0.0,
             )
+        # the middle segment's squared length underflows to 0: the projection would divide by it
+        with pytest.raises(ConfigError, match="route.centerline"):
+            Route(
+                centerline=np.array([[0.0, 0.0], [1e-300, 0.0], [80.0, 0.0]]),
+                lane_width=3.5,
+                goal_station=10.0,
+            )
+
+    @pytest.mark.parametrize(
+        "position",
+        [[1, 2, 3], [1, "x"], [1 + 2j, 0.0], [1.0], None, [[1.0, 2.0], [3.0]], [math.nan, 0.0],
+         [0.0, math.inf]],
+        ids=["three", "string", "complex", "one", "none", "ragged", "nan", "inf"],
+    )
+    def test_malformed_position_names_position(self, position):
+        with pytest.raises(ContractError, match="project_to_route position must be two finite"):
+            project_to_route(position, 0.0, straight_route())
 
 
 class TestRelativeDisplacement:

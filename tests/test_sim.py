@@ -134,6 +134,24 @@ class TestStepWorld:
         assert np.allclose(world.npcs[0].position, [4.0, 9.0], atol=1e-9)
         assert world.npcs[0].speed_long == 0.0
 
+    def test_waypoint_follower_keeps_its_arc_length_on_a_self_crossing_polyline(self):
+        # the last leg crosses the first at (5, 0), where the nearest polyline
+        # point ties between the two passes
+        script = WaypointFollower(
+            waypoints=((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (5.0, 10.0), (5.0, -5.0)), speed=5.0
+        )
+        npc = ActorState(position=[0, 0], heading=0.0, speed_long=5.0)
+        world = make_world(npcs=[npc], scripts=[script])
+        for _ in range(80):  # 40 m at 0.5 m per step
+            world = step_world(world, (0.0, 0.0), CFG)
+        assert np.allclose(world.npcs[0].position, [5.0, -5.0], atol=1e-9)
+        assert world.npcs[0].speed_long == 0.0
+
+    def test_npc_tuples_of_unequal_length_are_rejected(self):
+        npcs = [ActorState(position=[10, 0], heading=0.0), ActorState(position=[20, 0], heading=0.0)]
+        with pytest.raises(ValueError):  # not a silently dropped NPC
+            step_world(make_world(npcs=npcs, scripts=[ConstantVelocity()]), (0.0, 0.0), CFG)
+
     def test_energy_free_kinematics(self):
         ego = ActorState(position=[0, 0], heading=0.2, speed_long=3.0,
                          kind=ActorKind.EGO_VEHICLE)
@@ -326,6 +344,23 @@ class TestScenarioLoading:
         npcs = [{"station": 20.0, "speed": 2.0,
                  "script": {"kind": "waypoint_follower", "speed": 2.0,
                             "waypoints": [[20.0, 0.0], [30.0, 0.0], [30.0, 0.0], [40.0, 0.0]]}}]
+        with pytest.raises(ScenarioError, match=r"npcs\[0\].script.waypoints"):
+            scenario_from_dict(minimal_scenario_data(npcs=npcs))
+
+    @pytest.mark.parametrize("goal_station", [50.0, 0])
+    def test_underflowing_centerline_segment_fails_validation(self, goal_station):
+        # the squared length of [[0, 0], [1e-300, 0]] underflows to 0
+        data = copy.deepcopy(SHIPPED_SCENARIOS["blocked_road.json"])
+        data["route"]["centerline"][1][0] = 1e-300
+        data["route"]["goal_station"] = goal_station
+        problems = validate_scenario_data(data)
+        assert len(problems) == 1
+        assert problems[0].startswith("route.centerline has repeated consecutive points")
+
+    def test_underflowing_waypoint_segment_fails_validation(self):
+        npcs = [{"station": 20.0, "speed": 2.0,
+                 "script": {"kind": "waypoint_follower", "speed": 2.0,
+                            "waypoints": [[0.0, 0.0], [1e-300, 0.0], [40.0, 0.0]]}}]
         with pytest.raises(ScenarioError, match=r"npcs\[0\].script.waypoints"):
             scenario_from_dict(minimal_scenario_data(npcs=npcs))
 
