@@ -224,7 +224,7 @@ def cmd_field(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be a finite number (got {speed})")
 
     ego = ActorState(
-        position=np.zeros(2), heading=0.0, speed_long=args.ego_speed, kind=ActorKind.EGO_VEHICLE
+        position=(0.0, 0.0), heading=0.0, speed_long=args.ego_speed, kind=ActorKind.EGO_VEHICLE
     )
     template = {"speed_long": args.other_speed} | _FIELD_ACTORS[mode]
     xs = np.arange(x_min, x_max + resolution / 2.0, resolution)
@@ -232,7 +232,7 @@ def cmd_field(args: argparse.Namespace) -> int:
     rows = []
     for y in ys:
         for x in xs:
-            other = ActorState(position=np.array([x, y]), **template)
+            other = ActorState(position=(x, y), **template)
             geom = geometric_risk(ego, other, mode, config)
             dyn, _ = dynamic_risk(ego, other, mode, config)
             combined = config.w_geom * geom + config.w_dyn * dyn

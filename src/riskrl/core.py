@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_REAL = (float, int, np.floating, np.integer)  # bool is an int; _finite excludes it
 
 
 class ConfigError(ValueError):
@@ -59,6 +60,26 @@ class ActorKind(Enum):
     STATIC_OBSTACLE = "static_obstacle"
 
 
+def _finite(v: object) -> bool:
+    """A Python or numpy int or float that a float holds finitely; never a boolean."""
+    try:
+        return isinstance(v, _REAL) and type(v) is not bool and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _position(position: object, owner: str) -> tuple[float, float]:
+    """The one position rule: exactly two finite real numbers, returned as floats."""
+    try:
+        x, y = position
+        if _finite(x) and _finite(y):
+            return float(x), float(y)
+    except (TypeError, ValueError):  # not iterable, or not two values
+        pass
+    got = reprlib.repr(position)
+    raise ContractError(f"{owner} position must be two finite numbers (got {got})")
+
+
 @dataclass(frozen=True, eq=False)
 class ActorState:
     """Pose, velocity, and footprint of one traffic participant.
@@ -68,7 +89,7 @@ class ActorState:
     so the world velocity is recoverable without any route context.
     """
 
-    position: np.ndarray  # world frame, m
+    position: tuple[float, float]  # world frame, m; any two finite numbers, stored as floats
     heading: float        # rad, world frame
     speed_long: float = 0.0   # m/s along heading
     speed_lat: float = 0.0    # m/s, left-positive
@@ -78,23 +99,11 @@ class ActorState:
     kind: ActorKind = ActorKind.NPC_VEHICLE
 
     def __post_init__(self) -> None:
-        x = y = math.nan
-        try:
-            raw = np.array(self.position)  # a copy, so the caller cannot change it
-            if raw.dtype.kind in "iuf":  # not booleans, strings, objects or complex numbers
-                pos = raw.astype(float, copy=False).reshape(2)
-                x, y = pos.tolist()
-        except ValueError:  # ragged, or not two values
-            pass
-        if not (math.isfinite(x) and math.isfinite(y)):
-            got = reprlib.repr(self.position)
-            raise ContractError(f"ActorState position must be two finite numbers (got {got})")
-        pos.flags.writeable = False
-        object.__setattr__(self, "position", pos)
-        if not (math.isfinite(self.heading) and math.isfinite(self.speed_long)
-                and math.isfinite(self.speed_lat) and math.isfinite(self.accel_long)
-                and math.isfinite(self.length) and math.isfinite(self.width)):
-            raise ContractError("ActorState fields must be finite")
+        object.__setattr__(self, "position", _position(self.position, "ActorState"))
+        for name in ("heading", "speed_long", "speed_lat", "accel_long", "length", "width"):
+            if not _finite(value := getattr(self, name)):
+                got = reprlib.repr(value)
+                raise ContractError(f"ActorState {name} must be a finite number (got {got})")
         if self.length <= 0.0 or self.width <= 0.0:
             raise ContractError("ActorState length and width must be positive")
         if self.kind is ActorKind.STATIC_OBSTACLE and (
@@ -141,8 +150,8 @@ class Route:
             raise ConfigError("route.centerline has repeated consecutive points, or points so "
                               "close that a segment's squared length underflows to 0")
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        if self.lane_width <= 0.0:
-            raise ConfigError(f"route.lane_width must be positive (got {self.lane_width})")
+        if not (_finite(self.lane_width) and self.lane_width > 0.0):
+            raise ConfigError(f"route.lane_width must be finite and > 0 (got {self.lane_width!r})")
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         if not math.isfinite(cum[-1]):
             raise ConfigError("route.centerline is too long: its length overflows")
@@ -215,16 +224,7 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
     heading error relative to the local route tangent. Raises ContractError
     unless `position` is two finite numbers.
     """
-    # Cheaper than ActorState's check, which copies and rejects more types:
-    # this is the hottest call, and most positions come from an ActorState.
-    try:
-        p = np.asarray(position, dtype=float).reshape(2)
-        x, y = p.tolist()
-    except (TypeError, ValueError):  # not numbers, or not two of them
-        x = y = math.nan
-    if not (math.isfinite(x) and math.isfinite(y)):
-        got = reprlib.repr(position)
-        raise ContractError(f"project_to_route position must be two finite numbers (got {got})")
+    p = np.array(_position(position, "project_to_route"))
     a, d = route.centerline[:-1], route._seg
     t = np.einsum("ij,ij->i", p - a, d) / route._seg_len2
     np.maximum(t, 0.0, out=t)
@@ -247,7 +247,7 @@ def relative_displacement(ego: ActorState, other: ActorState) -> tuple[float, fl
 
     d_x points along the ego heading, d_y 90 deg to its left; signs preserved.
     """
-    (ex, ey), (ox, oy) = ego.position.tolist(), other.position.tolist()
+    (ex, ey), (ox, oy) = ego.position, other.position
     return _rotate(ox - ex, oy - ey, -ego.heading)
 
 
@@ -263,9 +263,8 @@ _LARGEST, _SMALLEST = 1e6, 1e-12
 
 
 def _is_number(value: object) -> bool:
-    """A JSON number in [-1e6, 1e6]; so not NaN, infinite or an oversized integer."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= _LARGEST)
+    """A number in [-1e6, 1e6]; so not NaN, infinite, a boolean or an oversized integer."""
+    return _finite(value) and -_LARGEST <= float(value) <= _LARGEST
 
 
 def _is_integer(value: object) -> bool:

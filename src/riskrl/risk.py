@@ -191,7 +191,7 @@ def ttc_circle(a: ActorState, b: ActorState) -> float:
     Returns the smallest non-negative root of the gap quadratic, 0.0 when the
     circles already overlap, and +inf when they never meet.
     """
-    (ax, ay), (bx, by) = a.position.tolist(), b.position.tolist()
+    (ax, ay), (bx, by) = a.position, b.position
     avx, avy = _rotate(a.speed_long, a.speed_lat, a.heading)
     bvx, bvy = _rotate(b.speed_long, b.speed_lat, b.heading)
     dpx, dpy, dvx, dvy = bx - ax, by - ay, bvx - avx, bvy - avy

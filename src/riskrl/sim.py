@@ -308,6 +308,8 @@ def realize_traffic(
     seed = scenario.seed if seed is None else seed
     if not 0.0 <= density <= 1.0:
         raise ScenarioError(f"traffic density must lie in [0, 1] (got {density})")
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+        raise ScenarioError(f"seed must be a non-negative integer (got {reprlib.repr(seed)})")
     npcs = list(scenario.npcs)
     obstacles = list(scenario.obstacles)
     if scenario.slots:
@@ -359,7 +361,7 @@ class World:
 
 
 def _advance_along_heading(state: ActorState, dt: float) -> tuple[float, float]:
-    x, y = state.position.tolist()
+    x, y = state.position
     step = state.speed_long * dt
     return x + step * math.cos(state.heading), y + step * math.sin(state.heading)
 
@@ -447,7 +449,7 @@ def _footprints_overlap(a: ActorState, b: ActorState) -> bool:
     onto it exceeds the sum of their half-extents projected onto it. Pairs
     whose circumcircles are clearly disjoint are rejected before that test.
     """
-    (ax, ay), (bx, by) = a.position.tolist(), b.position.tolist()
+    (ax, ay), (bx, by) = a.position, b.position
     circumradii = a.circumradius + b.circumradius
     if math.hypot(bx - ax, by - ay) > circumradii * (1.0 + _BROAD_PHASE_MARGIN):
         return False
@@ -690,7 +692,7 @@ def brute_force_ttc(
     """
     if not 0.0 < dt_fine <= 1e-3:
         raise ContractError(f"dt_fine must lie in (0, 1e-3] (got {dt_fine})")
-    dp = b.position - a.position
+    dp = np.subtract(b.position, a.position)
     dv = b.velocity_world() - a.velocity_world()
     radius = a.circumradius + b.circumradius
     times = np.arange(0.0, horizon + dt_fine, dt_fine)

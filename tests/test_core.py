@@ -174,11 +174,17 @@ class TestProjectToRoute:
                 goal_station=10.0,
             )
 
+    @pytest.mark.parametrize("lane_width", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_lane_width_rejected(self, lane_width):
+        with pytest.raises(ConfigError, match="route.lane_width"):
+            straight_route(lane_width=lane_width)
+
     @pytest.mark.parametrize(
         "position",
-        [[1, 2, 3], [1, "x"], [1 + 2j, 0.0], [1.0], None, [[1.0, 2.0], [3.0]], [math.nan, 0.0],
-         [0.0, math.inf]],
-        ids=["three", "string", "complex", "one", "none", "ragged", "nan", "inf"],
+        [[1, 2, 3], [1, "x"], ["1", "2"], [True, False], [1 + 2j, 0.0], [1.0], None,
+         [[1.0, 2.0], [3.0]], [math.nan, 0.0], [0.0, math.inf]],
+        ids=["three", "string", "numeric-strings", "booleans", "complex", "one", "none", "ragged",
+             "nan", "inf"],
     )
     def test_malformed_position_names_position(self, position):
         with pytest.raises(ContractError, match="project_to_route position must be two finite"):
@@ -236,6 +242,29 @@ class TestActorState:
     def test_malformed_position_names_position(self, position):
         with pytest.raises(ContractError, match="position must be two finite numbers"):
             ActorState(position=position, heading=0.0)
+
+    @pytest.mark.parametrize(
+        "position",
+        [[3, -4], np.array([3, -4], dtype=np.int64), np.array([3.0, -4.0], dtype=np.float32)],
+        ids=["list", "int64-array", "float32-array"],
+    )
+    def test_position_is_two_floats_the_caller_cannot_move(self, position):
+        # new coverage: the position is stored as its own tuple of Python floats
+        state = ActorState(position=position, heading=0.0)
+        assert state.position == (3.0, -4.0)
+        assert type(state.position) is tuple
+        assert all(type(value) is float for value in state.position)
+        position[0] = 100
+        assert state.position == (3.0, -4.0)
+
+    @pytest.mark.parametrize(
+        "field", ["heading", "speed_long", "speed_lat", "accel_long", "length", "width"]
+    )
+    @pytest.mark.parametrize("value", ["0", None, 1 + 0j, True],
+                             ids=["string", "none", "complex", "boolean"])
+    def test_malformed_scalar_names_field(self, field, value):
+        with pytest.raises(ContractError, match=f"ActorState {field} must be a finite number"):
+            ActorState(**{"position": [0.0, 0.0], "heading": 0.0, field: value})
 
     def test_velocity_world_rotates_body_frame(self):
         state = ActorState(position=[0, 0], heading=math.pi / 2.0, speed_long=2.0, speed_lat=1.0)

@@ -357,7 +357,7 @@ def numpy_velocity(actor):
 
 def numpy_ttc(a, b):
     """The circumcircle TTC quadratic over numpy 2-vectors."""
-    dp = b.position - a.position
+    dp = np.subtract(b.position, a.position)
     dv = numpy_velocity(b) - numpy_velocity(a)
     radius = a.circumradius + b.circumradius
     c = dp @ dp - radius * radius
@@ -401,7 +401,7 @@ class TestPlainFloatOracles:
     def test_frames_and_ttc_match_numpy(self):
         finite = 0
         for ego, other in random_pairs():
-            local = rotation(-ego.heading) @ (other.position - ego.position)
+            local = rotation(-ego.heading) @ np.subtract(other.position, ego.position)
             assert relative_displacement(ego, other) == pytest.approx(tuple(local), abs=1e-12)
             for actor in (ego, other):
                 assert actor.velocity_world() == pytest.approx(numpy_velocity(actor), abs=1e-12)

@@ -288,6 +288,17 @@ class TestScenarioLoading:
         assert first == second
         assert first != third
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "fraction", "boolean"])
+    @pytest.mark.parametrize("call", ["realize_traffic", "run_episode"])
+    def test_bad_seed_names_seed(self, call, seed):
+        slots = [{"kind": "vehicle", "station": 20.0, "speed": 3.0}]
+        scenario = scenario_from_dict(minimal_scenario_data(slots=slots))
+        with pytest.raises(ScenarioError, match="seed must be a non-negative integer"):
+            if call == "realize_traffic":
+                realize_traffic(scenario, seed=seed)
+            else:
+                run_episode(scenario, build_policy("idle", CFG), CFG, seed=seed)
+
     def test_negative_lane_width_names_field(self, tmp_path):
         data = minimal_scenario_data()
         data["route"]["lane_width"] = -1.0
