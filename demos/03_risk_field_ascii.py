@@ -12,8 +12,7 @@ from riskrl import (
     ActorState,
     InteractionMode,
     RewardConfig,
-    dynamic_risk,
-    geometric_risk,
+    risk_field,
 )
 
 cfg = RewardConfig()
@@ -32,19 +31,18 @@ def render(mode: InteractionMode, ego_speed=4.0) -> None:
     ego = ActorState(position=[0.0, 0.0], heading=0.0, speed_long=ego_speed,
                      kind=ActorKind.EGO_VEHICLE)
     dims = (1.0, 1.0) if spec["kind"] is ActorKind.STATIC_OBSTACLE else (4.5, 1.8)
+    other = ActorState(position=[0.0, 0.0], heading=spec["heading"], speed_long=spec["speed"],
+                       length=dims[0], width=dims[1], kind=spec["kind"])
     print(f"\n{mode.value} (ego {ego_speed} m/s, other {spec['speed']} m/s)")
     print("  x: -30..30 m ahead/behind, y: -8..8 m left/right, value = combined risk")
-    for y in np.arange(8.0, -8.0 - 0.1, -2.0):
-        row = []
-        for x in np.arange(-30.0, 30.0 + 0.1, 1.5):
-            other = ActorState(position=[x, y], heading=spec["heading"],
-                               speed_long=spec["speed"], length=dims[0], width=dims[1],
-                               kind=spec["kind"])
-            geom = geometric_risk(ego, other, mode, cfg)
-            dyn, _ = dynamic_risk(ego, other, mode, cfg)
-            combined = cfg.w_geom * geom + cfg.w_dyn * dyn
-            row.append(SHADES[min(int(combined * (len(SHADES) - 1) + 0.5), len(SHADES) - 1)])
-        print("  " + "".join(row))
+    xs = np.arange(-30.0, 30.0 + 0.1, 1.5)
+    ys = np.arange(8.0, -8.0 - 0.1, -2.0)
+    geom, dyn = risk_field(ego, other, xs, ys, mode, cfg)
+    combined = (cfg.w_geom * geom + cfg.w_dyn * dyn).tolist()
+    for start in range(0, len(combined), xs.size):
+        row = combined[start:start + xs.size]
+        print("  " + "".join(SHADES[min(int(c * (len(SHADES) - 1) + 0.5), len(SHADES) - 1)]
+                             for c in row))
 
 
 for mode in MODES:

@@ -54,6 +54,7 @@ from .risk import (
     ellipsoid_penalty,
     geometric_risk,
     leading_clearance,
+    risk_field,
     risk_reward,
     stop_distance,
     ttc_circle,

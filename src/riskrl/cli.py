@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from .core import (
     load_config,
     validate_config_data,
 )
-from .risk import InteractionMode, dynamic_risk, geometric_risk
+from .risk import InteractionMode, risk_field
+# perfbench's tracer patches these two names on this module, so they stay importable here
+from .risk import dynamic_risk, geometric_risk  # noqa: F401
 from .sim import (
     BUILTIN_POLICIES,
     EpisodeTrace,
@@ -58,6 +61,7 @@ SWEEP_COLUMNS = (
 )
 
 FIELD_COLUMNS = ("x", "y", "geom_penalty", "dyn_penalty", "combined")
+MAX_FIELD_CELLS = 10_000_000  # about 512 times the 0.25 m grid over 60 x 20 m
 
 # The virtual actor `field` places in each cell; vehicles keep ActorState's
 # default footprint, and the 1 x 1 m obstacle stands still.
@@ -112,7 +116,7 @@ def trace_rows(trace: EpisodeTrace) -> list[list[str]]:
     return rows
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[Iterable[object]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -212,7 +216,16 @@ def _parse_grid(spec: str) -> tuple[float, float, float, float, float]:
         raise ConfigError(f"--grid resolution must be positive (got {resolution})")
     if x_max < x_min or y_max < y_min:
         raise ConfigError("--grid bounds must satisfy x_min <= x_max and y_min <= y_max")
+    nx, ny = _axis_count(x_min, x_max, resolution), _axis_count(y_min, y_max, resolution)
+    if max(nx, ny, nx * ny) > MAX_FIELD_CELLS:  # an axis alone counts when the other is empty
+        raise ConfigError(f"--grid gives {nx:,} x {ny:,} cells, more than {MAX_FIELD_CELLS:,}")
     return x_min, x_max, y_min, y_max, resolution
+
+
+def _axis_count(low: float, high: float, resolution: float) -> float:
+    """len(np.arange(low, high + resolution / 2, resolution)), without building it."""
+    count = (high + resolution / 2.0 - low) / resolution
+    return math.ceil(count) if math.isfinite(count) else math.inf
 
 
 def cmd_field(args: argparse.Namespace) -> int:
@@ -226,19 +239,17 @@ def cmd_field(args: argparse.Namespace) -> int:
     ego = ActorState(
         position=(0.0, 0.0), heading=0.0, speed_long=args.ego_speed, kind=ActorKind.EGO_VEHICLE
     )
-    template = {"speed_long": args.other_speed} | _FIELD_ACTORS[mode]
+    other = ActorState(position=(0.0, 0.0),
+                       **({"speed_long": args.other_speed} | _FIELD_ACTORS[mode]))
     xs = np.arange(x_min, x_max + resolution / 2.0, resolution)
     ys = np.arange(y_min, y_max + resolution / 2.0, resolution)
-    rows = []
-    for y in ys:
-        for x in xs:
-            other = ActorState(position=(x, y), **template)
-            geom = geometric_risk(ego, other, mode, config)
-            dyn, _ = dynamic_risk(ego, other, mode, config)
-            combined = config.w_geom * geom + config.w_dyn * dyn
-            rows.append([_fmt(float(x)), _fmt(float(y)), _fmt(geom), _fmt(dyn), _fmt(combined)])
-    _write_csv(Path(args.out), FIELD_COLUMNS, rows)
-    print(f"wrote {len(rows)} cells to {args.out}")
+    geom, dyn = risk_field(ego, other, xs, ys, mode, config)
+    combined = config.w_geom * geom + config.w_dyn * dyn
+    # csv writes a Python float as its repr and infinity as inf, as _fmt does
+    cells = zip(np.tile(xs, ys.size).tolist(), np.repeat(ys, xs.size).tolist(),
+                geom.tolist(), dyn.tolist(), combined.tolist())
+    _write_csv(Path(args.out), FIELD_COLUMNS, cells)
+    print(f"wrote {geom.size} cells to {args.out}")
     return 0
 
 
@@ -306,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     field.add_argument("--ego-speed", type=float, default=4.0, help="m/s")
     field.add_argument("--other-speed", type=float, default=0.0, help="m/s")
     field.add_argument("--grid", default=_env("GRID", "-30,30,-10,10,0.5"),
-                       help="x_min,x_max,y_min,y_max,resolution "
+                       help="x_min,x_max,y_min,y_max,resolution, at most 10,000,000 cells "
                             "(use --grid=-30,30,... for negative bounds)")
     field.add_argument("--out", default=_env("OUT", "field.csv"), help="output CSV path")
     field.set_defaults(func=cmd_field)

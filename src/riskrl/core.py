@@ -155,10 +155,9 @@ class Route:
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         if not math.isfinite(cum[-1]):
             raise ConfigError("route.centerline is too long: its length overflows")
-        if not 0.0 <= self.goal_station <= cum[-1] + 1e-9:
-            raise ConfigError(
-                f"route.goal_station must lie within [0, {cum[-1]:.6g}] (got {self.goal_station})"
-            )
+        if not (_finite(self.goal_station) and 0.0 <= self.goal_station <= cum[-1] + 1e-9):
+            raise ConfigError(f"route.goal_station must be a number within [0, {cum[-1]:.6g}] "
+                              f"(got {reprlib.repr(self.goal_station)})")
         # The projection normalises a segment by sqrt(d . d), the station lookups
         # by its hypot length; the two can differ in the last bit, so each has
         # its own tangent table.

@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
+
+import numpy as np
 
 from .core import (
     ActorKind, ActorState, ContractError, RewardConfig, _rotate, relative_displacement, wrap_angle,
@@ -42,10 +44,7 @@ class EllipseParams:
     p_outer: int
 
     def __post_init__(self) -> None:
-        if self.r_x <= 0.0 or self.r_y <= 0.0:
-            raise ContractError("ellipse radii must be positive")
-        if self.c_x < 0.0 or self.c_y < 0.0:
-            raise ContractError("ellipse centers must be non-negative")
+        _check_shape(self.c_x, self.c_y, self.r_x, self.r_y)
         for p in (self.p_x, self.p_y, self.p_outer):
             if not (isinstance(p, int) and p >= 2 and p % 2 == 0):
                 raise ContractError(f"ellipse exponents must be even integers >= 2 (got {p})")
@@ -98,18 +97,32 @@ def ellipsoid_penalty(d_x: float, d_y: float, params: EllipseParams) -> float:
                     params.p_x, params.p_y, params.p_outer)
 
 
+def _check_shape(c_x: float, c_y: float, r_x: float, r_y: float) -> None:
+    """`EllipseParams`' radius and centre checks, over plain numbers."""
+    if r_x <= 0.0 or r_y <= 0.0:
+        raise ContractError("ellipse radii must be positive")
+    if c_x < 0.0 or c_y < 0.0:
+        raise ContractError("ellipse centers must be non-negative")
+
+
 def _ellipse(d_x: float, d_y: float, c_x: float, c_y: float, r_x: float, r_y: float,
              p_x: int, p_y: int, p_outer: int) -> float:
     """The risk field over plain numbers, with `EllipseParams`' radius and centre checks.
 
     Callers pass exponents that are already even integers >= 2.
     """
-    if r_x <= 0.0 or r_y <= 0.0:
-        raise ContractError("ellipse radii must be positive")
-    if c_x < 0.0 or c_y < 0.0:
-        raise ContractError("ellipse centers must be non-negative")
+    _check_shape(c_x, c_y, r_x, r_y)
     tx = max(abs(d_x) - c_x, 0.0) / r_x
     ty = max(abs(d_y) - c_y, 0.0) / r_y
+    return _ellipse_power(tx, ty, p_x, p_y, p_outer)
+
+
+def _ellipse_power(tx: float, ty: float, p_x: int, p_y: int, p_outer: int) -> float:
+    """The field from the normalised excesses over the clearance box, in Python floats.
+
+    numpy's `power` can differ from `**` in the last bit, so the array field
+    calls this per element too.
+    """
     try:
         return (tx ** p_x + ty ** p_y + 1.0) ** (-p_outer)
     except OverflowError:  # so far out that the field is at its limit, 0
@@ -274,6 +287,21 @@ def _lateral_dynamic_radius(
     return 0.0
 
 
+def _longitudinal_dynamic_radius(
+    ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
+) -> float:
+    """The directional modes' longitudinal clearance, floored at the geometric radius."""
+    v_ego = abs(ego.speed_long)
+    v_other = abs(other.speed_long)
+    if mode is InteractionMode.OPPOSITE_DIRECTION:
+        r_x = approach_clearance(v_ego, v_other, "long", config)
+    elif mode is InteractionMode.STATIC_OBSTACLE:
+        r_x = leading_clearance(v_ego, 0.0, "long", config)
+    else:
+        r_x = leading_clearance(v_ego, v_other, "long", config)
+    return max(r_x, config.r_x_geom)
+
+
 def dynamic_risk(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
 ) -> tuple[float, float]:
@@ -288,17 +316,78 @@ def dynamic_risk(
         ttc = ttc_circle(ego, other)
         return ttc_penalty(ttc, config), ttc
     d_x, d_y = relative_displacement(ego, other)
-    v_ego = abs(ego.speed_long)
-    v_other = abs(other.speed_long)
-    if mode is InteractionMode.OPPOSITE_DIRECTION:
-        r_x = approach_clearance(v_ego, v_other, "long", config)
-    elif mode is InteractionMode.STATIC_OBSTACLE:
-        r_x = leading_clearance(v_ego, 0.0, "long", config)
-    else:
-        r_x = leading_clearance(v_ego, v_other, "long", config)
+    r_x = _longitudinal_dynamic_radius(ego, other, mode, config)
     r_y = max(_lateral_dynamic_radius(ego, other, d_y, config), config.r_y_geom)
-    r_x = max(r_x, config.r_x_geom)
     return _pair_penalty(ego, other, mode, config, d_x, d_y, r_x, r_y), math.inf
+
+
+def _grid_axis(values: Sequence[float], name: str) -> np.ndarray:
+    axis = np.asarray(values)
+    if axis.ndim != 1 or axis.dtype.kind not in "iuf" or not np.all(np.isfinite(axis)):
+        raise ContractError(f"risk_field {name} must be a 1-D sequence of finite numbers")
+    return axis.astype(float)
+
+
+def _ellipse_powers(tx: np.ndarray, ty: np.ndarray, p_x: int, p_y: int, p_outer: int) -> np.ndarray:
+    return np.array([_ellipse_power(a, b, p_x, p_y, p_outer)
+                     for a, b in zip(tx.tolist(), ty.tolist())])
+
+
+def risk_field(
+    ego: ActorState, other: ActorState, xs: Sequence[float], ys: Sequence[float],
+    mode: InteractionMode, config: RewardConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`geometric_risk` and the `dynamic_risk` penalty with `other` at every grid cell.
+
+    Returns (geom, dyn), one value per cell in row order: `ys` outer, `xs`
+    inner. `other`'s own position is ignored. Each value equals the scalar
+    function's for that cell bit for bit: the arrays take only correctly
+    rounded steps, and the power and log10 steps run per element through the
+    scalar code. The pair set-up is done once per field.
+    """
+    xs, ys = _grid_axis(xs, "xs"), _grid_axis(ys, "ys")
+    px = np.tile(xs, ys.size) - ego.position[0]
+    py = np.repeat(ys, xs.size) - ego.position[1]
+    c_x, c_y = clearance_center(ego, other, mode)
+    p_x, p_y = _mode_exponents(mode, config)
+    _check_shape(c_x, c_y, config.r_x_geom, config.r_y_geom)
+    # Python float arithmetic overflows to inf silently; numpy would warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_x, d_y = _rotate(px, py, -ego.heading)
+        excess_x = np.maximum(np.abs(d_x) - c_x, 0.0)
+        excess_y = np.maximum(np.abs(d_y) - c_y, 0.0)
+        geom = _ellipse_powers(excess_x / config.r_x_geom, excess_y / config.r_y_geom,
+                               p_x, p_y, config.p_outer)
+        if mode is InteractionMode.INTERSECTING:
+            ttc = _ttc_field(ego, other, px, py)
+            return geom, np.array([ttc_penalty(t, config) for t in ttc.tolist()])
+        r_x = _longitudinal_dynamic_radius(ego, other, mode, config)
+        # the lateral case depends on d_y only through its sign
+        r_right, r_level, r_left = (
+            max(_lateral_dynamic_radius(ego, other, side, config), config.r_y_geom)
+            for side in (-1.0, 0.0, 1.0)
+        )
+        _check_shape(c_x, c_y, r_x, min(r_right, r_level, r_left))
+        r_y = np.where(d_y > 0.0, r_left, np.where(d_y < 0.0, r_right, r_level))
+        dyn = _ellipse_powers(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer)
+    return geom, dyn
+
+
+def _ttc_field(ego: ActorState, other: ActorState, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """`ttc_circle` with `other` displaced by (px, py) from the ego, in its branch order."""
+    avx, avy = _rotate(ego.speed_long, ego.speed_lat, ego.heading)
+    bvx, bvy = _rotate(other.speed_long, other.speed_lat, other.heading)
+    dvx, dvy = bvx - avx, bvy - avy
+    radius = ego.circumradius + other.circumradius
+    c = px * px + py * py - radius * radius
+    aa = dvx * dvx + dvy * dvy
+    if aa == 0.0:
+        return np.where(c <= 0.0, 0.0, math.inf)
+    bb = px * dvx + py * dvy
+    disc = bb * bb - aa * c
+    # a negative disc gives a NaN root, which fails `>= 0` and so is a miss too
+    t_first = (-bb - np.sqrt(disc)) / aa
+    return np.where(c <= 0.0, 0.0, np.where(t_first >= 0.0, t_first, math.inf))
 
 
 def assess_interaction(

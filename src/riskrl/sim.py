@@ -302,12 +302,14 @@ def realize_traffic(
     """Materialise the episode's traffic: explicit actors plus seeded slots.
 
     `round(density * len(slots))` slots are chosen without replacement; their
-    jitters resolve deterministically from the seed.
+    jitters resolve deterministically from the seed. A `density` or `seed` of
+    None takes the scenario's own.
     """
     density = scenario.traffic_density if density is None else density
     seed = scenario.seed if seed is None else seed
-    if not 0.0 <= density <= 1.0:
-        raise ScenarioError(f"traffic density must lie in [0, 1] (got {density})")
+    if not (_is_number(density) and 0.0 <= density <= 1.0):
+        got = reprlib.repr(density)
+        raise ScenarioError(f"traffic density must be a number in [0, 1] (got {got})")
     if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
         raise ScenarioError(f"seed must be a non-negative integer (got {reprlib.repr(seed)})")
     npcs = list(scenario.npcs)

@@ -2,15 +2,20 @@
 
 import csv
 import gzip
+import io
 import json
 import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from riskrl import (
+    ActorKind, ActorState, InteractionMode, RewardConfig, dynamic_risk, geometric_risk,
+)
 from riskrl import cli
-from riskrl.cli import FIELD_COLUMNS, SWEEP_COLUMNS, TRACE_COLUMNS, main
+from riskrl.cli import FIELD_COLUMNS, MAX_FIELD_CELLS, SWEEP_COLUMNS, TRACE_COLUMNS, main
 
 GOLDEN_TRACE_HEADER = (
     "step,time,ego_x,ego_y,ego_heading,ego_speed,station,lateral_offset,"
@@ -253,6 +258,50 @@ class TestCmdField:
         tail = [v for x, v in zip(xs, combined) if x >= c_x]
         assert all(a >= b - 1e-15 for a, b in zip(tail, tail[1:]))
         assert combined[-1] < 1e-4
+
+    @pytest.mark.parametrize("mode", [m.value for m in InteractionMode])
+    def test_bytes_equal_the_scalar_loop(self, tmp_path, mode):
+        grid, ego_speed, other_speed = (-12.0, 12.0, -3.0, 3.0, 0.75), 6.0, 3.0
+        out = tmp_path / "field.csv"
+        assert main([
+            "field", "--mode", mode, "--grid=" + ",".join(map(repr, grid)),
+            "--ego-speed", repr(ego_speed), "--other-speed", repr(other_speed), "--out", str(out),
+        ]) == 0
+        # the per-cell loop over the scalar pair functions, formatted with _fmt
+        config, interaction = RewardConfig(), InteractionMode(mode)
+        ego = ActorState(position=(0.0, 0.0), heading=0.0, speed_long=ego_speed,
+                         kind=ActorKind.EGO_VEHICLE)
+        template = {"speed_long": other_speed} | cli._FIELD_ACTORS[interaction]
+        x_min, x_max, y_min, y_max, resolution = grid
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(FIELD_COLUMNS)
+        for y in np.arange(y_min, y_max + resolution / 2.0, resolution):
+            for x in np.arange(x_min, x_max + resolution / 2.0, resolution):
+                other = ActorState(position=(x, y), **template)
+                geom = geometric_risk(ego, other, interaction, config)
+                dyn, _ = dynamic_risk(ego, other, interaction, config)
+                combined = config.w_geom * geom + config.w_dyn * dyn
+                writer.writerow([cli._fmt(v) for v in (float(x), float(y), geom, dyn, combined)])
+        assert out.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("grid, cells", [
+        ("0,1e20,0,0,1", "100,000,000,000,000,000,000 x 1"),
+        ("-30,30,-10,10,0.001", "60,001 x 20,001"),
+        ("0,10000000,0,0,1", "10,000,001 x 1"),
+        ("-1e308,1e308,0,0,1e307", "inf x 1"),
+        ("0,0,0,1e300,5e-324", "0 x inf"),
+    ])
+    def test_grid_beyond_the_cell_limit_rejected(self, tmp_path, capsys, grid, cells):
+        out = tmp_path / "f.csv"
+        assert main(["field", f"--grid={grid}", "--out", str(out)]) == 2
+        assert f"--grid gives {cells} cells, more than 10,000,000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_at_the_cell_limit_passes(self):
+        # checked without building it: np.arange would hold 10,000,000 cells
+        assert cli._parse_grid("0,9999999,0,0,1") == (0.0, 9999999.0, 0.0, 0.0, 1.0)
+        assert cli._axis_count(0.0, 9999999.0, 1.0) == MAX_FIELD_CELLS == 10_000_000
 
     def test_bad_resolution_rejected(self, tmp_path, capsys):
         code = main([

@@ -179,6 +179,12 @@ class TestProjectToRoute:
         with pytest.raises(ConfigError, match="route.lane_width"):
             straight_route(lane_width=lane_width)
 
+    @pytest.mark.parametrize("goal", ["5", True, None, math.nan, -1.0, 100.5],
+                             ids=["string", "boolean", "none", "nan", "negative", "past-end"])
+    def test_bad_goal_station_names_field(self, goal):
+        with pytest.raises(ConfigError, match="route.goal_station must be a number within"):
+            Route(centerline=[[0.0, 0.0], [100.0, 0.0]], lane_width=3.5, goal_station=goal)
+
     @pytest.mark.parametrize(
         "position",
         [[1, 2, 3], [1, "x"], ["1", "2"], [True, False], [1 + 2j, 0.0], [1.0], None,
@@ -231,6 +237,12 @@ class TestActorState:
     def test_dimensions_must_be_positive(self):
         with pytest.raises(ContractError):
             ActorState(position=[0, 0], heading=0.0, length=0.0)
+
+    @pytest.mark.parametrize("goal", ["5", True, None, math.nan, -1.0, 100.5],
+                             ids=["string", "boolean", "none", "nan", "negative", "past-end"])
+    def test_bad_goal_station_names_field(self, goal):
+        with pytest.raises(ConfigError, match="route.goal_station must be a number within"):
+            Route(centerline=[[0.0, 0.0], [100.0, 0.0]], lane_width=3.5, goal_station=goal)
 
     @pytest.mark.parametrize(
         "position",

@@ -1,6 +1,7 @@
 """Risk field, safety clearances, TTC, and the combined risk reward."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from riskrl import (
     geometric_risk,
     leading_clearance,
     relative_displacement,
+    risk_field,
     risk_reward,
     stop_distance,
     ttc_circle,
@@ -457,3 +459,104 @@ class TestPlainFloatOracles:
             else:
                 r_y = 0.0
             assert penalty == field(max(r_x, CFG.r_x_geom), max(r_y, CFG.r_y_geom))
+
+
+# Relative heading and kind of the actor placed in each field cell, per mode.
+FIELD_OTHER = {
+    InteractionMode.SAME_DIRECTION: (0.0, ActorKind.NPC_VEHICLE),
+    InteractionMode.OPPOSITE_DIRECTION: (math.pi, ActorKind.NPC_VEHICLE),
+    InteractionMode.INTERSECTING: (math.pi / 2.0, ActorKind.NPC_VEHICLE),
+    InteractionMode.STATIC_OBSTACLE: (0.0, ActorKind.STATIC_OBSTACLE),
+}
+# Rows through y = 0, on both signed zeros, and through the clearance box.
+ROWS_THROUGH_ZERO = [-10.0, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 10.0]
+
+
+def field_case(name, mode):
+    """(ego, other, xs, ys) for one named grid; `other` sits at the origin."""
+    relative, kind = FIELD_OTHER[mode]
+    moving = kind is not ActorKind.STATIC_OBSTACLE
+    ego_kw = dict(kind=ActorKind.EGO_VEHICLE)
+    if name == "ego_at_origin":
+        # a lateral speed large enough that each side of y = 0 has its own dynamic radius
+        ego = car(v=6.0, v_lat=-2.0, **ego_kw)
+        other = car(heading=relative, v=3.0 * moving, kind=kind)
+        xs, ys = np.arange(-30.0, 30.0 + 0.75, 1.5), ROWS_THROUGH_ZERO
+    elif name == "ego_turned_off_origin":
+        ego = car(x=3.5, y=-2.25, heading=0.7, v=5.0, v_lat=0.4, **ego_kw)
+        other = car(heading=0.7 + relative, v=4.0 * moving, v_lat=-0.3 * moving, kind=kind)
+        xs, ys = np.arange(-20.0, 26.0, 1.25), np.arange(-10.0, 6.0, 0.75)
+    elif name == "standing_still":  # the TTC quadratic's aa == 0 case
+        ego, other = car(**ego_kw), car(heading=relative, kind=kind)
+        xs, ys = np.arange(-10.0, 10.25, 0.5), ROWS_THROUGH_ZERO
+    else:  # "far": the powers overflow and the field is at its limit, 0
+        ego, other = car(v=6.0, **ego_kw), car(heading=relative, v=3.0 * moving, kind=kind)
+        xs, ys = np.arange(-1e300, 1e300 + 5e298, 1e299), [0.0]
+    return ego, other, xs, ys
+
+
+FIELD_CASES = ("ego_at_origin", "ego_turned_off_origin", "standing_still", "far")
+
+
+def scalar_cells(other, xs, ys):
+    return [replace(other, position=(x, y)) for y in ys for x in xs]
+
+
+class TestRiskField:
+    """The array field against the scalar pair functions, cell by cell with ==."""
+
+    @pytest.mark.parametrize("mode", list(InteractionMode))
+    @pytest.mark.parametrize("name", FIELD_CASES)
+    def test_equals_scalar_functions_on_every_cell(self, name, mode):
+        ego, other, xs, ys = field_case(name, mode)
+        geom, dyn = risk_field(ego, other, xs, ys, mode, CFG)
+        cells = scalar_cells(other, xs, ys)
+        assert geom.tolist() == [geometric_risk(ego, cell, mode, CFG) for cell in cells]
+        assert dyn.tolist() == [dynamic_risk(ego, cell, mode, CFG)[0] for cell in cells]
+
+    def test_cases_reach_the_edges(self):
+        for mode in InteractionMode:
+            geom, _ = risk_field(*field_case("ego_at_origin", mode), mode, CFG)
+            assert 1.0 in geom.tolist()  # inside the saturated clearance box
+            far, _ = risk_field(*field_case("far", mode), mode, CFG)
+            assert far.tolist()[0] == 0.0
+        # every branch of the TTC quadratic: overlap, never closing, a miss, a hit
+        ego, other, xs, ys = field_case("ego_at_origin", InteractionMode.INTERSECTING)
+        ttcs = [ttc_circle(ego, cell) for cell in scalar_cells(other, xs, ys)]
+        assert 0.0 in ttcs and math.inf in ttcs and any(0.0 < t < math.inf for t in ttcs)
+        dv = numpy_velocity(other) - numpy_velocity(ego)
+        radius = ego.circumradius + other.circumradius
+        discs = []
+        for x, y in ((x, y) for y in ys for x in xs):
+            dp = np.array([x, y])
+            c = dp @ dp - radius * radius
+            if c > 0.0:
+                discs.append((dp @ dv) ** 2 - (dv @ dv) * c)
+        assert min(discs) < 0.0 < max(discs)
+        ego, other, _, _ = field_case("standing_still", InteractionMode.INTERSECTING)
+        assert ego.velocity_world().tolist() == other.velocity_world().tolist()  # aa == 0
+
+    def test_other_position_is_ignored(self):
+        mode = InteractionMode.SAME_DIRECTION
+        ego, other, xs, ys = field_case("ego_turned_off_origin", mode)
+        moved = replace(other, position=(40.0, -7.0))
+        for got, expected in zip(risk_field(ego, moved, xs, ys, mode, CFG),
+                                 risk_field(ego, other, xs, ys, mode, CFG)):
+            assert got.tolist() == expected.tolist()
+
+    def test_row_order_and_empty_grid(self):
+        mode = InteractionMode.STATIC_OBSTACLE
+        ego, other = car(v=4.0, kind=ActorKind.EGO_VEHICLE), obstacle(0.0, 0.0)
+        geom, dyn = risk_field(ego, other, [5.0, 9.0], [0.0, 3.0, 6.0], mode, CFG)
+        expected = [geometric_risk(ego, obstacle(x, y), mode, CFG)
+                    for y in (0.0, 3.0, 6.0) for x in (5.0, 9.0)]
+        assert geom.tolist() == expected and dyn.shape == (6,)
+        for axes in (([], [1.0]), ([1.0], [])):
+            geom, dyn = risk_field(ego, other, *axes, mode, CFG)
+            assert geom.shape == dyn.shape == (0,)
+
+    @pytest.mark.parametrize("xs", [[0.0, math.nan], [math.inf], [[1.0, 2.0]], ["1"], [True]])
+    def test_bad_axis_rejected(self, xs):
+        ego, other = car(kind=ActorKind.EGO_VEHICLE), car()
+        with pytest.raises(ContractError, match="xs"):
+            risk_field(ego, other, xs, [0.0], InteractionMode.SAME_DIRECTION, CFG)

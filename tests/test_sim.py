@@ -299,6 +299,25 @@ class TestScenarioLoading:
             else:
                 run_episode(scenario, build_policy("idle", CFG), CFG, seed=seed)
 
+    @pytest.mark.parametrize("density", ["0.5", True, False, math.nan, math.inf, 1.5, -0.25],
+                             ids=["string", "true", "false", "nan", "inf", "above", "below"])
+    @pytest.mark.parametrize("call", ["realize_traffic", "run_episode"])
+    def test_bad_density_names_density(self, call, density):
+        slots = [{"kind": "vehicle", "station": 20.0, "speed": 3.0}]
+        scenario = scenario_from_dict(minimal_scenario_data(slots=slots))
+        with pytest.raises(ScenarioError, match="density must be a number in"):
+            if call == "realize_traffic":
+                realize_traffic(scenario, density=density)
+            else:
+                run_episode(scenario, build_policy("idle", CFG), CFG, density=density)
+
+    @pytest.mark.parametrize("density, count", [(None, 1), (0, 0), (np.float64(1.0), 1)])
+    def test_density_takes_numbers_and_none_takes_the_scenarios(self, density, count):
+        slots = [{"kind": "vehicle", "station": 20.0, "speed": 3.0}]
+        scenario = scenario_from_dict(minimal_scenario_data(slots=slots))
+        npcs, _ = realize_traffic(scenario, density=density)
+        assert len(npcs) == count
+
     def test_negative_lane_width_names_field(self, tmp_path):
         data = minimal_scenario_data()
         data["route"]["lane_width"] = -1.0
