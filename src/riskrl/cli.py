@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from .core import (
     ConfigError,
     RewardConfig,
     ScenarioError,
+    _is_number,
     _read_json,
     load_config,
     validate_config_data,
@@ -62,6 +64,7 @@ SWEEP_COLUMNS = (
 
 FIELD_COLUMNS = ("x", "y", "geom_penalty", "dyn_penalty", "combined")
 MAX_FIELD_CELLS = 10_000_000  # about 512 times the 0.25 m grid over 60 x 20 m
+_FIELD_BLOCK_CELLS = 65_536  # cells `field` evaluates and writes at a time
 
 # The virtual actor `field` places in each cell; vehicles keep ActorState's
 # default footprint, and the 1 x 1 m obstacle stands still.
@@ -233,8 +236,8 @@ def cmd_field(args: argparse.Namespace) -> int:
     mode = InteractionMode(args.mode)
     x_min, x_max, y_min, y_max, resolution = _parse_grid(args.grid)
     for flag, speed in (("--ego-speed", args.ego_speed), ("--other-speed", args.other_speed)):
-        if not math.isfinite(speed):
-            raise ConfigError(f"{flag} must be a finite number (got {speed})")
+        if not _is_number(speed):
+            raise ConfigError(f"{flag} must be a number in [-1e6, 1e6] (got {speed})")
 
     ego = ActorState(
         position=(0.0, 0.0), heading=0.0, speed_long=args.ego_speed, kind=ActorKind.EGO_VEHICLE
@@ -243,13 +246,20 @@ def cmd_field(args: argparse.Namespace) -> int:
                        **({"speed_long": args.other_speed} | _FIELD_ACTORS[mode]))
     xs = np.arange(x_min, x_max + resolution / 2.0, resolution)
     ys = np.arange(y_min, y_max + resolution / 2.0, resolution)
-    geom, dyn = risk_field(ego, other, xs, ys, mode, config)
-    combined = config.w_geom * geom + config.w_dyn * dyn
-    # csv writes a Python float as its repr and infinity as inf, as _fmt does
-    cells = zip(np.tile(xs, ys.size).tolist(), np.repeat(ys, xs.size).tolist(),
-                geom.tolist(), dyn.tolist(), combined.tolist())
-    _write_csv(Path(args.out), FIELD_COLUMNS, cells)
-    print(f"wrote {geom.size} cells to {args.out}")
+    cols = max(1, min(xs.size, _FIELD_BLOCK_CELLS))  # a whole row, unless it alone is too long
+    rows = _FIELD_BLOCK_CELLS // cols
+
+    def cells():  # one block at a time, so memory stays bounded
+        for j, i in itertools.product(range(0, ys.size, rows), range(0, xs.size, cols)):
+            bx, by = xs[i:i + cols], ys[j:j + rows]
+            geom, dyn = risk_field(ego, other, bx, by, mode, config)
+            combined = config.w_geom * geom + config.w_dyn * dyn
+            # csv writes a Python float as its repr and infinity as inf, as _fmt does
+            yield from zip(np.tile(bx, by.size).tolist(), np.repeat(by, bx.size).tolist(),
+                           geom.tolist(), dyn.tolist(), combined.tolist())
+
+    _write_csv(Path(args.out), FIELD_COLUMNS, cells())
+    print(f"wrote {xs.size * ys.size} cells to {args.out}")
     return 0
 
 

@@ -126,6 +126,11 @@ class ActorState:
         return 0.5 * math.hypot(self.length, self.width)
 
 
+# The projection searches segments in blocks of this many; it skips a block whose bound
+# exceeds the best distance by this share of the coordinates, far beyond rounding.
+_PROJECTION_BLOCK, _PROJECTION_MARGIN = 16, 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class Route:
     """Reference path: a polyline centerline with a lane corridor and a goal.
@@ -163,11 +168,21 @@ class Route:
         # its own tangent table.
         tangent = (seg / np.sqrt(seg_len2)[:, None]).tolist()
         unit = (seg / seg_len[:, None]).tolist()
-        for table in (line, seg, seg_len2):
-            table.flags.writeable = False
+        # the projection's tables: (ax, ay, dx, dy, d . d) per segment, and per block
+        # of segments a circle (cx, cy, r) around its points with its segment range
+        first = np.arange(0, len(seg), _PROJECTION_BLOCK)
+        stop = np.minimum(first + _PROJECTION_BLOCK, len(seg))  # also a block's last point
+        lo = np.minimum(np.minimum.reduceat(line, first), line[stop])
+        hi = np.maximum(np.maximum.reduceat(line, first), line[stop])
+        centre = lo / 2.0 + hi / 2.0  # cannot overflow
+        radius = np.hypot(*((hi - lo) / 2.0).T)  # half the box's diagonal reaches all of it
+        line.flags.writeable = False
         object.__setattr__(self, "centerline", line)
-        object.__setattr__(self, "_seg", seg)
-        object.__setattr__(self, "_seg_len2", seg_len2)
+        object.__setattr__(self, "_segments", tuple(
+            zip(*line[:-1].T.tolist(), *seg.T.tolist(), seg_len2.tolist())))
+        object.__setattr__(self, "_blocks", tuple(
+            zip(*centre.T.tolist(), radius.tolist(), first.tolist(), stop.tolist())))
+        object.__setattr__(self, "_extent", float(np.abs(line).max()))
         object.__setattr__(self, "_seg_len", tuple(seg_len.tolist()))
         object.__setattr__(self, "_stations", tuple(cum.tolist()))
         object.__setattr__(self, "_tangent", tuple(map(tuple, tangent)))
@@ -188,7 +203,7 @@ class Route:
     def _pose_at(self, station: float) -> tuple[float, float, float]:
         """(x, y, heading) of the centerline at the (clamped) station, in plain floats."""
         i, s = self._segment_at(station)
-        (ax, ay), (dx, dy) = self.centerline[i].tolist(), self._seg[i].tolist()
+        ax, ay, dx, dy, _ = self._segments[i]
         t = (s - self._stations[i]) / self._seg_len[i]
         return ax + t * dx, ay + t * dy, self._heading[i]
 
@@ -199,7 +214,7 @@ class Route:
     def tangent_at(self, station: float) -> np.ndarray:
         """Unit tangent of the segment containing the station."""
         i, _ = self._segment_at(station)
-        return self._seg[i] / self._seg_len[i]
+        return np.array(self._segments[i][2:4]) / self._seg_len[i]
 
     def heading_at(self, station: float) -> float:
         """Heading of the route tangent, rad."""
@@ -223,20 +238,32 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
     heading error relative to the local route tangent. Raises ContractError
     unless `position` is two finite numbers.
     """
-    p = np.array(_position(position, "project_to_route"))
-    a, d = route.centerline[:-1], route._seg
-    t = np.einsum("ij,ij->i", p - a, d) / route._seg_len2
-    np.maximum(t, 0.0, out=t)
-    np.minimum(t, 1.0, out=t)
-    diff = p - (a + t[:, None] * d)
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-    i = int(np.argmin(dist2))  # argmin keeps the first (smallest-station) minimum
-    station = route._stations[i] + float(t[i]) * route._seg_len[i]
-    (tx, ty), (dx, dy) = route._tangent[i], diff[i].tolist()
+    px, py = _position(position, "project_to_route")
+    # Blocks in order of the lower bound |p - centre| - r on their distance; a
+    # block whose bound exceeds the best distance by more than rounding can
+    # hold no nearer segment, and neither can any block after it.
+    slack = _PROJECTION_MARGIN * (abs(px) + abs(py) + route._extent)
+    bounds = sorted([(math.hypot(px - cx, py - cy) - r, first, stop)
+                     for cx, cy, r, first, stop in route._blocks])
+    segments = route._segments
+    best, i = math.inf, len(segments)  # i past the end: the first segment wins even at inf
+    for bound, first, stop in bounds:
+        if bound > math.sqrt(best) + slack:
+            break
+        for j in range(first, stop):
+            ax, ay, dx, dy, len2 = segments[j]
+            # max(0.0, t) turns -0.0 into 0.0, as numpy's maximum(t, 0.0) does
+            t = min(max(0.0, ((px - ax) * dx + (py - ay) * dy) / len2), 1.0)
+            ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+            dist2 = ex * ex + ey * ey
+            if dist2 < best or (dist2 == best and j < i):  # the smaller station wins a tie
+                best, i, t_i, fx, fy = dist2, j, t, ex, ey
+    station = route._stations[i] + t_i * route._seg_len[i]
+    tx, ty = route._tangent[i]
     # magnitude is the distance to the nearest centerline point (matters in
     # corner wedges, where the foot is a vertex); the sign is the side of the
     # local travel direction, via the cross product tangent x (p - foot)
-    offset = math.copysign(math.sqrt(dist2[i]), tx * dy - ty * dx)
+    offset = math.copysign(math.sqrt(best), tx * fy - ty * fx)
     heading_error = wrap_angle(heading - route._tangent_heading[i])
     return RouteFramePose(station=station, lateral_offset=offset, heading_error=heading_error)
 

@@ -244,22 +244,11 @@ def _mode_exponents(mode: InteractionMode, config: RewardConfig) -> tuple[int, i
     return config.p_min, config.p_max
 
 
-def _pair_penalty(
-    ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig,
-    d_x: float, d_y: float, r_x: float, r_y: float,
-) -> float:
-    """The pair's field at (d_x, d_y): centres from the footprints, exponents from the mode."""
-    c_x, c_y = clearance_center(ego, other, mode)
-    p_x, p_y = _mode_exponents(mode, config)
-    return _ellipse(d_x, d_y, c_x, c_y, r_x, r_y, p_x, p_y, config.p_outer)
-
-
 def geometric_risk(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
 ) -> float:
     """Risk field with fixed, speed-independent desired clearances."""
-    d_x, d_y = relative_displacement(ego, other)
-    return _pair_penalty(ego, other, mode, config, d_x, d_y, config.r_x_geom, config.r_y_geom)
+    return _pair_risk(ego, other, mode, config)[0]
 
 
 def _lateral_dynamic_radius(
@@ -312,13 +301,23 @@ def dynamic_risk(
     circumcircle time-to-collision instead. The TTC is only meaningful (finite)
     for the intersecting mode.
     """
+    return _pair_risk(ego, other, mode, config)[1:]
+
+
+def _pair_risk(
+    ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
+) -> tuple[float, float, float]:
+    """(geometric penalty, dynamic penalty, ttc) of one pair, its geometry worked out once."""
+    d_x, d_y = relative_displacement(ego, other)
+    c_x, c_y = clearance_center(ego, other, mode)
+    p_x, p_y = _mode_exponents(mode, config)
+    geom = _ellipse(d_x, d_y, c_x, c_y, config.r_x_geom, config.r_y_geom, p_x, p_y, config.p_outer)
     if mode is InteractionMode.INTERSECTING:
         ttc = ttc_circle(ego, other)
-        return ttc_penalty(ttc, config), ttc
-    d_x, d_y = relative_displacement(ego, other)
+        return geom, ttc_penalty(ttc, config), ttc
     r_x = _longitudinal_dynamic_radius(ego, other, mode, config)
     r_y = max(_lateral_dynamic_radius(ego, other, d_y, config), config.r_y_geom)
-    return _pair_penalty(ego, other, mode, config, d_x, d_y, r_x, r_y), math.inf
+    return geom, _ellipse(d_x, d_y, c_x, c_y, r_x, r_y, p_x, p_y, config.p_outer), math.inf
 
 
 def _grid_axis(values: Sequence[float], name: str) -> np.ndarray:
@@ -395,8 +394,7 @@ def assess_interaction(
 ) -> RiskAssessment:
     """Classify one ego-other pair and score both risk penalties."""
     mode = classify_interaction(ego, other)
-    geom = geometric_risk(ego, other, mode, config)
-    dyn, ttc = dynamic_risk(ego, other, mode, config)
+    geom, dyn, ttc = _pair_risk(ego, other, mode, config)
     combined = config.w_geom * geom + config.w_dyn * dyn
     return RiskAssessment(mode=mode, geom_penalty=geom, dyn_penalty=dyn, combined=combined, ttc=ttc)
 

@@ -198,7 +198,7 @@ def _spawn_actor(route: Route, spec: dict, kind: ActorKind) -> ActorState:
     station, offset = spec["station"], spec["lateral_offset"]
     x, y, heading = route._pose_at(station)
     i, _ = route._segment_at(station)
-    (dx, dy), length = route._seg[i].tolist(), route._seg_len[i]
+    (dx, dy), length = route._segments[i][2:4], route._seg_len[i]
     # offset times the unit normal (-dy, dx) / length, grouped as tangent_at groups it
     return ActorState(
         position=(x - offset * (dy / length), y + offset * (dx / length)),

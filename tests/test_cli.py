@@ -4,6 +4,7 @@ import csv
 import gzip
 import io
 import json
+import math
 import sys
 import threading
 from pathlib import Path
@@ -259,15 +260,9 @@ class TestCmdField:
         assert all(a >= b - 1e-15 for a, b in zip(tail, tail[1:]))
         assert combined[-1] < 1e-4
 
-    @pytest.mark.parametrize("mode", [m.value for m in InteractionMode])
-    def test_bytes_equal_the_scalar_loop(self, tmp_path, mode):
-        grid, ego_speed, other_speed = (-12.0, 12.0, -3.0, 3.0, 0.75), 6.0, 3.0
-        out = tmp_path / "field.csv"
-        assert main([
-            "field", "--mode", mode, "--grid=" + ",".join(map(repr, grid)),
-            "--ego-speed", repr(ego_speed), "--other-speed", repr(other_speed), "--out", str(out),
-        ]) == 0
-        # the per-cell loop over the scalar pair functions, formatted with _fmt
+    @staticmethod
+    def scalar_field_bytes(mode, grid, ego_speed, other_speed):
+        """The field CSV from a per-cell loop over the scalar pair functions and _fmt."""
         config, interaction = RewardConfig(), InteractionMode(mode)
         ego = ActorState(position=(0.0, 0.0), heading=0.0, speed_long=ego_speed,
                          kind=ActorKind.EGO_VEHICLE)
@@ -283,7 +278,38 @@ class TestCmdField:
                 dyn, _ = dynamic_risk(ego, other, interaction, config)
                 combined = config.w_geom * geom + config.w_dyn * dyn
                 writer.writerow([cli._fmt(v) for v in (float(x), float(y), geom, dyn, combined)])
-        assert out.read_bytes() == expected.getvalue().encode()
+        return expected.getvalue().encode()
+
+    def field_bytes(self, tmp_path, mode, grid, ego_speed, other_speed):
+        out = tmp_path / "field.csv"
+        assert main([
+            "field", "--mode", mode, "--grid=" + ",".join(map(repr, grid)),
+            "--ego-speed", repr(ego_speed), "--other-speed", repr(other_speed), "--out", str(out),
+        ]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("mode", [m.value for m in InteractionMode])
+    def test_bytes_equal_the_scalar_loop(self, tmp_path, mode):
+        grid = (-12.0, 12.0, -3.0, 3.0, 0.75)
+        assert self.field_bytes(tmp_path, mode, grid, 6.0, 3.0) == self.scalar_field_bytes(
+            mode, grid, 6.0, 3.0)
+
+    def test_grid_of_several_blocks_equals_the_scalar_loop(self, tmp_path, capsys):
+        # 501 x 141 = 70,641 cells: one block of 130 whole rows, then one of the last 11
+        grid = (-25.0, 25.0, -7.0, 7.0, 0.1)
+        assert 501 * 141 > cli._FIELD_BLOCK_CELLS > 501
+        assert self.field_bytes(tmp_path, "same_direction", grid, 6.0, 3.0) == (
+            self.scalar_field_bytes("same_direction", grid, 6.0, 3.0))
+        assert "wrote 70641 cells" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", [m.value for m in InteractionMode])
+    @pytest.mark.parametrize("block", [1, 7, 25, 26, 200], ids=lambda b: f"block{b}")
+    def test_small_blocks_write_the_same_bytes(self, tmp_path, monkeypatch, mode, block):
+        # 25 cells per row: blocks of parts of a row, whole rows, and several rows at once
+        grid = (-6.0, 6.0, -2.0, 2.0, 0.5)
+        monkeypatch.setattr(cli, "_FIELD_BLOCK_CELLS", block)
+        assert self.field_bytes(tmp_path, mode, grid, 6.0, 3.0) == self.scalar_field_bytes(
+            mode, grid, 6.0, 3.0)
 
     @pytest.mark.parametrize("grid, cells", [
         ("0,1e20,0,0,1", "100,000,000,000,000,000,000 x 1"),
@@ -302,6 +328,23 @@ class TestCmdField:
         # checked without building it: np.arange would hold 10,000,000 cells
         assert cli._parse_grid("0,9999999,0,0,1") == (0.0, 9999999.0, 0.0, 0.0, 1.0)
         assert cli._axis_count(0.0, 9999999.0, 1.0) == MAX_FIELD_CELLS == 10_000_000
+
+    @pytest.mark.parametrize("flag", ["--ego-speed", "--other-speed"])
+    @pytest.mark.parametrize("speed", ["1e308", "-1000000.5"])
+    def test_speed_beyond_the_document_range_rejected(self, tmp_path, capsys, flag, speed):
+        # 1e308 for both speeds once wrote nan: the squared speeds overflow to inf - inf
+        out = tmp_path / "f.csv"
+        assert main(["field", "--grid=-2,2,0,0,1", flag, speed, "--out", str(out)]) == 2
+        assert f"{flag} must be a number in [-1e6, 1e6] (got {float(speed)})" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_speed_at_the_document_bound_gives_a_finite_field(self, tmp_path):
+        for mode in InteractionMode:
+            cells = self.run_field(tmp_path, mode.value, "-2,2,0,0,1", ego_speed=1e6,
+                                   other_speed=-1e6)
+            assert len(cells) == 5
+            assert all(math.isfinite(v) for values in cells.values() for v in values)
 
     def test_bad_resolution_rejected(self, tmp_path, capsys):
         code = main([

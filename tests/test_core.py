@@ -94,6 +94,43 @@ class TestRouteTables:
                 expected = numpy_projection(point, heading, centerline)
                 assert (pose.station, pose.lateral_offset, pose.heading_error) == expected
 
+    @pytest.mark.parametrize("points", [2, 17, 40, 400])
+    def test_block_search_matches_numpy_projection(self, points):
+        rng = np.random.default_rng(points)
+        centerline = random_polyline(rng, points)
+        route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+        stations = rng.uniform(0.0, route.length, size=40)
+        on_route = [*centerline, *(route.point_at(s) for s in stations[:20])]
+        near = [route.point_at(s) + rng.uniform(-3.5, 3.5, size=2) for s in stations[20:]]
+        centre = (centerline.min(axis=0) + centerline.max(axis=0)) / 2.0
+        reach = 3.0 * float(np.ptp(centerline, axis=0).max())
+        far = [centre + reach * np.array([math.cos(a), math.sin(a)])
+               for a in rng.uniform(-math.pi, math.pi, size=20)]
+        for x, y in far:
+            assert all(math.hypot(x - cx, y - cy) > r for cx, cy, r, _, _ in route._blocks)
+        for point in on_route + near + far:
+            heading = float(rng.uniform(-4.0, 4.0))
+            pose = project_to_route(point, heading, route)
+            expected = numpy_projection(point, heading, centerline)
+            assert (pose.station, pose.lateral_offset, pose.heading_error) == expected
+
+    def test_tie_across_blocks_takes_the_smaller_station(self):
+        # out along y = 1 and back along y = -1: a point on y = 0 is exactly 1 m from both legs
+        out = [[float(x), 1.0] for x in range(41)]
+        back = [[float(x), -1.0] for x in range(40, -1, -1)]
+        centerline = np.array(out + [[41.0, 0.0]] + back)
+        route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+        assert len(route._blocks) > 2
+        visited_back_first = 0
+        for x in np.arange(0.5, 40.0, 1.0):
+            pose = project_to_route([x, 0.0], 0.0, route)
+            assert (pose.station, pose.lateral_offset) == (x, -1.0)
+            assert (pose.station, pose.lateral_offset, pose.heading_error) == numpy_projection(
+                np.array([x, 0.0]), 0.0, centerline)
+            first = min(route._blocks, key=lambda b: (math.hypot(x - b[0], b[1]) - b[2], b[3]))
+            visited_back_first += first[3] > x  # the first block searched lies on the way back
+        assert visited_back_first > 0
+
     def test_station_lookups_match_segment_arrays(self):
         rng = np.random.default_rng(9)
         centerline = random_polyline(rng, 12)
@@ -114,11 +151,12 @@ class TestRouteTables:
 
     def test_tables_are_read_only(self):
         route = straight_route()
-        for table in (route.centerline, route._seg, route._seg_len2):
-            with pytest.raises(ValueError):
-                table[0] = 1.0
-        for table in (route._seg_len, route._stations, route._tangent, route._tangent_heading):
-            assert isinstance(table, tuple)
+        with pytest.raises(ValueError):
+            route.centerline[0] = 1.0
+        for table in (route._segments, route._blocks, route._seg_len, route._stations,
+                      route._tangent, route._tangent_heading, route._heading):
+            assert isinstance(table, tuple) and all(isinstance(row, (tuple, float))
+                                                    for row in table)
 
 
 class TestProjectToRoute:

@@ -16,6 +16,7 @@ from riskrl import (
     RewardConfig,
     accel_distance,
     approach_clearance,
+    assess_interaction,
     away_clearance,
     classify_interaction,
     clearance_center,
@@ -30,6 +31,7 @@ from riskrl import (
     ttc_circle,
     ttc_penalty,
 )
+from riskrl import risk as risk_module
 from riskrl.core import rotate
 
 CFG = RewardConfig()
@@ -560,3 +562,32 @@ class TestRiskField:
         ego, other = car(kind=ActorKind.EGO_VEHICLE), car()
         with pytest.raises(ContractError, match="xs"):
             risk_field(ego, other, xs, [0.0], InteractionMode.SAME_DIRECTION, CFG)
+
+
+class TestAssessInteraction:
+    """`assess_interaction` finds each pair's geometry once and scores it as the scalar API does."""
+
+    def test_penalties_equal_the_scalar_functions(self):
+        modes = set()
+        for ego, other in random_pairs():
+            assessment = assess_interaction(ego, other, CFG)
+            mode = classify_interaction(ego, other)
+            modes.add(mode)
+            dyn, ttc = dynamic_risk(ego, other, mode, CFG)
+            assert assessment.mode is mode
+            assert assessment.geom_penalty == geometric_risk(ego, other, mode, CFG)
+            assert (assessment.dyn_penalty, assessment.ttc) == (dyn, ttc)
+        assert modes == set(InteractionMode)
+
+    def test_displacement_is_computed_once_per_pair(self, monkeypatch):
+        calls = []
+
+        def counted(ego, other):
+            calls.append(other)
+            return relative_displacement(ego, other)
+
+        monkeypatch.setattr(risk_module, "relative_displacement", counted)
+        for ego, other in random_pairs(count=40):
+            calls.clear()
+            assess_interaction(ego, other, CFG)
+            assert calls == [other]
