@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
@@ -64,7 +63,7 @@ SWEEP_COLUMNS = (
 
 FIELD_COLUMNS = ("x", "y", "geom_penalty", "dyn_penalty", "combined")
 MAX_FIELD_CELLS = 10_000_000  # about 512 times the 0.25 m grid over 60 x 20 m
-_FIELD_BLOCK_CELLS = 65_536  # cells `field` evaluates and writes at a time
+_FIELD_BLOCK_CELLS = 65_536  # most cells `field` evaluates and writes at a time, in whole rows
 
 # The virtual actor `field` places in each cell; vehicles keep ActorState's
 # default footprint, and the 1 x 1 m obstacle stands still.
@@ -246,16 +245,15 @@ def cmd_field(args: argparse.Namespace) -> int:
                        **({"speed_long": args.other_speed} | _FIELD_ACTORS[mode]))
     xs = np.arange(x_min, x_max + resolution / 2.0, resolution)
     ys = np.arange(y_min, y_max + resolution / 2.0, resolution)
-    cols = max(1, min(xs.size, _FIELD_BLOCK_CELLS))  # a whole row, unless it alone is too long
-    rows = _FIELD_BLOCK_CELLS // cols
+    rows = max(1, _FIELD_BLOCK_CELLS // max(xs.size, 1))  # whole rows; a longer row goes alone
 
-    def cells():  # one block at a time, so memory stays bounded
-        for j, i in itertools.product(range(0, ys.size, rows), range(0, xs.size, cols)):
-            bx, by = xs[i:i + cols], ys[j:j + rows]
-            geom, dyn = risk_field(ego, other, bx, by, mode, config)
+    def cells():  # one block of rows at a time, so memory stays bounded
+        for j in range(0, ys.size, rows):
+            by = ys[j:j + rows]
+            geom, dyn = risk_field(ego, other, xs, by, mode, config)
             combined = config.w_geom * geom + config.w_dyn * dyn
             # csv writes a Python float as its repr and infinity as inf, as _fmt does
-            yield from zip(np.tile(bx, by.size).tolist(), np.repeat(by, bx.size).tolist(),
+            yield from zip(np.tile(xs, by.size).tolist(), np.repeat(by, xs.size).tolist(),
                            geom.tolist(), dyn.tolist(), combined.tolist())
 
     _write_csv(Path(args.out), FIELD_COLUMNS, cells())

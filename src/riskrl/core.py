@@ -126,8 +126,8 @@ class ActorState:
         return 0.5 * math.hypot(self.length, self.width)
 
 
-# The projection searches segments in blocks of this many; it skips a block whose bound
-# exceeds the best distance by this share of the coordinates, far beyond rounding.
+# The projection searches segments in blocks of this many. Its bounds carry a
+# margin of this share of the distances and coordinates, far beyond rounding.
 _PROJECTION_BLOCK, _PROJECTION_MARGIN = 16, 1e-9
 
 
@@ -168,21 +168,25 @@ class Route:
         # its own tangent table.
         tangent = (seg / np.sqrt(seg_len2)[:, None]).tolist()
         unit = (seg / seg_len[:, None]).tolist()
-        # the projection's tables: (ax, ay, dx, dy, d . d) per segment, and per block
-        # of segments a circle (cx, cy, r) around its points with its segment range
+        # the projection's tables: (ax, ay, dx, dy, d . d) per segment; per block of
+        # segments a circle around its points, its segment range, the chord from its
+        # first to its last point (a point if that is too short) and the band around
+        # the chord that holds its points
         first = np.arange(0, len(seg), _PROJECTION_BLOCK)
         stop = np.minimum(first + _PROJECTION_BLOCK, len(seg))  # also a block's last point
-        lo = np.minimum(np.minimum.reduceat(line, first), line[stop])
-        hi = np.maximum(np.maximum.reduceat(line, first), line[stop])
-        centre = lo / 2.0 + hi / 2.0  # cannot overflow
-        radius = np.hypot(*((hi - lo) / 2.0).T)  # half the box's diagonal reaches all of it
+        a, chord, k = line[first], line[stop] - line[first], np.arange(len(seg)) // _PROJECTION_BLOCK
+        len2 = np.einsum("ij,ij->i", chord, chord)
+        inv = np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 1e-300)
+        t = np.clip(np.einsum("ij,ij->i", line[:-1] - a[k], chord[k]) * inv[k], 0.0, 1.0)
+        band = np.maximum.reduceat(np.hypot(*(line[:-1] - a[k] - t[:, None] * chord[k]).T), first)
+        band += _PROJECTION_MARGIN * np.abs(line).max()
         line.flags.writeable = False
         object.__setattr__(self, "centerline", line)
         object.__setattr__(self, "_segments", tuple(
             zip(*line[:-1].T.tolist(), *seg.T.tolist(), seg_len2.tolist())))
         object.__setattr__(self, "_blocks", tuple(
-            zip(*centre.T.tolist(), radius.tolist(), first.tolist(), stop.tolist())))
-        object.__setattr__(self, "_extent", float(np.abs(line).max()))
+            zip(*(a + chord / 2.0).T.tolist(), (np.sqrt(len2) / 2.0 + band).tolist(), first.tolist(),
+                stop.tolist(), *a.T.tolist(), *chord.T.tolist(), inv.tolist(), band.tolist())))
         object.__setattr__(self, "_seg_len", tuple(seg_len.tolist()))
         object.__setattr__(self, "_stations", tuple(cum.tolist()))
         object.__setattr__(self, "_tangent", tuple(map(tuple, tangent)))
@@ -241,22 +245,27 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
     px, py = _position(position, "project_to_route")
     # Blocks in order of the lower bound |p - centre| - r on their distance; a
     # block whose bound exceeds the best distance by more than rounding can
-    # hold no nearer segment, and neither can any block after it.
-    slack = _PROJECTION_MARGIN * (abs(px) + abs(py) + route._extent)
-    bounds = sorted([(math.hypot(px - cx, py - cy) - r, first, stop)
-                     for cx, cy, r, first, stop in route._blocks])
+    # hold no nearer segment, and neither can any block after it. The distance
+    # to a block's chord less its band is a tighter bound, for that block alone.
+    bounds = sorted([(math.hypot(px - b[0], py - b[1]) - b[2], b) for b in route._blocks])
     segments = route._segments
     best, i = math.inf, len(segments)  # i past the end: the first segment wins even at inf
-    for bound, first, stop in bounds:
-        if bound > math.sqrt(best) + slack:
+    for bound, (_, _, _, first, stop, ax, ay, dx, dy, inv, band) in bounds:
+        reach = math.sqrt(best) * (1.0 + _PROJECTION_MARGIN)
+        if bound > reach:
             break
+        t = ((px - ax) * dx + (py - ay) * dy) * inv
+        t = 0.0 if not t > 0.0 else 1.0 if t > 1.0 else t
+        if math.hypot(px - (ax + t * dx), py - (ay + t * dy)) - band > reach:
+            continue
         for j in range(first, stop):
             ax, ay, dx, dy, len2 = segments[j]
-            # max(0.0, t) turns -0.0 into 0.0, as numpy's maximum(t, 0.0) does
-            t = min(max(0.0, ((px - ax) * dx + (py - ay) * dy) / len2), 1.0)
+            t = ((px - ax) * dx + (py - ay) * dy) / len2
+            # clamped to [0, 1]; -0.0 becomes 0.0, as numpy's maximum(t, 0.0) makes it
+            t = 0.0 if not t > 0.0 else 1.0 if t > 1.0 else t
             ex, ey = px - (ax + t * dx), py - (ay + t * dy)
             dist2 = ex * ex + ey * ey
-            if dist2 < best or (dist2 == best and j < i):  # the smaller station wins a tie
+            if dist2 <= best and (dist2 < best or j < i):  # the smaller station wins a tie
                 best, i, t_i, fx, fy = dist2, j, t, ex, ey
     station = route._stations[i] + t_i * route._seg_len[i]
     tx, ty = route._tangent[i]

@@ -247,7 +247,7 @@ def _mode_exponents(mode: InteractionMode, config: RewardConfig) -> tuple[int, i
 def geometric_risk(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
 ) -> float:
-    """Risk field with fixed, speed-independent desired clearances."""
+    """Risk field with fixed, speed-independent clearances (pays for dynamic_risk's too)."""
     return _pair_risk(ego, other, mode, config)[0]
 
 
@@ -299,7 +299,8 @@ def dynamic_risk(
     Directional modes evaluate the ellipsoid with clearances grown from the
     reaction-time stopping envelopes; the intersecting mode scores the
     circumcircle time-to-collision instead. The TTC is only meaningful (finite)
-    for the intersecting mode.
+    for the intersecting mode. Both scalar risks work out both penalties, so a
+    caller that wants the two calls assess_interaction, which does that once.
     """
     return _pair_risk(ego, other, mode, config)[1:]
 

@@ -305,7 +305,8 @@ class TestCmdField:
     @pytest.mark.parametrize("mode", [m.value for m in InteractionMode])
     @pytest.mark.parametrize("block", [1, 7, 25, 26, 200], ids=lambda b: f"block{b}")
     def test_small_blocks_write_the_same_bytes(self, tmp_path, monkeypatch, mode, block):
-        # 25 cells per row: blocks of parts of a row, whole rows, and several rows at once
+        # 25 cells per row: a block smaller than a row still takes a whole row; then one
+        # row, and several rows at once
         grid = (-6.0, 6.0, -2.0, 2.0, 0.5)
         monkeypatch.setattr(cli, "_FIELD_BLOCK_CELLS", block)
         assert self.field_bytes(tmp_path, mode, grid, 6.0, 3.0) == self.scalar_field_bytes(

@@ -107,11 +107,55 @@ class TestRouteTables:
         far = [centre + reach * np.array([math.cos(a), math.sin(a)])
                for a in rng.uniform(-math.pi, math.pi, size=20)]
         for x, y in far:
-            assert all(math.hypot(x - cx, y - cy) > r for cx, cy, r, _, _ in route._blocks)
+            assert all(math.hypot(x - cx, y - cy) > r for cx, cy, r, *_ in route._blocks)
         for point in on_route + near + far:
             heading = float(rng.uniform(-4.0, 4.0))
             pose = project_to_route(point, heading, route)
             expected = numpy_projection(point, heading, centerline)
+            assert (pose.station, pose.lateral_offset, pose.heading_error) == expected
+
+    def test_straight_drivers_off_a_curved_road_match_numpy_projection(self):
+        # a 0.3 m-spaced road of gently varying heading; queries run straight on from
+        # points of the road along its tangent, out to well over 100 m off it
+        rng = np.random.default_rng(11)
+        stations = np.arange(368) * 0.3
+        heading = 0.7 + 0.4 * np.sin(stations / 9.0) + 0.25 * np.sin(stations / 5.0 + 1.0)
+        steps = 0.3 * np.stack([np.cos(heading[:-1]), np.sin(heading[:-1])], axis=1)
+        centerline = np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
+        route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+        for start in rng.uniform(0.0, route.length, size=12):
+            origin, tangent = route.point_at(start), route.tangent_at(start)
+            for run in np.arange(0.0, 160.0, 4.0):
+                point = origin + run * tangent
+                pose = project_to_route(point, 0.3, route)
+                expected = numpy_projection(point, 0.3, centerline)
+                assert (pose.station, pose.lateral_offset, pose.heading_error) == expected
+
+    def test_block_bounds_never_exceed_the_block_distance(self):
+        rng = np.random.default_rng(12)
+        centerline = random_polyline(rng, 120)
+        route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+        for point in rng.uniform(centerline.min() - 50.0, centerline.max() + 50.0, size=(60, 2)):
+            for cx, cy, r, first, stop, ax, ay, dx, dy, inv, band in route._blocks:
+                nearest = dense_nearest_distance(centerline[first:stop + 1], point, step=0.05)
+                t = min(max(((point[0] - ax) * dx + (point[1] - ay) * dy) * inv, 0.0), 1.0)
+                chord = math.hypot(point[0] - ax - t * dx, point[1] - ay - t * dy)
+                assert math.hypot(point[0] - cx, point[1] - cy) - r <= nearest
+                assert chord - band <= nearest
+
+    @pytest.mark.parametrize("loop", [8, 16, 40])
+    def test_closed_loops_queried_at_their_centre(self, loop):
+        # a regular polygon that ends where it starts, then a tail: at the centre every
+        # vertex is equally far, and the loop of exactly one block has a chord of length 0
+        angles = np.linspace(0.0, 2.0 * math.pi, loop + 1)
+        ring = 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1) + [5.0, 0.0]
+        ring[-1] = ring[0]
+        centerline = np.concatenate([ring, [[20.0, 0.0], [30.0, 5.0]]])
+        route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+        assert (route._blocks[0][9] == 0.0) == (loop == 16)  # inv: the chord is a point
+        for point in ([5.0, 0.0], [5.0, 1e-9], [4.0, 0.5], [5.0, 20.0], [25.0, -3.0]):
+            pose = project_to_route(point, 0.0, route)
+            expected = numpy_projection(np.array(point), 0.0, centerline)
             assert (pose.station, pose.lateral_offset, pose.heading_error) == expected
 
     def test_tie_across_blocks_takes_the_smaller_station(self):
@@ -127,9 +171,30 @@ class TestRouteTables:
             assert (pose.station, pose.lateral_offset) == (x, -1.0)
             assert (pose.station, pose.lateral_offset, pose.heading_error) == numpy_projection(
                 np.array([x, 0.0]), 0.0, centerline)
-            first = min(route._blocks, key=lambda b: (math.hypot(x - b[0], b[1]) - b[2], b[3]))
+            first = min(route._blocks, key=lambda b: (math.hypot(x - b[0], b[1]) - b[2], b))
             visited_back_first += first[3] > x  # the first block searched lies on the way back
         assert visited_back_first > 0
+
+    def test_rotated_near_ties_match_numpy_projection(self):
+        # U-turns turned and moved off the axes: the two legs' distances differ only
+        # in rounding, so a bound without its margin skips the block that wins the tie
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            angle, half = rng.uniform(-math.pi, math.pi), rng.uniform(0.05, 3.0)
+            step = rng.uniform(0.1, 1.0)
+            xs = np.arange(41) * step
+            legs = [np.stack([xs, np.full(41, half)], axis=1), [[41 * step, 0.0]],
+                    np.stack([xs[::-1], np.full(41, -half)], axis=1)]
+            cos, sin = math.cos(angle), math.sin(angle)
+            turn = np.array([[cos, -sin], [sin, cos]])
+            shift = rng.uniform(-100.0, 100.0, size=2)
+            centerline = np.concatenate(legs) @ turn.T + shift
+            route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+            for x in rng.uniform(0.0, 40 * step, size=10):
+                point = np.array([x, 0.0]) @ turn.T + shift
+                pose = project_to_route(point, 0.0, route)
+                expected = numpy_projection(point, 0.0, centerline)
+                assert (pose.station, pose.lateral_offset, pose.heading_error) == expected
 
     def test_station_lookups_match_segment_arrays(self):
         rng = np.random.default_rng(9)
