@@ -31,7 +31,7 @@ from .core import (
     load_config,
     validate_config_data,
 )
-from .risk import InteractionMode, risk_field
+from .risk import InteractionMode, _per_distinct, risk_field
 # perfbench's tracer patches these two names on this module, so they stay importable here
 from .risk import dynamic_risk, geometric_risk  # noqa: F401
 from .sim import (
@@ -63,7 +63,7 @@ SWEEP_COLUMNS = (
 
 FIELD_COLUMNS = ("x", "y", "geom_penalty", "dyn_penalty", "combined")
 MAX_FIELD_CELLS = 10_000_000  # about 512 times the 0.25 m grid over 60 x 20 m
-_FIELD_BLOCK_CELLS = 65_536  # most cells `field` evaluates and writes at a time, in whole rows
+_FIELD_BLOCK_CELLS = 65_536  # most cells `field` evaluates and writes at a time
 
 # The virtual actor `field` places in each cell; vehicles keep ActorState's
 # default footprint, and the 1 x 1 m obstacle stands still.
@@ -81,9 +81,7 @@ def _env(name: str, fallback: str | None = None) -> str | None:
 
 
 def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(float(value))
+    return repr(float(value))  # csv's text for a float, inf and nan included
 
 
 def _load_config_arg(path: str | None) -> RewardConfig:
@@ -230,6 +228,17 @@ def _axis_count(low: float, high: float, resolution: float) -> float:
     return math.ceil(count) if math.isfinite(count) else math.inf
 
 
+def _field_lines(ego: ActorState, other: ActorState, xs: np.ndarray, ys: np.ndarray,
+                 mode: InteractionMode, config: RewardConfig) -> Iterable[str]:
+    """The CSV lines of one block of field cells, each distinct value formatted once."""
+    geom, dyn = risk_field(ego, other, xs, ys, mode, config)
+    combined = config.w_geom * geom + config.w_dyn * dyn
+    columns = (np.tile(xs, ys.size), np.repeat(ys, xs.size), geom, dyn, combined)
+    # the bytes csv writes: a float's repr never needs quoting
+    text = [_per_distinct(_fmt, column, object).tolist() for column in columns]
+    return map("%s,%s,%s,%s,%s\n".__mod__, zip(*text))
+
+
 def cmd_field(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
     mode = InteractionMode(args.mode)
@@ -245,18 +254,17 @@ def cmd_field(args: argparse.Namespace) -> int:
                        **({"speed_long": args.other_speed} | _FIELD_ACTORS[mode]))
     xs = np.arange(x_min, x_max + resolution / 2.0, resolution)
     ys = np.arange(y_min, y_max + resolution / 2.0, resolution)
-    rows = max(1, _FIELD_BLOCK_CELLS // max(xs.size, 1))  # whole rows; a longer row goes alone
-
-    def cells():  # one block of rows at a time, so memory stays bounded
+    # blocks of whole rows, or of parts of one row longer than a block, so memory stays bounded
+    width = max(1, min(xs.size, _FIELD_BLOCK_CELLS))
+    rows = _FIELD_BLOCK_CELLS // width
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with out.open("w", newline="") as handle:
+        handle.write(",".join(FIELD_COLUMNS) + "\n")
         for j in range(0, ys.size, rows):
-            by = ys[j:j + rows]
-            geom, dyn = risk_field(ego, other, xs, by, mode, config)
-            combined = config.w_geom * geom + config.w_dyn * dyn
-            # csv writes a Python float as its repr and infinity as inf, as _fmt does
-            yield from zip(np.tile(xs, by.size).tolist(), np.repeat(by, xs.size).tolist(),
-                           geom.tolist(), dyn.tolist(), combined.tolist())
-
-    _write_csv(Path(args.out), FIELD_COLUMNS, cells())
+            for i in range(0, xs.size, width):
+                handle.writelines(_field_lines(ego, other, xs[i:i + width], ys[j:j + rows],
+                                               mode, config))
     print(f"wrote {xs.size * ys.size} cells to {args.out}")
     return 0
 

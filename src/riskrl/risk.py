@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -333,6 +333,16 @@ def _ellipse_powers(tx: np.ndarray, ty: np.ndarray, p_x: int, p_y: int, p_outer:
                      for a, b in zip(tx.tolist(), ty.tolist())])
 
 
+def _per_distinct(func: Callable[[float], object], values: np.ndarray,
+                  dtype: type) -> np.ndarray:
+    """`func` of each element of the float array `values`, called once per distinct value.
+
+    Values are keyed by their bits, so -0.0 and 0.0 (and NaN payloads) stay apart.
+    """
+    keys, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    return np.array([func(v) for v in keys.view(float).tolist()], dtype=dtype)[inverse]
+
+
 def risk_field(
     ego: ActorState, other: ActorState, xs: Sequence[float], ys: Sequence[float],
     mode: InteractionMode, config: RewardConfig,
@@ -342,8 +352,8 @@ def risk_field(
     Returns (geom, dyn), one value per cell in row order: `ys` outer, `xs`
     inner. `other`'s own position is ignored. Each value equals the scalar
     function's for that cell bit for bit: the arrays take only correctly
-    rounded steps, and the power and log10 steps run per element through the
-    scalar code. The pair set-up is done once per field.
+    rounded steps, and the power and log10 steps run through the scalar code, the
+    log10 step once per distinct TTC. The pair set-up is done once per field.
     """
     xs, ys = _grid_axis(xs, "xs"), _grid_axis(ys, "ys")
     px = np.tile(xs, ys.size) - ego.position[0]
@@ -360,7 +370,7 @@ def risk_field(
                                p_x, p_y, config.p_outer)
         if mode is InteractionMode.INTERSECTING:
             ttc = _ttc_field(ego, other, px, py)
-            return geom, np.array([ttc_penalty(t, config) for t in ttc.tolist()])
+            return geom, _per_distinct(lambda t: ttc_penalty(t, config), ttc, float)
         r_x = _longitudinal_dynamic_radius(ego, other, mode, config)
         # the lateral case depends on d_y only through its sign
         r_right, r_level, r_left = (

@@ -2,6 +2,7 @@
 
 import csv
 import gzip
+import hashlib
 import io
 import json
 import math
@@ -225,6 +226,16 @@ class TestCmdSweep:
         assert read_rows(out)[1][1] == "3"
 
 
+class TestFmt:
+    @pytest.mark.parametrize("value", [
+        math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 3, np.float64(0.1),
+    ], ids=repr)
+    def test_equals_the_csv_text_of_the_float(self, value):
+        text = io.StringIO(newline="")
+        csv.writer(text, lineterminator="\n").writerow([float(value)])
+        assert cli._fmt(value) + "\n" == text.getvalue()
+
+
 class TestCmdField:
     def run_field(self, tmp_path, mode, grid, ego_speed=4.0, other_speed=0.0):
         out = tmp_path / "field.csv"
@@ -305,12 +316,73 @@ class TestCmdField:
     @pytest.mark.parametrize("mode", [m.value for m in InteractionMode])
     @pytest.mark.parametrize("block", [1, 7, 25, 26, 200], ids=lambda b: f"block{b}")
     def test_small_blocks_write_the_same_bytes(self, tmp_path, monkeypatch, mode, block):
-        # 25 cells per row: a block smaller than a row still takes a whole row; then one
+        # 25 cells per row: a block smaller than a row takes parts of it; then one
         # row, and several rows at once
         grid = (-6.0, 6.0, -2.0, 2.0, 0.5)
         monkeypatch.setattr(cli, "_FIELD_BLOCK_CELLS", block)
         assert self.field_bytes(tmp_path, mode, grid, 6.0, 3.0) == self.scalar_field_bytes(
             mode, grid, 6.0, 3.0)
+
+    @pytest.mark.parametrize("block, grid, cells", [
+        (None, "0,66000,0,0,1", 66_001),  # one row longer than a block
+        (7, "-6,6,-2,2,0.5", 225),
+        (30, "-6,6,-2,2,0.5", 225),
+    ], ids=["real_block", "block7", "block30"])
+    def test_no_block_exceeds_the_block_size(self, tmp_path, monkeypatch, block, grid, cells):
+        if block is not None:
+            monkeypatch.setattr(cli, "_FIELD_BLOCK_CELLS", block)
+        limit, real_field, sizes = cli._FIELD_BLOCK_CELLS, cli.risk_field, []
+
+        def spy(ego, other, xs, ys, mode, config):
+            sizes.append(len(xs) * len(ys))
+            return real_field(ego, other, xs, ys, mode, config)
+
+        monkeypatch.setattr(cli, "risk_field", spy)
+        out = tmp_path / "field.csv"
+        args = ["field", "--mode", "intersecting", f"--grid={grid}", "--out", str(out)]
+        assert main(args) == 0
+        assert max(sizes) <= limit and sum(sizes) == cells
+        monkeypatch.setattr(cli, "_FIELD_BLOCK_CELLS", cells)  # the whole grid in one block
+        whole = tmp_path / "whole.csv"
+        assert main(args[:-1] + [str(whole)]) == 0
+        assert sizes[-1] == cells and out.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("mode", [m.value for m in InteractionMode])
+    def test_each_distinct_value_formatted_once(self, tmp_path, monkeypatch, mode):
+        # the benchmark grid: 241 x 81 = 19,521 cells, 97,605 values
+        real_fmt, calls = cli._fmt, []
+
+        def counted(value):
+            calls.append(value)
+            return real_fmt(value)
+
+        monkeypatch.setattr(cli, "_fmt", counted)
+        out = tmp_path / "field.csv"
+        assert main(["field", "--mode", mode, "--ego-speed", "6", "--other-speed", "3",
+                     "--grid=-30,30,-10,10,0.25", "--out", str(out)]) == 0
+        columns = list(zip(*read_rows(out)[1:]))
+        assert len(columns[0]) == 19_521
+        # one block, and repr tells every two floats apart that are not NaN
+        assert len(calls) == sum(len(set(column)) for column in columns) < 5 * 19_521 // 2
+
+    def test_out_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "a" / "b" / "field.csv"
+        assert main(["field", "--grid=-2,2,0,0,1", "--out", str(out)]) == 0
+        assert read_rows(out)[0] == list(FIELD_COLUMNS) and len(read_rows(out)) == 6
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("same_direction", "acb9b0be68a8762375da4681464d805de3c5a0a81971cfef00f20b2a3ce22afb"),
+        ("opposite_direction", "bf865b234c0656c904b6950a5ce41fbdad06979ab6f48c4ed9ed965802bd0d9b"),
+        ("intersecting", "12024a4ea340076929d34ca91b2ac459ea391abc1ba136b077937df3f57d0b42"),
+        ("static_obstacle", "3bc0d0c45d1ade1a80b39cb2e98d7a14b21086b382ddc9ba61ced141fbd12a09"),
+    ])
+    def test_pinned_grid_digest(self, tmp_path, configs_dir, mode, digest):
+        # the bytes csv.writer gives for this grid
+        out = tmp_path / "field.csv"
+        assert main(["field", "--config", str(configs_dir / "default.json"), "--mode", mode,
+                     "--ego-speed", "6", "--other-speed", "3", "--grid=-30,30,-10,10,0.25",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("grid, cells", [
         ("0,1e20,0,0,1", "100,000,000,000,000,000,000 x 1"),

@@ -24,6 +24,7 @@ from riskrl import (
     total_reward,
     traffic_rule_reward,
 )
+from riskrl.sim import detect_collision
 
 CFG = RewardConfig()
 
@@ -315,3 +316,48 @@ class TestTotalReward:
         w3 = level_weight(3, beta)
         assert math.copysign(1.0, w2 * b.l2_style) == -1.0
         assert math.copysign(1.0, w3 * b.l3_comfort) == -1.0
+
+
+def extreme_context(every_level):
+    """A non-colliding step whose levels sit at their lower ends.
+
+    The ego drives at heading pi, one metre backwards along the route, with a
+    rule violated and an NPC inside its clearance box; with `every_level` its
+    style and comfort terms are saturated too.
+    """
+    speed, offset, accel = (10.0, 3.5, -20.0) if every_level else (6.0, 0.0, 0.0)
+    harsh = dict(steering_rate=5.0, jerk=1000.0) if every_level else {}
+    ego = ActorState(position=(0.0, 0.0), heading=math.pi, speed_long=speed, accel_long=accel,
+                     kind=ActorKind.EGO_VEHICLE)
+    npc = ActorState(position=(-4.4, 1.7), heading=math.pi + 0.5)
+    return StepContext(
+        ego=ego,
+        pose=RouteFramePose(station=10.0, lateral_offset=offset, heading_error=0.0),
+        prev_pose=RouteFramePose(station=11.0, lateral_offset=offset, heading_error=0.0),
+        others=(npc,), lane_width=3.5, violations=frozenset({"speeding"}), **harsh,
+    )
+
+
+EXTREME_CASES = [(False, -0.25, 0.0, -3.0625), (True, -1.0, -1.0, -3.3125)]
+
+
+class TestAdversarialLevels:
+    """Every level at its extreme at once, which random contexts never draw."""
+
+    @pytest.mark.parametrize("every_level, l2, l3, total", EXTREME_CASES,
+                             ids=["style_and_comfort_mild", "every_level"])
+    def test_levels_at_their_extremes(self, every_level, l2, l3, total):
+        ctx = extreme_context(every_level)
+        assert not detect_collision(ctx.ego, ctx.others)
+        b = total_reward(ctx, CFG)
+        assert (b.l0_rules, b.l1_progress, b.l1_risk) == (-1.0, -1.0, -1.0)
+        assert (b.l2_style, b.l3_comfort, b.total) == (l2, l3, total)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the criterion-6 bound 2 + beta + beta^2 is not a bound of "
+        "total_reward, whose level 1 sums two terms in [-1, 1]; the contract is not settled"))
+    @pytest.mark.parametrize("every_level", [False, True], ids=["style_and_comfort_mild",
+                                                                "every_level"])
+    def test_total_within_the_criterion_6_bound(self, every_level):
+        bound = 1.0 + CFG.beta + CFG.beta ** 2 + 1.0  # as tests/test_acceptance.py states it
+        assert abs(total_reward(extreme_context(every_level), CFG).total) <= bound + 1e-12

@@ -564,6 +564,55 @@ class TestRiskField:
             risk_field(ego, other, xs, [0.0], InteractionMode.SAME_DIRECTION, CFG)
 
 
+class TestPerDistinct:
+    """`func` once per distinct float, keyed by its bits, gathered back in input order."""
+
+    def test_input_order_kept_and_signed_zeros_apart(self):
+        values = np.array([2.5, -0.0, 0.0, 2.5, -0.0, 1.0])
+        got = risk_module._per_distinct(repr, values, object)
+        assert got.tolist() == ["2.5", "-0.0", "0.0", "2.5", "-0.0", "1.0"]
+
+    def test_nan_and_inf(self):
+        values = np.array([math.inf, math.nan, -math.inf, math.nan, math.inf, 1e300])
+        got = risk_module._per_distinct(repr, values, object)
+        assert got.tolist() == ["inf", "nan", "-inf", "nan", "inf", "1e+300"]
+
+    def test_one_call_per_bit_pattern(self):
+        calls = []
+
+        def double(value):
+            calls.append(value)
+            return 2.0 * value
+
+        other_nan = (np.array([math.nan]).view(np.int64) | 1).view(float)[0]
+        values = np.array([3.0, 1.0, 3.0, -0.0, 0.0, 3.0, math.nan, other_nan, math.nan])
+        got = risk_module._per_distinct(double, values, float)
+        assert got[:6].tolist() == [6.0, 2.0, 6.0, -0.0, 0.0, 6.0]
+        assert [math.copysign(1.0, v) for v in got[3:5]] == [-1.0, 1.0]
+        assert np.isnan(got[6:]).all()
+        assert len(calls) == 6  # 3, 1, -0, 0 and two NaN payloads
+
+    def test_empty(self):
+        got = risk_module._per_distinct(repr, np.array([]), object)
+        assert got.shape == (0,) and got.dtype == object
+
+    def test_intersecting_field_scores_each_distinct_ttc_once(self, monkeypatch):
+        mode = InteractionMode.INTERSECTING
+        ego, other, xs, ys = field_case("ego_at_origin", mode)
+        expected = risk_field(ego, other, xs, ys, mode, CFG)[1].tolist()
+        calls = []
+
+        def counted(ttc, config):
+            calls.append(ttc)
+            return ttc_penalty(ttc, config)
+
+        monkeypatch.setattr(risk_module, "ttc_penalty", counted)
+        _, dyn = risk_field(ego, other, xs, ys, mode, CFG)
+        ttcs = [ttc_circle(ego, cell) for cell in scalar_cells(other, xs, ys)]
+        assert dyn.tolist() == expected
+        assert sorted(calls) == sorted(set(ttcs)) and len(calls) < len(ttcs)
+
+
 class TestAssessInteraction:
     """`assess_interaction` finds each pair's geometry once and scores it as the scalar API does."""
 
