@@ -176,6 +176,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(f"--densities must be numbers in [0, 1] (got {args.densities!r})")
     if args.episodes < 1:
         raise ScenarioError(f"--episodes must be >= 1 (got {args.episodes})")
+    if args.seed < 0:
+        raise ScenarioError(f"--seed must be >= 0 (got {args.seed})")
     policy = build_policy(args.policy, config)
 
     rows = []

@@ -44,7 +44,10 @@ class EllipseParams:
     p_outer: int
 
     def __post_init__(self) -> None:
-        _check_shape(self.c_x, self.c_y, self.r_x, self.r_y)
+        if self.r_x <= 0.0 or self.r_y <= 0.0:
+            raise ContractError("ellipse radii must be positive")
+        if self.c_x < 0.0 or self.c_y < 0.0:
+            raise ContractError("ellipse centers must be non-negative")
         for p in (self.p_x, self.p_y, self.p_outer):
             if not (isinstance(p, int) and p >= 2 and p % 2 == 0):
                 raise ContractError(f"ellipse exponents must be even integers >= 2 (got {p})")
@@ -88,45 +91,42 @@ def clearance_center(
 
 
 def ellipsoid_penalty(d_x: float, d_y: float, params: EllipseParams) -> float:
-    """Evaluate the risk field at a displacement; result in (0, 1].
+    """Evaluate the risk field at a displacement; result in [0, 1].
 
     The numerators are clamped at zero so the penalty saturates at 1 anywhere
     inside the minimum-clearance box, not just on its boundary.
     """
-    return _ellipse(d_x, d_y, params.c_x, params.c_y, params.r_x, params.r_y,
-                    params.p_x, params.p_y, params.p_outer)
+    return _ellipse_power(max(abs(d_x) - params.c_x, 0.0) / params.r_x,
+                          max(abs(d_y) - params.c_y, 0.0) / params.r_y,
+                          params.p_x, params.p_y, params.p_outer)
 
 
-def _check_shape(c_x: float, c_y: float, r_x: float, r_y: float) -> None:
-    """`EllipseParams`' radius and centre checks, over plain numbers."""
-    if r_x <= 0.0 or r_y <= 0.0:
-        raise ContractError("ellipse radii must be positive")
-    if c_x < 0.0 or c_y < 0.0:
-        raise ContractError("ellipse centers must be non-negative")
+def _even_power(t: float | np.ndarray, p: int) -> float | np.ndarray:
+    """`t ** p` for an even integer p >= 2, by squaring in one fixed order."""
+    t = t * t
+    q = p // 2  # t ** p is now t ** q
+    while not q & 1:
+        t = t * t
+        q >>= 1
+    if q == 1:  # p is a power of two, as all the default exponents are
+        return t
+    result = t
+    while q := q >> 1:
+        t = t * t
+        if q & 1:
+            result = result * t
+    return result
 
 
-def _ellipse(d_x: float, d_y: float, c_x: float, c_y: float, r_x: float, r_y: float,
-             p_x: int, p_y: int, p_outer: int) -> float:
-    """The risk field over plain numbers, with `EllipseParams`' radius and centre checks.
+def _ellipse_power(tx: float | np.ndarray, ty: float | np.ndarray,
+                   p_x: int, p_y: int, p_outer: int) -> float | np.ndarray:
+    """The field from the normalised excesses over the clearance box.
 
-    Callers pass exponents that are already even integers >= 2.
+    One code for Python floats and float arrays: each step is one correctly
+    rounded operation, so both get the same bits. So far out that a power
+    overflows to inf, the field is at its limit, 0.
     """
-    _check_shape(c_x, c_y, r_x, r_y)
-    tx = max(abs(d_x) - c_x, 0.0) / r_x
-    ty = max(abs(d_y) - c_y, 0.0) / r_y
-    return _ellipse_power(tx, ty, p_x, p_y, p_outer)
-
-
-def _ellipse_power(tx: float, ty: float, p_x: int, p_y: int, p_outer: int) -> float:
-    """The field from the normalised excesses over the clearance box, in Python floats.
-
-    numpy's `power` can differ from `**` in the last bit, so the array field
-    calls this per element too.
-    """
-    try:
-        return (tx ** p_x + ty ** p_y + 1.0) ** (-p_outer)
-    except OverflowError:  # so far out that the field is at its limit, 0
-        return 0.0
+    return 1.0 / _even_power(_even_power(tx, p_x) + _even_power(ty, p_y) + 1.0, p_outer)
 
 
 def accel_distance(v: float, rho: float, a_acc: float) -> float:
@@ -283,12 +283,10 @@ def _longitudinal_dynamic_radius(
     v_ego = abs(ego.speed_long)
     v_other = abs(other.speed_long)
     if mode is InteractionMode.OPPOSITE_DIRECTION:
-        r_x = approach_clearance(v_ego, v_other, "long", config)
-    elif mode is InteractionMode.STATIC_OBSTACLE:
-        r_x = leading_clearance(v_ego, 0.0, "long", config)
-    else:
-        r_x = leading_clearance(v_ego, v_other, "long", config)
-    return max(r_x, config.r_x_geom)
+        return approach_clearance(v_ego, v_other, "long", config)
+    if mode is InteractionMode.STATIC_OBSTACLE:
+        return leading_clearance(v_ego, 0.0, "long", config)
+    return leading_clearance(v_ego, v_other, "long", config)
 
 
 def dynamic_risk(
@@ -312,13 +310,16 @@ def _pair_risk(
     d_x, d_y = relative_displacement(ego, other)
     c_x, c_y = clearance_center(ego, other, mode)
     p_x, p_y = _mode_exponents(mode, config)
-    geom = _ellipse(d_x, d_y, c_x, c_y, config.r_x_geom, config.r_y_geom, p_x, p_y, config.p_outer)
+    excess_x = max(abs(d_x) - c_x, 0.0)
+    excess_y = max(abs(d_y) - c_y, 0.0)
+    geom = _ellipse_power(excess_x / config.r_x_geom, excess_y / config.r_y_geom,
+                          p_x, p_y, config.p_outer)
     if mode is InteractionMode.INTERSECTING:
         ttc = ttc_circle(ego, other)
         return geom, ttc_penalty(ttc, config), ttc
     r_x = _longitudinal_dynamic_radius(ego, other, mode, config)
     r_y = max(_lateral_dynamic_radius(ego, other, d_y, config), config.r_y_geom)
-    return geom, _ellipse(d_x, d_y, c_x, c_y, r_x, r_y, p_x, p_y, config.p_outer), math.inf
+    return geom, _ellipse_power(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer), math.inf
 
 
 def _grid_axis(values: Sequence[float], name: str) -> np.ndarray:
@@ -326,11 +327,6 @@ def _grid_axis(values: Sequence[float], name: str) -> np.ndarray:
     if axis.ndim != 1 or axis.dtype.kind not in "iuf" or not np.all(np.isfinite(axis)):
         raise ContractError(f"risk_field {name} must be a 1-D sequence of finite numbers")
     return axis.astype(float)
-
-
-def _ellipse_powers(tx: np.ndarray, ty: np.ndarray, p_x: int, p_y: int, p_outer: int) -> np.ndarray:
-    return np.array([_ellipse_power(a, b, p_x, p_y, p_outer)
-                     for a, b in zip(tx.tolist(), ty.tolist())])
 
 
 def _per_distinct(func: Callable[[float], object], values: np.ndarray,
@@ -352,22 +348,21 @@ def risk_field(
     Returns (geom, dyn), one value per cell in row order: `ys` outer, `xs`
     inner. `other`'s own position is ignored. Each value equals the scalar
     function's for that cell bit for bit: the arrays take only correctly
-    rounded steps, and the power and log10 steps run through the scalar code, the
-    log10 step once per distinct TTC. The pair set-up is done once per field.
+    rounded steps, the powers in the scalar functions' own `_ellipse_power`, and
+    only log10 runs per value, once per distinct TTC. The pair set-up is done once.
     """
     xs, ys = _grid_axis(xs, "xs"), _grid_axis(ys, "ys")
     px = np.tile(xs, ys.size) - ego.position[0]
     py = np.repeat(ys, xs.size) - ego.position[1]
     c_x, c_y = clearance_center(ego, other, mode)
     p_x, p_y = _mode_exponents(mode, config)
-    _check_shape(c_x, c_y, config.r_x_geom, config.r_y_geom)
     # Python float arithmetic overflows to inf silently; numpy would warn
     with np.errstate(over="ignore", invalid="ignore"):
         d_x, d_y = _rotate(px, py, -ego.heading)
         excess_x = np.maximum(np.abs(d_x) - c_x, 0.0)
         excess_y = np.maximum(np.abs(d_y) - c_y, 0.0)
-        geom = _ellipse_powers(excess_x / config.r_x_geom, excess_y / config.r_y_geom,
-                               p_x, p_y, config.p_outer)
+        geom = _ellipse_power(excess_x / config.r_x_geom, excess_y / config.r_y_geom,
+                              p_x, p_y, config.p_outer)
         if mode is InteractionMode.INTERSECTING:
             ttc = _ttc_field(ego, other, px, py)
             return geom, _per_distinct(lambda t: ttc_penalty(t, config), ttc, float)
@@ -377,9 +372,8 @@ def risk_field(
             max(_lateral_dynamic_radius(ego, other, side, config), config.r_y_geom)
             for side in (-1.0, 0.0, 1.0)
         )
-        _check_shape(c_x, c_y, r_x, min(r_right, r_level, r_left))
         r_y = np.where(d_y > 0.0, r_left, np.where(d_y < 0.0, r_right, r_level))
-        dyn = _ellipse_powers(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer)
+        dyn = _ellipse_power(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer)
     return geom, dyn
 
 

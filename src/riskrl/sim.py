@@ -694,6 +694,8 @@ def brute_force_ttc(
     """
     if not 0.0 < dt_fine <= 1e-3:
         raise ContractError(f"dt_fine must lie in (0, 1e-3] (got {dt_fine})")
+    if not 0.0 <= horizon < math.inf:
+        raise ContractError(f"horizon must be finite and >= 0 (got {horizon})")
     dp = np.subtract(b.position, a.position)
     dv = b.velocity_world() - a.velocity_world()
     radius = a.circumradius + b.circumradius

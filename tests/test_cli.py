@@ -107,6 +107,7 @@ class TestFlagValues:
         (["field", "--grid=0,1,0,1,nan"], "--grid"),
         (["field", "--grid=0,1,0,1,x"], "--grid"),
         (["sweep", "--densities", "abc"], "--densities"),
+        (["sweep", "--seed", "-1"], "--seed"),
     ])
     def test_bad_value_names_its_flag(self, argv, flag, tmp_path, scenarios_dir, monkeypatch,
                                       capsys):
@@ -371,10 +372,10 @@ class TestCmdField:
         assert read_rows(out)[0] == list(FIELD_COLUMNS) and len(read_rows(out)) == 6
 
     @pytest.mark.parametrize("mode, digest", [
-        ("same_direction", "acb9b0be68a8762375da4681464d805de3c5a0a81971cfef00f20b2a3ce22afb"),
-        ("opposite_direction", "bf865b234c0656c904b6950a5ce41fbdad06979ab6f48c4ed9ed965802bd0d9b"),
-        ("intersecting", "12024a4ea340076929d34ca91b2ac459ea391abc1ba136b077937df3f57d0b42"),
-        ("static_obstacle", "3bc0d0c45d1ade1a80b39cb2e98d7a14b21086b382ddc9ba61ced141fbd12a09"),
+        ("same_direction", "616ebe57c078c05419f7c76b3dffcc355ddfce198579027d3663586827d4e589"),
+        ("opposite_direction", "f3e16cc4e3674e1a794721f19a71ef604037c4c49fc895be4c7af05b42228daa"),
+        ("intersecting", "7c4e3e3f1e96ab559749a6f5d5fba5535bed972c7e1f49968963c035b3bc9f52"),
+        ("static_obstacle", "bffe252b92f7a41cec13e0f0e3c9a1994f00c2f424ef48271ed0d870290f8681"),
     ])
     def test_pinned_grid_digest(self, tmp_path, configs_dir, mode, digest):
         # the bytes csv.writer gives for this grid

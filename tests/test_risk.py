@@ -148,6 +148,57 @@ class TestEllipsoidPenalty:
         assert ellipsoid_penalty(0.7, hi, PARAMS) <= ellipsoid_penalty(0.7, lo, PARAMS) + 1e-15
 
 
+def pow_ellipse(tx, ty, p_x, p_y, p_outer):
+    """The field through libm `pow`, as the kernel's reference."""
+    try:
+        return (tx ** p_x + ty ** p_y + 1.0) ** (-p_outer)
+    except OverflowError:
+        return 0.0
+
+
+def gamma(n):
+    """Higham's bound on the relative error of n chained roundings to nearest."""
+    u = 2.0 ** -53
+    return n * u / (1.0 - n * u)
+
+
+EXCESSES = st.floats(0.0, 50.0) | st.floats(0.0, 1e200) | st.sampled_from([0.0, 1.0, 1e200])
+EVEN = st.integers(1, 8).map(lambda k: 2 * k) | st.just(1_000_000)
+
+
+class TestEllipsePower:
+    """One kernel for floats and arrays: the same bits, and close to `pow`."""
+
+    @given(cells=st.lists(st.tuples(EXCESSES, EXCESSES), max_size=20),
+           exponents=st.tuples(EVEN, EVEN, EVEN) | st.just((6, 10, 8)))
+    def test_array_equals_float_calls_bit_for_bit(self, cells, exponents):
+        tx = np.array([c[0] for c in cells], dtype=float)
+        ty = np.array([c[1] for c in cells], dtype=float)
+        with np.errstate(over="ignore"):  # as risk_field calls it
+            got = risk_module._ellipse_power(tx, ty, *exponents)
+        expected = np.array([risk_module._ellipse_power(a, b, *exponents) for a, b in cells],
+                            dtype=float)
+        assert got.shape == tx.shape
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_overflow_gives_zero(self):
+        for exponents in ((2, 2, 2), (4, 2, 4), (6, 10, 8), (2, 2, 1_000_000)):
+            assert risk_module._ellipse_power(1e200, 0.0, *exponents) == 0.0
+            assert risk_module._ellipse_power(0.0, 1e200, *exponents) == 0.0
+        assert risk_module._ellipse_power(0.0, 0.0, 1_000_000, 1_000_000, 1_000_000) == 1.0
+
+    @given(tx=EXCESSES, ty=EXCESSES, exponents=st.tuples(*[st.sampled_from([2, 4, 6, 8])] * 3))
+    def test_close_to_pow(self, tx, ty, exponents):
+        p_x, p_y, p_outer = exponents
+        # squaring makes t**p with p - 1 roundings, the sum adds two and the
+        # reciprocal one; each libm pow is counted as two (it is within 1 ulp)
+        kernel = p_outer * (max(p_x, p_y) + 2)
+        reference = 4 * p_outer + 2
+        got = risk_module._ellipse_power(tx, ty, *exponents)
+        expected = pow_ellipse(tx, ty, *exponents)
+        assert abs(got - expected) <= gamma(kernel + reference) * expected + 2.3e-308
+
+
 class TestClearances:
     def test_accel_distance_values(self):
         assert accel_distance(6.0, 0.3, 6.0) == pytest.approx(2.07, abs=1e-12)
@@ -498,6 +549,8 @@ def field_case(name, mode):
 
 
 FIELD_CASES = ("ego_at_origin", "ego_turned_off_origin", "standing_still", "far")
+# exponents with several set bits, so that the squaring multiplies partial powers
+HIGH_EXPONENTS = RewardConfig(p_min=6, p_max=10, p_outer=8)
 
 
 def scalar_cells(other, xs, ys):
@@ -507,14 +560,15 @@ def scalar_cells(other, xs, ys):
 class TestRiskField:
     """The array field against the scalar pair functions, cell by cell with ==."""
 
+    @pytest.mark.parametrize("cfg", [CFG, HIGH_EXPONENTS], ids=["default", "high_exponents"])
     @pytest.mark.parametrize("mode", list(InteractionMode))
     @pytest.mark.parametrize("name", FIELD_CASES)
-    def test_equals_scalar_functions_on_every_cell(self, name, mode):
+    def test_equals_scalar_functions_on_every_cell(self, name, mode, cfg):
         ego, other, xs, ys = field_case(name, mode)
-        geom, dyn = risk_field(ego, other, xs, ys, mode, CFG)
+        geom, dyn = risk_field(ego, other, xs, ys, mode, cfg)
         cells = scalar_cells(other, xs, ys)
-        assert geom.tolist() == [geometric_risk(ego, cell, mode, CFG) for cell in cells]
-        assert dyn.tolist() == [dynamic_risk(ego, cell, mode, CFG)[0] for cell in cells]
+        assert geom.tolist() == [geometric_risk(ego, cell, mode, cfg) for cell in cells]
+        assert dyn.tolist() == [dynamic_risk(ego, cell, mode, cfg)[0] for cell in cells]
 
     def test_cases_reach_the_edges(self):
         for mode in InteractionMode:

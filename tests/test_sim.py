@@ -511,6 +511,13 @@ class TestBruteForceTtc:
         with pytest.raises(ContractError):
             brute_force_ttc(a, b, dt_fine=0.01)
 
+    @pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
+    def test_rejects_a_bad_horizon(self, horizon):
+        a = ActorState(position=[0, 0], heading=0.0)
+        b = ActorState(position=[30, 0], heading=0.0)
+        with pytest.raises(ContractError, match="horizon"):
+            brute_force_ttc(a, b, dt_fine=1e-3, horizon=horizon)
+
 
 def _trace_stub(outcome, reward=0.0, progress=1.0, velocity=3.0):
     # aggregate_metrics only touches these four attributes
