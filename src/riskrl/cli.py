@@ -10,11 +10,11 @@ RISKRL_<FLAG> (for example RISKRL_SEED, RISKRL_CONFIG); `--mode`,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -81,7 +81,7 @@ def _env(name: str, fallback: str | None = None) -> str | None:
 
 
 def _fmt(value: float) -> str:
-    return repr(float(value))  # csv's text for a float, inf and nan included
+    return repr(float(value))  # a float's cell text, inf and nan included
 
 
 def _load_config_arg(path: str | None) -> RewardConfig:
@@ -116,12 +116,13 @@ def trace_rows(trace: EpisodeTrace) -> list[list[str]]:
     return rows
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[Iterable[object]]) -> None:
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    # a cell is an int's str, a float's repr or empty: none holds , " \r or \n and no row is
+    # one empty cell, so joining the cells writes the bytes csv.writer would
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in rows)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -188,15 +189,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             seed = _episode_seed(args.seed, d_idx, episode)
             traces.append(run_episode(scenario, policy, config, density=density, seed=seed))
         m = aggregate_metrics(traces)
-        rows.append(
-            [
-                _fmt(density), str(m.episodes),
-                _fmt(m.success_pct), _fmt(m.offroad_pct), _fmt(m.collision_pct), _fmt(m.timeout_pct),
-                _fmt(m.reward_mean), _fmt(m.reward_std),
-                _fmt(m.progress_mean), _fmt(m.progress_std),
-                _fmt(m.velocity_mean), _fmt(m.velocity_std),
-            ]
-        )
+        rows.append([_fmt(density), str(m.episodes)]
+                    + [_fmt(getattr(m, column)) for column in SWEEP_COLUMNS[2:]])
         print(
             f"density={density:g}: success={m.success_pct:.1f}% collision={m.collision_pct:.1f}% "
             f"offroad={m.offroad_pct:.1f}% timeout={m.timeout_pct:.1f}% "
@@ -230,15 +224,13 @@ def _axis_count(low: float, high: float, resolution: float) -> float:
     return math.ceil(count) if math.isfinite(count) else math.inf
 
 
-def _field_lines(ego: ActorState, other: ActorState, xs: np.ndarray, ys: np.ndarray,
-                 mode: InteractionMode, config: RewardConfig) -> Iterable[str]:
-    """The CSV lines of one block of field cells, each distinct value formatted once."""
+def _field_rows(ego: ActorState, other: ActorState, xs: np.ndarray, ys: np.ndarray,
+                mode: InteractionMode, config: RewardConfig) -> Iterable[tuple[str, ...]]:
+    """The rows of one block of field cells, each distinct value formatted once."""
     geom, dyn = risk_field(ego, other, xs, ys, mode, config)
     combined = config.w_geom * geom + config.w_dyn * dyn
     columns = (np.tile(xs, ys.size), np.repeat(ys, xs.size), geom, dyn, combined)
-    # the bytes csv writes: a float's repr never needs quoting
-    text = [_per_distinct(_fmt, column, object).tolist() for column in columns]
-    return map("%s,%s,%s,%s,%s\n".__mod__, zip(*text))
+    return zip(*(_per_distinct(_fmt, column, object).tolist() for column in columns))
 
 
 def cmd_field(args: argparse.Namespace) -> int:
@@ -249,24 +241,18 @@ def cmd_field(args: argparse.Namespace) -> int:
         if not _is_number(speed):
             raise ConfigError(f"{flag} must be a number in [-1e6, 1e6] (got {speed})")
 
-    ego = ActorState(
-        position=(0.0, 0.0), heading=0.0, speed_long=args.ego_speed, kind=ActorKind.EGO_VEHICLE
-    )
+    ego = ActorState(position=(0.0, 0.0), heading=0.0, speed_long=args.ego_speed,
+                     kind=ActorKind.EGO_VEHICLE)
     other = ActorState(position=(0.0, 0.0),
                        **({"speed_long": args.other_speed} | _FIELD_ACTORS[mode]))
     xs = np.arange(x_min, x_max + resolution / 2.0, resolution)
     ys = np.arange(y_min, y_max + resolution / 2.0, resolution)
     # blocks of whole rows, or of parts of one row longer than a block, so memory stays bounded
     width = max(1, min(xs.size, _FIELD_BLOCK_CELLS))
-    rows = _FIELD_BLOCK_CELLS // width
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as handle:
-        handle.write(",".join(FIELD_COLUMNS) + "\n")
-        for j in range(0, ys.size, rows):
-            for i in range(0, xs.size, width):
-                handle.writelines(_field_lines(ego, other, xs[i:i + width], ys[j:j + rows],
-                                               mode, config))
+    height = _FIELD_BLOCK_CELLS // width
+    blocks = (_field_rows(ego, other, xs[i:i + width], ys[j:j + height], mode, config)
+              for j in range(0, ys.size, height) for i in range(0, xs.size, width))
+    _write_csv(Path(args.out), FIELD_COLUMNS, chain.from_iterable(blocks))
     print(f"wrote {xs.size * ys.size} cells to {args.out}")
     return 0
 

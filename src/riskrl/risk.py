@@ -44,9 +44,9 @@ class EllipseParams:
     p_outer: int
 
     def __post_init__(self) -> None:
-        if self.r_x <= 0.0 or self.r_y <= 0.0:
+        if not (self.r_x > 0.0 and self.r_y > 0.0):  # NaN fails too
             raise ContractError("ellipse radii must be positive")
-        if self.c_x < 0.0 or self.c_y < 0.0:
+        if not (self.c_x >= 0.0 and self.c_y >= 0.0):
             raise ContractError("ellipse centers must be non-negative")
         for p in (self.p_x, self.p_y, self.p_outer):
             if not (isinstance(p, int) and p >= 2 and p % 2 == 0):

@@ -158,15 +158,12 @@ _NPC = {
     **_SPAWN,
     "script": _Field(None, lambda v: v is None or isinstance(v, dict), "must be an object", _as_is),
 }
-_SLOT = {
-    **_NPC,
-    "kind": _Field(_REQUIRED, lambda v: v in ("vehicle", "obstacle"),
-                   "must be 'vehicle' or 'obstacle'", _as_is),
-    "speed_jitter": _NON_NEGATIVE,
-    "lateral_jitter": _NON_NEGATIVE,
-    "length_jitter": _NON_NEGATIVE,
-    "width_jitter": _NON_NEGATIVE,
-}
+_KIND = _Field(_REQUIRED, lambda v: v in ("vehicle", "obstacle"),
+               "must be 'vehicle' or 'obstacle'", _as_is)
+_JITTERS = {"lateral_jitter": _NON_NEGATIVE, "length_jitter": _NON_NEGATIVE,
+            "width_jitter": _NON_NEGATIVE}
+_VEHICLE_SLOT = {**_NPC, "kind": _KIND, "speed_jitter": _NON_NEGATIVE, **_JITTERS}
+_OBSTACLE_SLOT = {**_OBSTACLE, "kind": _KIND, **_JITTERS}  # no speed, script or speed_jitter
 _SCRIPTS = {  # script "kind" -> (script type, table of its other fields)
     "constant_velocity": (ConstantVelocity, {}),
     "waypoint_follower": (WaypointFollower, {"waypoints": _POINTS, "speed": _NON_NEGATIVE}),
@@ -229,6 +226,12 @@ def _read_actor(spec: object, path: str, table: dict[str, _Field], kind: ActorKi
     return values
 
 
+def _slot_table(spec: object) -> dict[str, _Field]:
+    """An obstacle slot's fields if the spec names that kind, else a vehicle slot's."""
+    is_obstacle = isinstance(spec, dict) and spec.get("kind") == "obstacle"
+    return _OBSTACLE_SLOT if is_obstacle else _VEHICLE_SLOT
+
+
 def _read_scenario(data: object) -> tuple[Scenario | None, list[str]]:
     """The one pass over a scenario document: (scenario, []) or (None, problems)."""
     problems: list[str] = []
@@ -256,12 +259,12 @@ def _read_scenario(data: object) -> tuple[Scenario | None, list[str]]:
                 f"ego.lateral_offset must keep the ego on or near the lane (got {offset})"
             )
     actors = {
-        name: [_read_actor(spec, f"{name}[{i}]", table, kind, route, problems)
+        name: [_read_actor(spec, f"{name}[{i}]", table(spec), kind, route, problems)
                for i, spec in enumerate(top.get(name, ()))]
         for name, table, kind in (
-            ("npcs", _NPC, ActorKind.NPC_VEHICLE),
-            ("obstacles", _OBSTACLE, ActorKind.STATIC_OBSTACLE),
-            ("slots", _SLOT, None),
+            ("npcs", lambda spec: _NPC, ActorKind.NPC_VEHICLE),
+            ("obstacles", lambda spec: _OBSTACLE, ActorKind.STATIC_OBSTACLE),
+            ("slots", _slot_table, None),
         )
     }
     if problems:
@@ -324,7 +327,7 @@ def realize_traffic(
             slot = scenario.slots[idx]
             jitter = rng.uniform(-1.0, 1.0, size=4).tolist()  # plain floats, like a read spec
             spec = slot | {
-                "speed": max(slot["speed"] + jitter[0] * slot["speed_jitter"], 0.0),
+                "speed": max(slot["speed"] + jitter[0] * slot.get("speed_jitter", 0.0), 0.0),
                 "lateral_offset": slot["lateral_offset"] + jitter[1] * slot["lateral_jitter"],
                 "length": max(slot["length"] + jitter[2] * slot["length_jitter"], 0.3),
                 "width": max(slot["width"] + jitter[3] * slot["width_jitter"], 0.3),
@@ -598,8 +601,11 @@ def run_episode(
     commands are clamped to the braking/acceleration limits and the steering
     rate to the curvature-feasible envelope.
     """
-    npcs, obstacles = realize_traffic(scenario, density=density, seed=seed)
     route = scenario.route
+    if not route.goal_station > 0.0:  # route_progress divides by it
+        raise ContractError(f"route.goal_station must be positive to run an episode "
+                            f"(got {route.goal_station})")
+    npcs, obstacles = realize_traffic(scenario, density=density, seed=seed)
     world = World(
         route=route,
         time=0.0,

@@ -1,6 +1,7 @@
 """Command-line surface: run, sweep, field, validate."""
 
 import csv
+import dataclasses
 import gzip
 import hashlib
 import io
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from riskrl import (
-    ActorKind, ActorState, InteractionMode, RewardConfig, dynamic_risk, geometric_risk,
+    ActorKind, ActorState, InteractionMode, RewardConfig, aggregate_metrics, dynamic_risk,
+    geometric_risk,
 )
 from riskrl import cli
 from riskrl.cli import FIELD_COLUMNS, MAX_FIELD_CELLS, SWEEP_COLUMNS, TRACE_COLUMNS, main
@@ -235,6 +237,42 @@ class TestFmt:
         text = io.StringIO(newline="")
         csv.writer(text, lineterminator="\n").writerow([float(value)])
         assert cli._fmt(value) + "\n" == text.getvalue()
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("command, scenario", [
+        ("run", "intersection.json"),
+        ("run", "empty_road.json"),  # no interacting actor: each row ends in four empty cells
+        ("sweep", "intersection.json"),
+    ], ids=["trace_intersection", "trace_empty_road", "sweep"])
+    def test_file_equals_the_csv_module_rendering(self, tmp_path, scenarios_dir, monkeypatch,
+                                                  command, scenario):
+        # the cells are joined without quoting; csv.writer would quote none of them
+        traces, run_episode = [], cli.run_episode
+
+        def capture(*args, **kwargs):
+            traces.append(run_episode(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "run_episode", capture)
+        argv = [command, "--scenario", str(scenarios_dir / scenario), "--policy", "lane_follower"]
+        if command == "run":
+            out = tmp_path / "trace.csv"
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+            header, rows = TRACE_COLUMNS, cli.trace_rows(traces[0])
+            assert scenario != "empty_road.json" or all(row[-4:] == [""] * 4 for row in rows)
+        else:
+            out = tmp_path / "sweep.csv"
+            argv += ["--densities", "0.5,1.0", "--episodes", "2"]
+            assert main(argv + ["--out", str(out)]) == 0
+            header = SWEEP_COLUMNS
+            rows = [[density, *dataclasses.astuple(aggregate_metrics(traces[2 * i:2 * i + 2]))]
+                    for i, density in enumerate((0.5, 1.0))]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert out.read_bytes() == expected.getvalue().encode()
 
 
 class TestCmdField:

@@ -127,6 +127,11 @@ class TestEllipsoidPenalty:
             EllipseParams(c_x=1.0, c_y=1.0, r_x=1.0, r_y=1.0, p_x=3, p_y=2, p_outer=4)
         with pytest.raises(ContractError):
             EllipseParams(c_x=1.0, c_y=1.0, r_x=0.0, r_y=1.0, p_x=2, p_y=2, p_outer=4)
+        # a NaN radius or centre is rejected too: ellipsoid_penalty would return nan
+        valid = {"c_x": 1.0, "c_y": 1.0, "r_x": 1.0, "r_y": 1.0, "p_x": 2, "p_y": 2, "p_outer": 4}
+        for names in (("r_x",), ("r_y",), ("c_x",), ("c_y",), ("c_x", "r_x")):
+            with pytest.raises(ContractError):
+                EllipseParams(**(valid | dict.fromkeys(names, math.nan)))
 
     @given(
         dx=st.floats(-60.0, 60.0),

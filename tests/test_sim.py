@@ -20,6 +20,7 @@ from riskrl import (
     RewardConfig,
     Route,
     RouteFramePose,
+    Scenario,
     ScenarioError,
     WaypointFollower,
     World,
@@ -351,6 +352,25 @@ class TestScenarioLoading:
                 minimal_scenario_data(obstacles=[{"station": 20.0, "speed": 1.0}])
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("speed", 5.0),
+        ("script", {"kind": "braking", "trigger_station": 30.0, "decel": 2.0}),
+        ("speed_jitter", 1.0),
+    ])
+    def test_obstacle_slot_fails_as_an_obstacle_does(self, field, value):
+        # each field is an error, not silently dropped when the slot is realised
+        spec = {"station": 20.0, field: value}
+        slots = [{"kind": "obstacle"} | spec]
+        problems = validate_scenario_data(minimal_scenario_data(slots=slots))
+        expected = validate_scenario_data(minimal_scenario_data(obstacles=[spec]))
+        assert expected and problems == [p.replace("obstacles[0]", "slots[0]") for p in expected]
+
+    @pytest.mark.parametrize("kind", [[], {}, 3, "truck"], ids=repr)
+    def test_slot_kind_must_be_vehicle_or_obstacle(self, kind):
+        slots = [{"kind": kind, "station": 20.0}]
+        problems = validate_scenario_data(minimal_scenario_data(slots=slots))
+        assert problems == [f"slots[0].kind must be 'vehicle' or 'obstacle' (got {kind!r})"]
+
     @pytest.mark.parametrize("goal", [0.0, 3.0, 5.0])
     def test_goal_must_lie_past_ego_spawn(self, goal):
         data = minimal_scenario_data()
@@ -449,6 +469,15 @@ class TestRunEpisode:
         first = run_episode(scenario, policy, CFG, density=0.75, seed=5)
         second = run_episode(scenario, policy, CFG, density=0.75, seed=5)
         assert trace_rows(first) == trace_rows(second)
+
+    def test_goal_at_station_zero_fails_before_the_first_step(self):
+        # documents reject this goal, but a Scenario built in code can hold it
+        ego = ActorState(position=(5.0, 0.0), heading=0.0, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(80.0, goal=0.0), ego_spawn=ego)
+        steps = []
+        with pytest.raises(ContractError, match="route.goal_station must be positive"):
+            run_episode(scenario, lambda obs: steps.append(obs) or (0.0, 0.0), CFG)
+        assert steps == []
 
     def test_offroad_detected_for_runaway_heading(self):
         scenario = scenario_from_dict(minimal_scenario_data(
