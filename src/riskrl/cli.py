@@ -46,11 +46,15 @@ from .sim import (
 
 ENV_PREFIX = "RISKRL_"
 
+# trace.csv's level cells are RewardBreakdown fields and its risk cells the worst
+# actor's RiskAssessment fields, each under its field name
+LEVEL_COLUMNS = ("terminal", "l0_rules", "l1_progress", "l1_risk", "l2_style", "l3_comfort", "total")
+RISK_COLUMNS = ("geom_penalty", "dyn_penalty", "ttc")
 TRACE_COLUMNS = (
     "step", "time", "ego_x", "ego_y", "ego_heading", "ego_speed",
     "station", "lateral_offset",
-    "terminal", "l0_rules", "l1_progress", "l1_risk", "l2_style", "l3_comfort", "total",
-    "max_risk_actor", "geom_penalty", "dyn_penalty", "ttc",
+    *LEVEL_COLUMNS,
+    "max_risk_actor", *RISK_COLUMNS,
 )
 
 SWEEP_COLUMNS = (
@@ -92,27 +96,18 @@ def trace_rows(trace: EpisodeTrace) -> list[list[str]]:
     """Fixed-format trace table; one row per simulation step."""
     rows = []
     for record in trace.records:
-        assessments = record.breakdown.risk_assessments
+        b, ego, pose = record.breakdown, record.ego, record.pose
+        row = [str(record.step), _fmt(record.time), _fmt(ego.position[0]), _fmt(ego.position[1]),
+               _fmt(ego.heading), _fmt(ego.speed), _fmt(pose.station), _fmt(pose.lateral_offset)]
+        row += [_fmt(getattr(b, column)) for column in LEVEL_COLUMNS]
+        assessments = b.risk_assessments
         if assessments:
             worst_idx = max(range(len(assessments)), key=lambda i: assessments[i].combined)
             worst = assessments[worst_idx]
-            risk_cols = [
-                str(worst_idx), _fmt(worst.geom_penalty), _fmt(worst.dyn_penalty), _fmt(worst.ttc),
-            ]
+            row += [str(worst_idx)] + [_fmt(getattr(worst, column)) for column in RISK_COLUMNS]
         else:
-            risk_cols = ["", "", "", ""]
-        b = record.breakdown
-        rows.append(
-            [
-                str(record.step), _fmt(record.time),
-                _fmt(record.ego.position[0]), _fmt(record.ego.position[1]),
-                _fmt(record.ego.heading), _fmt(record.ego.speed),
-                _fmt(record.pose.station), _fmt(record.pose.lateral_offset),
-                _fmt(b.terminal), _fmt(b.l0_rules), _fmt(b.l1_progress), _fmt(b.l1_risk),
-                _fmt(b.l2_style), _fmt(b.l3_comfort), _fmt(b.total),
-            ]
-            + risk_cols
-        )
+            row += [""] * (1 + len(RISK_COLUMNS))
+        rows.append(row)
     return rows
 
 

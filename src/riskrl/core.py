@@ -149,17 +149,17 @@ class Route:
             raise ConfigError("route.centerline needs at least 2 points of shape (N, 2)")
         if not np.all(np.isfinite(line)):
             raise ConfigError("route.centerline must be finite")
-        seg = np.diff(line, axis=0)
-        seg_len2 = np.einsum("ij,ij->i", seg, seg)
-        if not np.all(seg_len2 > 0.0):  # the projection divides by it
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            seg = np.diff(line, axis=0)
+            seg_len2 = np.einsum("ij,ij->i", seg, seg)
+        if not np.all((seg_len2 > 0.0) & (seg_len2 < math.inf)):  # the projection divides by it
             raise ConfigError("route.centerline has repeated consecutive points, or points so "
-                              "close that a segment's squared length underflows to 0")
+                              "close that a segment's squared length underflows to 0 or so far "
+                              "apart that it overflows")
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
         if not (_finite(self.lane_width) and self.lane_width > 0.0):
             raise ConfigError(f"route.lane_width must be finite and > 0 (got {self.lane_width!r})")
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-        if not math.isfinite(cum[-1]):
-            raise ConfigError("route.centerline is too long: its length overflows")
         if not (_finite(self.goal_station) and 0.0 <= self.goal_station <= cum[-1] + 1e-9):
             raise ConfigError(f"route.goal_station must be a number within [0, {cum[-1]:.6g}] "
                               f"(got {reprlib.repr(self.goal_station)})")

@@ -8,11 +8,10 @@ decay geometrically with the level index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ActorState, ContractError, RewardConfig, RouteFramePose
+from .core import ActorState, ContractError, RewardConfig, RouteFramePose, _finite
 from .risk import RiskAssessment, risk_reward
 
 # Steering-rate normalisation needs a velocity floor to stay finite at rest.
@@ -25,9 +24,6 @@ class Outcome(Enum):
     COLLISION = "collision"
     OFFROAD = "offroad"
     TIMEOUT = "timeout"
-
-
-TERMINAL_OUTCOMES = frozenset({Outcome.SUCCESS, Outcome.COLLISION, Outcome.OFFROAD})
 
 
 @dataclass(frozen=True)
@@ -45,9 +41,9 @@ class StepContext:
     outcome: Outcome = Outcome.NONE
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.steering_rate) and math.isfinite(self.jerk)):
-            raise ContractError("steering_rate and jerk must be finite")
-        if not (math.isfinite(self.lane_width) and self.lane_width > 0.0):
+        if not (_finite(self.steering_rate) and _finite(self.jerk)):
+            raise ContractError("steering_rate and jerk must be finite numbers")
+        if not (_finite(self.lane_width) and self.lane_width > 0.0):
             raise ContractError(f"lane_width must be positive (got {self.lane_width})")
         object.__setattr__(self, "others", tuple(self.others))
         object.__setattr__(self, "violations", frozenset(self.violations))
@@ -124,7 +120,7 @@ def driving_style_reward(v: float, offset: float, lane_width: float, config: Rew
 
     Each ratio is clamped at 1, keeping the value in [-1, 0].
     """
-    if lane_width <= 0.0:
+    if not lane_width > 0.0:
         raise ContractError(f"lane_width must be positive (got {lane_width})")
     vel_term = min(abs(v - config.v_desired) / config.v_desired, 1.0)
     lane_term = min(abs(offset) / lane_width, 1.0)
@@ -161,18 +157,14 @@ def total_reward(ctx: StepContext, config: RewardConfig) -> RewardBreakdown:
     l2 = driving_style_reward(speed, ctx.pose.lateral_offset, ctx.lane_width, config)
     l3 = comfort_reward(ctx.ego.accel_long, ctx.steering_rate, ctx.jerk, speed, config)
 
-    if ctx.outcome in TERMINAL_OUTCOMES:
-        terminal = terminal_reward(ctx.outcome, speed, ctx.pose.lateral_offset, config)
-        total = terminal
-    elif ctx.outcome is Outcome.TIMEOUT:
-        terminal = 0.0
-        total = 0.0
-    else:
+    if ctx.outcome is Outcome.NONE:
         terminal = 0.0
         w1 = level_weight(1, config.beta)
         w2 = level_weight(2, config.beta)
         w3 = level_weight(3, config.beta)
         total = l0 + w1 * (l1_progress + l1_risk) + w2 * l2 + w3 * l3
+    else:
+        terminal = total = terminal_reward(ctx.outcome, speed, ctx.pose.lateral_offset, config)
 
     return RewardBreakdown(
         terminal=terminal,

@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Literal, Sequence
 import numpy as np
 
 from .core import (
-    ActorKind, ActorState, ContractError, RewardConfig, _rotate, relative_displacement, wrap_angle,
+    ActorKind, ActorState, ContractError, RewardConfig, _finite, _rotate, relative_displacement,
+    wrap_angle,
 )
 
 Axis = Literal["long", "lat"]
@@ -44,10 +45,10 @@ class EllipseParams:
     p_outer: int
 
     def __post_init__(self) -> None:
-        if not (self.r_x > 0.0 and self.r_y > 0.0):  # NaN fails too
-            raise ContractError("ellipse radii must be positive")
-        if not (self.c_x >= 0.0 and self.c_y >= 0.0):
-            raise ContractError("ellipse centers must be non-negative")
+        if not all(_finite(r) and r > 0.0 for r in (self.r_x, self.r_y)):
+            raise ContractError("ellipse radii must be positive finite numbers")
+        if not all(_finite(c) and c >= 0.0 for c in (self.c_x, self.c_y)):
+            raise ContractError("ellipse centers must be non-negative finite numbers")
         for p in (self.p_x, self.p_y, self.p_outer):
             if not (isinstance(p, int) and p >= 2 and p % 2 == 0):
                 raise ContractError(f"ellipse exponents must be even integers >= 2 (got {p})")

@@ -29,7 +29,9 @@ from .core import (
     project_to_route,
     wrap_angle,
 )
-from .core import _REQUIRED, _Field, _is_integer, _is_number, _positive, _read, _read_json
+from .core import (
+    _REQUIRED, _Field, _finite, _is_integer, _is_number, _positive, _read, _read_json,
+)
 from .reward import (
     STEER_SPEED_FLOOR,
     Outcome,
@@ -58,8 +60,8 @@ class WaypointFollower:
     speed: float  # m/s
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.speed) and self.speed >= 0.0):
-            raise ScenarioError(f"speed must be >= 0 (got {self.speed})")
+        if not (_finite(self.speed) and self.speed >= 0.0):
+            raise ScenarioError(f"speed must be >= 0 (got {self.speed!r})")
         try:
             line = Route(
                 centerline=np.array(self.waypoints, dtype=float), lane_width=1.0, goal_station=0.0
@@ -77,9 +79,9 @@ class Braking:
     decel: float            # m/s^2, positive
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.decel) and self.decel > 0.0):
-            raise ScenarioError(f"decel must be positive (got {self.decel})")
-        if not math.isfinite(self.trigger_station):
+        if not (_finite(self.decel) and self.decel > 0.0):
+            raise ScenarioError(f"decel must be positive (got {self.decel!r})")
+        if not _finite(self.trigger_station):
             raise ScenarioError("trigger_station must be finite")
 
 
@@ -120,7 +122,7 @@ def _points(value: list) -> tuple[tuple[float, float], ...]:
     return tuple((float(x), float(y)) for x, y in value)
 
 
-def _finite(default: object = _REQUIRED) -> _Field:
+def _number(default: object = _REQUIRED) -> _Field:
     return _Field(default, _is_number, "must lie in [-1e6, 1e6]")
 
 
@@ -144,11 +146,11 @@ _TOP_LEVEL = {
     "obstacles": _LIST,
     "slots": _LIST,
 }
-_ROUTE = {"centerline": _POINTS, "lane_width": _positive(), "goal_station": _finite()}
+_ROUTE = {"centerline": _POINTS, "lane_width": _positive(), "goal_station": _number()}
 _SPAWN = {
-    "station": _finite(),
-    "lateral_offset": _finite(0.0),
-    "heading_offset_deg": _finite(0.0),
+    "station": _number(),
+    "lateral_offset": _number(0.0),
+    "heading_offset_deg": _number(0.0),
     "speed": _NON_NEGATIVE,
     "length": _positive(ActorState.length),  # the ActorState default footprint
     "width": _positive(ActorState.width),
@@ -167,7 +169,7 @@ _OBSTACLE_SLOT = {**_OBSTACLE, "kind": _KIND, **_JITTERS}  # no speed, script or
 _SCRIPTS = {  # script "kind" -> (script type, table of its other fields)
     "constant_velocity": (ConstantVelocity, {}),
     "waypoint_follower": (WaypointFollower, {"waypoints": _POINTS, "speed": _NON_NEGATIVE}),
-    "braking": (Braking, {"trigger_station": _finite(), "decel": _positive()}),
+    "braking": (Braking, {"trigger_station": _number(), "decel": _positive()}),
 }
 
 
@@ -194,11 +196,9 @@ def _spawn_actor(route: Route, spec: dict, kind: ActorKind) -> ActorState:
     """Place an actor from a route-relative spec with every default filled in."""
     station, offset = spec["station"], spec["lateral_offset"]
     x, y, heading = route._pose_at(station)
-    i, _ = route._segment_at(station)
-    (dx, dy), length = route._segments[i][2:4], route._seg_len[i]
-    # offset times the unit normal (-dy, dx) / length, grouped as tangent_at groups it
+    tx, ty = route.tangent_at(station).tolist()
     return ActorState(
-        position=(x - offset * (dy / length), y + offset * (dx / length)),
+        position=(x - offset * ty, y + offset * tx),  # offset times the unit normal (-ty, tx)
         heading=wrap_angle(heading + math.radians(spec["heading_offset_deg"])),
         speed_long=0.0 if kind is ActorKind.STATIC_OBSTACLE else spec["speed"],
         length=spec["length"],
@@ -616,9 +616,7 @@ def run_episode(
     )
     pose = project_to_route(world.ego.position, world.ego.heading, route)
     max_steps = scenario.max_steps if scenario.max_steps is not None else config.timeout_steps
-    prev_accel = world.ego.accel_long
     records: list[StepRecord] = []
-    speed_sum = 0.0
 
     for step in range(1, max_steps + 1):
         obs = Observation(ego=world.ego, pose=pose, others=world.actors, step=step - 1)
@@ -646,7 +644,7 @@ def run_episode(
             if world.ego.speed_long > config.speed_limit + 1e-9
             else frozenset()
         )
-        jerk = (world.ego.accel_long - prev_accel) / config.dt
+        jerk = (world.ego.accel_long - obs.ego.accel_long) / config.dt
         ctx = StepContext(
             ego=world.ego,
             pose=new_pose,
@@ -670,8 +668,6 @@ def run_episode(
                 outcome=outcome,
             )
         )
-        speed_sum += world.ego.speed
-        prev_accel = world.ego.accel_long
         pose = new_pose
         if outcome is not Outcome.NONE:
             break
@@ -682,7 +678,7 @@ def run_episode(
         outcome=final.outcome,
         cumulative_reward=sum(r.breakdown.total for r in records),
         route_progress=min(max(final.pose.station / route.goal_station, 0.0), 1.0),
-        average_velocity=speed_sum / len(records),
+        average_velocity=sum(r.ego.speed for r in records) / len(records),
     )
 
 

@@ -7,6 +7,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -68,6 +70,38 @@ class TestCmdRun:
         # empty road: no interacting actor, so the risk columns stay blank
         assert rows[1][15] == "" and rows[1][18] == ""
 
+    def test_every_trace_cell_is_the_text_of_its_step_record_value(
+        self, tmp_path, scenarios_dir, monkeypatch
+    ):
+        # worked out from the StepRecord field by field, not through TRACE_COLUMNS
+        traces, run_episode = [], cli.run_episode
+
+        def capture(*args, **kwargs):
+            traces.append(run_episode(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "run_episode", capture)
+        assert main(["run", "--scenario", str(scenarios_dir / "intersection.json"),
+                     "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "trace.csv")[1:]
+        records = traces[0].records
+        assert len(rows) == len(records) > 0
+        for row, r in zip(rows, records):
+            b = r.breakdown
+            values = (r.time, *r.ego.position, r.ego.heading, r.ego.speed, r.pose.station,
+                      r.pose.lateral_offset, b.terminal, b.l0_rules, b.l1_progress, b.l1_risk,
+                      b.l2_style, b.l3_comfort, b.total)
+            expected = [str(r.step)] + [repr(float(v)) for v in values]
+            if b.risk_assessments:
+                k = int(np.argmax([a.combined for a in b.risk_assessments]))
+                worst = b.risk_assessments[k]
+                expected += [str(k)] + [repr(float(v)) for v in
+                                        (worst.geom_penalty, worst.dyn_penalty, worst.ttc)]
+            else:
+                expected += [""] * 4
+            assert row == expected
+        assert any(row[15] not in ("", "0") for row in rows)  # a worst actor other than the first
+
     def test_blocked_road_full_throttle_collides(self, tmp_path, scenarios_dir):
         out = tmp_path / "out"
         code = main([
@@ -96,6 +130,12 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "lane_follower" in err and "full_throttle" in err and "idle" in err
 
+    def test_out_under_a_regular_file_is_an_io_error(self, tmp_path, scenarios_dir, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["run", "--scenario", str(scenarios_dir / "empty_road.json"),
+                     "--out", str(tmp_path / "file" / "out")]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
     def test_env_var_supplies_flag(self, tmp_path, scenarios_dir, monkeypatch):
         monkeypatch.setenv("RISKRL_SCENARIO", str(scenarios_dir / "empty_road.json"))
         out = tmp_path / "out"
@@ -110,6 +150,8 @@ class TestFlagValues:
         (["field", "--grid=0,1,0,1,x"], "--grid"),
         (["sweep", "--densities", "abc"], "--densities"),
         (["sweep", "--seed", "-1"], "--seed"),
+        (["field", "--grid=1,0,0,1,1"], "--grid"),
+        (["field", "--grid=0,1,1,0,1"], "--grid"),
     ])
     def test_bad_value_names_its_flag(self, argv, flag, tmp_path, scenarios_dir, monkeypatch,
                                       capsys):
@@ -218,6 +260,10 @@ class TestCmdSweep:
         assert [len(row) for row in rows] == [len(row) for row in reference["rows"]]
         for row, expected in zip(rows, reference["rows"]):
             assert all(abs(a - b) <= REFERENCE_TOLERANCE for a, b in zip(row, expected))
+
+    def test_empty_scenario_directory_rejected(self, tmp_path, capsys):
+        assert main(["sweep", "--scenario", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 2
+        assert f"no scenario files found in {tmp_path}" in capsys.readouterr().err
 
     def test_scenario_directory_cycles_files(self, tmp_path, scenarios_dir):
         out = tmp_path / "s.csv"
@@ -470,6 +516,12 @@ class TestCmdValidate:
     def test_default_config_is_valid(self, configs_dir, capsys):
         assert main(["validate", str(configs_dir / "default.json")]) == 0
         assert "valid config" in capsys.readouterr().out
+        # the module runs as a script too, exiting with main's status
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-m", "riskrl.cli", "validate",
+                               str(configs_dir / "default.json")], capture_output=True, text=True,
+                              env=os.environ | {"PYTHONPATH": src})
+        assert done.returncode == 0 and "valid config" in done.stdout
 
     def test_shipped_scenarios_are_valid(self, scenarios_dir):
         for path in sorted(scenarios_dir.glob("*.json")):

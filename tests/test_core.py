@@ -1,7 +1,9 @@
 """Route geometry, displacement frames, and config loading."""
 
+import ast
 import json
 import math
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -276,6 +278,13 @@ class TestProjectToRoute:
                 lane_width=3.5,
                 goal_station=10.0,
             )
+        with pytest.raises(ConfigError, match="route.centerline must be finite"):
+            Route(centerline=np.array([[0.0, 0.0], [math.nan, 0.0]]), lane_width=3.5,
+                  goal_station=0.0)
+        # the squared length overflows to inf, and the difference itself to inf for the second
+        for centerline in ([[0.0, 0.0], [1e200, 1e200]], [[-1e308, 0.0], [1e308, 0.0]]):
+            with pytest.raises(ConfigError, match="route.centerline .* overflows"):
+                Route(centerline=np.array(centerline), lane_width=3.5, goal_station=0.0)
 
     @pytest.mark.parametrize("lane_width", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_lane_width_rejected(self, lane_width):
@@ -491,3 +500,18 @@ class TestConfig:
 
 def test_package_exports_no_module():
     assert not [name for name in riskrl.__all__ if isinstance(getattr(riskrl, name), ModuleType)]
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # the one runtime dependency beyond Python itself is numpy
+    sources = sorted(Path(riskrl.__file__).resolve().parent.glob("*.py"))
+    imported = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                imported |= {(source.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((source.name, node.module.split(".")[0]))
+    assert len(sources) >= 6 and imported
+    assert sorted((name, module) for name, module in imported
+                  if module not in sys.stdlib_module_names and module != "numpy") == []

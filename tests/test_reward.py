@@ -24,6 +24,7 @@ from riskrl import (
     total_reward,
     traffic_rule_reward,
 )
+from riskrl.risk import EllipseParams, leading_clearance
 from riskrl.sim import detect_collision
 
 CFG = RewardConfig()
@@ -361,3 +362,26 @@ class TestAdversarialLevels:
     def test_total_within_the_criterion_6_bound(self, every_level):
         bound = 1.0 + CFG.beta + CFG.beta ** 2 + 1.0  # as tests/test_acceptance.py states it
         assert abs(total_reward(extreme_context(every_level), CFG).total) <= bound + 1e-12
+
+
+ELLIPSE = {"c_x": 0.0, "c_y": 0.0, "r_x": 1.0, "r_y": 1.0, "p_x": 2, "p_y": 2, "p_outer": 2}
+
+
+class TestContractGuards:
+    @pytest.mark.parametrize("call", [
+        lambda: make_ctx(steering_rate="x"),
+        lambda: make_ctx(jerk=True),
+        lambda: make_ctx(lane_width="3.5"),
+        lambda: make_ctx(lane_width=math.nan),
+        lambda: EllipseParams(0, 0, "1", 1, 2, 2, 2),
+        lambda: EllipseParams(**(ELLIPSE | {"r_x": True})),
+        lambda: EllipseParams(**(ELLIPSE | {"c_y": True})),
+        lambda: EllipseParams(**(ELLIPSE | {"r_y": math.inf})),
+        lambda: driving_style_reward(1.0, 0.5, math.nan, CFG),
+        lambda: leading_clearance(1.0, 1.0, "vertical", CFG),
+    ], ids=["steering_rate-string", "jerk-boolean", "lane_width-string", "lane_width-nan",
+            "radius-string", "radius-boolean", "centre-boolean", "radius-inf",
+            "style-lane_width-nan", "clearance-axis"])
+    def test_bad_argument_raises_contract_error(self, call):
+        with pytest.raises(ContractError):
+            call()

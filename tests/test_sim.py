@@ -390,6 +390,25 @@ class TestScenarioLoading:
         assert len(problems) == 1
         assert problems[0].startswith(f"{section}.{key}" if section else key)
 
+    @pytest.mark.parametrize("call", [
+        lambda: WaypointFollower(((0.0, 0.0), (1.0, 0.0)), "3"),
+        lambda: WaypointFollower(((0.0, 0.0), (1.0, 0.0)), True),
+        lambda: Braking("x", 1.0),
+        lambda: Braking(10.0, True),
+        lambda: build_policy("teleport", CFG),
+    ], ids=["waypoint-speed-string", "waypoint-speed-boolean", "trigger-string",
+            "decel-boolean", "unknown-policy"])
+    def test_bad_script_or_policy_raises_scenario_error(self, call):
+        with pytest.raises(ScenarioError):
+            call()
+
+    @pytest.mark.parametrize("data, problem", [
+        ([], "document must be an object"),
+        ({"schema_version": 1, "ego": {"station": 5.0}}, "route is required"),
+    ], ids=["list", "no-route"])
+    def test_document_shape_problems(self, data, problem):
+        assert validate_scenario_data(data) == [problem]
+
     def test_repeated_waypoints_fail_validation(self):
         npcs = [{"station": 20.0, "speed": 2.0,
                  "script": {"kind": "waypoint_follower", "speed": 2.0,
