@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -35,8 +36,10 @@ from .risk import InteractionMode, _per_distinct, risk_field
 # perfbench's tracer patches these two names on this module, so they stay importable here
 from .risk import dynamic_risk, geometric_risk  # noqa: F401
 from .sim import (
+    _EPISODE_STATS,
     BUILTIN_POLICIES,
     EpisodeTrace,
+    MetricsSummary,
     aggregate_metrics,
     build_policy,
     load_scenario,
@@ -57,13 +60,8 @@ TRACE_COLUMNS = (
     "max_risk_actor", *RISK_COLUMNS,
 )
 
-SWEEP_COLUMNS = (
-    "density", "episodes",
-    "success_pct", "offroad_pct", "collision_pct", "timeout_pct",
-    "reward_mean", "reward_std",
-    "progress_mean", "progress_std",
-    "velocity_mean", "velocity_std",
-)
+# sweep.csv's columns: each density's MetricsSummary fields, in their order
+SWEEP_COLUMNS = ("density", *(f.name for f in fields(MetricsSummary)))
 
 FIELD_COLUMNS = ("x", "y", "geom_penalty", "dyn_penalty", "combined")
 MAX_FIELD_CELLS = 10_000_000  # about 512 times the 0.25 m grid over 60 x 20 m
@@ -129,13 +127,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     _write_csv(out_dir / "trace.csv", TRACE_COLUMNS, trace_rows(trace))
-    summary = {
-        "outcome": trace.outcome.value,
-        "steps": len(trace.records),
-        "cumulative_reward": trace.cumulative_reward,
-        "route_progress": trace.route_progress,
-        "average_velocity": trace.average_velocity,
-    }
+    summary = {"outcome": trace.outcome.value, "steps": len(trace.records),
+               **{field: getattr(trace, field) for _, field in _EPISODE_STATS}}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(
         f"outcome={trace.outcome.value} steps={len(trace.records)} "

@@ -68,16 +68,15 @@ def _finite(v: object) -> bool:
         return False
 
 
-def _position(position: object, owner: str) -> tuple[float, float]:
-    """The one position rule: exactly two finite real numbers, returned as floats."""
+def _pair(value: object, what: str) -> tuple[float, float]:
+    """The one rule for positions and actions: exactly two finite real numbers, as floats."""
     try:
-        x, y = position
+        x, y = value
         if _finite(x) and _finite(y):
             return float(x), float(y)
     except (TypeError, ValueError):  # not iterable, or not two values
         pass
-    got = reprlib.repr(position)
-    raise ContractError(f"{owner} position must be two finite numbers (got {got})")
+    raise ContractError(f"{what} must be two finite numbers (got {reprlib.repr(value)})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +98,7 @@ class ActorState:
     kind: ActorKind = ActorKind.NPC_VEHICLE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", _position(self.position, "ActorState"))
+        object.__setattr__(self, "position", _pair(self.position, "ActorState position"))
         for name in ("heading", "speed_long", "speed_lat", "accel_long", "length", "width"):
             if not _finite(value := getattr(self, name)):
                 got = reprlib.repr(value)
@@ -175,11 +174,14 @@ class Route:
         first = np.arange(0, len(seg), _PROJECTION_BLOCK)
         stop = np.minimum(first + _PROJECTION_BLOCK, len(seg))  # also a block's last point
         a, chord, k = line[first], line[stop] - line[first], np.arange(len(seg)) // _PROJECTION_BLOCK
-        len2 = np.einsum("ij,ij->i", chord, chord)
-        inv = np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 1e-300)
-        t = np.clip(np.einsum("ij,ij->i", line[:-1] - a[k], chord[k]) * inv[k], 0.0, 1.0)
-        band = np.maximum.reduceat(np.hypot(*(line[:-1] - a[k] - t[:, None] * chord[k]).T), first)
-        band += _PROJECTION_MARGIN * np.abs(line).max()
+        with np.errstate(over="ignore", invalid="ignore"):  # a chord's square may overflow
+            len2 = np.einsum("ij,ij->i", chord, chord)
+            inv = np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 1e-300)
+            t = np.clip(np.einsum("ij,ij->i", line[:-1] - a[k], chord[k]) * inv[k], 0.0, 1.0)
+            band = np.maximum.reduceat(
+                np.hypot(*(line[:-1] - a[k] - t[:, None] * chord[k]).T), first)
+        # a NaN band, from an overflowed chord, is no bound: the block is always searched
+        band = np.where(np.isnan(band), math.inf, band + _PROJECTION_MARGIN * np.abs(line).max())
         line.flags.writeable = False
         object.__setattr__(self, "centerline", line)
         object.__setattr__(self, "_segments", tuple(
@@ -242,7 +244,7 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
     heading error relative to the local route tangent. Raises ContractError
     unless `position` is two finite numbers.
     """
-    px, py = _position(position, "project_to_route")
+    px, py = _pair(position, "project_to_route position")
     # Blocks in order of the lower bound |p - centre| - r on their distance; a
     # block whose bound exceeds the best distance by more than rounding can
     # hold no nearer segment, and neither can any block after it. The distance

@@ -164,7 +164,8 @@ def leading_clearance(v_ego: float, v_other: float, axis: Axis, config: RewardCo
         + stop_distance(v_ego, config.rho, a_acc, a_brk_min)
         - v_other * v_other / (2.0 * a_brk_max)
     )
-    return max(r, r_geom)
+    # NaN when both stop distances overflow to inf; inf is the conservative clearance then
+    return math.inf if math.isnan(r) else max(r, r_geom)
 
 
 def approach_clearance(v_ego: float, v_other: float, axis: Axis, config: RewardConfig) -> float:

@@ -30,7 +30,7 @@ from .core import (
     wrap_angle,
 )
 from .core import (
-    _REQUIRED, _Field, _finite, _is_integer, _is_number, _positive, _read, _read_json,
+    _REQUIRED, _Field, _finite, _is_integer, _is_number, _pair, _positive, _read, _read_json,
 )
 from .reward import (
     STEER_SPEED_FLOOR,
@@ -413,9 +413,7 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
     (clamped) acceleration. The recorded ego acceleration is the effective one,
     so speed saturation at 0 or v_max shows up in the comfort objective.
     """
-    accel_cmd, steer_rate = ego_action
-    if not (math.isfinite(accel_cmd) and math.isfinite(steer_rate)):
-        raise ContractError("ego action must be finite")
+    accel_cmd, steer_rate = _pair(ego_action, "ego action")
     dt = config.dt
     ego = world.ego
     position = _advance_along_heading(ego, dt)
@@ -531,7 +529,7 @@ def lane_follower_policy(
 
 def scripted_replay_policy(actions: Sequence[tuple[float, float]]) -> Policy:
     """Replay a recorded action sequence, then hold still."""
-    actions = [(float(a), float(s)) for a, s in actions]
+    actions = [_pair(action, "scripted action") for action in actions]
 
     def policy(obs: Observation) -> tuple[float, float]:
         return actions[obs.step] if obs.step < len(actions) else (0.0, 0.0)
@@ -539,23 +537,21 @@ def scripted_replay_policy(actions: Sequence[tuple[float, float]]) -> Policy:
     return policy
 
 
-BUILTIN_POLICIES = ("lane_follower", "full_throttle", "idle")
+# Each built-in policy by name, parameterised from the config.
+_BUILTINS: dict[str, Callable[[RewardConfig], Policy]] = {
+    "lane_follower": lambda config: lane_follower_policy(
+        target_speed=config.v_desired, accel_limits=(-config.a_brk_max_x, config.a_acc_max_x)),
+    "full_throttle": lambda config: full_throttle_policy(accel=config.a_acc_max_x),
+    "idle": lambda config: idle_policy(),
+}
+BUILTIN_POLICIES = tuple(_BUILTINS)
 
 
 def build_policy(name: str, config: RewardConfig) -> Policy:
     """Instantiate a built-in policy by name, parameterised from the config."""
-    if name == "lane_follower":
-        return lane_follower_policy(
-            target_speed=config.v_desired,
-            accel_limits=(-config.a_brk_max_x, config.a_acc_max_x),
-        )
-    if name == "full_throttle":
-        return full_throttle_policy(accel=config.a_acc_max_x)
-    if name == "idle":
-        return idle_policy()
-    raise ScenarioError(
-        f"unknown policy {name!r}; built-in policies: {', '.join(BUILTIN_POLICIES)}"
-    )
+    if name not in _BUILTINS:
+        raise ScenarioError(f"unknown policy {name!r}; built-in policies: {', '.join(_BUILTINS)}")
+    return _BUILTINS[name](config)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +580,11 @@ class EpisodeTrace:
     cumulative_reward: float
     route_progress: float     # final station / goal station, clamped to [0, 1]
     average_velocity: float   # m/s
+
+
+# (MetricsSummary name, EpisodeTrace field) of each statistic an episode reports
+_EPISODE_STATS = (("reward", "cumulative_reward"), ("progress", "route_progress"),
+                  ("velocity", "average_velocity"))
 
 
 def run_episode(
@@ -620,7 +621,7 @@ def run_episode(
 
     for step in range(1, max_steps + 1):
         obs = Observation(ego=world.ego, pose=pose, others=world.actors, step=step - 1)
-        accel_cmd, steer_cmd = policy(obs)
+        accel_cmd, steer_cmd = _pair(policy(obs), "policy action")
         accel_cmd = min(max(accel_cmd, -config.a_brk_max_x), config.a_acc_max_x)
         steer_limit = max(world.ego.speed_long, STEER_SPEED_FLOOR) * config.kappa_max
         steer_cmd = min(max(steer_cmd, -steer_limit), steer_limit)
@@ -740,22 +741,9 @@ def aggregate_metrics(traces: Sequence[EpisodeTrace]) -> MetricsSummary:
     if not traces:
         raise ContractError("aggregate_metrics requires at least one trace")
     n = len(traces)
-    counts = {outcome: 0 for outcome in Outcome}
-    for trace in traces:
-        counts[trace.outcome] += 1
-    reward_mean, reward_std = _mean_std([t.cumulative_reward for t in traces])
-    progress_mean, progress_std = _mean_std([t.route_progress for t in traces])
-    velocity_mean, velocity_std = _mean_std([t.average_velocity for t in traces])
-    return MetricsSummary(
-        episodes=n,
-        success_pct=100.0 * counts[Outcome.SUCCESS] / n,
-        offroad_pct=100.0 * counts[Outcome.OFFROAD] / n,
-        collision_pct=100.0 * counts[Outcome.COLLISION] / n,
-        timeout_pct=100.0 * counts[Outcome.TIMEOUT] / n,
-        reward_mean=reward_mean,
-        reward_std=reward_std,
-        progress_mean=progress_mean,
-        progress_std=progress_std,
-        velocity_mean=velocity_mean,
-        velocity_std=velocity_std,
-    )
+    outcomes = [trace.outcome for trace in traces]
+    values = {f"{o.value}_pct": 100.0 * outcomes.count(o) / n
+              for o in Outcome if o is not Outcome.NONE}
+    for stat, f in _EPISODE_STATS:
+        values[f"{stat}_mean"], values[f"{stat}_std"] = _mean_std([getattr(t, f) for t in traces])
+    return MetricsSummary(episodes=n, **values)

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -564,3 +565,25 @@ class TestCmdValidate:
         assert "schema_version" in err
         assert "route.lane_width" in err
         assert "traffic_density" in err
+
+
+class TestReadmeCli:
+    def test_every_command_runs_and_writes_its_files(self, tmp_path, monkeypatch):
+        # the fenced block under README's "## CLI", one command per line once the
+        # backslash continuations are joined; inputs are read from the repository
+        root = Path(__file__).resolve().parent.parent
+        block = (root / "README.md").read_text().split("## CLI\n\n```bash\n", 1)[1]
+        commands = [shlex.split(line)
+                    for line in block.split("```", 1)[0].replace("\\\n", " ").splitlines()]
+        assert [argv[:2] for argv in commands] == [
+            ["riskrl", "run"], ["riskrl", "run"], ["riskrl", "sweep"], ["riskrl", "field"],
+            ["riskrl", "validate"],
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            argv = [str(root / arg) if Path(arg).parts[0] in ("scenarios", "configs") else arg
+                    for arg in argv[1:]]
+            assert main(argv) == 0, argv
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                         if p.is_file())
+        assert written == ["field.csv", "out/summary.json", "out/trace.csv", "sweep.csv"]

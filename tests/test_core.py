@@ -286,6 +286,14 @@ class TestProjectToRoute:
             with pytest.raises(ConfigError, match="route.centerline .* overflows"):
                 Route(centerline=np.array(centerline), lane_width=3.5, goal_station=0.0)
 
+    def test_block_chord_whose_square_overflows_is_searched_without_a_bound(self):
+        # every segment is finite, but the 16-segment chord of a block squares past the
+        # float range: its band is NaN, so it is no bound and that block is always searched
+        route = Route(np.array([[i * 1e153, 0.0] for i in range(40)]), 3.5, 0.0)
+        assert route._blocks[0][-1] == math.inf
+        for k in (0, 5, 17, 39):
+            assert project_to_route(route.centerline[k], 0.0, route).station == route._stations[k]
+
     @pytest.mark.parametrize("lane_width", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_lane_width_rejected(self, lane_width):
         with pytest.raises(ConfigError, match="route.lane_width"):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from riskrl import (
     ActorKind,
@@ -387,6 +387,31 @@ class TestRiskReward:
         assert a.combined == pytest.approx(
             CFG.w_geom * a.geom_penalty + CFG.w_dyn * a.dyn_penalty, abs=1e-15
         )
+
+    @given(
+        position=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        offset=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+        headings=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+        speeds=st.tuples(*[st.floats(-1e308, 1e308) | st.sampled_from([0.0, 1e300])] * 4),
+        static=st.booleans(),
+    )
+    # both stop distances of a leading clearance overflow to inf, longitudinally and laterally
+    @example(position=(0.0, 0.0), offset=(50.0, 0.0), headings=(0.0, 0.0),
+             speeds=(1e300, 0.0, 1e300, 0.0), static=False)
+    @example(position=(0.0, 0.0), offset=(0.0, 5.0), headings=(0.0, 0.0),
+             speeds=(0.0, 1e300, 0.0, 1e300), static=False)
+    def test_penalties_lie_in_unit_interval_at_any_speed(self, position, offset, headings,
+                                                          speeds, static):
+        ego = ActorState(position, headings[0], speed_long=speeds[0], speed_lat=speeds[1],
+                         kind=ActorKind.EGO_VEHICLE)
+        other_at = (position[0] + offset[0], position[1] + offset[1])
+        if static:
+            other = ActorState(other_at, headings[1], kind=ActorKind.STATIC_OBSTACLE)
+        else:
+            other = ActorState(other_at, headings[1], speed_long=speeds[2], speed_lat=speeds[3])
+        a = assess_interaction(ego, other, CFG)
+        for value in (a.geom_penalty, a.dyn_penalty, a.combined):
+            assert 0.0 <= value <= 1.0  # fails for NaN too
 
     @given(
         n_keep=st.integers(0, 3),

@@ -405,7 +405,12 @@ class TestScenarioLoading:
     @pytest.mark.parametrize("data, problem", [
         ([], "document must be an object"),
         ({"schema_version": 1, "ego": {"station": 5.0}}, "route is required"),
-    ], ids=["list", "no-route"])
+        (minimal_scenario_data(npcs=[{"station": 20.0, "script": {"kind": "teleport"}}]),
+         "npcs[0].script.kind must be one of ('constant_velocity', 'waypoint_follower', "
+         "'braking') (got 'teleport')"),
+        (minimal_scenario_data(ego={"station": 5.0, "lateral_offset": -4.0}),
+         "ego.lateral_offset must keep the ego on or near the lane (got -4.0)"),
+    ], ids=["list", "no-route", "unknown-script-kind", "ego-off-the-lane"])
     def test_document_shape_problems(self, data, problem):
         assert validate_scenario_data(data) == [problem]
 
@@ -520,6 +525,19 @@ class TestRunEpisode:
         second = run_episode(scenario, policy, CFG)
         assert trace_rows(first) == trace_rows(second)
         assert first.outcome is Outcome.SUCCESS
+
+    @pytest.mark.parametrize("action", [("x", 0.0), (True, False), (math.nan, 0.0), None, (1.0,)],
+                             ids=["string", "booleans", "nan", "none", "one-value"])
+    @pytest.mark.parametrize("source", ["policy action", "ego action", "scripted action"])
+    def test_bad_action_names_its_source(self, source, action):
+        with pytest.raises(ContractError, match=f"^{source} must be two finite numbers"):
+            if source == "policy action":
+                scenario = scenario_from_dict(minimal_scenario_data(max_steps=3))
+                run_episode(scenario, lambda obs: action, CFG)
+            elif source == "ego action":
+                step_world(make_world(), action, CFG)
+            else:
+                scripted_replay_policy([(1.0, 0.0), action])
 
     def test_cumulative_reward_is_sum_of_step_totals(self, scenarios_dir):
         scenario = load_scenario(scenarios_dir / "intersection.json")
