@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import gzip
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -30,13 +31,84 @@ GOLDEN_TRACE_HEADER = (
     "max_risk_actor,geom_penalty,dyn_penalty,ttc"
 )
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Outputs of the criterion-7 sweep shape (intersection.json, seed 7) frozen by the
 # benchmark, and the absolute tolerance it holds every compared float to.
-SWEEP_REFERENCE = (
-    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "sweep_intersection.json.gz"
-)
+SWEEP_REFERENCE = REPO_ROOT / "perfbench" / "reference" / "sweep_intersection.json.gz"
 REFERENCE_TOLERANCE = 1e-9
+
+
+# sha256 of (trace.csv, summary.json) that `riskrl run` writes with the default config
+RUN_DIGESTS = {
+    ("blocked_road", "lane_follower"): (
+        "b7f07fcad4f303152f66ef46bf4acbb74278549dd6eb88b8606cfb3e8dca2f6f",
+        "4cdfb00caea7a0f61145e55de6ee59d112f07f4a7f2497f9f3e6993bbc497ba9",
+    ),
+    ("blocked_road", "full_throttle"): (
+        "a29c18baee972d54aa0a076d40b1bf49a96494749e5dad54aadb46c7243e7bd5",
+        "1abb631f665931418ff68e0e79f35e6f740ddcf8ccb5fd69522296784f5fb827",
+    ),
+    ("blocked_road", "idle"): (
+        "fa96d62c52200841b48fa006f7e7ea8e5b63ab7e4a1a8969940d8051df35dd33",
+        "043e1e08526954f7096d0e5238c4271179f924388ebc900c0d42e9a3e79b6c37",
+    ),
+    ("empty_road", "lane_follower"): (
+        "da557a2426340adae65e78306034af3450566768bc6d0adf0c911fa2b2f4f558",
+        "a177492f7accf6d0d828962c90525b86991d0700e9b2f24609ab97d12f10ccdc",
+    ),
+    ("empty_road", "full_throttle"): (
+        "8a97e4f3317b956349bc157e2b8ff8503fc196b6623637e68e96a560bb973b60",
+        "ee23592ca796189d0731363d43e8111e8d8c79071228600dd89334b28c158130",
+    ),
+    ("empty_road", "idle"): (
+        "95eb6520088d47d98e93039a87bf1aa2bfe1c331aaa9ffdd2eb355c8544307dd",
+        "379b6a1da5a049a0aecf3596f61f0131542a948cd637c212ac21e6c230103788",
+    ),
+    ("intersection", "lane_follower"): (
+        "97b09f21bc6a58830e2a047bdbbded3d50c3189235519ea7c3b25152fca3498f",
+        "451b89e89cb1b96ae2f6976ba0ba29d5aa2712778f7d81f02ad936409aaf7291",
+    ),
+    ("intersection", "full_throttle"): (
+        "4575da2159882455837c75772d169e884b03a0214b191f4a02f249bbb6163d68",
+        "e1f821e3a68a13866f5acb98f83bb25aaf498072f47bca8723888c5a2587c349",
+    ),
+    ("intersection", "idle"): (
+        "511e1ccae81579bb971a682f14e8b8fa8b92867ab1db33fb9989fb729ff04822",
+        "e735c46747b2db53d9473d65a8dfdc95469a66e03f74491ff1ac8b65cfbd527f",
+    ),
+}
+# the same for the six seed-7 documents of perfbench's `run_waypoints` workload, in order
+WAYPOINT_RUN_DIGESTS = (
+    ("cc5b286d83da5ef3e401d49863b719073a04bf4c21c799fcdfad1280f971e2e2",
+     "190cde39bf0bccae3e57ab0e7be2802e1e10ecd843ca681f5fc56ce9a20664ea"),
+    ("3a799f8d611e06b54caf41527c7663c4d6c640d9afab35a02990097341f41c8d",
+     "039876bf3ca31d6382025f00ffade29636f72794e1721da1883d3a54ec620599"),
+    ("b0e7196e3432dd2d09f84fc3619fa0e6c6f163ab560fb2688bd89d4dcfbbea82",
+     "522af50a2c92454b0266e262c13c0ced5e0aaca1a8ae94814ebcedd5af5c0f0c"),
+    ("b5f23a3739a5f00b64715c30d27df220e9a1cb47336cb18d81af4dde00fd2573",
+     "3b76badc24e1825fd1305ef8441ae81d3c6578e90f7e6a83f6390d0d99cbe639"),
+    ("52c425771da00aab024777567fe097141751ea34bc451f68140aec115b72516f",
+     "24d3665f4be456f0d0efe8e62d65b1181a90e97bb6ef92567a6032277d9624ea"),
+    ("3d21b8245067531745fa329931b53a3287a8bd9ea1679270ada8af3fbbf7ec1c",
+     "2510c5a3cd33fbb9001037e63ebe6f120dd039aff30f066fd7bf1e99971f51e3"),
+)
+# sha256 of the criterion-7 sweep.csv (intersection.json, seed 7, 20 episodes per density)
+SWEEP_DIGEST = "92b156bc99fdcf8e10f988b2ac7840a2140176a3574fc6a8cc6f8f30bc7ffe9f"
+
+
+def run_digests(out):
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("trace.csv", "summary.json"))
+
+
+def load_waypoints_module():
+    """perfbench/waypoints.py, which generates the `run_waypoints` documents."""
+    path = REPO_ROOT / "perfbench" / "waypoints.py"
+    spec = importlib.util.spec_from_file_location("perfbench_waypoints", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def read_rows(path):
@@ -115,6 +187,25 @@ class TestCmdRun:
         rows = read_rows(out / "trace.csv")
         assert rows[-1][15] == "0"  # the wall is the highest-risk actor
         assert rows[-1][18] == "inf"  # static interaction carries no TTC
+
+    @pytest.mark.parametrize("scenario, policy", sorted(RUN_DIGESTS))
+    def test_pinned_run_digests(self, tmp_path, scenarios_dir, configs_dir, scenario, policy):
+        assert main(["run", "--scenario", str(scenarios_dir / f"{scenario}.json"),
+                     "--config", str(configs_dir / "default.json"), "--policy", policy,
+                     "--out", str(tmp_path)]) == 0
+        assert run_digests(tmp_path) == RUN_DIGESTS[scenario, policy]
+
+    def test_pinned_waypoint_run_digests(self, tmp_path, configs_dir):
+        waypoints = load_waypoints_module()
+        paths = waypoints.write_documents(waypoints.generate_documents(7), tmp_path / "in")
+        digests = []
+        for i, path in enumerate(paths):
+            out = tmp_path / f"run_{i}"
+            assert main(["run", "--scenario", str(path), "--config",
+                         str(configs_dir / "default.json"), "--policy", "lane_follower",
+                         "--seed=-1", "--out", str(out)]) == 0
+            digests.append(run_digests(out))
+        assert tuple(digests) == WAYPOINT_RUN_DIGESTS
 
     def test_missing_scenario_names_path(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -261,6 +352,15 @@ class TestCmdSweep:
         assert [len(row) for row in rows] == [len(row) for row in reference["rows"]]
         for row, expected in zip(rows, reference["rows"]):
             assert all(abs(a - b) <= REFERENCE_TOLERANCE for a, b in zip(row, expected))
+
+    def test_pinned_criterion_7_sweep_digest(self, tmp_path, scenarios_dir, configs_dir):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--scenario", str(scenarios_dir / "intersection.json"),
+            "--config", str(configs_dir / "default.json"),
+            "--densities", "0.5,0.75,1.0", "--episodes", "20", "--seed", "7", "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGEST
 
     def test_empty_scenario_directory_rejected(self, tmp_path, capsys):
         assert main(["sweep", "--scenario", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 2
