@@ -373,9 +373,28 @@ def _advance_along_heading(state: ActorState, dt: float) -> tuple[float, float]:
 
 def _moved(state: ActorState, position: tuple[float, float], heading: float,
            speed_long: float, accel_long: float) -> ActorState:
-    """`state` at a new pose and longitudinal motion; footprint, kind and lateral speed kept."""
-    return ActorState(position, heading, speed_long, state.speed_lat, accel_long,
-                      state.length, state.width, state.kind)
+    """`state` at a new pose and longitudinal motion; footprint, kind and lateral speed kept.
+
+    `state` passed ActorState's checks and the new numbers are worked out from
+    checked ones, so only an overflow or a static actor set moving can fail them.
+    Only then is the constructor run, to raise as it does for any caller.
+    """
+    x, y = position
+    # a sum of finite numbers is finite unless it overflows, when the constructor decides
+    if not math.isfinite(x + y + heading + speed_long + accel_long) or (
+            speed_long != 0.0 and state.kind is ActorKind.STATIC_OBSTACLE):
+        return ActorState(position, heading, speed_long, state.speed_lat, accel_long,
+                          state.length, state.width, state.kind)
+    new, put = object.__new__(ActorState), object.__setattr__
+    put(new, "position", (float(x), float(y)))  # the fields in their declared order
+    put(new, "heading", heading)
+    put(new, "speed_long", speed_long)
+    put(new, "speed_lat", state.speed_lat)
+    put(new, "accel_long", accel_long)
+    put(new, "length", state.length)
+    put(new, "width", state.width)
+    put(new, "kind", state.kind)
+    return new
 
 
 def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float,
@@ -618,9 +637,10 @@ def run_episode(
     pose = project_to_route(world.ego.position, world.ego.heading, route)
     max_steps = scenario.max_steps if scenario.max_steps is not None else config.timeout_steps
     records: list[StepRecord] = []
+    actors = world.actors  # read once per step: the tuple is built on each read
 
     for step in range(1, max_steps + 1):
-        obs = Observation(ego=world.ego, pose=pose, others=world.actors, step=step - 1)
+        obs = Observation(ego=world.ego, pose=pose, others=actors, step=step - 1)
         accel_cmd, steer_cmd = _pair(policy(obs), "policy action")
         accel_cmd = min(max(accel_cmd, -config.a_brk_max_x), config.a_acc_max_x)
         steer_limit = max(world.ego.speed_long, STEER_SPEED_FLOOR) * config.kappa_max
@@ -628,8 +648,9 @@ def run_episode(
 
         world = step_world(world, (accel_cmd, steer_cmd), config)
         new_pose = project_to_route(world.ego.position, world.ego.heading, route)
+        actors = world.actors
 
-        if detect_collision(world.ego, world.actors):
+        if detect_collision(world.ego, actors):
             outcome = Outcome.COLLISION
         elif check_offroad(new_pose, world.ego, route):
             outcome = Outcome.OFFROAD
@@ -650,7 +671,7 @@ def run_episode(
             ego=world.ego,
             pose=new_pose,
             prev_pose=pose,
-            others=world.actors,
+            others=actors,
             lane_width=route.lane_width,
             steering_rate=steer_cmd,
             jerk=jerk,
