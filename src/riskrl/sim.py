@@ -625,6 +625,10 @@ def run_episode(
     if not route.goal_station > 0.0:  # route_progress divides by it
         raise ContractError(f"route.goal_station must be positive to run an episode "
                             f"(got {route.goal_station})")
+    max_steps = scenario.max_steps if scenario.max_steps is not None else config.timeout_steps
+    if not (isinstance(max_steps, (int, np.integer)) and type(max_steps) is not bool
+            and max_steps >= 1):
+        raise ContractError(f"max_steps must be an integer >= 1 (got {reprlib.repr(max_steps)})")
     npcs, obstacles = realize_traffic(scenario, density=density, seed=seed)
     world = World(
         route=route,
@@ -635,7 +639,6 @@ def run_episode(
         obstacles=obstacles,
     )
     pose = project_to_route(world.ego.position, world.ego.heading, route)
-    max_steps = scenario.max_steps if scenario.max_steps is not None else config.timeout_steps
     records: list[StepRecord] = []
     actors = world.actors  # read once per step: the tuple is built on each read
 

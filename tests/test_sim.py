@@ -503,6 +503,23 @@ class TestRunEpisode:
             run_episode(scenario, lambda obs: steps.append(obs) or (0.0, 0.0), CFG)
         assert steps == []
 
+    @pytest.mark.parametrize("max_steps", [0, -3, 2.5, True])
+    def test_bad_max_steps_fails_before_the_first_step(self, max_steps):
+        # documents reject these, but a Scenario built in code can hold them
+        ego = ActorState(position=(5.0, 0.0), heading=0.0, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego, max_steps=max_steps)
+        steps = []
+        with pytest.raises(ContractError, match=r"^max_steps must be an integer >= 1 \(got "):
+            run_episode(scenario, lambda obs: steps.append(obs) or (0.0, 0.0), CFG)
+        assert steps == []
+
+    @pytest.mark.parametrize("max_steps, steps", [(1, 1), (np.int64(3), 3), (10**7, 14)])
+    def test_max_steps_takes_any_integer_from_one(self, max_steps, steps):
+        ego = ActorState(position=(5.0, 0.0), heading=0.0, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(80.0, goal=10.0), ego_spawn=ego,
+                            max_steps=max_steps)
+        assert len(run_episode(scenario, full_throttle_policy(6.0), CFG).records) == steps
+
     def test_offroad_detected_for_runaway_heading(self):
         scenario = scenario_from_dict(minimal_scenario_data(
             ego={"station": 5.0, "speed": 4.0, "heading_offset_deg": 40.0},
