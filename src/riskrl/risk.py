@@ -200,6 +200,21 @@ def away_clearance(v_ego_away: float, v_other_toward: float, config: RewardConfi
     return 0.0
 
 
+def _ttc_setup(a: ActorState, b: ActorState) -> tuple[float, float, int, float]:
+    """(dvx, dvy, e, radius): b's velocity relative to a's over 2**e; the radii's sum.
+
+    e is 0 unless a component exceeds 1e150, whose square may overflow; then 2**e
+    brings both below 1. That scaling is exact, so a root found with the scaled
+    velocity, divided by 2**e, is the TTC.
+    """
+    avx, avy = _rotate(a.speed_long, a.speed_lat, a.heading)
+    bvx, bvy = _rotate(b.speed_long, b.speed_lat, b.heading)
+    dvx, dvy = bvx - avx, bvy - avy
+    big = max(abs(dvx), abs(dvy))
+    e = math.frexp(big)[1] if big > 1e150 else 0
+    return math.ldexp(dvx, -e), math.ldexp(dvy, -e), e, a.circumradius + b.circumradius
+
+
 def ttc_circle(a: ActorState, b: ActorState) -> float:
     """Time until the two circumcircles first touch under constant velocities.
 
@@ -207,10 +222,7 @@ def ttc_circle(a: ActorState, b: ActorState) -> float:
     circles already overlap, and +inf when they never meet.
     """
     (ax, ay), (bx, by) = a.position, b.position
-    avx, avy = _rotate(a.speed_long, a.speed_lat, a.heading)
-    bvx, bvy = _rotate(b.speed_long, b.speed_lat, b.heading)
-    dpx, dpy, dvx, dvy = bx - ax, by - ay, bvx - avx, bvy - avy
-    radius = a.circumradius + b.circumradius
+    dpx, dpy, (dvx, dvy, e, radius) = bx - ax, by - ay, _ttc_setup(a, b)
     c = dpx * dpx + dpy * dpy - radius * radius
     if c <= 0.0:
         return 0.0
@@ -223,7 +235,7 @@ def ttc_circle(a: ActorState, b: ActorState) -> float:
         return math.inf
     t_first = (-bb - math.sqrt(disc)) / aa
     # c > 0 means both roots share a sign, so a negative first root is a miss
-    return t_first if t_first >= 0.0 else math.inf
+    return math.ldexp(t_first, -e) if t_first >= 0.0 else math.inf
 
 
 def ttc_penalty(ttc: float, config: RewardConfig) -> float:
@@ -381,10 +393,7 @@ def risk_field(
 
 def _ttc_field(ego: ActorState, other: ActorState, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """`ttc_circle` with `other` displaced by (px, py) from the ego, in its branch order."""
-    avx, avy = _rotate(ego.speed_long, ego.speed_lat, ego.heading)
-    bvx, bvy = _rotate(other.speed_long, other.speed_lat, other.heading)
-    dvx, dvy = bvx - avx, bvy - avy
-    radius = ego.circumradius + other.circumradius
+    dvx, dvy, e, radius = _ttc_setup(ego, other)
     c = px * px + py * py - radius * radius
     aa = dvx * dvx + dvy * dvy
     if aa == 0.0:
@@ -393,7 +402,7 @@ def _ttc_field(ego: ActorState, other: ActorState, px: np.ndarray, py: np.ndarra
     disc = bb * bb - aa * c
     # a negative disc gives a NaN root, which fails `>= 0` and so is a miss too
     t_first = (-bb - np.sqrt(disc)) / aa
-    return np.where(c <= 0.0, 0.0, np.where(t_first >= 0.0, t_first, math.inf))
+    return np.where(c <= 0.0, 0.0, np.where(t_first >= 0.0, np.ldexp(t_first, -e), math.inf))
 
 
 def assess_interaction(

@@ -278,6 +278,31 @@ class TestTtc:
     def test_overlapping_circles_collide_now(self):
         assert ttc_circle(car(), car(x=1.0)) == 0.0
 
+    def test_overflowing_relative_speed_is_still_a_hit(self):
+        # the squared relative speed overflows: an unscaled quadratic reads this as a miss
+        ego = ActorState((0.0, 0.0), 0.0, speed_long=1e160, kind=ActorKind.EGO_VEHICLE)
+        other = ActorState((20.0, -20.0), math.pi / 2, speed_long=1e160)
+        assessment = assess_interaction(ego, other, CFG)
+        assert assessment.mode is InteractionMode.INTERSECTING
+        assert 0.0 < assessment.ttc < 1e-158 and assessment.dyn_penalty == 1.0
+        mode = InteractionMode.INTERSECTING
+        assert risk_field(ego, other, [20.0], [-20.0], mode, CFG)[1].tolist() == [1.0]
+        # the largest power of two below the float limit: 2 ** 1024 itself overflows
+        other = car(y=-30.0, v_lat=2.0 ** 1023)
+        gap = 30.0 - 2.0 * other.circumradius
+        assert ttc_circle(car(), other) == pytest.approx(gap / 2.0 ** 1023, rel=1e-12)
+
+    def test_scaling_both_speeds_divides_the_ttc_exactly(self):
+        def pair(speed):
+            return car(v=speed), car(x=20.0, y=-20.0, heading=math.pi / 2, v=speed)
+
+        ttc = ttc_circle(*pair(3.0))
+        assert 0.0 < ttc < math.inf
+        k = 0
+        while 3.0 * 2.0 ** k <= 1e300:
+            assert ttc_circle(*pair(3.0 * 2.0 ** k)) == ttc / 2.0 ** k
+            k += 1
+
     def test_penalty_boundaries(self):
         assert ttc_penalty(7.0, CFG) == pytest.approx(0.0, abs=1e-15)
         assert ttc_penalty(0.7, CFG) == pytest.approx(1.0, abs=1e-15)
