@@ -1,6 +1,7 @@
 """World stepping, collision/off-road detection, scenarios, episodes, metrics."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -166,6 +167,74 @@ class TestStepWorld:
     def test_non_finite_action_rejected(self):
         with pytest.raises(ContractError):
             step_world(make_world(), (math.nan, 0.0), CFG)
+
+    @pytest.mark.parametrize("case, message", [
+        ("constant_velocity_overflows", "ActorState position must be two finite numbers "
+                                        "(got (inf, 5.0))"),
+        ("static_npc_follows_waypoints", "static obstacles must have zero velocity"),
+        ("static_ego_accelerates", "static obstacles must have zero velocity"),
+        ("ego_accel_overflows", "ActorState accel_long must be a finite number (got -inf)"),
+    ])
+    def test_a_state_the_constructor_rejects_fails_the_step(self, case, message):
+        # states built in code, beyond the document bounds: the step raises as
+        # ActorState does for any caller
+        config, static = CFG, ActorKind.STATIC_OBSTACLE
+        if case == "constant_velocity_overflows":
+            npc = ActorState(position=(1.7e308, 5.0), heading=0.0, speed_long=1e308)
+            world = make_world(npcs=[npc], scripts=[ConstantVelocity()])
+        elif case == "static_npc_follows_waypoints":
+            npc = ActorState(position=(0.0, 5.0), heading=0.0, kind=static)
+            world = make_world(npcs=[npc], scripts=[WaypointFollower(((0, 5), (50, 5)), 3.0)])
+        elif case == "static_ego_accelerates":
+            world = make_world(ego=ActorState(position=(0.0, 0.0), heading=0.0, kind=static))
+        else:
+            world = make_world(ego=ActorState(position=(0.0, 0.0), heading=0.0, speed_long=1e300))
+            config = RewardConfig(dt=1e-12)
+        with pytest.raises(ContractError) as error:
+            step_world(world, (1.0, 0.0), config)
+        assert str(error.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stepped_states_equal_the_checked_constructor(self, data):
+        number = st.floats(-1e3, 1e3)
+
+        def state(kind, speed=st.floats(0.0, 20.0)):
+            return ActorState(
+                position=(data.draw(number), data.draw(number)),
+                heading=data.draw(st.floats(-math.pi, math.pi)), speed_long=data.draw(speed),
+                speed_lat=0.0 if kind is ActorKind.STATIC_OBSTACLE else data.draw(number),
+                accel_long=data.draw(number), length=data.draw(st.floats(0.3, 10.0)),
+                width=data.draw(st.floats(0.3, 5.0)), kind=kind)
+
+        def script():
+            kind = data.draw(st.sampled_from(["constant_velocity", "braking", "waypoints"]))
+            if kind == "constant_velocity":
+                return ConstantVelocity()
+            if kind == "braking":
+                return Braking(data.draw(number), data.draw(st.floats(0.1, 10.0)))
+            points = [(data.draw(number), data.draw(number))]
+            for _ in range(data.draw(st.integers(1, 3))):  # each step moves x by 0.5 m or more
+                points.append((points[-1][0] + data.draw(st.floats(0.5, 20.0)),
+                               points[-1][1] + data.draw(st.floats(-20.0, 20.0))))
+            return WaypointFollower(tuple(points), data.draw(st.floats(0.0, 20.0)))
+
+        count = data.draw(st.integers(0, 3))
+        world = make_world(
+            ego=state(ActorKind.EGO_VEHICLE, st.floats(0.0, CFG.v_max)),
+            npcs=[state(ActorKind.NPC_VEHICLE) for _ in range(count)],
+            scripts=[script() for _ in range(count)],
+            obstacles=[state(ActorKind.STATIC_OBSTACLE, st.just(0.0))])
+        for _ in range(data.draw(st.integers(1, 4))):
+            action = (data.draw(st.floats(-10.0, 10.0)), data.draw(st.floats(-2.0, 2.0)))
+            world = step_world(world, action, CFG)
+            for new in (world.ego, *world.npcs):
+                checked = ActorState(*(getattr(new, f.name) for f in dataclasses.fields(new)))
+                assert all(
+                    type(getattr(new, f.name)) is type(getattr(checked, f.name))
+                    and repr(getattr(new, f.name)) == repr(getattr(checked, f.name))
+                    for f in dataclasses.fields(new)
+                )
 
 
 def rectangle_contains(state: ActorState, points: np.ndarray) -> np.ndarray:
@@ -519,6 +588,21 @@ class TestRunEpisode:
         scenario = Scenario(route=straight_route(80.0, goal=10.0), ego_spawn=ego,
                             max_steps=max_steps)
         assert len(run_episode(scenario, full_throttle_policy(6.0), CFG).records) == steps
+
+    def test_only_spawned_states_run_the_constructor_checks(self, scenarios_dir, monkeypatch):
+        scenario = load_scenario(scenarios_dir / "intersection.json")
+        npcs, obstacles = realize_traffic(scenario, density=1.0, seed=3)
+        spawned = len(npcs) + len(obstacles) - len(scenario.npcs) - len(scenario.obstacles)
+        checks, post_init = [], ActorState.__post_init__
+
+        def counted(state):
+            checks.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(ActorState, "__post_init__", counted)
+        trace = run_episode(scenario, build_policy("lane_follower", CFG), CFG, density=1.0, seed=3)
+        assert spawned > 0 and len(trace.records) > 10
+        assert len(checks) == spawned  # one per slot placed this episode, none per step
 
     def test_offroad_detected_for_runaway_heading(self):
         scenario = scenario_from_dict(minimal_scenario_data(
