@@ -404,15 +404,12 @@ def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float,
         return _moved(state, _advance_along_heading(state, dt), state.heading,
                       state.speed_long, state.accel_long), None
     if isinstance(script, Braking):
-        station = project_to_route(state.position, state.heading, route).station
-        position = _advance_along_heading(state, dt)
-        speed = state.speed_long
-        accel = 0.0
-        if station >= script.trigger_station and speed > 0.0:
-            new_speed = max(speed - script.decel * dt, 0.0)
-            accel = (new_speed - speed) / dt
-            speed = new_speed
-        return _moved(state, position, state.heading, speed, accel), None
+        speed = state.speed_long  # only a moving NPC can brake, so only it is projected
+        if speed > 0.0 and project_to_route(
+                state.position, state.heading, route).station >= script.trigger_station:
+            speed = max(speed - script.decel * dt, 0.0)
+        return _moved(state, _advance_along_heading(state, dt), state.heading, speed,
+                      (speed - state.speed_long) / dt), None
     # waypoint follower: advance by arc length from where it first meets its polyline;
     # the carried arc length keeps a self-crossing polyline from sending it back
     line = script._line
@@ -444,15 +441,8 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
     stepped = [_step_npc(state, script, world.route, dt, station)
                for state, script, station in zip(world.npcs, world.scripts, carried, strict=True)]
     npcs, stations = zip(*stepped) if stepped else ((), ())
-    return World(
-        route=world.route,
-        time=world.time + dt,
-        ego=new_ego,
-        npcs=npcs,
-        scripts=world.scripts,
-        obstacles=world.obstacles,
-        stations=stations,
-    )
+    return World(route=world.route, time=world.time + dt, ego=new_ego, npcs=npcs,
+                 scripts=world.scripts, obstacles=world.obstacles, stations=stations)
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +620,9 @@ def run_episode(
             and max_steps >= 1):
         raise ContractError(f"max_steps must be an integer >= 1 (got {reprlib.repr(max_steps)})")
     npcs, obstacles = realize_traffic(scenario, density=density, seed=seed)
-    world = World(
-        route=route,
-        time=0.0,
-        ego=scenario.ego_spawn,
-        npcs=tuple(state for state, _ in npcs),
-        scripts=tuple(script for _, script in npcs),
-        obstacles=obstacles,
-    )
+    world = World(route=route, time=0.0, ego=scenario.ego_spawn,
+                  npcs=tuple(state for state, _ in npcs),
+                  scripts=tuple(script for _, script in npcs), obstacles=obstacles)
     pose = project_to_route(world.ego.position, world.ego.heading, route)
     records: list[StepRecord] = []
     actors = world.actors  # read once per step: the tuple is built on each read
@@ -664,11 +649,8 @@ def run_episode(
         else:
             outcome = Outcome.NONE
 
-        violations = (
-            frozenset({SPEEDING_RULE})
-            if world.ego.speed_long > config.speed_limit + 1e-9
-            else frozenset()
-        )
+        violations = frozenset(
+            (SPEEDING_RULE,) if world.ego.speed_long > config.speed_limit + 1e-9 else ())
         jerk = (world.ego.accel_long - obs.ego.accel_long) / config.dt
         ctx = StepContext(
             ego=world.ego,
