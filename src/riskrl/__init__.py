@@ -71,7 +71,6 @@ from .sim import (
     WaypointFollower,
     World,
     aggregate_metrics,
-    brute_force_ttc,
     build_policy,
     check_offroad,
     detect_collision,

@@ -283,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", default=_env("POLICY", "lane_follower"),
                      choices=BUILTIN_POLICIES, help="built-in driving policy")
     run.add_argument("--out", default=_env("OUT", "out"), help="output directory")
-    run.add_argument("--seed", type=int,
-                     default=_env("SEED", "-1"), help="override the scenario seed")
+    run.add_argument("--seed", type=int, default=_env("SEED", "-1"),
+                     help="override the scenario seed; a negative one keeps the scenario's")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="aggregate metrics over densities and episodes")

@@ -49,11 +49,6 @@ def _rotate(x: float, y: float, angle: float) -> tuple[float, float]:
     return c * x - s * y, s * x + c * y
 
 
-def rotate(vec: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate a 2-vector counter-clockwise by `angle` radians."""
-    return np.array(_rotate(vec[0], vec[1], angle))
-
-
 class ActorKind(Enum):
     EGO_VEHICLE = "ego_vehicle"
     NPC_VEHICLE = "npc_vehicle"
@@ -105,14 +100,13 @@ class ActorState:
                 raise ContractError(f"ActorState {name} must be a finite number (got {got})")
         if self.length <= 0.0 or self.width <= 0.0:
             raise ContractError("ActorState length and width must be positive")
+        if not isinstance(self.kind, ActorKind):
+            got = reprlib.repr(self.kind)
+            raise ContractError(f"ActorState kind must be an ActorKind (got {got})")
         if self.kind is ActorKind.STATIC_OBSTACLE and (
             self.speed_long != 0.0 or self.speed_lat != 0.0
         ):
             raise ContractError("static obstacles must have zero velocity")
-
-    def velocity_world(self) -> np.ndarray:
-        """World-frame velocity vector, m/s."""
-        return np.array(_rotate(self.speed_long, self.speed_lat, self.heading))
 
     @property
     def speed(self) -> float:
@@ -163,8 +157,8 @@ class Route:
             raise ConfigError(f"route.goal_station must be a number within [0, {cum[-1]:.6g}] "
                               f"(got {reprlib.repr(self.goal_station)})")
         # The projection normalises a segment by sqrt(d . d), the station lookups
-        # by its hypot length; the two can differ in the last bit, so each has
-        # its own tangent table.
+        # by its hypot length; the two can differ in the last bit, so each keeps
+        # its own tangents.
         tangent = (seg / np.sqrt(seg_len2)[:, None]).tolist()
         unit = (seg / seg_len[:, None]).tolist()
         # the projection's tables: (ax, ay, dx, dy, d . d) per segment; per block of
@@ -200,31 +194,17 @@ class Route:
         """Total arc length, m."""
         return self._stations[-1]
 
-    def _segment_at(self, station: float) -> tuple[int, float]:
-        """(segment index, station clamped to the route)."""
+    def _pose_at(self, station: float) -> tuple[float, float, float, float, float]:
+        """(x, y, heading, ux, uy) of the centerline at the station clamped to the route.
+
+        (ux, uy) is the unit tangent of the segment holding the station; all plain floats.
+        """
         s = min(max(station, 0.0), self.length)
-        idx = bisect.bisect_right(self._stations, s) - 1
-        return min(max(idx, 0), len(self._seg_len) - 1), s
-
-    def _pose_at(self, station: float) -> tuple[float, float, float]:
-        """(x, y, heading) of the centerline at the (clamped) station, in plain floats."""
-        i, s = self._segment_at(station)
+        i = min(max(bisect.bisect_right(self._stations, s) - 1, 0), len(self._seg_len) - 1)
         ax, ay, dx, dy, _ = self._segments[i]
-        t = (s - self._stations[i]) / self._seg_len[i]
-        return ax + t * dx, ay + t * dy, self._heading[i]
-
-    def point_at(self, station: float) -> np.ndarray:
-        """Centerline point at the given (clamped) station."""
-        return np.array(self._pose_at(station)[:2])
-
-    def tangent_at(self, station: float) -> np.ndarray:
-        """Unit tangent of the segment containing the station."""
-        i, _ = self._segment_at(station)
-        return np.array(self._segments[i][2:4]) / self._seg_len[i]
-
-    def heading_at(self, station: float) -> float:
-        """Heading of the route tangent, rad."""
-        return self._pose_at(station)[2]
+        length = self._seg_len[i]
+        t = (s - self._stations[i]) / length
+        return ax + t * dx, ay + t * dy, self._heading[i], dx / length, dy / length
 
 
 @dataclass(frozen=True)

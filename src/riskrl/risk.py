@@ -258,10 +258,16 @@ def _mode_exponents(mode: InteractionMode, config: RewardConfig) -> tuple[int, i
     return config.p_min, config.p_max
 
 
+def _require_mode(mode: object) -> None:
+    if not isinstance(mode, InteractionMode):
+        raise ContractError(f"mode must be an InteractionMode (got {mode!r})")
+
+
 def geometric_risk(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
 ) -> float:
     """Risk field with fixed, speed-independent clearances (pays for dynamic_risk's too)."""
+    _require_mode(mode)
     return _pair_risk(ego, other, mode, config)[0]
 
 
@@ -314,6 +320,7 @@ def dynamic_risk(
     for the intersecting mode. Both scalar risks work out both penalties, so a
     caller that wants the two calls assess_interaction, which does that once.
     """
+    _require_mode(mode)
     return _pair_risk(ego, other, mode, config)[1:]
 
 
@@ -365,6 +372,7 @@ def risk_field(
     rounded steps, the powers in the scalar functions' own `_ellipse_power`, and
     only log10 runs per value, once per distinct TTC. The pair set-up is done once.
     """
+    _require_mode(mode)
     xs, ys = _grid_axis(xs, "xs"), _grid_axis(ys, "ys")
     px = np.tile(xs, ys.size) - ego.position[0]
     py = np.repeat(ys, xs.size) - ego.position[1]

@@ -195,8 +195,7 @@ def _read_script(spec: dict | None, path: str, problems: list[str]) -> ActorScri
 def _spawn_actor(route: Route, spec: dict, kind: ActorKind) -> ActorState:
     """Place an actor from a route-relative spec with every default filled in."""
     station, offset = spec["station"], spec["lateral_offset"]
-    x, y, heading = route._pose_at(station)
-    tx, ty = route.tangent_at(station).tolist()
+    x, y, heading, tx, ty = route._pose_at(station)
     return ActorState(
         position=(x - offset * ty, y + offset * tx),  # offset times the unit normal (-ty, tx)
         heading=wrap_angle(heading + math.radians(spec["heading_offset_deg"])),
@@ -410,6 +409,9 @@ def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float,
             speed = max(speed - script.decel * dt, 0.0)
         return _moved(state, _advance_along_heading(state, dt), state.heading, speed,
                       (speed - state.speed_long) / dt), None
+    if not isinstance(script, WaypointFollower):
+        raise ContractError(f"NPC script must be a ConstantVelocity, Braking or WaypointFollower "
+                            f"(got {type(script).__name__})")
     # waypoint follower: advance by arc length from where it first meets its polyline;
     # the carried arc length keeps a self-crossing polyline from sending it back
     line = script._line
@@ -417,7 +419,7 @@ def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float,
         station = project_to_route(state.position, state.heading, line).station
     new_station = min(station + script.speed * dt, line.length)
     speed = script.speed if new_station < line.length else 0.0
-    x, y, heading = line._pose_at(new_station)
+    x, y, heading, _, _ = line._pose_at(new_station)
     return _moved(state, (x, y), heading, speed, state.accel_long), new_station
 
 
@@ -690,32 +692,7 @@ def run_episode(
 
 
 # ---------------------------------------------------------------------------
-# Oracles and metrics
-
-
-def brute_force_ttc(
-    a: ActorState, b: ActorState, dt_fine: float = 1e-4, horizon: float = 60.0
-) -> float:
-    """First circumcircle-overlap time by linear sweep; the TTC oracle.
-
-    Propagates both actors at constant world velocity and scans the gap on a
-    fine time grid; +inf if no overlap occurs within the horizon.
-    """
-    if not 0.0 < dt_fine <= 1e-3:
-        raise ContractError(f"dt_fine must lie in (0, 1e-3] (got {dt_fine})")
-    if not 0.0 <= horizon < math.inf:
-        raise ContractError(f"horizon must be finite and >= 0 (got {horizon})")
-    dp = np.subtract(b.position, a.position)
-    dv = b.velocity_world() - a.velocity_world()
-    radius = a.circumradius + b.circumradius
-    times = np.arange(0.0, horizon + dt_fine, dt_fine)
-    px = dp[0] + times * dv[0]
-    py = dp[1] + times * dv[1]
-    hit = px * px + py * py <= radius * radius
-    idx = int(np.argmax(hit))
-    if not hit[idx]:
-        return math.inf
-    return float(times[idx])
+# Metrics
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from oracles import brute_force_ttc
 from riskrl import (
     ActorKind,
     ActorState,
@@ -20,7 +21,6 @@ from riskrl import (
     StepContext,
     approach_clearance,
     away_clearance,
-    brute_force_ttc,
     build_policy,
     collision_penalty,
     ellipsoid_penalty,

@@ -190,10 +190,13 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("scenario, policy", sorted(RUN_DIGESTS))
     def test_pinned_run_digests(self, tmp_path, scenarios_dir, configs_dir, scenario, policy):
-        assert main(["run", "--scenario", str(scenarios_dir / f"{scenario}.json"),
-                     "--config", str(configs_dir / "default.json"), "--policy", policy,
-                     "--out", str(tmp_path)]) == 0
-        assert run_digests(tmp_path) == RUN_DIGESTS[scenario, policy]
+        # a negative --seed keeps the scenario's own seed: the bytes of a run without one
+        for i, seed in enumerate([[], ["--seed", "-5"]]):
+            out = tmp_path / f"run_{i}"
+            assert main(["run", "--scenario", str(scenarios_dir / f"{scenario}.json"),
+                         "--config", str(configs_dir / "default.json"), "--policy", policy,
+                         *seed, "--out", str(out)]) == 0
+            assert run_digests(out) == RUN_DIGESTS[scenario, policy]
 
     def test_pinned_waypoint_run_digests(self, tmp_path, configs_dir):
         waypoints = load_waypoints_module()

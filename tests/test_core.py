@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import point_at, rotation
 from riskrl import (
     ActorKind,
     ActorState,
@@ -24,7 +25,7 @@ from riskrl import (
     wrap_angle,
 )
 import riskrl
-from riskrl.core import rotate, validate_config_data
+from riskrl.core import validate_config_data
 
 DEFAULT_CONFIG = json.loads(
     (Path(__file__).resolve().parent.parent / "configs" / "default.json").read_text()
@@ -102,8 +103,8 @@ class TestRouteTables:
         centerline = random_polyline(rng, points)
         route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
         stations = rng.uniform(0.0, route.length, size=40)
-        on_route = [*centerline, *(route.point_at(s) for s in stations[:20])]
-        near = [route.point_at(s) + rng.uniform(-3.5, 3.5, size=2) for s in stations[20:]]
+        on_route = [*centerline, *(point_at(route, s) for s in stations[:20])]
+        near = [point_at(route, s) + rng.uniform(-3.5, 3.5, size=2) for s in stations[20:]]
         centre = (centerline.min(axis=0) + centerline.max(axis=0)) / 2.0
         reach = 3.0 * float(np.ptp(centerline, axis=0).max())
         far = [centre + reach * np.array([math.cos(a), math.sin(a)])
@@ -126,7 +127,8 @@ class TestRouteTables:
         centerline = np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
         route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
         for start in rng.uniform(0.0, route.length, size=12):
-            origin, tangent = route.point_at(start), route.tangent_at(start)
+            pose = route._pose_at(start)
+            origin, tangent = np.array(pose[:2]), np.array(pose[3:])
             for run in np.arange(0.0, 160.0, 4.0):
                 point = origin + run * tangent
                 pose = project_to_route(point, 0.3, route)
@@ -210,11 +212,9 @@ class TestRouteTables:
             s = min(max(float(station), 0.0), route.length)
             i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(d) - 1)
             tangent = d[i] / seg_len[i]
-            assert route.point_at(station).tolist() == (
-                centerline[i] + (s - cum[i]) / seg_len[i] * d[i]
-            ).tolist()
-            assert route.tangent_at(station).tolist() == tangent.tolist()
-            assert route.heading_at(station) == math.atan2(tangent[1], tangent[0])
+            point = centerline[i] + (s - cum[i]) / seg_len[i] * d[i]
+            heading = math.atan2(tangent[1], tangent[0])
+            assert route._pose_at(station) == (*point.tolist(), heading, *tangent.tolist())
 
     def test_tables_are_read_only(self):
         route = straight_route()
@@ -343,7 +343,7 @@ class TestRelativeDisplacement:
         ego = ActorState(position=[0.0, 0.0], heading=heading)
         other = ActorState(position=[dx, dy], heading=0.0)
         local = np.array(relative_displacement(ego, other))
-        world = rotate(local, heading)
+        world = rotation(heading) @ local
         assert world[0] == pytest.approx(dx, abs=1e-9)
         assert world[1] == pytest.approx(dy, abs=1e-9)
 
@@ -353,6 +353,13 @@ class TestActorState:
         with pytest.raises(ContractError):
             ActorState(position=[0, 0], heading=0.0, speed_long=1.0,
                        kind=ActorKind.STATIC_OBSTACLE)
+
+    @pytest.mark.parametrize("kind", ["static_obstacle", "npc_vehicle", None, 0],
+                             ids=["static-string", "npc-string", "none", "int"])
+    def test_kind_must_be_an_actor_kind(self, kind):
+        # a string kind would skip the static-obstacle rule and read as a vehicle
+        with pytest.raises(ContractError, match="ActorState kind must be an ActorKind"):
+            ActorState((0, 0), 0.0, kind=kind, speed_long=3.0)
 
     def test_dimensions_must_be_positive(self):
         with pytest.raises(ContractError):
@@ -397,12 +404,6 @@ class TestActorState:
     def test_malformed_scalar_names_field(self, field, value):
         with pytest.raises(ContractError, match=f"ActorState {field} must be a finite number"):
             ActorState(**{"position": [0.0, 0.0], "heading": 0.0, field: value})
-
-    def test_velocity_world_rotates_body_frame(self):
-        state = ActorState(position=[0, 0], heading=math.pi / 2.0, speed_long=2.0, speed_lat=1.0)
-        v = state.velocity_world()
-        assert v[0] == pytest.approx(-1.0)
-        assert v[1] == pytest.approx(2.0)
 
     def test_circumradius_is_half_diagonal(self):
         state = ActorState(position=[0, 0], heading=0.0, length=4.5, width=1.8)
@@ -508,6 +509,27 @@ class TestConfig:
 
 def test_package_exports_no_module():
     assert not [name for name in riskrl.__all__ if isinstance(getattr(riskrl, name), ModuleType)]
+
+
+def test_public_surface_is_exactly_this_list():
+    # a name added to or removed from the package's surface must be added or removed here
+    assert sorted(riskrl.__all__) == [
+        "ActorKind", "ActorState", "Braking", "ConfigError", "ConstantVelocity", "ContractError",
+        "EllipseParams", "EpisodeTrace", "InteractionMode", "MetricsSummary", "Observation",
+        "Outcome", "RewardBreakdown", "RewardConfig", "RiskAssessment", "Route",
+        "RouteFramePose", "Scenario", "ScenarioError", "StepContext", "StepRecord",
+        "WaypointFollower", "World", "accel_distance", "aggregate_metrics",
+        "approach_clearance", "assess_interaction", "away_clearance", "build_policy",
+        "check_offroad", "classify_interaction", "clearance_center", "collision_penalty",
+        "comfort_reward", "detect_collision", "driving_style_reward", "dynamic_risk",
+        "ellipsoid_penalty", "full_throttle_policy", "geometric_risk", "idle_policy",
+        "lane_follower_policy", "leading_clearance", "level_weight", "load_config",
+        "load_scenario", "progress_reward", "project_to_route", "realize_traffic",
+        "relative_displacement", "risk_field", "risk_reward", "run_episode",
+        "scripted_replay_policy", "step_world", "stop_distance", "success_reward",
+        "terminal_reward", "total_reward", "traffic_rule_reward", "ttc_circle", "ttc_penalty",
+        "wrap_angle",
+    ]
 
 
 def test_package_imports_only_the_standard_library_and_numpy():

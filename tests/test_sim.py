@@ -26,7 +26,6 @@ from riskrl import (
     WaypointFollower,
     World,
     aggregate_metrics,
-    brute_force_ttc,
     build_policy,
     check_offroad,
     collision_penalty,
@@ -572,6 +571,16 @@ class TestRunEpisode:
             run_episode(scenario, lambda obs: steps.append(obs) or (0.0, 0.0), CFG)
         assert steps == []
 
+    @pytest.mark.parametrize("script", [None, object()], ids=["none", "object"])
+    def test_unknown_npc_script_names_its_type(self, script):
+        # documents build only known scripts, but a Scenario built in code can hold anything
+        ego = ActorState(position=(5.0, 0.0), heading=0.0, kind=ActorKind.EGO_VEHICLE)
+        npc = ActorState(position=(30.0, 0.0), heading=0.0, speed_long=2.0)
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego, npcs=((npc, script),))
+        name = type(script).__name__
+        with pytest.raises(ContractError, match=rf"^NPC script must be .* \(got {name}\)$"):
+            run_episode(scenario, full_throttle_policy(1.0), CFG)
+
     @pytest.mark.parametrize("max_steps", [0, -3, 2.5, True])
     def test_bad_max_steps_fails_before_the_first_step(self, max_steps):
         # documents reject these, but a Scenario built in code can hold them
@@ -653,37 +662,6 @@ class TestRunEpisode:
         trace = run_episode(scenario, full_throttle_policy(6.0), cfg)
         flagged = [r.breakdown.l0_rules for r in trace.records if r.ego.speed_long > 2.0 + 1e-9]
         assert flagged and all(v == -1.0 for v in flagged)
-
-
-class TestBruteForceTtc:
-    def test_head_on_case(self):
-        size = 2.0 * math.sqrt(2.0)
-        a = ActorState(position=[0, 0], heading=0.0, speed_long=5.0, length=size, width=size)
-        b = ActorState(position=[20, 0], heading=math.pi, speed_long=5.0, length=size, width=size)
-        assert brute_force_ttc(a, b, dt_fine=1e-4) == pytest.approx(1.6, abs=1e-4 + 1e-12)
-
-    def test_diverging_actors(self):
-        a = ActorState(position=[0, 0], heading=math.pi, speed_long=3.0)
-        b = ActorState(position=[20, 0], heading=0.0, speed_long=3.0)
-        assert brute_force_ttc(a, b, dt_fine=1e-3) == math.inf
-
-    def test_overlap_at_start(self):
-        a = ActorState(position=[0, 0], heading=0.0, speed_long=1.0)
-        b = ActorState(position=[1, 0], heading=0.0, speed_long=0.5)
-        assert brute_force_ttc(a, b, dt_fine=1e-3) == 0.0
-
-    def test_requires_fine_step(self):
-        a = ActorState(position=[0, 0], heading=0.0)
-        b = ActorState(position=[30, 0], heading=0.0)
-        with pytest.raises(ContractError):
-            brute_force_ttc(a, b, dt_fine=0.01)
-
-    @pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
-    def test_rejects_a_bad_horizon(self, horizon):
-        a = ActorState(position=[0, 0], heading=0.0)
-        b = ActorState(position=[30, 0], heading=0.0)
-        with pytest.raises(ContractError, match="horizon"):
-            brute_force_ttc(a, b, dt_fine=1e-3, horizon=horizon)
 
 
 def _trace_stub(outcome, reward=0.0, progress=1.0, velocity=3.0):
