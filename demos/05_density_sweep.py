@@ -3,7 +3,9 @@
 Runs the shipped intersection scenario at three densities with the built-in
 lane follower and prints the aggregate table: outcome rates plus cumulative
 reward, route progress, and average velocity (mean +- std). The `riskrl
-sweep` command produces the same numbers as CSV.
+sweep` command runs the same shape of sweep and writes it as CSV, but it
+derives each episode's seed from its `--seed`, so its numbers differ from
+these.
 """
 
 from pathlib import Path

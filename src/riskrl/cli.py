@@ -203,6 +203,8 @@ def _parse_grid(spec: str) -> tuple[float, float, float, float, float]:
     nx, ny = _axis_count(x_min, x_max, resolution), _axis_count(y_min, y_max, resolution)
     if max(nx, ny, nx * ny) > MAX_FIELD_CELLS:  # an axis alone counts when the other is empty
         raise ConfigError(f"--grid gives {nx:,} x {ny:,} cells, more than {MAX_FIELD_CELLS:,}")
+    if min(nx, ny) == 0:  # half a resolution step can vanish next to bounds as large as 1e16
+        raise ConfigError(f"--grid gives {nx:,} x {ny:,} cells: an axis has none")
     return x_min, x_max, y_min, y_max, resolution
 
 

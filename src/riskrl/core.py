@@ -222,9 +222,12 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
     Returns the station of the nearest centerline point (ties resolve to the
     smaller station), the signed lateral offset (left-positive), and the
     heading error relative to the local route tangent. Raises ContractError
-    unless `position` is two finite numbers.
+    unless `position` is two finite numbers and `heading` one, by ActorState's rule.
     """
     px, py = _pair(position, "project_to_route position")
+    if not _finite(heading):
+        got = reprlib.repr(heading)
+        raise ContractError(f"project_to_route heading must be a finite number (got {got})")
     # Blocks in order of the lower bound |p - centre| - r on their distance; a
     # block whose bound exceeds the best distance by more than rounding can
     # hold no nearer segment, and neither can any block after it. The distance
@@ -286,6 +289,11 @@ def _is_number(value: object) -> bool:
 
 def _is_integer(value: object) -> bool:
     return isinstance(value, int) and _is_number(value)
+
+
+def _is_count(value: object, low: int) -> bool:
+    """A Python or numpy int of at least `low`; never a boolean."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool and value >= low
 
 
 @dataclass(frozen=True)

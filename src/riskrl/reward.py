@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ActorState, ContractError, RewardConfig, RouteFramePose, _finite
+from .core import ActorState, ContractError, RewardConfig, RouteFramePose, _finite, _is_count
 from .risk import RiskAssessment, risk_reward
 
 # Steering-rate normalisation needs a velocity floor to stay finite at rest.
@@ -68,9 +68,9 @@ class RewardBreakdown:
 
 
 def level_weight(i: int, beta: float) -> float:
-    """Weight of hierarchy level i >= 1: beta^(i-1)."""
-    if i < 1:
-        raise ContractError(f"level index must be >= 1 (got {i})")
+    """Weight of hierarchy level i, an integer >= 1: beta^(i-1)."""
+    if not _is_count(i, 1):
+        raise ContractError(f"level index must be an integer >= 1 (got {i!r})")
     if not 0.0 < beta < 1.0:
         raise ContractError(f"beta must lie in (0, 1) (got {beta})")
     return beta ** (i - 1)

@@ -83,8 +83,12 @@ def clearance_center(
     """Minimum clearance pair (c_x, c_y) below which a collision is unavoidable.
 
     Directional modes add the half-dimensions per axis; the intersecting mode
-    uses the sum of both circumradii on both axes.
+    uses the sum of both circumradii on both axes. Every risk function takes
+    its mode through here, so this is where a mode that is no InteractionMode
+    raises ContractError.
     """
+    if not isinstance(mode, InteractionMode):
+        raise ContractError(f"mode must be an InteractionMode (got {mode!r})")
     if mode is InteractionMode.INTERSECTING:
         c = ego.circumradius + other.circumradius
         return c, c
@@ -248,26 +252,10 @@ def ttc_penalty(ttc: float, config: RewardConfig) -> float:
     return -math.log10(ratio) + 0.0  # normalise -0.0 at the risk-free end
 
 
-def _mode_exponents(mode: InteractionMode, config: RewardConfig) -> tuple[int, int]:
-    """(p_x, p_y) for the ellipse, prioritising the critical axis per mode."""
-    if mode is InteractionMode.SAME_DIRECTION:
-        return config.p_max, config.p_min
-    if mode is InteractionMode.INTERSECTING:
-        return config.p_max, config.p_max
-    # opposite direction and static obstacles: lateral clearance dominates
-    return config.p_min, config.p_max
-
-
-def _require_mode(mode: object) -> None:
-    if not isinstance(mode, InteractionMode):
-        raise ContractError(f"mode must be an InteractionMode (got {mode!r})")
-
-
 def geometric_risk(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
 ) -> float:
     """Risk field with fixed, speed-independent clearances (pays for dynamic_risk's too)."""
-    _require_mode(mode)
     return _pair_risk(ego, other, mode, config)[0]
 
 
@@ -278,7 +266,8 @@ def _lateral_dynamic_radius(
 
     Velocities are expressed in the ego frame; `side` is the side the other
     actor occupies. Four cases: both closing, ego chasing a retreating actor,
-    ego retreating from a closing actor, and both opening (no clearance).
+    ego retreating from a closing actor, and both opening (no dynamic
+    clearance). Every case is floored at the geometric radius.
     """
     side = 0.0 if d_y == 0.0 else math.copysign(1.0, d_y)
     v_ego_lat = ego.speed_lat
@@ -292,21 +281,29 @@ def _lateral_dynamic_radius(
         return leading_clearance(abs(v_ego_lat), abs(v_other_lat), "lat", config)
     if other_toward:
         v_away = max(-side * v_ego_lat, 0.0)
-        return away_clearance(v_away, abs(v_other_lat), config)
-    return 0.0
+        return max(away_clearance(v_away, abs(v_other_lat), config), config.r_y_geom)
+    return config.r_y_geom
 
 
-def _longitudinal_dynamic_radius(
+def _mode_setup(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
-) -> float:
-    """The directional modes' longitudinal clearance, floored at the geometric radius."""
+) -> tuple[float, float, int, int, float]:
+    """(c_x, c_y, p_x, p_y, r_x) of one pair: each mode's centres, exponents and clearance.
+
+    The exponents favour the axis the mode is critical on. r_x is the dynamic
+    longitudinal clearance; the intersecting mode scores the TTC and never uses it.
+    """
+    c_x, c_y = clearance_center(ego, other, mode)
     v_ego = abs(ego.speed_long)
-    v_other = abs(other.speed_long)
+    if mode is InteractionMode.SAME_DIRECTION:
+        r_x = leading_clearance(v_ego, abs(other.speed_long), "long", config)
+        return c_x, c_y, config.p_max, config.p_min, r_x
     if mode is InteractionMode.OPPOSITE_DIRECTION:
-        return approach_clearance(v_ego, v_other, "long", config)
+        r_x = approach_clearance(v_ego, abs(other.speed_long), "long", config)
+        return c_x, c_y, config.p_min, config.p_max, r_x
     if mode is InteractionMode.STATIC_OBSTACLE:
-        return leading_clearance(v_ego, 0.0, "long", config)
-    return leading_clearance(v_ego, v_other, "long", config)
+        return c_x, c_y, config.p_min, config.p_max, leading_clearance(v_ego, 0.0, "long", config)
+    return c_x, c_y, config.p_max, config.p_max, math.inf
 
 
 def dynamic_risk(
@@ -320,7 +317,6 @@ def dynamic_risk(
     for the intersecting mode. Both scalar risks work out both penalties, so a
     caller that wants the two calls assess_interaction, which does that once.
     """
-    _require_mode(mode)
     return _pair_risk(ego, other, mode, config)[1:]
 
 
@@ -329,8 +325,7 @@ def _pair_risk(
 ) -> tuple[float, float, float]:
     """(geometric penalty, dynamic penalty, ttc) of one pair, its geometry worked out once."""
     d_x, d_y = relative_displacement(ego, other)
-    c_x, c_y = clearance_center(ego, other, mode)
-    p_x, p_y = _mode_exponents(mode, config)
+    c_x, c_y, p_x, p_y, r_x = _mode_setup(ego, other, mode, config)
     excess_x = max(abs(d_x) - c_x, 0.0)
     excess_y = max(abs(d_y) - c_y, 0.0)
     geom = _ellipse_power(excess_x / config.r_x_geom, excess_y / config.r_y_geom,
@@ -338,8 +333,7 @@ def _pair_risk(
     if mode is InteractionMode.INTERSECTING:
         ttc = ttc_circle(ego, other)
         return geom, ttc_penalty(ttc, config), ttc
-    r_x = _longitudinal_dynamic_radius(ego, other, mode, config)
-    r_y = max(_lateral_dynamic_radius(ego, other, d_y, config), config.r_y_geom)
+    r_y = _lateral_dynamic_radius(ego, other, d_y, config)
     return geom, _ellipse_power(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer), math.inf
 
 
@@ -372,12 +366,10 @@ def risk_field(
     rounded steps, the powers in the scalar functions' own `_ellipse_power`, and
     only log10 runs per value, once per distinct TTC. The pair set-up is done once.
     """
-    _require_mode(mode)
+    c_x, c_y, p_x, p_y, r_x = _mode_setup(ego, other, mode, config)
     xs, ys = _grid_axis(xs, "xs"), _grid_axis(ys, "ys")
     px = np.tile(xs, ys.size) - ego.position[0]
     py = np.repeat(ys, xs.size) - ego.position[1]
-    c_x, c_y = clearance_center(ego, other, mode)
-    p_x, p_y = _mode_exponents(mode, config)
     # Python float arithmetic overflows to inf silently; numpy would warn
     with np.errstate(over="ignore", invalid="ignore"):
         d_x, d_y = _rotate(px, py, -ego.heading)
@@ -388,11 +380,9 @@ def risk_field(
         if mode is InteractionMode.INTERSECTING:
             ttc = _ttc_field(ego, other, px, py)
             return geom, _per_distinct(lambda t: ttc_penalty(t, config), ttc, float)
-        r_x = _longitudinal_dynamic_radius(ego, other, mode, config)
         # the lateral case depends on d_y only through its sign
         r_right, r_level, r_left = (
-            max(_lateral_dynamic_radius(ego, other, side, config), config.r_y_geom)
-            for side in (-1.0, 0.0, 1.0)
+            _lateral_dynamic_radius(ego, other, side, config) for side in (-1.0, 0.0, 1.0)
         )
         r_y = np.where(d_y > 0.0, r_left, np.where(d_y < 0.0, r_right, r_level))
         dyn = _ellipse_power(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer)

@@ -30,7 +30,8 @@ from .core import (
     wrap_angle,
 )
 from .core import (
-    _REQUIRED, _Field, _finite, _is_integer, _is_number, _pair, _positive, _read, _read_json,
+    _REQUIRED, _Field, _finite, _is_count, _is_integer, _is_number, _pair, _positive, _read,
+    _read_json,
 )
 from .reward import (
     STEER_SPEED_FLOOR,
@@ -206,22 +207,15 @@ def _spawn_actor(route: Route, spec: dict, kind: ActorKind) -> ActorState:
     )
 
 
-def _read_actor(spec: object, path: str, table: dict[str, _Field], kind: ActorKind | None,
-                route: Route | None, problems: list[str]) -> dict:
-    """Read one actor spec, building its script and checking its station.
-
-    Given a kind, the actor is also placed, as `spec["actor"]`; slots have no
-    kind here because `realize_traffic` places them per episode.
-    """
-    count = len(problems)
+def _read_actor(spec: object, path: str, table: dict[str, _Field], route: Route | None,
+                problems: list[str]) -> dict:
+    """Read one actor spec, building its script and checking its station."""
     values = _read(spec, path, table, problems)
     if "script" in values:
         values["script"] = _read_script(values["script"], f"{path}.script", problems)
     station = values.get("station")
     if route is not None and station is not None and not 0.0 <= station <= route.length:
         problems.append(f"{path}.station must lie within [0, {route.length:.6g}] (got {station})")
-    if kind is not None and route is not None and len(problems) == count:
-        values["actor"] = _spawn_actor(route, values, kind)
     return values
 
 
@@ -245,7 +239,7 @@ def _read_scenario(data: object) -> tuple[Scenario | None, list[str]]:
                 problems.append(str(exc))  # Route errors already carry route.* paths
     ego = {}
     if "ego" in top:
-        ego = _read_actor(top["ego"], "ego", _SPAWN, ActorKind.EGO_VEHICLE, route, problems)
+        ego = _read_actor(top["ego"], "ego", _SPAWN, route, problems)
     if route is not None and "station" in ego:
         if route.goal_station <= ego["station"]:
             problems.append(
@@ -258,21 +252,21 @@ def _read_scenario(data: object) -> tuple[Scenario | None, list[str]]:
                 f"ego.lateral_offset must keep the ego on or near the lane (got {offset})"
             )
     actors = {
-        name: [_read_actor(spec, f"{name}[{i}]", table(spec), kind, route, problems)
+        name: [_read_actor(spec, f"{name}[{i}]", table(spec), route, problems)
                for i, spec in enumerate(top.get(name, ()))]
-        for name, table, kind in (
-            ("npcs", lambda spec: _NPC, ActorKind.NPC_VEHICLE),
-            ("obstacles", lambda spec: _OBSTACLE, ActorKind.STATIC_OBSTACLE),
-            ("slots", _slot_table, None),
-        )
+        for name, table in (("npcs", lambda spec: _NPC), ("obstacles", lambda spec: _OBSTACLE),
+                            ("slots", _slot_table))
     }
     if problems:
         return None, problems
+    # slots are placed per episode, by realize_traffic
     return Scenario(
         route=route,
-        ego_spawn=ego["actor"],
-        npcs=tuple((spec["actor"], spec["script"]) for spec in actors["npcs"]),
-        obstacles=tuple(spec["actor"] for spec in actors["obstacles"]),
+        ego_spawn=_spawn_actor(route, ego, ActorKind.EGO_VEHICLE),
+        npcs=tuple((_spawn_actor(route, spec, ActorKind.NPC_VEHICLE), spec["script"])
+                   for spec in actors["npcs"]),
+        obstacles=tuple(_spawn_actor(route, spec, ActorKind.STATIC_OBSTACLE)
+                        for spec in actors["obstacles"]),
         slots=tuple(MappingProxyType(spec) for spec in actors["slots"]),
         traffic_density=top["traffic_density"],
         seed=top["seed"],
@@ -312,7 +306,7 @@ def realize_traffic(
     if not (_is_number(density) and 0.0 <= density <= 1.0):
         got = reprlib.repr(density)
         raise ScenarioError(f"traffic density must be a number in [0, 1] (got {got})")
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+    if not _is_count(seed, 0):
         raise ScenarioError(f"seed must be a non-negative integer (got {reprlib.repr(seed)})")
     npcs = list(scenario.npcs)
     obstacles = list(scenario.obstacles)
@@ -618,8 +612,7 @@ def run_episode(
         raise ContractError(f"route.goal_station must be positive to run an episode "
                             f"(got {route.goal_station})")
     max_steps = scenario.max_steps if scenario.max_steps is not None else config.timeout_steps
-    if not (isinstance(max_steps, (int, np.integer)) and type(max_steps) is not bool
-            and max_steps >= 1):
+    if not _is_count(max_steps, 1):
         raise ContractError(f"max_steps must be an integer >= 1 (got {reprlib.repr(max_steps)})")
     npcs, obstacles = realize_traffic(scenario, density=density, seed=seed)
     world = World(route=route, time=0.0, ego=scenario.ego_spawn,

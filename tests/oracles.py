@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from riskrl import ActorState, ContractError, Route
+from riskrl import ActorState, ContractError, Route, wrap_angle
 
 
 def rotation(angle):
@@ -45,3 +45,32 @@ def brute_force_ttc(
     if not hit[idx]:
         return math.inf
     return float(times[idx])
+
+
+def dense_nearest_distance(centerline: np.ndarray, point: np.ndarray, step=1e-4) -> float:
+    """Independent nearest-point oracle: brute-force sampling of the polyline."""
+    best = math.inf
+    for a, b in zip(centerline[:-1], centerline[1:]):
+        seg_len = float(np.hypot(*(b - a)))
+        n = max(int(seg_len / step), 1) + 1
+        ts = np.linspace(0.0, 1.0, n)
+        samples = a + ts[:, None] * (b - a)
+        d = np.min(np.hypot(samples[:, 0] - point[0], samples[:, 1] - point[1]))
+        best = min(best, float(d))
+    return best
+
+
+def numpy_projection(point, heading, centerline):
+    """The projection over segment arrays rebuilt on every call: (station, offset, heading error)."""
+    a = centerline[:-1]
+    d = centerline[1:] - a
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    seg_len2 = np.einsum("ij,ij->i", d, d)
+    t = np.clip(np.einsum("ij,ij->i", point - a, d) / seg_len2, 0.0, 1.0)
+    diff = point - (a + t[:, None] * d)
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    i = int(np.argmin(dist2))
+    station = float(np.concatenate([[0.0], np.cumsum(seg_len)])[i] + t[i] * seg_len[i])
+    tangent = d[i] / math.sqrt(seg_len2[i])
+    offset = math.copysign(math.sqrt(dist2[i]), tangent[0] * diff[i][1] - tangent[1] * diff[i][0])
+    return station, offset, wrap_angle(heading - math.atan2(tangent[1], tangent[0]))

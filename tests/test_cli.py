@@ -247,6 +247,9 @@ class TestFlagValues:
         (["sweep", "--seed", "-1"], "--seed"),
         (["field", "--grid=1,0,0,1,1"], "--grid"),
         (["field", "--grid=0,1,1,0,1"], "--grid"),
+        # half a resolution step vanishes next to 1e16: the x axis has no cell
+        (["field", "--grid=1e16,1e16,0,0,1"], "--grid"),
+        (["field", "--grid=1e16,1e16,-1,1,1"], "--grid"),
     ])
     def test_bad_value_names_its_flag(self, argv, flag, tmp_path, scenarios_dir, monkeypatch,
                                       capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import point_at, rotation
+from oracles import dense_nearest_distance, numpy_projection, point_at, rotation
 from riskrl import (
     ActorKind,
     ActorState,
@@ -45,19 +45,6 @@ def straight_route(length=100.0, lane_width=3.5, goal=None):
     )
 
 
-def dense_nearest_distance(centerline: np.ndarray, point: np.ndarray, step=1e-4) -> float:
-    """Independent nearest-point oracle: brute-force sampling of the polyline."""
-    best = math.inf
-    for a, b in zip(centerline[:-1], centerline[1:]):
-        seg_len = float(np.hypot(*(b - a)))
-        n = max(int(seg_len / step), 1) + 1
-        ts = np.linspace(0.0, 1.0, n)
-        samples = a + ts[:, None] * (b - a)
-        d = np.min(np.hypot(samples[:, 0] - point[0], samples[:, 1] - point[1]))
-        best = min(best, float(d))
-    return best
-
-
 def random_polyline(rng, points):
     """A seeded polyline with uneven segment lengths and turns."""
     headings = np.cumsum(rng.uniform(-1.2, 1.2, size=points - 1))
@@ -65,22 +52,6 @@ def random_polyline(rng, points):
         [np.cos(headings), np.sin(headings)], axis=1
     )
     return np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
-
-
-def numpy_projection(point, heading, centerline):
-    """The projection over segment arrays rebuilt on every call: (station, offset, heading error)."""
-    a = centerline[:-1]
-    d = centerline[1:] - a
-    seg_len = np.hypot(d[:, 0], d[:, 1])
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    t = np.clip(np.einsum("ij,ij->i", point - a, d) / seg_len2, 0.0, 1.0)
-    diff = point - (a + t[:, None] * d)
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-    i = int(np.argmin(dist2))
-    station = float(np.concatenate([[0.0], np.cumsum(seg_len)])[i] + t[i] * seg_len[i])
-    tangent = d[i] / math.sqrt(seg_len2[i])
-    offset = math.copysign(math.sqrt(dist2[i]), tangent[0] * diff[i][1] - tangent[1] * diff[i][0])
-    return station, offset, wrap_angle(heading - math.atan2(tangent[1], tangent[0]))
 
 
 class TestRouteTables:
@@ -316,6 +287,14 @@ class TestProjectToRoute:
         with pytest.raises(ContractError, match="project_to_route position must be two finite"):
             project_to_route(position, 0.0, straight_route())
 
+    @pytest.mark.parametrize("heading", [math.nan, math.inf, "1", None, True],
+                             ids=["nan", "inf", "string", "none", "boolean"])
+    def test_malformed_heading_names_heading(self, heading):
+        # NaN once gave a NaN heading error, inf a bare math domain error, True 1 rad
+        route = Route([[0.0, 0.0], [10.0, 0.0]], 3.5, 5.0)
+        with pytest.raises(ContractError, match="project_to_route heading must be a finite number"):
+            project_to_route((1.0, 1.0), heading, route)
+
 
 class TestRelativeDisplacement:
     def test_ahead_along_heading(self):
@@ -364,12 +343,6 @@ class TestActorState:
     def test_dimensions_must_be_positive(self):
         with pytest.raises(ContractError):
             ActorState(position=[0, 0], heading=0.0, length=0.0)
-
-    @pytest.mark.parametrize("goal", ["5", True, None, math.nan, -1.0, 100.5],
-                             ids=["string", "boolean", "none", "nan", "negative", "past-end"])
-    def test_bad_goal_station_names_field(self, goal):
-        with pytest.raises(ConfigError, match="route.goal_station must be a number within"):
-            Route(centerline=[[0.0, 0.0], [100.0, 0.0]], lane_width=3.5, goal_station=goal)
 
     @pytest.mark.parametrize(
         "position",

@@ -74,6 +74,10 @@ class TestLevelWeight:
             level_weight(0, 0.25)
         with pytest.raises(ContractError):
             level_weight(2, 1.0)
+        # a fractional level once gave 0.7071 and a boolean level read as 1
+        for level in (1.5, True):
+            with pytest.raises(ContractError, match="level index must be an integer >= 1"):
+                level_weight(level, 0.5)
 
     @given(beta=st.floats(0.01, 0.99))
     def test_strictly_decreasing_levels(self, beta):

@@ -390,14 +390,17 @@ class TestDynamicRisk:
 
 class TestModeArgument:
     @pytest.mark.parametrize("mode", ["same_direction", None], ids=["string", "none"])
-    @pytest.mark.parametrize("func", [geometric_risk, dynamic_risk, risk_field],
-                             ids=["geometric_risk", "dynamic_risk", "risk_field"])
+    @pytest.mark.parametrize(
+        "func", [geometric_risk, dynamic_risk, risk_field, clearance_center],
+        ids=["geometric_risk", "dynamic_risk", "risk_field", "clearance_center"],
+    )
     def test_mode_must_be_an_interaction_mode(self, func, mode):
         # a mode's value string once scored the pair as no mode at all: 0.168, not 0.333
         ego, other = car(v=4.0, kind=ActorKind.EGO_VEHICLE), car(x=6.0, y=0.5, v=2.0)
         grid = ([0.0], [0.0]) if func is risk_field else ()
+        config = () if func is clearance_center else (CFG,)  # the centres take no config
         with pytest.raises(ContractError, match="^mode must be an InteractionMode"):
-            func(ego, other, *grid, mode, CFG)
+            func(ego, other, *grid, mode, *config)
 
 
 class TestRiskReward:
