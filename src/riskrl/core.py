@@ -34,7 +34,9 @@ class ContractError(ValueError):
 
 
 def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+    """Wrap an angle, a finite number, to (-pi, pi]."""
+    if not _finite(angle):
+        raise ContractError(f"wrap_angle angle must be a finite number (got {reprlib.repr(angle)})")
     a = math.fmod(angle, TWO_PI)
     if a <= -math.pi:
         a += TWO_PI
@@ -45,7 +47,11 @@ def wrap_angle(angle: float) -> float:
 
 def _rotate(x: float, y: float, angle: float) -> tuple[float, float]:
     """Rotate (x, y) counter-clockwise by `angle` radians, in plain floats."""
-    c, s = math.cos(angle), math.sin(angle)
+    return _turn(math.cos(angle), math.sin(angle), x, y)
+
+
+def _turn(c, s, x, y):
+    """(x, y) turned by the angle whose cos is c and sin is s; floats or arrays."""
     return c * x - s * y, s * x + c * y
 
 

@@ -150,10 +150,15 @@ def total_reward(ctx: StepContext, config: RewardConfig) -> RewardBreakdown:
     timeout ends the episode contributing zero. Progress and risk both carry
     the level-1 weight.
     """
+    return _combine(ctx, *risk_reward(ctx.ego, ctx.others, config), config)
+
+
+def _combine(ctx: StepContext, l1_risk: float, assessments: tuple[RiskAssessment, ...],
+             config: RewardConfig) -> RewardBreakdown:
+    """`total_reward` with its risk term given; `ctx.others` is not read."""
     speed = ctx.ego.speed
     l0 = traffic_rule_reward(ctx.violations)
     l1_progress = progress_reward(ctx.pose.station, ctx.prev_pose.station, config)
-    l1_risk, assessments = risk_reward(ctx.ego, ctx.others, config)
     l2 = driving_style_reward(speed, ctx.pose.lateral_offset, ctx.lane_width, config)
     l3 = comfort_reward(ctx.ego.accel_long, ctx.steering_rate, ctx.jerk, speed, config)
 

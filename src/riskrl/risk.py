@@ -7,15 +7,19 @@ All functions are pure over immutable inputs.
 from __future__ import annotations
 
 import math
+import reprlib
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
 from .core import (
-    ActorKind, ActorState, ContractError, RewardConfig, _finite, _rotate, relative_displacement,
-    wrap_angle,
+    TWO_PI, ActorKind, ActorState, ContractError, RewardConfig, _finite, _rotate, _turn,
+    relative_displacement, wrap_angle,
 )
 
 Axis = Literal["long", "lat"]
@@ -30,6 +34,9 @@ class InteractionMode(Enum):
     OPPOSITE_DIRECTION = "opposite_direction"
     INTERSECTING = "intersecting"
     STATIC_OBSTACLE = "static_obstacle"
+
+
+_MODES = tuple(InteractionMode)  # a mode's code in the array kernel is its index here
 
 
 @dataclass(frozen=True)
@@ -154,22 +161,46 @@ def _axis_params(axis: Axis, config: RewardConfig) -> tuple[float, float, float,
     raise ContractError(f"axis must be 'long' or 'lat' (got {axis!r})")
 
 
+def _require_speeds(func: str, **speeds: object) -> None:
+    """Raise ContractError naming the first speed that is no finite number >= 0."""
+    for name, v in speeds.items():
+        if not (_finite(v) and v >= 0.0):
+            got = reprlib.repr(v)
+            raise ContractError(f"{func} {name} must be a finite number >= 0 (got {got})")
+
+
+def _floored(r, floor: float):
+    """max(r, floor) of a float, or of each element of an array; NaN reads as inf."""
+    if isinstance(r, np.ndarray):
+        return np.where(np.isnan(r), math.inf, np.where(floor > r, floor, r))
+    return math.inf if math.isnan(r) else max(r, floor)
+
+
+def _clearance(v_ego, v_other, axis: Axis, config: RewardConfig, approach: bool = False):
+    """`approach_clearance`, else `leading_clearance`, of floats or arrays, unchecked.
+
+    A leading clearance is NaN before its floor when both stop distances overflow.
+    """
+    (a_acc, a_brk_min, a_brk_max, r_geom), rho = _axis_params(axis, config), config.rho
+    r = accel_distance(v_ego, rho, a_acc) + stop_distance(v_ego, rho, a_acc, a_brk_min)
+    if approach:
+        r = r + accel_distance(v_other, rho, a_acc) + stop_distance(v_other, rho, a_acc, a_brk_min)
+    else:
+        r = r - v_other * v_other / (2.0 * a_brk_max)
+    return _floored(r, r_geom)
+
+
 def leading_clearance(v_ego: float, v_other: float, axis: Axis, config: RewardConfig) -> float:
     """Worst-case clearance behind a leader that may brake at its maximum rate.
 
     Ego worst case: accelerate through the reaction time, then brake at the
     minimum rate; the leader's own stopping distance is credited back. The
     result is floored at the geometric radius for the axis so the field never
-    demands less than the typical driver clearance.
+    demands less than the typical driver clearance; where both stop distances
+    overflow, it is inf, the conservative clearance. Speeds are magnitudes, >= 0.
     """
-    a_acc, a_brk_min, a_brk_max, r_geom = _axis_params(axis, config)
-    r = (
-        accel_distance(v_ego, config.rho, a_acc)
-        + stop_distance(v_ego, config.rho, a_acc, a_brk_min)
-        - v_other * v_other / (2.0 * a_brk_max)
-    )
-    # NaN when both stop distances overflow to inf; inf is the conservative clearance then
-    return math.inf if math.isnan(r) else max(r, r_geom)
+    _require_speeds("leading_clearance", v_ego=v_ego, v_other=v_other)
+    return _clearance(v_ego, v_other, axis, config)
 
 
 def approach_clearance(v_ego: float, v_other: float, axis: Axis, config: RewardConfig) -> float:
@@ -177,16 +208,10 @@ def approach_clearance(v_ego: float, v_other: float, axis: Axis, config: RewardC
 
     Both agents accelerate through the reaction time and then brake at the
     minimum rate; the clearance is the sum of both stopping envelopes, floored
-    at the geometric radius for the axis.
+    at the geometric radius for the axis. Speeds are magnitudes, >= 0.
     """
-    a_acc, a_brk_min, _, r_geom = _axis_params(axis, config)
-    r = (
-        accel_distance(v_ego, config.rho, a_acc)
-        + stop_distance(v_ego, config.rho, a_acc, a_brk_min)
-        + accel_distance(v_other, config.rho, a_acc)
-        + stop_distance(v_other, config.rho, a_acc, a_brk_min)
-    )
-    return max(r, r_geom)
+    _require_speeds("approach_clearance", v_ego=v_ego, v_other=v_other)
+    return _clearance(v_ego, v_other, axis, config, approach=True)
 
 
 def away_clearance(v_ego_away: float, v_other_toward: float, config: RewardConfig) -> float:
@@ -195,8 +220,9 @@ def away_clearance(v_ego_away: float, v_other_toward: float, config: RewardConfi
     Required only while the other actor could out-accelerate the retreat within
     the reaction time; otherwise no dynamic clearance is needed. Lateral axis
     parameters apply. Floored at zero; the geometric floor is applied at the
-    point of use.
+    point of use. Speeds are magnitudes, >= 0.
     """
+    _require_speeds("away_clearance", v_ego_away=v_ego_away, v_other_toward=v_other_toward)
     v_other_rho = v_other_toward + config.rho * config.a_acc_max_y
     if v_ego_away <= v_other_rho:
         r = accel_distance(v_other_toward, config.rho, config.a_acc_max_y) - v_ego_away * config.rho
@@ -204,29 +230,21 @@ def away_clearance(v_ego_away: float, v_other_toward: float, config: RewardConfi
     return 0.0
 
 
-def _ttc_setup(a: ActorState, b: ActorState) -> tuple[float, float, int, float]:
-    """(dvx, dvy, e, radius): b's velocity relative to a's over 2**e; the radii's sum.
-
-    e is 0 unless a component exceeds 1e150, whose square may overflow; then 2**e
-    brings both below 1. That scaling is exact, so a root found with the scaled
-    velocity, divided by 2**e, is the TTC.
-    """
-    avx, avy = _rotate(a.speed_long, a.speed_lat, a.heading)
-    bvx, bvy = _rotate(b.speed_long, b.speed_lat, b.heading)
-    dvx, dvy = bvx - avx, bvy - avy
-    big = max(abs(dvx), abs(dvy))
-    e = math.frexp(big)[1] if big > 1e150 else 0
-    return math.ldexp(dvx, -e), math.ldexp(dvy, -e), e, a.circumradius + b.circumradius
-
-
 def ttc_circle(a: ActorState, b: ActorState) -> float:
     """Time until the two circumcircles first touch under constant velocities.
 
     Returns the smallest non-negative root of the gap quadratic, 0.0 when the
-    circles already overlap, and +inf when they never meet.
+    circles already overlap, and +inf when they never meet. A relative velocity
+    with a component above 1e150, whose square may overflow, is scaled by 2**-e to
+    below 1; that scaling is exact, so the root found with it, times 2**-e, is the TTC.
     """
     (ax, ay), (bx, by) = a.position, b.position
-    dpx, dpy, (dvx, dvy, e, radius) = bx - ax, by - ay, _ttc_setup(a, b)
+    (avx, avy), (bvx, bvy) = (_rotate(x.speed_long, x.speed_lat, x.heading) for x in (a, b))
+    dvx, dvy = bvx - avx, bvy - avy
+    big = max(abs(dvx), abs(dvy))
+    e = math.frexp(big)[1] if big > 1e150 else 0
+    dvx, dvy, radius = math.ldexp(dvx, -e), math.ldexp(dvy, -e), a.circumradius + b.circumradius
+    dpx, dpy = bx - ax, by - ay
     c = dpx * dpx + dpy * dpy - radius * radius
     if c <= 0.0:
         return 0.0
@@ -247,7 +265,11 @@ def ttc_penalty(ttc: float, config: RewardConfig) -> float:
 
     The 0.1 ratio floor together with the base-10 logarithm pins the output
     range exactly to [0, 1]; anything at or beyond ttc_max is risk-free.
+    The TTC is a number >= 0 or +inf.
     """
+    if not (isinstance(ttc, float) and ttc >= 0.0 or _finite(ttc) and ttc >= 0.0):
+        got = reprlib.repr(ttc)
+        raise ContractError(f"ttc_penalty ttc must be a number >= 0 or +inf (got {got})")
     ratio = max(0.1, min(ttc / config.ttc_max, 1.0))
     return -math.log10(ratio) + 0.0  # normalise -0.0 at the risk-free end
 
@@ -292,17 +314,16 @@ def _mode_setup(
 
     The exponents favour the axis the mode is critical on. r_x is the dynamic
     longitudinal clearance; the intersecting mode scores the TTC and never uses it.
+    The array kernel passes `_Actors` of pairs in one mode, whose fields may be arrays.
     """
     c_x, c_y = clearance_center(ego, other, mode)
-    v_ego = abs(ego.speed_long)
+    v_ego, v_other = abs(ego.speed_long), abs(other.speed_long)
     if mode is InteractionMode.SAME_DIRECTION:
-        r_x = leading_clearance(v_ego, abs(other.speed_long), "long", config)
-        return c_x, c_y, config.p_max, config.p_min, r_x
+        return c_x, c_y, config.p_max, config.p_min, _clearance(v_ego, v_other, "long", config)
     if mode is InteractionMode.OPPOSITE_DIRECTION:
-        r_x = approach_clearance(v_ego, abs(other.speed_long), "long", config)
-        return c_x, c_y, config.p_min, config.p_max, r_x
+        return c_x, c_y, config.p_min, config.p_max, _clearance(v_ego, v_other, "long", config, True)
     if mode is InteractionMode.STATIC_OBSTACLE:
-        return c_x, c_y, config.p_min, config.p_max, leading_clearance(v_ego, 0.0, "long", config)
+        return c_x, c_y, config.p_min, config.p_max, _clearance(v_ego, 0.0, "long", config)
     return c_x, c_y, config.p_max, config.p_max, math.inf
 
 
@@ -361,46 +382,143 @@ def risk_field(
     """`geometric_risk` and the `dynamic_risk` penalty with `other` at every grid cell.
 
     Returns (geom, dyn), one value per cell in row order: `ys` outer, `xs`
-    inner. `other`'s own position is ignored. Each value equals the scalar
-    function's for that cell bit for bit: the arrays take only correctly
-    rounded steps, the powers in the scalar functions' own `_ellipse_power`, and
-    only log10 runs per value, once per distinct TTC. The pair set-up is done once.
+    inner. `other`'s own position is ignored. This is the array kernel with
+    every field but `other`'s position shared by all cells, so each value equals
+    the scalar function's for that cell bit for bit.
     """
-    c_x, c_y, p_x, p_y, r_x = _mode_setup(ego, other, mode, config)
+    clearance_center(ego, other, mode)  # a bad mode fails before the grid is built
     xs, ys = _grid_axis(xs, "xs"), _grid_axis(ys, "ys")
-    px = np.tile(xs, ys.size) - ego.position[0]
-    py = np.repeat(ys, xs.size) - ego.position[1]
-    # Python float arithmetic overflows to inf silently; numpy would warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_x, d_y = _rotate(px, py, -ego.heading)
-        excess_x = np.maximum(np.abs(d_x) - c_x, 0.0)
-        excess_y = np.maximum(np.abs(d_y) - c_y, 0.0)
-        geom = _ellipse_power(excess_x / config.r_x_geom, excess_y / config.r_y_geom,
-                              p_x, p_y, config.p_outer)
-        if mode is InteractionMode.INTERSECTING:
-            ttc = _ttc_field(ego, other, px, py)
-            return geom, _per_distinct(lambda t: ttc_penalty(t, config), ttc, float)
-        # the lateral case depends on d_y only through its sign
-        r_right, r_level, r_left = (
-            _lateral_dynamic_radius(ego, other, side, config) for side in (-1.0, 0.0, 1.0)
-        )
-        r_y = np.where(d_y > 0.0, r_left, np.where(d_y < 0.0, r_right, r_level))
-        dyn = _ellipse_power(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer)
-    return geom, dyn
+    ego, other = (_Actors(*_row(a), *_turns(a.heading)) for a in (ego, other))
+    cells = other._replace(x=np.tile(xs, ys.size), y=np.repeat(ys, xs.size))
+    return _pair_risk_arrays(ego, cells, mode, config)[1:3]
 
 
-def _ttc_field(ego: ActorState, other: ActorState, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """`ttc_circle` with `other` displaced by (px, py) from the ego, in its branch order."""
-    dvx, dvy, e, radius = _ttc_setup(ego, other)
-    c = px * px + py * py - radius * radius
-    aa = dvx * dvx + dvy * dvy
-    if aa == 0.0:
-        return np.where(c <= 0.0, 0.0, math.inf)
-    bb = px * dvx + py * dvy
-    disc = bb * bb - aa * c
-    # a negative disc gives a NaN root, which fails `>= 0` and so is a miss too
-    t_first = (-bb - np.sqrt(disc)) / aa
-    return np.where(c <= 0.0, 0.0, np.where(t_first >= 0.0, np.ldexp(t_first, -e), math.inf))
+# Actors as the array kernel takes them: `_row`'s fields, then the cos and sin of the
+# heading and of its negative. A field is one value for all pairs or an array of them.
+_Actors = namedtuple("_Actors", "x y heading speed_long speed_lat length width circumradius "
+                                "static cos sin cos_back sin_back")
+
+
+def _row(actor: ActorState) -> tuple:
+    return (*actor.position, actor.heading, actor.speed_long, actor.speed_lat, actor.length,
+            actor.width, actor.circumradius, actor.kind is ActorKind.STATIC_OBSTACLE)
+
+
+def _turns(heading: float) -> tuple[float, float, float, float]:
+    return math.cos(heading), math.sin(heading), math.cos(-heading), math.sin(-heading)
+
+
+def _columns(rows: np.ndarray, repeats: Sequence[int] | None = None) -> _Actors:
+    """The `_Actors` of an array of `_row`s, each row repeated `repeats` times if given."""
+    table = np.column_stack([rows, _per_distinct(_turns, rows[:, 2], float)])
+    return _Actors(*(table if repeats is None else np.repeat(table, repeats, axis=0)).T)
+
+
+def _pair_risk_arrays(ego: _Actors, other: _Actors, mode: InteractionMode | None,
+                      config: RewardConfig) -> tuple:
+    """(mode code, geom, dyn, ttc) of each pair, with the scalar code's bits.
+
+    `other.x` is an array. Without a mode, each pair is classified as
+    `classify_interaction` does; a given mode scores all pairs in it, as
+    `_pair_risk` does, and comes back as one code for all. cos and sin come from `math`,
+    `ttc_penalty` runs once per distinct TTC, and every other step is a correctly
+    rounded array operation in the scalar order, `max(a, b)` as `np.where(b > a, b, a)`.
+    """
+    with np.errstate(all="ignore"):  # Python floats overflow to inf silently
+        dx, dy = other.x - ego.x, other.y - ego.y
+        d_x, d_y = _turn(ego.cos_back, ego.sin_back, dx, dy)
+        if mode is not None:
+            return _MODES.index(mode), *_mode_risk(mode, ego, other, dx, dy, d_x, d_y, config)
+        a = np.fmod(other.heading - ego.heading, TWO_PI)  # wrap_angle, then the partition
+        dpsi = np.abs(np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a)))
+        codes = np.where(other.static != 0.0, 3, np.where(  # indices into _MODES
+            dpsi <= SAME_DIRECTION_MAX, 0, np.where(dpsi >= OPPOSITE_DIRECTION_MIN, 1, 2)))
+        out = np.empty((3, codes.size))  # geom, dyn, ttc
+        for code, m in enumerate(_MODES):
+            _on(codes == code, out, _mode_risk, m, ego, other, dx, dy, d_x, d_y, config)
+    return codes, *out
+
+
+def _on(mask: np.ndarray, out: np.ndarray, func: Callable, *args) -> None:
+    """`out[..., mask] = func(*args)` with each array, or `_Actors` of arrays, in `args` taken
+    at those pairs: a mode, a lateral case or the TTC runs only on the pairs that take it."""
+    where = np.flatnonzero(mask)  # on small arrays, indexing by position is the quicker
+
+    def only(v):
+        return v._make(map(only, v)) if isinstance(v, _Actors) else (
+            v[where] if isinstance(v, np.ndarray) else v)
+
+    if where.size:
+        out[..., where] = func(*map(only, args))
+
+
+def _mode_risk(mode: InteractionMode, e: _Actors, o: _Actors, dx, dy, d_x, d_y,
+               config: RewardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(geom, dyn, ttc) of pairs that all take `mode`, in `_pair_risk`'s steps."""
+    c_x, c_y, p_x, p_y, r_x = _mode_setup(e, o, mode, config)
+    excess_x, excess_y = np.abs(d_x) - c_x, np.abs(d_y) - c_y
+    excess_x, excess_y = (np.where(0.0 > excess, 0.0, excess) for excess in (excess_x, excess_y))
+    geom = _ellipse_power(excess_x / config.r_x_geom, excess_y / config.r_y_geom,
+                          p_x, p_y, config.p_outer)
+    if mode is InteractionMode.INTERSECTING:  # ttc_circle, its velocity scaling included
+        (bvx, bvy), (avx, avy) = (_turn(a.cos, a.sin, a.speed_long, a.speed_lat) for a in (o, e))
+        dvx, dvy = bvx - avx, bvy - avy
+        big = np.where(abs(dvy) > abs(dvx), abs(dvy), abs(dvx))
+        scale = np.where(big > 1e150, np.frexp(big)[1], 0) if np.any(big > 1e150) else 0
+        dvx, dvy = np.ldexp(dvx, -scale), np.ldexp(dvy, -scale)
+        radius = e.circumradius + o.circumradius
+        c = dx * dx + dy * dy - radius * radius
+        aa = dvx * dvx + dvy * dvy
+        bb = dx * dvx + dy * dvy
+        # ttc_circle's misses: a negative disc gives a NaN root, which fails `>= 0`; with
+        # aa == 0 the root is NaN, -inf or, when bb * bb underflows, +inf, which ldexp keeps
+        t_first = (-bb - np.sqrt(bb * bb - aa * c)) / aa
+        ttc = np.where(c <= 0.0, 0.0, np.where(t_first >= 0.0, np.ldexp(t_first, -scale), math.inf))
+        return geom, _per_distinct(lambda t: ttc_penalty(t, config), ttc, float), ttc
+    # _lateral_dynamic_radius: the side of the other actor, and the lateral speeds toward it
+    side = np.where(d_y == 0.0, 0.0, np.copysign(1.0, d_y))
+    v = e.speed_lat
+    w = _turn(e.cos_back, e.sin_back, *_turn(o.cos, o.sin, o.speed_long, o.speed_lat))[1]
+    if np.ndim(v) == np.ndim(w) == 0:  # speeds all pairs share: the radius depends on the side
+        r_y = _lateral_radius(np.array([-1.0, 0.0, 1.0]), v, w, config)[(side + 1.0).astype(int)]
+    else:
+        r_y = _lateral_radius(side, v, w, config)
+    dyn = _ellipse_power(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer)
+    return geom, dyn, np.full(dyn.shape, math.inf)
+
+
+def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
+    """`_lateral_dynamic_radius` of each pair from its side and its lateral speeds."""
+    ego_toward, other_toward = side * v > 0.0, side * w < 0.0
+    g, rho, a_acc = config.r_y_geom, config.rho, config.a_acc_max_y
+
+    def away(v_away, w):  # max(away_clearance(v_away, w), g): its floor at 0 changes nothing
+        r = accel_distance(w, rho, a_acc) - v_away * rho
+        return np.where(v_away <= w + rho * a_acc, np.where(g > r, g, r), g)
+
+    r_y = np.full(side.shape, g)
+    _on(ego_toward & other_toward, r_y, _clearance, abs(v), abs(w), "lat", config, True)
+    _on(ego_toward & ~other_toward, r_y, _clearance, abs(v), abs(w), "lat", config)
+    # where the ego is not toward, -side * v is >= 0 or -0.0, which max(., 0.0) keeps
+    _on(~ego_toward & other_toward, r_y, away, -side * v, abs(w))
+    return r_y
+
+
+def _risk_rewards(egos: Sequence[ActorState], counts: Sequence[int], pairs: array,
+                  config: RewardConfig) -> list[tuple[float, tuple[RiskAssessment, ...]]]:
+    """`risk_reward` of each egos[i] against the next counts[i] actors, whose `_row`s
+    `pairs` holds in turn, from one kernel call. With no pairs, numpy is not called."""
+    if not pairs:
+        return [(0.0, ())] * len(egos)
+    ego = _columns(np.fromiter(chain.from_iterable(map(_row, egos)), float).reshape(-1, 9), counts)
+    codes, geom, dyn, ttc = _pair_risk_arrays(
+        ego, _columns(np.frombuffer(pairs).reshape(-1, 9)), None, config)
+    combined = (config.w_geom * geom + config.w_dyn * dyn).tolist()
+    assessments = list(map(RiskAssessment, [_MODES[c] for c in codes.tolist()], geom.tolist(),
+                           dyn.tolist(), combined, ttc.tolist()))
+    bounds = [0, *np.cumsum(counts).tolist()]
+    return [(-max(combined[i:j]) + 0.0 if j > i else 0.0, tuple(assessments[i:j]))
+            for i, j in zip(bounds, bounds[1:])]
 
 
 def assess_interaction(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -33,13 +34,10 @@ from .core import (
     _REQUIRED, _Field, _finite, _is_count, _is_integer, _is_number, _pair, _positive, _read,
     _read_json,
 )
-from .reward import (
-    STEER_SPEED_FLOOR,
-    Outcome,
-    RewardBreakdown,
-    StepContext,
-    total_reward,
-)
+from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, StepContext, _combine
+# perfbench's tracer patches total_reward on this module, so the name stays importable here
+from .reward import total_reward  # noqa: F401
+from .risk import _risk_rewards, _row
 
 SCHEMA_VERSION = 1
 SPEEDING_RULE = "speeding"
@@ -605,7 +603,9 @@ def run_episode(
     off-road, goal reached; hitting the step budget ends the episode as a
     timeout whose final step contributes zero reward. Ego acceleration
     commands are clamped to the braking/acceleration limits and the steering
-    rate to the curvature-feasible envelope.
+    rate to the curvature-feasible envelope. Policies never see the reward, so
+    the risk of every step is scored after the loop, in one array-kernel call;
+    each breakdown has the bits `total_reward` gives that step's context.
     """
     route = scenario.route
     if not route.goal_station > 0.0:  # route_progress divides by it
@@ -619,7 +619,9 @@ def run_episode(
                   npcs=tuple(state for state, _ in npcs),
                   scripts=tuple(script for _, script in npcs), obstacles=obstacles)
     pose = project_to_route(world.ego.position, world.ego.heading, route)
-    records: list[StepRecord] = []
+    steps: list[tuple[float, tuple[float, float], StepContext]] = []
+    counts: list[int] = []  # actors per step
+    pairs = array("d")  # each step's actors' `_row`s, scored after the loop
     actors = world.actors  # read once per step: the tuple is built on each read
 
     for step in range(1, max_steps + 1):
@@ -647,33 +649,22 @@ def run_episode(
         violations = frozenset(
             (SPEEDING_RULE,) if world.ego.speed_long > config.speed_limit + 1e-9 else ())
         jerk = (world.ego.accel_long - obs.ego.accel_long) / config.dt
-        ctx = StepContext(
-            ego=world.ego,
-            pose=new_pose,
-            prev_pose=pose,
-            others=actors,
-            lane_width=route.lane_width,
-            steering_rate=steer_cmd,
-            jerk=jerk,
-            violations=violations,
-            outcome=outcome,
-        )
-        breakdown = total_reward(ctx, config)
-        records.append(
-            StepRecord(
-                step=step,
-                time=world.time,
-                ego=world.ego,
-                pose=new_pose,
-                action=(accel_cmd, steer_cmd),
-                breakdown=breakdown,
-                outcome=outcome,
-            )
-        )
+        # built and checked each step; its actors go into `pairs`, not into `others`
+        ctx = StepContext(ego=world.ego, pose=new_pose, prev_pose=pose, others=(),
+                          lane_width=route.lane_width, steering_rate=steer_cmd, jerk=jerk,
+                          violations=violations, outcome=outcome)
+        steps.append((world.time, (accel_cmd, steer_cmd), ctx))
+        counts.append(len(actors))
+        for actor in actors:
+            pairs.extend(_row(actor))
         pose = new_pose
         if outcome is not Outcome.NONE:
             break
 
+    risks = _risk_rewards([ctx.ego for _, _, ctx in steps], counts, pairs, config)
+    records = [StepRecord(step=i, time=time, ego=ctx.ego, pose=ctx.pose, action=action,
+                          breakdown=_combine(ctx, *risk, config), outcome=ctx.outcome)
+               for i, ((time, action, ctx), risk) in enumerate(zip(steps, risks), 1)]
     final = records[-1]
     return EpisodeTrace(
         records=tuple(records),

@@ -1,10 +1,14 @@
-"""Test oracles: numpy and brute-force forms of what the library computes in plain floats."""
+"""Test oracles: numpy and brute-force forms of what the library computes in plain floats,
+and the checks that hold the library's array and two-phase paths to its scalar ones."""
 
+import dataclasses
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-from riskrl import ActorState, ContractError, Route, wrap_angle
+from riskrl import ActorState, ContractError, Route, total_reward, wrap_angle
+from riskrl import sim
 
 
 def rotation(angle):
@@ -74,3 +78,55 @@ def numpy_projection(point, heading, centerline):
     tangent = d[i] / math.sqrt(seg_len2[i])
     offset = math.copysign(math.sqrt(dist2[i]), tangent[0] * diff[i][1] - tangent[1] * diff[i][0])
     return station, offset, wrap_angle(heading - math.atan2(tangent[1], tangent[0]))
+
+
+def same_bits(a, b) -> bool:
+    """True when a and b hold the same floats bit for bit, compared by `float.hex`.
+
+    So -0.0 differs from 0.0, where `==` would miss it, and NaN equals NaN.
+    Recurses through tuples, lists and dataclasses; a float matches only a value of
+    its own type, and anything else compares with `==`.
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    if dataclasses.is_dataclass(a):
+        return all(same_bits(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return a == b
+
+
+@contextmanager
+def recorded_contexts():
+    """Yield a list that fills with each step's full `StepContext` as `run_episode` runs.
+
+    `run_episode` scores the risk of its steps after its loop, so the context it
+    builds in the loop has no others; the actors of the world stepped to are put in.
+    """
+    worlds, contexts, full = [], [], []
+    step_world, step_context = sim.step_world, sim.StepContext
+
+    def record_world(*args):
+        worlds.append(step_world(*args))
+        return worlds[-1]
+
+    def record_context(**fields):
+        contexts.append(step_context(**fields))
+        full.append(dataclasses.replace(contexts[-1], others=worlds[-1].actors))
+        return contexts[-1]
+
+    sim.step_world, sim.StepContext = record_world, record_context
+    try:
+        yield full
+    finally:
+        sim.step_world, sim.StepContext = step_world, step_context
+
+
+def breakdowns_match_total_reward(trace, contexts, config) -> bool:
+    """Whether each record's breakdown has the bits of `total_reward` of its step's context."""
+    return len(trace.records) == len(contexts) and all(
+        same_bits(record.breakdown, total_reward(ctx, config))
+        for record, ctx in zip(trace.records, contexts))

@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import gzip
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -102,15 +101,6 @@ def run_digests(out):
                  for name in ("trace.csv", "summary.json"))
 
 
-def load_waypoints_module():
-    """perfbench/waypoints.py, which generates the `run_waypoints` documents."""
-    path = REPO_ROOT / "perfbench" / "waypoints.py"
-    spec = importlib.util.spec_from_file_location("perfbench_waypoints", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
@@ -198,11 +188,9 @@ class TestCmdRun:
                          *seed, "--out", str(out)]) == 0
             assert run_digests(out) == RUN_DIGESTS[scenario, policy]
 
-    def test_pinned_waypoint_run_digests(self, tmp_path, configs_dir):
-        waypoints = load_waypoints_module()
-        paths = waypoints.write_documents(waypoints.generate_documents(7), tmp_path / "in")
+    def test_pinned_waypoint_run_digests(self, tmp_path, configs_dir, waypoint_documents):
         digests = []
-        for i, path in enumerate(paths):
+        for i, path in enumerate(waypoint_documents):
             out = tmp_path / f"run_{i}"
             assert main(["run", "--scenario", str(path), "--config",
                          str(configs_dir / "default.json"), "--policy", "lane_follower",

@@ -1,11 +1,12 @@
-"""The brute-force TTC oracle of `oracles.py`."""
+"""The brute-force TTC oracle and the bit comparison of `oracles.py`."""
 
 import math
 
+import numpy as np
 import pytest
 
-from oracles import brute_force_ttc
-from riskrl import ActorState, ContractError
+from oracles import brute_force_ttc, same_bits
+from riskrl import ActorState, ContractError, InteractionMode, RiskAssessment
 
 
 class TestBruteForceTtc:
@@ -37,3 +38,22 @@ class TestBruteForceTtc:
         b = ActorState(position=[30, 0], heading=0.0)
         with pytest.raises(ContractError, match="horizon"):
             brute_force_ttc(a, b, dt_fine=1e-3, horizon=horizon)
+
+
+class TestSameBits:
+    def test_signed_zeros_and_nan(self):
+        assert same_bits(math.nan, math.nan) and same_bits(-0.0, -0.0)
+        assert not same_bits(-0.0, 0.0) and -0.0 == 0.0  # where == would miss it
+        assert not same_bits(1.0, 1.0 + 2.0 ** -52)
+
+    def test_recurses_through_tuples_lists_and_dataclasses(self):
+        a = RiskAssessment(InteractionMode.INTERSECTING, 0.5, 0.25, 0.375, math.inf)
+        b = RiskAssessment(InteractionMode.INTERSECTING, 0.5, -0.0, 0.375, math.inf)
+        c = RiskAssessment(InteractionMode.INTERSECTING, 0.5, 0.0, 0.375, math.inf)
+        assert same_bits([(0.0, (a,))], [(0.0, (a,))])
+        assert not same_bits((b,), (c,)) and b == c
+        assert not same_bits((a,), [a]) and not same_bits((a, a), (a,))
+
+    def test_a_float_matches_only_its_own_type(self):
+        assert not same_bits(1.0, 1) and not same_bits(1.0, np.float64(1.0))
+        assert same_bits(np.float64(1.0), np.float64(1.0))

@@ -1,13 +1,14 @@
 """Risk field, safety clearances, TTC, and the combined risk reward."""
 
 import math
+from array import array
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import numpy_velocity, rotation
+from oracles import numpy_velocity, rotation, same_bits
 from riskrl import (
     ActorKind,
     ActorState,
@@ -31,6 +32,7 @@ from riskrl import (
     stop_distance,
     ttc_circle,
     ttc_penalty,
+    wrap_angle,
 )
 from riskrl import risk as risk_module
 from riskrl.core import _rotate
@@ -257,6 +259,40 @@ class TestClearances:
             leading_clearance(v_ego, 0.0, "long", CFG)
             >= leading_clearance(v_ego, v_other, "long", CFG)
         )
+
+
+class TestNumberChecks:
+    """The public scalar functions take numbers by ActorState's rule, and speeds >= 0."""
+
+    @pytest.mark.parametrize("func, args, name", [
+        (ttc_penalty, (math.nan, CFG), "ttc_penalty ttc"),
+        (ttc_penalty, (-1.0, CFG), "ttc_penalty ttc"),
+        (ttc_penalty, (-math.inf, CFG), "ttc_penalty ttc"),
+        (ttc_penalty, (True, CFG), "ttc_penalty ttc"),
+        (leading_clearance, (math.nan, 0.0, "long", CFG), "leading_clearance v_ego"),
+        (leading_clearance, (True, 0.0, "long", CFG), "leading_clearance v_ego"),
+        (leading_clearance, (1.0, -2.0, "lat", CFG), "leading_clearance v_other"),
+        (approach_clearance, (math.nan, 0.0, "long", CFG), "approach_clearance v_ego"),
+        (approach_clearance, (-5.0, 0.0, "long", CFG), "approach_clearance v_ego"),
+        (approach_clearance, (0.0, math.inf, "long", CFG), "approach_clearance v_other"),
+        (away_clearance, (math.nan, 1.0, CFG), "away_clearance v_ego_away"),
+        (away_clearance, (0.0, "1", CFG), "away_clearance v_other_toward"),
+        (wrap_angle, (math.inf,), "wrap_angle angle"),
+        (wrap_angle, (math.nan,), "wrap_angle angle"),
+        (wrap_angle, (True,), "wrap_angle angle"),
+    ])
+    def test_bad_number_names_its_argument(self, func, args, name):
+        # each once gave a number (or a bare ValueError): ttc_penalty(nan) 1.0, True 0.845
+        with pytest.raises(ContractError, match=f"^{name} must be "):
+            func(*args)
+
+    def test_edges_that_pass(self):
+        zero = leading_clearance(0.0, 0.0, "long", CFG)
+        assert leading_clearance(-0.0, -0.0, "long", CFG) == zero
+        assert away_clearance(-0.0, 0.0, CFG) == away_clearance(0.0, 0.0, CFG)
+        assert ttc_penalty(-0.0, CFG) == 1.0 and ttc_penalty(np.float64(math.inf), CFG) == 0.0
+        assert ttc_penalty(3, CFG) == ttc_penalty(3.0, CFG)
+        assert wrap_angle(np.int64(7)) == wrap_angle(7.0)
 
 
 class TestTtc:
@@ -651,7 +687,7 @@ class TestRiskField:
                 discs.append((dp @ dv) ** 2 - (dv @ dv) * c)
         assert min(discs) < 0.0 < max(discs)
         ego, other, _, _ = field_case("standing_still", InteractionMode.INTERSECTING)
-        assert risk_module._ttc_setup(ego, other)[:2] == (0.0, 0.0)  # aa == 0
+        assert (numpy_velocity(other) - numpy_velocity(ego)).tolist() == [0.0, 0.0]  # aa == 0
 
     def test_other_position_is_ignored(self):
         mode = InteractionMode.SAME_DIRECTION
@@ -755,3 +791,115 @@ class TestAssessInteraction:
             calls.clear()
             assess_interaction(ego, other, CFG)
             assert calls == [other]
+
+
+def kernel_batch(seed, size):
+    """(egos, others): fixed edge pairs, then `size` seeded random pairs.
+
+    The random pairs spread over every mode and lateral case. Some speeds are 0
+    or -0.0, some so large that the TTC scales the relative velocity (1e160) or
+    that both stop distances of a clearance overflow (1e300). Some others sit on
+    the ego's axis (d_y == 0) or overlap it; a fifth are static obstacles.
+    """
+    egos = [car(v=1e300, kind=ActorKind.EGO_VEHICLE),  # the NaN leading clearance, long
+            car(v_lat=1e300, kind=ActorKind.EGO_VEHICLE),  # and lat
+            ActorState((0.0, 0.0), 0.0, speed_long=1e160, kind=ActorKind.EGO_VEHICLE),
+            car(kind=ActorKind.EGO_VEHICLE), car(y=-0.0, heading=-0.0, kind=ActorKind.EGO_VEHICLE)]
+    others = [car(x=50.0, v=1e300), car(y=5.0, v_lat=1e300),
+              ActorState((20.0, -20.0), math.pi / 2, speed_long=1e160),  # the TTC is scaled
+              car(x=7.0, heading=math.pi / 2),  # standing still: aa == 0
+              car(x=-9.0, heading=math.pi)]  # d_y == 0 exactly
+    rng = np.random.default_rng(seed)
+
+    def speeds(moving=True):
+        v, pick = rng.uniform(-8.0, 8.0, size), rng.random(size)
+        for low, value in ((0.0, 0.0), (0.1, -0.0), (0.15, 1e160), (0.2, -1e160), (0.22, 1e300)):
+            v[(pick >= low) & (pick < low + 0.05)] = value
+        return np.where(moving, v, 0.0).tolist()
+
+    static = rng.random(size) < 0.2
+    on_axis = rng.random(size) < 0.1
+    heading = np.where(on_axis, 0.0, rng.uniform(-4.0, 4.0, size))
+    relative = (rng.choice([0.0, math.pi, math.pi / 2, -math.pi / 2], size)
+                + rng.uniform(-0.9, 0.9, size))
+    boundary = rng.choice([math.pi / 4, 3 * math.pi / 4], size)
+    relative = np.where(rng.random(size) < 0.05, boundary, relative)
+    x, y = rng.uniform(-20.0, 20.0, size), rng.uniform(-20.0, 20.0, size)
+    reach = np.where(rng.random(size) < 0.1, 2.0, 30.0)
+    dx = rng.uniform(-1.0, 1.0, size) * reach
+    dy = np.where(on_axis, 0.0, rng.uniform(-1.0, 1.0, size) * reach)
+    length, width = rng.uniform(0.5, 6.0, (2, size)), rng.uniform(0.5, 3.0, (2, size))
+    columns = zip(x.tolist(), y.tolist(), heading.tolist(), speeds(), speeds(),
+                  (x + dx).tolist(), (y + dy).tolist(), (heading + relative).tolist(),
+                  speeds(~static), speeds(~static), static.tolist(), *length.tolist(),
+                  *width.tolist())
+    for ex, ey, eh, ev, ev_lat, ox, oy, oh, ov, ov_lat, stat, e_len, o_len, e_wid, o_wid in columns:
+        egos.append(ActorState((ex, ey), eh, ev, ev_lat, length=e_len, width=e_wid,
+                               kind=ActorKind.EGO_VEHICLE))
+        kind = ActorKind.STATIC_OBSTACLE if stat else ActorKind.NPC_VEHICLE
+        others.append(ActorState((ox, oy), oh, ov, ov_lat, length=o_len, width=o_wid, kind=kind))
+    return egos, others
+
+
+def kernel_rows(actors):
+    return np.array([risk_module._row(a) for a in actors], dtype=float)
+
+
+class TestPairRiskArrays:
+    """The array kernel against the scalar pair functions, element by element, bit for bit."""
+
+    def test_batch_covers_every_branch(self):
+        egos, others = kernel_batch(seed=0, size=2000)
+        modes, lateral, scaled, nan_clearance = set(), set(), 0, 0
+        for ego, other in zip(egos, others):
+            mode = classify_interaction(ego, other)
+            modes.add(mode)
+            if mode is InteractionMode.INTERSECTING:
+                scaled += max(abs(numpy_velocity(other) - numpy_velocity(ego))) > 1e150
+                continue
+            d_y = relative_displacement(ego, other)[1]
+            side = 0.0 if d_y == 0.0 else math.copysign(1.0, d_y)
+            other_lat = _rotate(*_rotate(other.speed_long, other.speed_lat, other.heading),
+                                -ego.heading)[1]
+            lateral.add((side * ego.speed_lat > 0.0, side * other_lat < 0.0))
+            for v, w, axis in ((ego.speed_long, other.speed_long, "long"),
+                               (ego.speed_lat, other_lat, "lat")):
+                # both stop distances of a leading clearance overflow: inf - inf
+                a_acc, a_brk_min, a_brk_max, _ = risk_module._axis_params(axis, CFG)
+                nan_clearance += math.isnan(accel_distance(abs(v), CFG.rho, a_acc) + stop_distance(
+                    abs(v), CFG.rho, a_acc, a_brk_min) - w * w / (2.0 * a_brk_max))
+        assert modes == set(InteractionMode) and len(lateral) == 4
+        assert scaled > 5 and nan_clearance > 5
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 10_000))
+    def test_risk_rewards_have_the_bits_of_risk_reward(self, seed, size):
+        egos, others = kernel_batch(seed, size)
+        # group the pairs into steps; each step's others are scored against its first ego
+        cuts = np.flatnonzero(np.random.default_rng(seed).random(len(others)) < 0.3).tolist()
+        bounds = [0, *(c for c in cuts if c > 0), len(others)]
+        counts = np.diff(bounds).tolist()
+        step_egos = [egos[start] for start in bounds[:-1]]
+        pairs = array("d", kernel_rows(others).ravel().tolist())
+        got = risk_module._risk_rewards(step_egos, counts, pairs, CFG)
+        expected = [risk_reward(ego, others[start:stop], CFG)
+                    for ego, start, stop in zip(step_egos, bounds, bounds[1:])]
+        assert same_bits(got, expected)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 5_000),
+           mode=st.sampled_from(InteractionMode))
+    def test_a_given_mode_has_the_bits_of_pair_risk(self, seed, size, mode):
+        egos, others = kernel_batch(seed, size)
+        code, geom, dyn, ttc = risk_module._pair_risk_arrays(
+            risk_module._columns(kernel_rows(egos)), risk_module._columns(kernel_rows(others)),
+            mode, CFG)
+        got = list(zip(geom.tolist(), dyn.tolist(), np.broadcast_to(ttc, geom.shape).tolist()))
+        expected = [risk_module._pair_risk(ego, other, mode, CFG)
+                    for ego, other in zip(egos, others)]
+        assert risk_module._MODES[code] is mode and same_bits(got, expected)
+
+    def test_no_pairs_call_no_numpy(self, monkeypatch):
+        monkeypatch.setattr(risk_module, "np", None)
+        ego = car(kind=ActorKind.EGO_VEHICLE)
+        assert risk_module._risk_rewards([ego, ego], [0, 0], array("d"), CFG) == [(0.0, ())] * 2

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import breakdowns_match_total_reward, recorded_contexts
 from riskrl import (
     ActorKind,
     ActorState,
@@ -39,7 +40,7 @@ from riskrl import (
 )
 from riskrl.cli import trace_rows
 from riskrl.core import validate_config_data
-from riskrl.sim import scenario_from_dict, validate_scenario_data
+from riskrl.sim import BUILTIN_POLICIES, scenario_from_dict, validate_scenario_data
 
 CFG = RewardConfig()
 
@@ -555,6 +556,23 @@ class TestRunEpisode:
         crashing = run_episode(scenario, build_policy("full_throttle", CFG), CFG)
         assert waiting.cumulative_reward > crashing.cumulative_reward
 
+    @pytest.mark.parametrize("policy", BUILTIN_POLICIES)
+    @pytest.mark.parametrize("name", ["blocked_road", "empty_road", "intersection"])
+    def test_breakdowns_have_the_bits_of_total_reward(self, scenarios_dir, name, policy):
+        # the risk of every step is scored after the loop, by the array kernel
+        scenario = load_scenario(scenarios_dir / f"{name}.json")
+        for density, seed in [(None, None), (1.0, 3)]:
+            with recorded_contexts() as contexts:
+                trace = run_episode(scenario, build_policy(policy, CFG), CFG, density, seed)
+            assert breakdowns_match_total_reward(trace, contexts, CFG)
+
+    def test_waypoint_breakdowns_have_the_bits_of_total_reward(self, waypoint_documents):
+        for path in waypoint_documents:
+            with recorded_contexts() as contexts:
+                trace = run_episode(load_scenario(path), build_policy("lane_follower", CFG), CFG)
+            assert any(r.breakdown.risk_assessments for r in trace.records)
+            assert breakdowns_match_total_reward(trace, contexts, CFG)
+
     def test_trace_is_bit_deterministic(self, scenarios_dir):
         scenario = load_scenario(scenarios_dir / "intersection.json")
         policy = build_policy("lane_follower", CFG)
@@ -756,7 +774,9 @@ def test_mutated_documents_fail_with_paths_or_run_within_bounds(name, data):
     scenario = scenario_from_dict(docs["scenario"])
     step_bound = 2.0 + config.beta + config.beta ** 2 + 1e-12  # criterion 6
     for policy in ("lane_follower", "full_throttle"):
-        trace = run_episode(scenario, build_policy(policy, config), config)
+        with recorded_contexts() as contexts:
+            trace = run_episode(scenario, build_policy(policy, config), config)
+        assert breakdowns_match_total_reward(trace, contexts, config)
         totals = [record.breakdown.total for record in trace.records]
         assert trace.outcome is not Outcome.NONE
         assert all(math.isfinite(total) for total in totals)
