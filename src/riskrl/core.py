@@ -271,10 +271,15 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
 def relative_displacement(ego: ActorState, other: ActorState) -> tuple[float, float]:
     """Center-to-center displacement of `other` in the ego-aligned frame.
 
-    d_x points along the ego heading, d_y 90 deg to its left; signs preserved.
+    d_x points along the ego heading, d_y 90 deg to its left; signs preserved. Where
+    `other - ego` overflows, the finite half-differences are turned and doubled, exactly.
     """
     (ex, ey), (ox, oy) = ego.position, other.position
-    return _rotate(ox - ex, oy - ey, -ego.heading)
+    dx, dy = ox - ex, oy - ey
+    if math.isinf(dx) or math.isinf(dy):
+        d_x, d_y = _rotate(ox / 2 - ex / 2, oy / 2 - ey / 2, -ego.heading)
+        return 2.0 * d_x, 2.0 * d_y
+    return _rotate(dx, dy, -ego.heading)
 
 
 # ---------------------------------------------------------------------------

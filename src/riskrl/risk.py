@@ -76,7 +76,10 @@ def classify_interaction(ego: ActorState, other: ActorState) -> InteractionMode:
     """Pick the interaction mode from the other actor's kind and relative heading."""
     if other.kind is ActorKind.STATIC_OBSTACLE:
         return InteractionMode.STATIC_OBSTACLE
-    dpsi = abs(wrap_angle(other.heading - ego.heading))
+    if math.isinf(dpsi := other.heading - ego.heading):
+        raise ContractError(f"classify_interaction headings {ego.heading!r} (ego) and "
+                            f"{other.heading!r} (other) differ by more than a float holds")
+    dpsi = abs(wrap_angle(dpsi))
     if dpsi <= SAME_DIRECTION_MAX:
         return InteractionMode.SAME_DIRECTION
     if dpsi >= OPPOSITE_DIRECTION_MIN:
@@ -390,13 +393,14 @@ def risk_field(
     xs, ys = _grid_axis(xs, "xs"), _grid_axis(ys, "ys")
     ego, other = (_Actors(*_row(a), *_turns(a.heading)) for a in (ego, other))
     cells = other._replace(x=np.tile(xs, ys.size), y=np.repeat(ys, xs.size))
-    return _pair_risk_arrays(ego, cells, mode, config)[1:3]
+    with np.errstate(all="ignore"):  # Python floats overflow to inf silently
+        return _mode_risk(mode, ego, cells, config)[:2]
 
 
 # Actors as the array kernel takes them: `_row`'s fields, then the cos and sin of the
-# heading and of its negative. A field is one value for all pairs or an array of them.
+# heading. A field is one value for all pairs or an array of them.
 _Actors = namedtuple("_Actors", "x y heading speed_long speed_lat length width circumradius "
-                                "static cos sin cos_back sin_back")
+                                "static cos sin")
 
 
 def _row(actor: ActorState) -> tuple:
@@ -404,39 +408,14 @@ def _row(actor: ActorState) -> tuple:
             actor.width, actor.circumradius, actor.kind is ActorKind.STATIC_OBSTACLE)
 
 
-def _turns(heading: float) -> tuple[float, float, float, float]:
-    return math.cos(heading), math.sin(heading), math.cos(-heading), math.sin(-heading)
+def _turns(heading: float) -> tuple[float, float]:
+    return math.cos(heading), math.sin(heading)
 
 
 def _columns(rows: np.ndarray, repeats: Sequence[int] | None = None) -> _Actors:
     """The `_Actors` of an array of `_row`s, each row repeated `repeats` times if given."""
     table = np.column_stack([rows, _per_distinct(_turns, rows[:, 2], float)])
     return _Actors(*(table if repeats is None else np.repeat(table, repeats, axis=0)).T)
-
-
-def _pair_risk_arrays(ego: _Actors, other: _Actors, mode: InteractionMode | None,
-                      config: RewardConfig) -> tuple:
-    """(mode code, geom, dyn, ttc) of each pair, with the scalar code's bits.
-
-    `other.x` is an array. Without a mode, each pair is classified as
-    `classify_interaction` does; a given mode scores all pairs in it, as
-    `_pair_risk` does, and comes back as one code for all. cos and sin come from `math`,
-    `ttc_penalty` runs once per distinct TTC, and every other step is a correctly
-    rounded array operation in the scalar order, `max(a, b)` as `np.where(b > a, b, a)`.
-    """
-    with np.errstate(all="ignore"):  # Python floats overflow to inf silently
-        dx, dy = other.x - ego.x, other.y - ego.y
-        d_x, d_y = _turn(ego.cos_back, ego.sin_back, dx, dy)
-        if mode is not None:
-            return _MODES.index(mode), *_mode_risk(mode, ego, other, dx, dy, d_x, d_y, config)
-        a = np.fmod(other.heading - ego.heading, TWO_PI)  # wrap_angle, then the partition
-        dpsi = np.abs(np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a)))
-        codes = np.where(other.static != 0.0, 3, np.where(  # indices into _MODES
-            dpsi <= SAME_DIRECTION_MAX, 0, np.where(dpsi >= OPPOSITE_DIRECTION_MIN, 1, 2)))
-        out = np.empty((3, codes.size))  # geom, dyn, ttc
-        for code, m in enumerate(_MODES):
-            _on(codes == code, out, _mode_risk, m, ego, other, dx, dy, d_x, d_y, config)
-    return codes, *out
 
 
 def _on(mask: np.ndarray, out: np.ndarray, func: Callable, *args) -> None:
@@ -452,9 +431,18 @@ def _on(mask: np.ndarray, out: np.ndarray, func: Callable, *args) -> None:
         out[..., where] = func(*map(only, args))
 
 
-def _mode_risk(mode: InteractionMode, e: _Actors, o: _Actors, dx, dy, d_x, d_y,
+def _mode_risk(mode: InteractionMode, e: _Actors, o: _Actors,
                config: RewardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(geom, dyn, ttc) of pairs that all take `mode`, in `_pair_risk`'s steps."""
+    """(geom, dyn, ttc) of pairs that all take `mode` (`o.x` is an array), in `_pair_risk`'s
+    steps and with its bits: cos and sin from `math`, the ego frame as the turn by (cos, -sin),
+    `ttc_penalty` once per distinct TTC, and every other step one correctly rounded array
+    operation in the scalar order, `max(a, b)` as `np.where(b > a, b, a)`."""
+    dx, dy = o.x - e.x, o.y - e.y
+    d_x, d_y = _turn(e.cos, -e.sin, dx, dy)
+    over = np.isinf(dx) | np.isinf(dy)
+    if over.any():  # relative_displacement's rule: turn the halves, which are finite, and double
+        halves = _turn(e.cos, -e.sin, o.x / 2 - e.x / 2, o.y / 2 - e.y / 2)
+        d_x, d_y = (np.where(over, 2.0 * h, d) for h, d in zip(halves, (d_x, d_y)))
     c_x, c_y, p_x, p_y, r_x = _mode_setup(e, o, mode, config)
     excess_x, excess_y = np.abs(d_x) - c_x, np.abs(d_y) - c_y
     excess_x, excess_y = (np.where(0.0 > excess, 0.0, excess) for excess in (excess_x, excess_y))
@@ -478,7 +466,7 @@ def _mode_risk(mode: InteractionMode, e: _Actors, o: _Actors, dx, dy, d_x, d_y,
     # _lateral_dynamic_radius: the side of the other actor, and the lateral speeds toward it
     side = np.where(d_y == 0.0, 0.0, np.copysign(1.0, d_y))
     v = e.speed_lat
-    w = _turn(e.cos_back, e.sin_back, *_turn(o.cos, o.sin, o.speed_long, o.speed_lat))[1]
+    w = _turn(e.cos, -e.sin, *_turn(o.cos, o.sin, o.speed_long, o.speed_lat))[1]
     if np.ndim(v) == np.ndim(w) == 0:  # speeds all pairs share: the radius depends on the side
         r_y = _lateral_radius(np.array([-1.0, 0.0, 1.0]), v, w, config)[(side + 1.0).astype(int)]
     else:
@@ -511,8 +499,15 @@ def _risk_rewards(egos: Sequence[ActorState], counts: Sequence[int], pairs: arra
     if not pairs:
         return [(0.0, ())] * len(egos)
     ego = _columns(np.fromiter(chain.from_iterable(map(_row, egos)), float).reshape(-1, 9), counts)
-    codes, geom, dyn, ttc = _pair_risk_arrays(
-        ego, _columns(np.frombuffer(pairs).reshape(-1, 9)), None, config)
+    other = _columns(np.frombuffer(pairs).reshape(-1, 9))
+    with np.errstate(all="ignore"):  # Python floats overflow to inf silently
+        a = np.fmod(other.heading - ego.heading, TWO_PI)  # wrap_angle, then the partition
+        dpsi = np.abs(np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a)))
+        codes = np.where(other.static != 0.0, 3, np.where(  # indices into _MODES
+            dpsi <= SAME_DIRECTION_MAX, 0, np.where(dpsi >= OPPOSITE_DIRECTION_MIN, 1, 2)))
+        geom, dyn, ttc = out = np.empty((3, codes.size))  # rows that each mode fills in
+        for code, m in enumerate(_MODES):
+            _on(codes == code, out, _mode_risk, m, ego, other, config)
     combined = (config.w_geom * geom + config.w_dyn * dyn).tolist()
     assessments = list(map(RiskAssessment, [_MODES[c] for c in codes.tolist()], geom.tolist(),
                            dyn.tolist(), combined, ttc.tolist()))

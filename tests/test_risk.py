@@ -51,6 +51,16 @@ def obstacle(x, y, length=1.0, width=1.0):
                       kind=ActorKind.STATIC_OBSTACLE)
 
 
+# Pairs whose position difference overflows, one per mode: both axes, one axis, both signs
+FAR_APART = [
+    (car(x=-1e308, v=1.0, kind=ActorKind.EGO_VEHICLE), car(x=1e308, heading=math.pi, v=1.0)),
+    (car(y=-1e308, v=3.0, kind=ActorKind.EGO_VEHICLE), car(y=1e308, v=2.0, v_lat=-1.0)),
+    (car(x=-1e308, y=-1e308, heading=0.3, v=5.0, kind=ActorKind.EGO_VEHICLE),
+     car(x=1e308, y=1e308, heading=0.3 + math.pi / 2, v=4.0)),
+    (car(x=1e308, heading=1.0, v_lat=2.0, kind=ActorKind.EGO_VEHICLE), obstacle(-1e308, 5.0)),
+]
+
+
 class TestClassifyInteraction:
     def test_same_direction(self):
         assert classify_interaction(car(), car(x=10)) is InteractionMode.SAME_DIRECTION
@@ -84,6 +94,14 @@ class TestClassifyInteraction:
             classify_interaction(car(), car(x=5, heading=math.radians(135.0)))
             is InteractionMode.OPPOSITE_DIRECTION
         )
+
+    def test_headings_too_far_apart_to_subtract_are_named(self):
+        ego, other = car(heading=-1e308), car(x=5.0, heading=1e308)
+        match = r"classify_interaction headings -1e\+308 \(ego\) and 1e\+308 \(other\)"
+        for call in (lambda: classify_interaction(ego, other),
+                     lambda: risk_reward(ego, [other], CFG)):
+            with pytest.raises(ContractError, match=match):
+                call()
 
 
 class TestClearanceCenter:
@@ -544,6 +562,29 @@ def random_pairs(count=400, seed=2024):
     return pairs
 
 
+class TestFarApart:
+    """Positions whose difference overflows: the displacement turns the halves and doubles."""
+
+    def test_displacement_has_no_nan(self):
+        ego, other = FAR_APART[0][0], car(x=1e308, y=-1e308)
+        assert relative_displacement(ego, other) == (math.inf, -1e308)  # d_y did not overflow
+        ego = car(x=-1e308, heading=math.pi / 3)
+        d_x, d_y = relative_displacement(ego, car(x=1e308))  # finite once turned
+        assert d_x / 4 == pytest.approx(1e308 / 2 * math.cos(math.pi / 3), rel=1e-15)
+        assert d_y / 4 == pytest.approx(-1e308 / 2 * math.sin(math.pi / 3), rel=1e-15)
+
+    def test_penalties_are_zero_in_every_mode(self):
+        expected = []
+        for ego, other in FAR_APART:
+            reward, (assessment,) = risk_reward(ego, [other], CFG)
+            assert (reward, assessment.geom_penalty, assessment.dyn_penalty) == (0.0, 0.0, 0.0)
+            expected.append((reward, (assessment,)))
+        assert {a.mode for _, (a,) in expected} == set(InteractionMode)
+        pairs = array("d", kernel_rows([other for _, other in FAR_APART]).ravel().tolist())
+        got = risk_module._risk_rewards([ego for ego, _ in FAR_APART], [1] * 4, pairs, CFG)
+        assert same_bits(got, expected)
+
+
 class TestPlainFloatOracles:
     """The float per-pair path against the numpy formulas and `EllipseParams` it replaces."""
 
@@ -809,6 +850,8 @@ def kernel_batch(seed, size):
               ActorState((20.0, -20.0), math.pi / 2, speed_long=1e160),  # the TTC is scaled
               car(x=7.0, heading=math.pi / 2),  # standing still: aa == 0
               car(x=-9.0, heading=math.pi)]  # d_y == 0 exactly
+    egos += [ego for ego, _ in FAR_APART]  # the position difference overflows
+    others += [other for _, other in FAR_APART]
     rng = np.random.default_rng(seed)
 
     def speeds(moving=True):
@@ -891,13 +934,22 @@ class TestPairRiskArrays:
            mode=st.sampled_from(InteractionMode))
     def test_a_given_mode_has_the_bits_of_pair_risk(self, seed, size, mode):
         egos, others = kernel_batch(seed, size)
-        code, geom, dyn, ttc = risk_module._pair_risk_arrays(
-            risk_module._columns(kernel_rows(egos)), risk_module._columns(kernel_rows(others)),
-            mode, CFG)
+        with np.errstate(all="ignore"):
+            geom, dyn, ttc = risk_module._mode_risk(
+                mode, risk_module._columns(kernel_rows(egos)),
+                risk_module._columns(kernel_rows(others)), CFG)
         got = list(zip(geom.tolist(), dyn.tolist(), np.broadcast_to(ttc, geom.shape).tolist()))
         expected = [risk_module._pair_risk(ego, other, mode, CFG)
                     for ego, other in zip(egos, others)]
-        assert risk_module._MODES[code] is mode and same_bits(got, expected)
+        assert same_bits(got, expected)
+
+    @given(h=st.floats(allow_nan=False, allow_infinity=False))
+    @example(h=0.0)
+    @example(h=1e308)
+    def test_math_cos_is_even_and_sin_odd_to_the_bit(self, h):
+        """The scalar code turns into the ego frame by (cos(-h), sin(-h)), the kernel by
+        (cos h, -sin h): on a libm where these differ, the two cannot share bits."""
+        assert same_bits((math.cos(-h), math.sin(-h)), (math.cos(h), -math.sin(h)))
 
     def test_no_pairs_call_no_numpy(self, monkeypatch):
         monkeypatch.setattr(risk_module, "np", None)
