@@ -179,6 +179,13 @@ def _floored(r, floor: float):
     return math.inf if math.isnan(r) else max(r, floor)
 
 
+def _ratio(excess, r):
+    """excess / r of floats or arrays; an infinite excess is far away even past an inf r."""
+    if isinstance(excess, np.ndarray):
+        return np.where(excess == math.inf, math.inf, excess / r)
+    return math.inf if excess == math.inf else excess / r
+
+
 def _clearance(v_ego, v_other, axis: Axis, config: RewardConfig, approach: bool = False):
     """`approach_clearance`, else `leading_clearance`, of floats or arrays, unchecked.
 
@@ -358,7 +365,8 @@ def _pair_risk(
         ttc = ttc_circle(ego, other)
         return geom, ttc_penalty(ttc, config), ttc
     r_y = _lateral_dynamic_radius(ego, other, d_y, config)
-    return geom, _ellipse_power(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer), math.inf
+    dyn = _ellipse_power(_ratio(excess_x, r_x), _ratio(excess_y, r_y), p_x, p_y, config.p_outer)
+    return geom, dyn, math.inf
 
 
 def _grid_axis(values: Sequence[float], name: str) -> np.ndarray:
@@ -412,23 +420,9 @@ def _turns(heading: float) -> tuple[float, float]:
     return math.cos(heading), math.sin(heading)
 
 
-def _columns(rows: np.ndarray, repeats: Sequence[int] | None = None) -> _Actors:
-    """The `_Actors` of an array of `_row`s, each row repeated `repeats` times if given."""
-    table = np.column_stack([rows, _per_distinct(_turns, rows[:, 2], float)])
-    return _Actors(*(table if repeats is None else np.repeat(table, repeats, axis=0)).T)
-
-
-def _on(mask: np.ndarray, out: np.ndarray, func: Callable, *args) -> None:
-    """`out[..., mask] = func(*args)` with each array, or `_Actors` of arrays, in `args` taken
-    at those pairs: a mode, a lateral case or the TTC runs only on the pairs that take it."""
-    where = np.flatnonzero(mask)  # on small arrays, indexing by position is the quicker
-
-    def only(v):
-        return v._make(map(only, v)) if isinstance(v, _Actors) else (
-            v[where] if isinstance(v, np.ndarray) else v)
-
-    if where.size:
-        out[..., where] = func(*map(only, args))
+def _columns(rows: np.ndarray) -> _Actors:
+    """The `_Actors` of an array of `_row`s."""
+    return _Actors(*np.column_stack([rows, _per_distinct(_turns, rows[:, 2], float)]).T)
 
 
 def _mode_risk(mode: InteractionMode, e: _Actors, o: _Actors,
@@ -465,31 +459,25 @@ def _mode_risk(mode: InteractionMode, e: _Actors, o: _Actors,
         return geom, _per_distinct(lambda t: ttc_penalty(t, config), ttc, float), ttc
     # _lateral_dynamic_radius: the side of the other actor, and the lateral speeds toward it
     side = np.where(d_y == 0.0, 0.0, np.copysign(1.0, d_y))
-    v = e.speed_lat
     w = _turn(e.cos, -e.sin, *_turn(o.cos, o.sin, o.speed_long, o.speed_lat))[1]
-    if np.ndim(v) == np.ndim(w) == 0:  # speeds all pairs share: the radius depends on the side
-        r_y = _lateral_radius(np.array([-1.0, 0.0, 1.0]), v, w, config)[(side + 1.0).astype(int)]
-    else:
-        r_y = _lateral_radius(side, v, w, config)
-    dyn = _ellipse_power(excess_x / r_x, excess_y / r_y, p_x, p_y, config.p_outer)
+    r_y = _lateral_radius(side, e.speed_lat, w, config)
+    dyn = _ellipse_power(_ratio(excess_x, r_x), _ratio(excess_y, r_y), p_x, p_y, config.p_outer)
     return geom, dyn, np.full(dyn.shape, math.inf)
 
 
 def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
-    """`_lateral_dynamic_radius` of each pair from its side and its lateral speeds."""
+    """`_lateral_dynamic_radius` of each pair from its side and its lateral speeds: every
+    case is worked out on every pair, and each pair takes its own as the branches would."""
     ego_toward, other_toward = side * v > 0.0, side * w < 0.0
     g, rho, a_acc = config.r_y_geom, config.rho, config.a_acc_max_y
-
-    def away(v_away, w):  # max(away_clearance(v_away, w), g): its floor at 0 changes nothing
-        r = accel_distance(w, rho, a_acc) - v_away * rho
-        return np.where(v_away <= w + rho * a_acc, np.where(g > r, g, r), g)
-
-    r_y = np.full(side.shape, g)
-    _on(ego_toward & other_toward, r_y, _clearance, abs(v), abs(w), "lat", config, True)
-    _on(ego_toward & ~other_toward, r_y, _clearance, abs(v), abs(w), "lat", config)
-    # where the ego is not toward, -side * v is >= 0 or -0.0, which max(., 0.0) keeps
-    _on(~ego_toward & other_toward, r_y, away, -side * v, abs(w))
-    return r_y
+    v_away, v, w = -side * v, abs(v), abs(w)
+    closing, leading = _clearance(v, w, "lat", config, True), _clearance(v, w, "lat", config)
+    # max(away_clearance(v_away, w), g), whose floor at 0 changes nothing; where the ego is
+    # not toward, v_away is >= 0 or -0.0, which max(., 0.0) keeps
+    r = accel_distance(w, rho, a_acc) - v_away * rho
+    away = np.where(v_away <= w + rho * a_acc, np.where(g > r, g, r), g)
+    return np.where(ego_toward, np.where(other_toward, closing, leading),
+                    np.where(other_toward, away, g))
 
 
 def _risk_rewards(egos: Sequence[ActorState], counts: Sequence[int], pairs: array,
@@ -498,7 +486,8 @@ def _risk_rewards(egos: Sequence[ActorState], counts: Sequence[int], pairs: arra
     `pairs` holds in turn, from one kernel call. With no pairs, numpy is not called."""
     if not pairs:
         return [(0.0, ())] * len(egos)
-    ego = _columns(np.fromiter(chain.from_iterable(map(_row, egos)), float).reshape(-1, 9), counts)
+    rows = np.fromiter(chain.from_iterable(map(_row, egos)), float).reshape(-1, 9)
+    ego = _columns(np.repeat(rows, counts, axis=0))  # each ego's row once per pair
     other = _columns(np.frombuffer(pairs).reshape(-1, 9))
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
         a = np.fmod(other.heading - ego.heading, TWO_PI)  # wrap_angle, then the partition
@@ -506,8 +495,10 @@ def _risk_rewards(egos: Sequence[ActorState], counts: Sequence[int], pairs: arra
         codes = np.where(other.static != 0.0, 3, np.where(  # indices into _MODES
             dpsi <= SAME_DIRECTION_MAX, 0, np.where(dpsi >= OPPOSITE_DIRECTION_MIN, 1, 2)))
         geom, dyn, ttc = out = np.empty((3, codes.size))  # rows that each mode fills in
-        for code, m in enumerate(_MODES):
-            _on(codes == code, out, _mode_risk, m, ego, other, config)
+        for code, mode in enumerate(_MODES):  # each mode runs only on the pairs that take it
+            if (at := np.flatnonzero(codes == code)).size:  # by position: quicker on small arrays
+                out[:, at] = _mode_risk(mode, *(t._make(f[at] for f in t) for t in (ego, other)),
+                                        config)
     combined = (config.w_geom * geom + config.w_dyn * dyn).tolist()
     assessments = list(map(RiskAssessment, [_MODES[c] for c in codes.tolist()], geom.tolist(),
                            dyn.tolist(), combined, ttc.tolist()))

@@ -59,6 +59,14 @@ FAR_APART = [
      car(x=1e308, y=1e308, heading=0.3 + math.pi / 2, v=4.0)),
     (car(x=1e308, heading=1.0, v_lat=2.0, kind=ActorKind.EGO_VEHICLE), obstacle(-1e308, 5.0)),
 ]
+# Far-apart pairs whose dynamic clearance overflows too, so the excess over it is inf / inf:
+# three modes on the longitudinal axis, then the lateral one
+FAR_AND_FAST = [
+    *((car(x=-1e308, v=1e300, kind=ActorKind.EGO_VEHICLE), other)
+      for other in (car(x=1e308, v=1.0), car(x=1e308, heading=math.pi, v=1.0),
+                    obstacle(1e308, 0.0))),
+    (car(y=-1e308, v_lat=1e300, kind=ActorKind.EGO_VEHICLE), car(y=1e308)),
+]
 
 
 class TestClassifyInteraction:
@@ -584,6 +592,13 @@ class TestFarApart:
         got = risk_module._risk_rewards([ego for ego, _ in FAR_APART], [1] * 4, pairs, CFG)
         assert same_bits(got, expected)
 
+    def test_an_infinite_excess_reads_far_past_an_infinite_clearance(self):
+        expected = [risk_reward(ego, [other], CFG) for ego, other in FAR_AND_FAST]
+        assert [(reward, a.dyn_penalty) for reward, (a,) in expected] == [(0.0, 0.0)] * 4
+        pairs = array("d", kernel_rows([other for _, other in FAR_AND_FAST]).ravel().tolist())
+        got = risk_module._risk_rewards([ego for ego, _ in FAR_AND_FAST], [1] * 4, pairs, CFG)
+        assert same_bits(got, expected)
+
 
 class TestPlainFloatOracles:
     """The float per-pair path against the numpy formulas and `EllipseParams` it replaces."""
@@ -696,7 +711,7 @@ def scalar_cells(other, xs, ys):
 
 
 class TestRiskField:
-    """The array field against the scalar pair functions, cell by cell with ==."""
+    """The array field against the scalar pair functions, cell by cell, bit for bit."""
 
     @pytest.mark.parametrize("cfg", [CFG, HIGH_EXPONENTS], ids=["default", "high_exponents"])
     @pytest.mark.parametrize("mode", list(InteractionMode))
@@ -705,8 +720,22 @@ class TestRiskField:
         ego, other, xs, ys = field_case(name, mode)
         geom, dyn = risk_field(ego, other, xs, ys, mode, cfg)
         cells = scalar_cells(other, xs, ys)
-        assert geom.tolist() == [geometric_risk(ego, cell, mode, cfg) for cell in cells]
-        assert dyn.tolist() == [dynamic_risk(ego, cell, mode, cfg)[0] for cell in cells]
+        assert same_bits(geom.tolist(), [geometric_risk(ego, cell, mode, cfg) for cell in cells])
+        assert same_bits(dyn.tolist(), [dynamic_risk(ego, cell, mode, cfg)[0] for cell in cells])
+
+    def test_directional_cases_reach_every_lateral_case(self):
+        """Both closing, ego chasing, ego retreating and both opening, each in some cell."""
+        cases = set()
+        for mode in set(InteractionMode) - {InteractionMode.INTERSECTING}:
+            for name in FIELD_CASES:
+                ego, other, xs, ys = field_case(name, mode)
+                other_lat = _rotate(*_rotate(other.speed_long, other.speed_lat, other.heading),
+                                    -ego.heading)[1]
+                for cell in scalar_cells(other, xs, ys):
+                    d_y = relative_displacement(ego, cell)[1]
+                    side = 0.0 if d_y == 0.0 else math.copysign(1.0, d_y)
+                    cases.add((side * ego.speed_lat > 0.0, side * other_lat < 0.0))
+        assert len(cases) == 4
 
     def test_cases_reach_the_edges(self):
         for mode in InteractionMode:
@@ -850,8 +879,8 @@ def kernel_batch(seed, size):
               ActorState((20.0, -20.0), math.pi / 2, speed_long=1e160),  # the TTC is scaled
               car(x=7.0, heading=math.pi / 2),  # standing still: aa == 0
               car(x=-9.0, heading=math.pi)]  # d_y == 0 exactly
-    egos += [ego for ego, _ in FAR_APART]  # the position difference overflows
-    others += [other for _, other in FAR_APART]
+    egos += [ego for ego, _ in FAR_APART + FAR_AND_FAST]  # the position difference overflows
+    others += [other for _, other in FAR_APART + FAR_AND_FAST]
     rng = np.random.default_rng(seed)
 
     def speeds(moving=True):
