@@ -89,6 +89,8 @@ def success_reward(offset: float, threshold: float) -> float:
 
 def terminal_reward(outcome: Outcome, speed: float, offset: float, config: RewardConfig) -> float:
     """Terminal value for a finished episode; timeouts end without penalty."""
+    if not isinstance(outcome, Outcome):
+        raise ContractError(f"terminal_reward outcome must be an Outcome (got {outcome!r})")
     if outcome is Outcome.NONE:
         raise ContractError("terminal_reward requires a terminal outcome")
     if outcome is Outcome.TIMEOUT:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -480,15 +479,17 @@ def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
                     np.where(other_toward, away, g))
 
 
-def _risk_rewards(egos: Sequence[ActorState], counts: Sequence[int], pairs: array,
+def _risk_rewards(egos: Sequence[ActorState], others: Sequence[Sequence[ActorState]],
                   config: RewardConfig) -> list[tuple[float, tuple[RiskAssessment, ...]]]:
-    """`risk_reward` of each egos[i] against the next counts[i] actors, whose `_row`s
-    `pairs` holds in turn, from one kernel call. With no pairs, numpy is not called."""
-    if not pairs:
+    """`risk_reward(egos[i], others[i], config)` for every i, from one kernel call. When
+    no step has others, numpy is not called."""
+    counts = list(map(len, others))
+    if not any(counts):
         return [(0.0, ())] * len(egos)
-    rows = np.fromiter(chain.from_iterable(map(_row, egos)), float).reshape(-1, 9)
-    ego = _columns(np.repeat(rows, counts, axis=0))  # each ego's row once per pair
-    other = _columns(np.frombuffer(pairs).reshape(-1, 9))
+    ego, other = (np.fromiter(chain.from_iterable(map(_row, actors)), float).reshape(-1, 9)
+                  for actors in (egos, chain.from_iterable(others)))
+    ego = _columns(np.repeat(ego, counts, axis=0))  # each ego's row once per pair
+    other = _columns(other)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
         a = np.fmod(other.heading - ego.heading, TWO_PI)  # wrap_angle, then the partition
         dpsi = np.abs(np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a)))

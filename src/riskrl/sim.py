@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -37,7 +36,7 @@ from .core import (
 from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, StepContext, _combine
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
 from .reward import total_reward  # noqa: F401
-from .risk import _risk_rewards, _row
+from .risk import _risk_rewards
 
 SCHEMA_VERSION = 1
 SPEEDING_RULE = "speeding"
@@ -431,9 +430,14 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
     new_speed = min(max(ego.speed_long + accel_cmd * dt, 0.0), config.v_max)
     effective_accel = (new_speed - ego.speed_long) / dt
     new_ego = _moved(ego, position, heading, new_speed, effective_accel)
-    carried = world.stations or (None,) * len(world.npcs)
+    n = len(world.npcs)
+    if len(world.scripts) != n or len(world.stations) not in (0, n):
+        name = "scripts" if len(world.scripts) != n else "stations"
+        raise ContractError(f"step_world world.{name} must hold one entry per NPC "
+                            f"(got {len(getattr(world, name))} for {n} NPCs)")
+    carried = world.stations or (None,) * n
     stepped = [_step_npc(state, script, world.route, dt, station)
-               for state, script, station in zip(world.npcs, world.scripts, carried, strict=True)]
+               for state, script, station in zip(world.npcs, world.scripts, carried)]
     npcs, stations = zip(*stepped) if stepped else ((), ())
     return World(route=world.route, time=world.time + dt, ego=new_ego, npcs=npcs,
                  scripts=world.scripts, obstacles=world.obstacles, stations=stations)
@@ -620,8 +624,6 @@ def run_episode(
                   scripts=tuple(script for _, script in npcs), obstacles=obstacles)
     pose = project_to_route(world.ego.position, world.ego.heading, route)
     steps: list[tuple[float, tuple[float, float], StepContext]] = []
-    counts: list[int] = []  # actors per step
-    pairs = array("d")  # each step's actors' `_row`s, scored after the loop
     actors = world.actors  # read once per step: the tuple is built on each read
 
     for step in range(1, max_steps + 1):
@@ -649,19 +651,16 @@ def run_episode(
         violations = frozenset(
             (SPEEDING_RULE,) if world.ego.speed_long > config.speed_limit + 1e-9 else ())
         jerk = (world.ego.accel_long - obs.ego.accel_long) / config.dt
-        # built and checked each step; its actors go into `pairs`, not into `others`
-        ctx = StepContext(ego=world.ego, pose=new_pose, prev_pose=pose, others=(),
+        ctx = StepContext(ego=world.ego, pose=new_pose, prev_pose=pose, others=actors,
                           lane_width=route.lane_width, steering_rate=steer_cmd, jerk=jerk,
                           violations=violations, outcome=outcome)
         steps.append((world.time, (accel_cmd, steer_cmd), ctx))
-        counts.append(len(actors))
-        for actor in actors:
-            pairs.extend(_row(actor))
         pose = new_pose
         if outcome is not Outcome.NONE:
             break
 
-    risks = _risk_rewards([ctx.ego for _, _, ctx in steps], counts, pairs, config)
+    risks = _risk_rewards([ctx.ego for _, _, ctx in steps], [ctx.others for _, _, ctx in steps],
+                          config)
     records = [StepRecord(step=i, time=time, ego=ctx.ego, pose=ctx.pose, action=action,
                           breakdown=_combine(ctx, *risk, config), outcome=ctx.outcome)
                for i, ((time, action, ctx), risk) in enumerate(zip(steps, risks), 1)]

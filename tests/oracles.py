@@ -101,28 +101,18 @@ def same_bits(a, b) -> bool:
 
 @contextmanager
 def recorded_contexts():
-    """Yield a list that fills with each step's full `StepContext` as `run_episode` runs.
+    """Yield a list that fills with each `StepContext` that `run_episode` builds, as it runs."""
+    contexts, step_context = [], sim.StepContext
 
-    `run_episode` scores the risk of its steps after its loop, so the context it
-    builds in the loop has no others; the actors of the world stepped to are put in.
-    """
-    worlds, contexts, full = [], [], []
-    step_world, step_context = sim.step_world, sim.StepContext
-
-    def record_world(*args):
-        worlds.append(step_world(*args))
-        return worlds[-1]
-
-    def record_context(**fields):
+    def record(**fields):
         contexts.append(step_context(**fields))
-        full.append(dataclasses.replace(contexts[-1], others=worlds[-1].actors))
         return contexts[-1]
 
-    sim.step_world, sim.StepContext = record_world, record_context
+    sim.StepContext = record
     try:
-        yield full
+        yield contexts
     finally:
-        sim.step_world, sim.StepContext = step_world, step_context
+        sim.StepContext = step_context
 
 
 def breakdowns_match_total_reward(trace, contexts, config) -> bool:

@@ -1,6 +1,7 @@
 """Non-risk objectives and the hierarchical combination."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +15,20 @@ from riskrl import (
     RewardConfig,
     RouteFramePose,
     StepContext,
+    build_policy,
     collision_penalty,
     comfort_reward,
     driving_style_reward,
     level_weight,
+    load_scenario,
     progress_reward,
+    run_episode,
     success_reward,
     terminal_reward,
     total_reward,
     traffic_rule_reward,
 )
+from riskrl.cli import _episode_seed
 from riskrl.risk import EllipseParams, leading_clearance
 from riskrl.sim import detect_collision
 
@@ -136,6 +141,11 @@ class TestTerminalReward:
     def test_requires_terminal_outcome(self):
         with pytest.raises(ContractError):
             terminal_reward(Outcome.NONE, 4.0, 0.0, CFG)
+
+    def test_outcome_must_be_an_outcome(self):
+        # a string once fell through every branch to the off-road value
+        with pytest.raises(ContractError, match="terminal_reward outcome must be an Outcome"):
+            terminal_reward("collision", 3.0, 0.0, CFG)
 
 
 class TestTrafficRuleReward:
@@ -366,6 +376,34 @@ class TestAdversarialLevels:
     def test_total_within_the_criterion_6_bound(self, every_level):
         bound = 1.0 + CFG.beta + CFG.beta ** 2 + 1.0  # as tests/test_acceptance.py states it
         assert abs(total_reward(extreme_context(every_level), CFG).total) <= bound + 1e-12
+
+
+@pytest.fixture(scope="module")
+def criterion_7_episodes():
+    """(outcome, return) of each built-in policy's 60 criterion-7 episodes, in sweep order."""
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" /
+                             "intersection.json")
+    seeds = [(density, _episode_seed(7, d, episode))
+             for d, density in enumerate((0.5, 0.75, 1.0)) for episode in range(20)]
+    episodes = {}
+    for name in ("idle", "lane_follower", "full_throttle"):
+        traces = (run_episode(scenario, build_policy(name, CFG), CFG, *seed) for seed in seeds)
+        episodes[name] = [(trace.outcome, trace.cumulative_reward) for trace in traces]
+    return episodes
+
+
+class TestSanityChecks:
+    """Knox et al.'s sanity checks for driving rewards, on the criterion-7 episodes."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 9: a waiting ego pays style penalties every step while a collision "
+        "terminal is bounded, so every criterion-7 collision out-returns idling on its seed; "
+        "Knox et al. (arXiv:2104.13906) require the return not to prefer a crash"))
+    def test_no_collision_out_returns_idling(self, criterion_7_episodes):
+        idle = [reward for _, reward in criterion_7_episodes["idle"]]
+        for name in ("lane_follower", "full_throttle"):
+            for (outcome, reward), waiting in zip(criterion_7_episodes[name], idle):
+                assert outcome is not Outcome.COLLISION or reward <= waiting
 
 
 ELLIPSE = {"c_x": 0.0, "c_y": 0.0, "r_x": 1.0, "r_y": 1.0, "p_x": 2, "p_y": 2, "p_outer": 2}

@@ -1,7 +1,6 @@
 """Risk field, safety clearances, TTC, and the combined risk reward."""
 
 import math
-from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -588,15 +587,15 @@ class TestFarApart:
             assert (reward, assessment.geom_penalty, assessment.dyn_penalty) == (0.0, 0.0, 0.0)
             expected.append((reward, (assessment,)))
         assert {a.mode for _, (a,) in expected} == set(InteractionMode)
-        pairs = array("d", kernel_rows([other for _, other in FAR_APART]).ravel().tolist())
-        got = risk_module._risk_rewards([ego for ego, _ in FAR_APART], [1] * 4, pairs, CFG)
+        egos, others = zip(*FAR_APART)
+        got = risk_module._risk_rewards(egos, [[other] for other in others], CFG)
         assert same_bits(got, expected)
 
     def test_an_infinite_excess_reads_far_past_an_infinite_clearance(self):
         expected = [risk_reward(ego, [other], CFG) for ego, other in FAR_AND_FAST]
         assert [(reward, a.dyn_penalty) for reward, (a,) in expected] == [(0.0, 0.0)] * 4
-        pairs = array("d", kernel_rows([other for _, other in FAR_AND_FAST]).ravel().tolist())
-        got = risk_module._risk_rewards([ego for ego, _ in FAR_AND_FAST], [1] * 4, pairs, CFG)
+        egos, others = zip(*FAR_AND_FAST)
+        got = risk_module._risk_rewards(egos, [[other] for other in others], CFG)
         assert same_bits(got, expected)
 
 
@@ -946,17 +945,15 @@ class TestPairRiskArrays:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 10_000))
     def test_risk_rewards_have_the_bits_of_risk_reward(self, seed, size):
-        egos, others = kernel_batch(seed, size)
-        # group the pairs into steps; each step's others are scored against its first ego
-        cuts = np.flatnonzero(np.random.default_rng(seed).random(len(others)) < 0.3).tolist()
-        bounds = [0, *(c for c in cuts if c > 0), len(others)]
-        counts = np.diff(bounds).tolist()
-        step_egos = [egos[start] for start in bounds[:-1]]
-        pairs = array("d", kernel_rows(others).ravel().tolist())
-        got = risk_module._risk_rewards(step_egos, counts, pairs, CFG)
-        expected = [risk_reward(ego, others[start:stop], CFG)
-                    for ego, start, stop in zip(step_egos, bounds, bounds[1:])]
-        assert same_bits(got, expected)
+        pairs = kernel_batch(seed, size + 1)
+        # cut the pairs into steps, each scored against the ego of its first pair: the first
+        # step is empty, and each repeated cut makes another
+        cuts = np.random.default_rng(seed).integers(0, size + 1, size // 3 + 1).tolist()
+        bounds = [0, 0, *sorted(cuts), size + 1]
+        egos = [pairs[0][start] for start in bounds[:-1]]
+        others = [pairs[1][start:stop] for start, stop in zip(bounds, bounds[1:])]
+        assert same_bits(risk_module._risk_rewards(egos, others, CFG),
+                         [risk_reward(ego, other, CFG) for ego, other in zip(egos, others)])
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 5_000),
@@ -983,4 +980,4 @@ class TestPairRiskArrays:
     def test_no_pairs_call_no_numpy(self, monkeypatch):
         monkeypatch.setattr(risk_module, "np", None)
         ego = car(kind=ActorKind.EGO_VEHICLE)
-        assert risk_module._risk_rewards([ego, ego], [0, 0], array("d"), CFG) == [(0.0, ())] * 2
+        assert risk_module._risk_rewards([ego, ego], [(), []], CFG) == [(0.0, ())] * 2

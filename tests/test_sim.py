@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import breakdowns_match_total_reward, recorded_contexts
 from riskrl import (
@@ -32,6 +32,7 @@ from riskrl import (
     collision_penalty,
     detect_collision,
     full_throttle_policy,
+    leading_clearance,
     load_scenario,
     realize_traffic,
     run_episode,
@@ -151,8 +152,16 @@ class TestStepWorld:
 
     def test_npc_tuples_of_unequal_length_are_rejected(self):
         npcs = [ActorState(position=[10, 0], heading=0.0), ActorState(position=[20, 0], heading=0.0)]
-        with pytest.raises(ValueError):  # not a silently dropped NPC
+        message = "step_world world.scripts must hold one entry per NPC (got 1 for 2 NPCs)"
+        with pytest.raises(ContractError, match=re.escape(message)):  # not a dropped NPC
             step_world(make_world(npcs=npcs, scripts=[ConstantVelocity()]), (0.0, 0.0), CFG)
+
+    def test_stations_of_another_length_are_rejected(self):
+        npcs = [ActorState(position=[10, 0], heading=0.0), ActorState(position=[20, 0], heading=0.0)]
+        world = make_world(npcs=npcs, scripts=[ConstantVelocity()] * 2)
+        message = "step_world world.stations must hold one entry per NPC (got 1 for 2 NPCs)"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            step_world(dataclasses.replace(world, stations=(None,)), (0.0, 0.0), CFG)
 
     def test_energy_free_kinematics(self):
         ego = ActorState(position=[0, 0], heading=0.2, speed_long=3.0,
@@ -566,6 +575,19 @@ class TestRunEpisode:
                 trace = run_episode(scenario, build_policy(policy, CFG), CFG, density, seed)
             assert breakdowns_match_total_reward(trace, contexts, CFG)
 
+    @pytest.mark.parametrize("name", ["blocked_road", "empty_road", "intersection"])
+    def test_contexts_carry_the_actors_the_policy_sees_next(self, scenarios_dir, name):
+        seen, drive = [], build_policy("lane_follower", CFG)
+
+        def spy(obs):
+            seen.append(obs.others)
+            return drive(obs)
+
+        with recorded_contexts() as contexts:
+            run_episode(load_scenario(scenarios_dir / f"{name}.json"), spy, CFG, 1.0, 3)
+        assert len(contexts) == len(seen) and any(seen) is (name != "empty_road")
+        assert [ctx.others for ctx in contexts[:-1]] == seen[1:]
+
     def test_waypoint_breakdowns_have_the_bits_of_total_reward(self, waypoint_documents):
         for path in waypoint_documents:
             with recorded_contexts() as contexts:
@@ -680,6 +702,33 @@ class TestRunEpisode:
         trace = run_episode(scenario, full_throttle_policy(6.0), cfg)
         flagged = [r.breakdown.l0_rules for r in trace.records if r.ego.speed_long > 2.0 + 1e-9]
         assert flagged and all(v == -1.0 for v in flagged)
+
+
+class TestRssClosure:
+    """The reward's safe gap against the simulator: RSS (Shalev-Shwartz et al.,
+    arXiv:1708.06374) says a follower at the leading clearance that accelerates for the
+    reaction time and then brakes at the minimum rate never hits a leader braking hard."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 10: step_world moves an actor at its pre-step speed, so a braking actor "
+        "travels about v * dt / 2 past its continuous stopping distance and a gap of "
+        "leading_clearance + 0.05 m is not safe in the simulator"))
+    @settings(deadline=None)
+    @given(v_ego=st.floats(0.0, CFG.v_max), v_lead=st.floats(0.0, CFG.v_max))
+    @example(v_ego=3.0, v_lead=0.0)  # collides at step 14
+    def test_a_worst_case_follower_at_the_leading_clearance_never_collides(self, v_ego, v_lead):
+        gap = leading_clearance(v_ego, v_lead, "long", CFG) + 0.05  # bumper to bumper
+        braking = {"kind": "braking", "trigger_station": 0.0, "decel": CFG.a_brk_max_x}
+        scenario = scenario_from_dict(minimal_scenario_data(
+            route={"centerline": [[0.0, 0.0], [2000.0, 0.0]], "lane_width": 3.5,
+                   "goal_station": 2000.0},
+            ego={"station": 10.0, "speed": v_ego}, max_steps=40,
+            npcs=[{"station": 10.0 + ActorState.length + gap, "speed": v_lead,
+                   "script": braking}]))
+        reaction = round(CFG.rho / CFG.dt)
+        actions = [(CFG.a_acc_max_x, 0.0)] * reaction + [(-CFG.a_brk_min_x, 0.0)] * 40
+        trace = run_episode(scenario, scripted_replay_policy(actions), CFG)
+        assert trace.outcome is not Outcome.COLLISION
 
 
 def _trace_stub(outcome, reward=0.0, progress=1.0, velocity=3.0):
