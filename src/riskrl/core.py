@@ -194,6 +194,11 @@ class Route:
         object.__setattr__(self, "_tangent", tuple(map(tuple, tangent)))
         object.__setattr__(self, "_tangent_heading", tuple(math.atan2(y, x) for x, y in tangent))
         object.__setattr__(self, "_heading", tuple(math.atan2(y, x) for x, y in unit))
+        # `_poses_at`'s tables: the station tuple and, per segment, the columns of
+        # (ax, ay, dx, dy), its length and its heading
+        columns = np.column_stack([line[:-1], seg, seg_len, self._heading])
+        columns.flags.writeable = cum.flags.writeable = False
+        object.__setattr__(self, "_columns", (cum, *columns.T))
 
     @property
     def length(self) -> float:
@@ -211,6 +216,15 @@ class Route:
         length = self._seg_len[i]
         t = (s - self._stations[i]) / length
         return ax + t * dx, ay + t * dy, self._heading[i], dx / length, dy / length
+
+    def _poses_at(self, stations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_pose_at`'s x, y and heading at each of an array of stations, with its arithmetic."""
+        cum, ax, ay, dx, dy, length, heading = self._columns
+        s = np.where(0.0 > stations, 0.0, stations)  # max(station, 0.0), then min(., length)
+        s = np.where(self.length < s, self.length, s)
+        i = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(length) - 1)
+        t = (s - cum[i]) / length[i]
+        return ax[i] + t * dx[i], ay[i] + t * dy[i], heading[i]
 
 
 @dataclass(frozen=True)

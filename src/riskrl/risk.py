@@ -415,13 +415,30 @@ def _row(actor: ActorState) -> tuple:
             actor.width, actor.circumradius, actor.kind is ActorKind.STATIC_OBSTACLE)
 
 
+def _rows(actors: Iterable[ActorState]) -> np.ndarray:
+    """The `_row` of each actor, one array row each."""
+    return np.fromiter(chain.from_iterable(map(_row, actors)), float).reshape(-1, 9)
+
+
+def _track_rows(actors: Sequence[ActorState], steps: int,
+                tracks: Sequence[np.ndarray]) -> np.ndarray:
+    """`_rows` of `actors` at each of `steps` steps, step-major. Columns 0-3 of `tracks[j]`
+    (one row per step) give the x, y, heading and speed_long of actor j, for j < len(tracks);
+    every other field, and every field of the other actors, is the actor's own."""
+    rows = np.tile(_rows(actors), (steps, 1)).reshape(steps, len(actors), 9)
+    for j, track in enumerate(tracks):
+        rows[:, j, :4] = track[:, :4]
+    return rows.reshape(-1, 9)
+
+
 def _turns(heading: float) -> tuple[float, float]:
     return math.cos(heading), math.sin(heading)
 
 
-def _columns(rows: np.ndarray) -> _Actors:
-    """The `_Actors` of an array of `_row`s."""
-    return _Actors(*np.column_stack([rows, _per_distinct(_turns, rows[:, 2], float)]).T)
+def _columns(rows: np.ndarray, repeats: Sequence[int] | None = None) -> _Actors:
+    """The `_Actors` of an array of `_row`s, each taken `repeats[i]` times when given."""
+    table = np.column_stack([rows, _per_distinct(_turns, rows[:, 2], float)])
+    return _Actors(*(table if repeats is None else np.repeat(table, repeats, axis=0)).T)
 
 
 def _mode_risk(mode: InteractionMode, e: _Actors, o: _Actors,
@@ -479,17 +496,15 @@ def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
                     np.where(other_toward, away, g))
 
 
-def _risk_rewards(egos: Sequence[ActorState], others: Sequence[Sequence[ActorState]],
+def _risk_rewards(egos: Sequence[ActorState], others: np.ndarray | None, counts: Sequence[int],
                   config: RewardConfig) -> list[tuple[float, tuple[RiskAssessment, ...]]]:
-    """`risk_reward(egos[i], others[i], config)` for every i, from one kernel call. When
-    no step has others, numpy is not called."""
-    counts = list(map(len, others))
+    """`risk_reward(egos[i], others_i, config)` for every i, from one kernel call, where
+    others_i are the `counts[i]` actors whose `_rows` come next in `others`. When no step
+    has others, numpy is not called and `others` is not read."""
     if not any(counts):
         return [(0.0, ())] * len(egos)
-    ego, other = (np.fromiter(chain.from_iterable(map(_row, actors)), float).reshape(-1, 9)
-                  for actors in (egos, chain.from_iterable(others)))
-    ego = _columns(np.repeat(ego, counts, axis=0))  # each ego's row once per pair
-    other = _columns(other)
+    ego = _columns(_rows(egos), counts)  # each ego once per pair
+    other = _columns(others)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
         a = np.fmod(other.heading - ego.heading, TWO_PI)  # wrap_angle, then the partition
         dpsi = np.abs(np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a)))

@@ -36,7 +36,7 @@ from .core import (
 from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, StepContext, _combine
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
 from .reward import total_reward  # noqa: F401
-from .risk import _risk_rewards
+from .risk import _risk_rewards, _track_rows
 
 SCHEMA_VERSION = 1
 SPEEDING_RULE = "speeding"
@@ -387,31 +387,97 @@ def _moved(state: ActorState, position: tuple[float, float], heading: float,
     return new
 
 
-def _step_npc(state: ActorState, script: ActorScript, route: Route, dt: float,
-              station: float | None) -> tuple[ActorState, float | None]:
-    """The NPC one step on, and the arc length it carries (waypoint followers only)."""
-    if isinstance(script, ConstantVelocity):
-        return _moved(state, _advance_along_heading(state, dt), state.heading,
-                      state.speed_long, state.accel_long), None
-    if isinstance(script, Braking):
-        speed = state.speed_long  # only a moving NPC can brake, so only it is projected
-        if speed > 0.0 and project_to_route(
-                state.position, state.heading, route).station >= script.trigger_station:
-            speed = max(speed - script.decel * dt, 0.0)
-        return _moved(state, _advance_along_heading(state, dt), state.heading, speed,
-                      (speed - state.speed_long) / dt), None
-    if not isinstance(script, WaypointFollower):
-        raise ContractError(f"NPC script must be a ConstantVelocity, Braking or WaypointFollower "
-                            f"(got {type(script).__name__})")
-    # waypoint follower: advance by arc length from where it first meets its polyline;
-    # the carried arc length keeps a self-crossing polyline from sending it back
-    line = script._line
-    if station is None:
-        station = project_to_route(state.position, state.heading, line).station
-    new_station = min(station + script.speed * dt, line.length)
-    speed = script.speed if new_station < line.length else 0.0
-    x, y, heading, _, _ = line._pose_at(new_station)
-    return _moved(state, (x, y), heading, speed, state.accel_long), new_station
+# A track's first chunk holds this many steps, and each later chunk as many as all before it.
+_FIRST_CHUNK = 32
+
+
+class _Track:
+    """An open-loop NPC's state at each step of one episode, built as the loop reaches it.
+
+    Row k of `rows` is the NPC's x, y, heading, speed_long and accel_long at step k,
+    from its spawn at step 0. Constant-velocity and waypoint tracks are built ahead in
+    chunks that double, by array passes with the arithmetic of a step at a time, and
+    `table` holds their rows as an array; a braking track is built one step at a time,
+    as its trigger reads the pose just reached. Building never raises: an overflow fails
+    at the step whose state holds it, as that state is made. No chunk runs past `limit`,
+    the last step the track can be asked for. A track belongs to one episode and is
+    never kept on a scenario or a script.
+    """
+
+    def __init__(self, state: ActorState, script: ActorScript, route: Route, dt: float,
+                 limit: int, station: float | None = None) -> None:
+        if not isinstance(script, (ConstantVelocity, WaypointFollower, Braking)):
+            raise ContractError(f"NPC script must be a ConstantVelocity, Braking or "
+                                f"WaypointFollower (got {type(script).__name__})")
+        self.state, self.script, self.route, self.dt, self.limit = state, script, route, dt, limit
+        # the arc length a waypoint follower has reached on its polyline, once it is known
+        self.station = station
+        self.rows = [[*state.position, state.heading, state.speed_long, state.accel_long]]
+        self.table = np.array(self.rows)
+
+    def at(self, step: int) -> ActorState:
+        """The NPC's state at `step`, which is at most one past the last step reached."""
+        if step == len(self.rows):
+            self._extend()
+        x, y, heading, speed, accel = self.rows[step]
+        return _moved(self.state, (x, y), heading, speed, accel)
+
+    def columns(self, steps: int) -> np.ndarray:
+        """Rows 1 to `steps`, which the loop has reached, as an array."""
+        if len(self.table) <= steps:  # a braking track, whose rows are plain floats only
+            self.table = np.array(self.rows)
+        return self.table[1:steps + 1]
+
+    def _extend(self) -> None:
+        built, script, dt = len(self.rows) - 1, self.script, self.dt
+        x, y, heading, speed, accel = self.rows[-1]
+        if isinstance(script, Braking):
+            new_speed = speed  # only a moving NPC can brake, so only it is projected
+            if speed > 0.0 and project_to_route(
+                    (x, y), heading, self.route).station >= script.trigger_station:
+                new_speed = max(speed - script.decel * dt, 0.0)
+            step = speed * dt  # _advance_along_heading, at the speed the step starts with
+            self.rows.append([x + step * math.cos(heading), y + step * math.sin(heading), heading,
+                              new_speed, (new_speed - speed) / dt])
+            return
+        n = min(max(built, _FIRST_CHUNK), self.limit - built)
+        chunk = np.empty((n, 5))
+        # an overflow to inf builds, and the state of its step raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(script, ConstantVelocity):
+                step = speed * dt
+                chunk[:] = step * math.cos(heading), step * math.sin(heading), heading, speed, accel
+                chunk[0, :2] += x, y
+                # x and y add their increments in turn, as one step at a time does
+                np.add.accumulate(chunk[:, :2], axis=0, out=chunk[:, :2])
+            else:  # advance by arc length from where it first meets its polyline; the carried
+                # arc length keeps a self-crossing polyline from sending it back
+                line = script._line
+                if self.station is None:
+                    self.station = project_to_route(self.state.position, self.state.heading,
+                                                    line).station
+                stations = np.full(n, script.speed * dt)
+                stations[0] += self.station
+                stations = np.add.accumulate(stations)
+                # min(station, length) at each step: once at the end, it stays there
+                stations = np.where(line.length < stations, line.length, stations)
+                chunk[:, 0], chunk[:, 1], chunk[:, 2] = line._poses_at(stations)
+                chunk[:, 3] = np.where(stations < line.length, script.speed, 0.0)
+                chunk[:, 4] = accel
+                self.station = stations[-1].item()
+        self.table = np.concatenate([self.table, chunk])
+        self.rows += chunk.tolist()
+
+
+def _step_ego(ego: ActorState, accel_cmd: float, steer_rate: float,
+              config: RewardConfig) -> ActorState:
+    """The ego one step of config.dt on: a kinematic unicycle update (see `step_world`)."""
+    dt = config.dt
+    position = _advance_along_heading(ego, dt)
+    heading = wrap_angle(ego.heading + steer_rate * dt)
+    new_speed = min(max(ego.speed_long + accel_cmd * dt, 0.0), config.v_max)
+    effective_accel = (new_speed - ego.speed_long) / dt
+    return _moved(ego, position, heading, new_speed, effective_accel)
 
 
 def step_world(world: World, ego_action: tuple[float, float], config: RewardConfig) -> World:
@@ -420,27 +486,22 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
     The ego follows a kinematic unicycle update: it moves along its current
     heading at its current speed, then integrates the steering rate and the
     (clamped) acceleration. The recorded ego acceleration is the effective one,
-    so speed saturation at 0 or v_max shows up in the comfort objective.
+    so speed saturation at 0 or v_max shows up in the comfort objective. Each
+    NPC takes the first step of its script's track.
     """
     accel_cmd, steer_rate = _pair(ego_action, "ego action")
-    dt = config.dt
-    ego = world.ego
-    position = _advance_along_heading(ego, dt)
-    heading = wrap_angle(ego.heading + steer_rate * dt)
-    new_speed = min(max(ego.speed_long + accel_cmd * dt, 0.0), config.v_max)
-    effective_accel = (new_speed - ego.speed_long) / dt
-    new_ego = _moved(ego, position, heading, new_speed, effective_accel)
+    new_ego = _step_ego(world.ego, accel_cmd, steer_rate, config)
     n = len(world.npcs)
     if len(world.scripts) != n or len(world.stations) not in (0, n):
         name = "scripts" if len(world.scripts) != n else "stations"
         raise ContractError(f"step_world world.{name} must hold one entry per NPC "
                             f"(got {len(getattr(world, name))} for {n} NPCs)")
-    carried = world.stations or (None,) * n
-    stepped = [_step_npc(state, script, world.route, dt, station)
-               for state, script, station in zip(world.npcs, world.scripts, carried)]
-    npcs, stations = zip(*stepped) if stepped else ((), ())
-    return World(route=world.route, time=world.time + dt, ego=new_ego, npcs=npcs,
-                 scripts=world.scripts, obstacles=world.obstacles, stations=stations)
+    tracks = [_Track(state, script, world.route, config.dt, 1, station) for state, script, station
+              in zip(world.npcs, world.scripts, world.stations or (None,) * n)]
+    npcs = tuple(track.at(1) for track in tracks)  # a waypoint track's station is then known
+    return World(route=world.route, time=world.time + config.dt, ego=new_ego, npcs=npcs,
+                 scripts=world.scripts, obstacles=world.obstacles,
+                 stations=tuple(track.station for track in tracks))
 
 
 # ---------------------------------------------------------------------------
@@ -619,27 +680,27 @@ def run_episode(
     if not _is_count(max_steps, 1):
         raise ContractError(f"max_steps must be an integer >= 1 (got {reprlib.repr(max_steps)})")
     npcs, obstacles = realize_traffic(scenario, density=density, seed=seed)
-    world = World(route=route, time=0.0, ego=scenario.ego_spawn,
-                  npcs=tuple(state for state, _ in npcs),
-                  scripts=tuple(script for _, script in npcs), obstacles=obstacles)
-    pose = project_to_route(world.ego.position, world.ego.heading, route)
+    tracks = [_Track(state, script, route, config.dt, max_steps) for state, script in npcs]
+    ego, time = scenario.ego_spawn, 0.0
+    pose = project_to_route(ego.position, ego.heading, route)
     steps: list[tuple[float, tuple[float, float], StepContext]] = []
-    actors = world.actors  # read once per step: the tuple is built on each read
+    actors = tuple(state for state, _ in npcs) + obstacles
 
     for step in range(1, max_steps + 1):
-        obs = Observation(ego=world.ego, pose=pose, others=actors, step=step - 1)
+        obs = Observation(ego=ego, pose=pose, others=actors, step=step - 1)
         accel_cmd, steer_cmd = _pair(policy(obs), "policy action")
         accel_cmd = min(max(accel_cmd, -config.a_brk_max_x), config.a_acc_max_x)
-        steer_limit = max(world.ego.speed_long, STEER_SPEED_FLOOR) * config.kappa_max
+        steer_limit = max(ego.speed_long, STEER_SPEED_FLOOR) * config.kappa_max
         steer_cmd = min(max(steer_cmd, -steer_limit), steer_limit)
 
-        world = step_world(world, (accel_cmd, steer_cmd), config)
-        new_pose = project_to_route(world.ego.position, world.ego.heading, route)
-        actors = world.actors
+        # step_world's step: the ego, then each NPC along its track
+        ego, time = _step_ego(ego, accel_cmd, steer_cmd, config), time + config.dt
+        actors = tuple([track.at(step) for track in tracks]) + obstacles
+        new_pose = project_to_route(ego.position, ego.heading, route)
 
-        if detect_collision(world.ego, actors):
+        if detect_collision(ego, actors):
             outcome = Outcome.COLLISION
-        elif check_offroad(new_pose, world.ego, route):
+        elif check_offroad(new_pose, ego, route):
             outcome = Outcome.OFFROAD
         elif new_pose.station >= route.goal_station:
             outcome = Outcome.SUCCESS
@@ -649,17 +710,20 @@ def run_episode(
             outcome = Outcome.NONE
 
         violations = frozenset(
-            (SPEEDING_RULE,) if world.ego.speed_long > config.speed_limit + 1e-9 else ())
-        jerk = (world.ego.accel_long - obs.ego.accel_long) / config.dt
-        ctx = StepContext(ego=world.ego, pose=new_pose, prev_pose=pose, others=actors,
+            (SPEEDING_RULE,) if ego.speed_long > config.speed_limit + 1e-9 else ())
+        jerk = (ego.accel_long - obs.ego.accel_long) / config.dt
+        ctx = StepContext(ego=ego, pose=new_pose, prev_pose=pose, others=actors,
                           lane_width=route.lane_width, steering_rate=steer_cmd, jerk=jerk,
                           violations=violations, outcome=outcome)
-        steps.append((world.time, (accel_cmd, steer_cmd), ctx))
+        steps.append((time, (accel_cmd, steer_cmd), ctx))
         pose = new_pose
         if outcome is not Outcome.NONE:
             break
 
-    risks = _risk_rewards([ctx.ego for _, _, ctx in steps], [ctx.others for _, _, ctx in steps],
+    # every step's actors at once, from the tracks' columns and each obstacle's own fields
+    others = (_track_rows(actors, len(steps), [t.columns(len(steps)) for t in tracks])
+              if actors else None)
+    risks = _risk_rewards([ctx.ego for _, _, ctx in steps], others, [len(actors)] * len(steps),
                           config)
     records = [StepRecord(step=i, time=time, ego=ctx.ego, pose=ctx.pose, action=action,
                           breakdown=_combine(ctx, *risk, config), outcome=ctx.outcome)

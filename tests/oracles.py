@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from riskrl import ActorState, ContractError, Route, total_reward, wrap_angle
+from riskrl import ActorState, ContractError, Route, project_to_route, total_reward, wrap_angle
 from riskrl import sim
 
 
@@ -78,6 +78,36 @@ def numpy_projection(point, heading, centerline):
     tangent = d[i] / math.sqrt(seg_len2[i])
     offset = math.copysign(math.sqrt(dist2[i]), tangent[0] * diff[i][1] - tangent[1] * diff[i][0])
     return station, offset, wrap_angle(heading - math.atan2(tangent[1], tangent[0]))
+
+
+def step_npc(state, script, route, dt, station):
+    """(the NPC one step of dt on by its script, the arc length a waypoint follower carries).
+
+    The per-state stepping that the simulator's tracks build many steps of at once, with
+    every new state checked by the ActorState constructor.
+    """
+    def moved(position, heading, speed, accel):
+        return dataclasses.replace(state, position=position, heading=heading, speed_long=speed,
+                                   accel_long=accel)
+
+    x, y = state.position
+    step = state.speed_long * dt
+    ahead = (x + step * math.cos(state.heading), y + step * math.sin(state.heading))
+    if isinstance(script, sim.ConstantVelocity):
+        return moved(ahead, state.heading, state.speed_long, state.accel_long), None
+    if isinstance(script, sim.Braking):
+        speed = state.speed_long
+        if speed > 0.0 and project_to_route(
+                state.position, state.heading, route).station >= script.trigger_station:
+            speed = max(speed - script.decel * dt, 0.0)
+        return moved(ahead, state.heading, speed, (speed - state.speed_long) / dt), None
+    line = script._line
+    if station is None:
+        station = project_to_route(state.position, state.heading, line).station
+    station = min(station + script.speed * dt, line.length)
+    x, y, heading, _, _ = line._pose_at(station)
+    speed = script.speed if station < line.length else 0.0
+    return moved((x, y), heading, speed, state.accel_long), station
 
 
 def same_bits(a, b) -> bool:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dense_nearest_distance, numpy_projection, point_at, rotation
+from oracles import dense_nearest_distance, numpy_projection, point_at, rotation, same_bits
 from riskrl import (
     ActorKind,
     ActorState,
@@ -195,6 +195,22 @@ class TestRouteTables:
                       route._tangent, route._tangent_heading, route._heading):
             assert isinstance(table, tuple) and all(isinstance(row, (tuple, float))
                                                     for row in table)
+        for column in route._columns:
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_pose_arrays_have_the_bits_of_pose_at(self):
+        # a self-crossing polyline, and stations at, between and beyond its vertices
+        rng = np.random.default_rng(10)
+        for centerline in (random_polyline(rng, 12),
+                           np.array([[0, 0], [10, 0], [10, 10], [5, 10], [5, -5]], dtype=float)):
+            route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+            stations = np.concatenate([[-1.0, -0.0, 0.0, route.length, route.length + 1.0],
+                                       route._stations, np.nextafter(route._stations, math.inf),
+                                       rng.uniform(0.0, route.length, size=50)])
+            x, y, heading = route._poses_at(stations)
+            assert same_bits(list(zip(x.tolist(), y.tolist(), heading.tolist())),
+                             [route._pose_at(station)[:3] for station in stations.tolist()])
 
 
 class TestProjectToRoute:

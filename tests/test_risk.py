@@ -588,14 +588,14 @@ class TestFarApart:
             expected.append((reward, (assessment,)))
         assert {a.mode for _, (a,) in expected} == set(InteractionMode)
         egos, others = zip(*FAR_APART)
-        got = risk_module._risk_rewards(egos, [[other] for other in others], CFG)
+        got = risk_rewards(egos, [[other] for other in others])
         assert same_bits(got, expected)
 
     def test_an_infinite_excess_reads_far_past_an_infinite_clearance(self):
         expected = [risk_reward(ego, [other], CFG) for ego, other in FAR_AND_FAST]
         assert [(reward, a.dyn_penalty) for reward, (a,) in expected] == [(0.0, 0.0)] * 4
         egos, others = zip(*FAR_AND_FAST)
-        got = risk_module._risk_rewards(egos, [[other] for other in others], CFG)
+        got = risk_rewards(egos, [[other] for other in others])
         assert same_bits(got, expected)
 
 
@@ -916,6 +916,12 @@ def kernel_rows(actors):
     return np.array([risk_module._row(a) for a in actors], dtype=float)
 
 
+def risk_rewards(egos, others):
+    """`_risk_rewards` of each ego against its step's sequence of actors in `others`."""
+    rows = kernel_rows([actor for actors in others for actor in actors]).reshape(-1, 9)
+    return risk_module._risk_rewards(egos, rows, [len(actors) for actors in others], CFG)
+
+
 class TestPairRiskArrays:
     """The array kernel against the scalar pair functions, element by element, bit for bit."""
 
@@ -952,7 +958,7 @@ class TestPairRiskArrays:
         bounds = [0, 0, *sorted(cuts), size + 1]
         egos = [pairs[0][start] for start in bounds[:-1]]
         others = [pairs[1][start:stop] for start, stop in zip(bounds, bounds[1:])]
-        assert same_bits(risk_module._risk_rewards(egos, others, CFG),
+        assert same_bits(risk_rewards(egos, others),
                          [risk_reward(ego, other, CFG) for ego, other in zip(egos, others)])
 
     @settings(max_examples=10, deadline=None)
@@ -977,7 +983,16 @@ class TestPairRiskArrays:
         (cos h, -sin h): on a libm where these differ, the two cannot share bits."""
         assert same_bits((math.cos(-h), math.sin(-h)), (math.cos(h), -math.sin(h)))
 
+    def test_track_rows_take_the_moving_fields_from_the_tracks(self):
+        actors = kernel_batch(seed=3, size=6)[1][-6:]
+        tracks = np.random.default_rng(3).uniform(-50.0, 50.0, (4, 5, 5))  # 4 of 6 move, 5 steps
+        expected = [[*tracks[j, i, :4].tolist(), *risk_module._row(a)[4:]] if j < 4
+                    else list(risk_module._row(a)) for i in range(5) for j, a in enumerate(actors)]
+        rows = risk_module._track_rows(actors, 5, tracks)
+        assert same_bits(rows.tolist(), [[float(v) for v in row] for row in expected])
+        assert risk_module._track_rows([], 5, []).shape == (0, 9)
+
     def test_no_pairs_call_no_numpy(self, monkeypatch):
         monkeypatch.setattr(risk_module, "np", None)
         ego = car(kind=ActorKind.EGO_VEHICLE)
-        assert risk_module._risk_rewards([ego, ego], [(), []], CFG) == [(0.0, ())] * 2
+        assert risk_module._risk_rewards([ego, ego], None, [0, 0], CFG) == [(0.0, ())] * 2

@@ -5,13 +5,16 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import breakdowns_match_total_reward, recorded_contexts
+from oracles import breakdowns_match_total_reward, recorded_contexts, same_bits, step_npc
 from riskrl import (
     ActorKind,
     ActorState,
@@ -41,6 +44,7 @@ from riskrl import (
 )
 from riskrl.cli import trace_rows
 from riskrl.core import validate_config_data
+from riskrl import risk as risk_module, sim as sim_module
 from riskrl.sim import BUILTIN_POLICIES, scenario_from_dict, validate_scenario_data
 
 CFG = RewardConfig()
@@ -729,6 +733,117 @@ class TestRssClosure:
         actions = [(CFG.a_acc_max_x, 0.0)] * reaction + [(-CFG.a_brk_min_x, 0.0)] * 40
         trace = run_episode(scenario, scripted_replay_policy(actions), CFG)
         assert trace.outcome is not Outcome.COLLISION
+
+
+# A waypoint polyline whose last leg crosses its first, where the nearest point of the
+# crossing ties between the two passes
+SELF_CROSSING = [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [5.0, 10.0], [5.0, -5.0]]
+SPEEDS = st.just(0.0) | st.floats(0.0, 8.0)
+
+
+class TestTracks:
+    """Open-loop NPCs step along tracks built ahead in chunks, as one step at a time would."""
+
+    def test_tracks_are_built_only_as_far_as_the_loop_reaches(self):
+        # one NPC of each script, built in code well clear of the ego's lane
+        npcs = ((ActorState((30.0, 20.0), 0.0, speed_long=2.0), ConstantVelocity()),
+                (ActorState((50.0, -20.0), 0.0, speed_long=3.0), Braking(51.0, 2.0)),
+                (ActorState((0.0, 30.0), 0.0, speed_long=2.0),
+                 WaypointFollower(tuple((x, y + 30.0) for x, y in SELF_CROSSING), 2.0)))
+        ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(80.0, goal=10.0), ego_spawn=ego, npcs=npcs,
+                            max_steps=10**7)
+        tracemalloc.start()
+        try:
+            trace = run_episode(scenario, full_throttle_policy(6.0), CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.outcome is Outcome.SUCCESS and len(trace.records) == 14
+        # 10**7 steps of one track's five float columns alone would take 381 MiB
+        assert peak < 4 * 2**20
+
+    def test_an_episode_without_actors_calls_no_numpy(self, scenarios_dir, monkeypatch):
+        scenario = load_scenario(scenarios_dir / "empty_road.json")
+        for module in (sim_module, risk_module):
+            monkeypatch.setattr(module, "np", None)
+        trace = run_episode(scenario, build_policy("lane_follower", CFG), CFG)
+        assert trace.outcome is Outcome.SUCCESS
+
+    def test_an_overflow_raises_at_the_step_whose_state_holds_it(self):
+        # x is finite for three steps of 1e307 * dt and overflows on the fourth; the chunk
+        # that holds it is built at the first step, and must not raise there
+        x = 1.79e308 - 3e307 * CFG.dt * 0.999
+        npc = ActorState((x, 50.0), 0.0, speed_long=1e307)
+        ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego,
+                            npcs=((npc, ConstantVelocity()),))
+        calls = []
+        message = "ActorState position must be two finite numbers (got (inf, 50.0))"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            run_episode(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), CFG)
+        assert len(calls) == 4
+
+    def test_waypoint_episodes_in_two_threads_match_a_serial_run(self, waypoint_documents):
+        # both threads run every document, in step, on the same Scenario and script objects
+        scenarios = [load_scenario(path) for path in waypoint_documents]
+        policy = build_policy("lane_follower", CFG)
+
+        def run_all(_):
+            return [run_episode(scenario, policy, CFG) for scenario in scenarios]
+
+        serial = run_all(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so the two runs interleave finely
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(run_all, range(2)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert same_bits(threaded, [serial, serial])
+
+    @settings(max_examples=60, deadline=None)
+    @given(cv_speed=SPEEDS, cv_heading=st.floats(-180.0, 180.0), brake_speed=SPEEDS,
+           trigger_ahead=st.floats(-2.0, 12.0), decel=st.floats(0.5, 8.0), wp_speed=SPEEDS,
+           wp_spawn=st.floats(0.0, 20.0), dt=st.sampled_from([0.05, 0.1, 0.3]),
+           policy=st.sampled_from(BUILTIN_POLICIES))
+    @example(cv_speed=0.0, cv_heading=0.0, brake_speed=0.0, trigger_ahead=0.0, decel=1.0,
+             wp_speed=0.0, wp_spawn=0.0, dt=0.1, policy="idle")  # nothing moves
+    @example(cv_speed=4.0, cv_heading=90.0, brake_speed=3.0, trigger_ahead=1.0, decel=0.5,
+             wp_speed=5.0, wp_spawn=0.0, dt=0.1, policy="idle")  # brakes once 1 m on
+    def test_tracks_equal_repeated_step_world_and_per_state_steps(
+            self, cv_speed, cv_heading, brake_speed, trigger_ahead, decel, wp_speed, wp_spawn,
+            dt, policy):
+        # a document with one NPC of each script, mutated; the episode runs past two chunk
+        # boundaries unless the ego ends it first
+        brake_station = 30.0
+        scenario = scenario_from_dict(minimal_scenario_data(
+            max_steps=70, ego={"station": 1.0},
+            npcs=[{"station": 10.0, "lateral_offset": 25.0, "heading_offset_deg": cv_heading,
+                   "speed": cv_speed},
+                  {"station": brake_station, "lateral_offset": -12.0, "speed": brake_speed,
+                   "script": {"kind": "braking", "decel": decel,
+                              "trigger_station": brake_station + trigger_ahead}},
+                  {"station": wp_spawn, "lateral_offset": 30.0, "speed": wp_speed,
+                   "script": {"kind": "waypoint_follower", "speed": wp_speed,
+                              "waypoints": [[x + 2.0, y + 30.0] for x, y in SELF_CROSSING]}}]))
+        config = RewardConfig(dt=dt)
+        with recorded_contexts() as contexts:
+            trace = run_episode(scenario, build_policy(policy, config), config)
+        npcs, _ = realize_traffic(scenario)
+        world = make_world(ego=scenario.ego_spawn, npcs=[state for state, _ in npcs],
+                           scripts=[script for _, script in npcs], route=scenario.route)
+        states, stations = world.npcs, (None,) * len(npcs)
+        for record, ctx in zip(trace.records, contexts):
+            world = step_world(world, record.action, config)
+            states, stations = zip(*(step_npc(state, script, scenario.route, dt, station)
+                                     for state, station, script
+                                     in zip(states, stations, world.scripts)))
+            assert same_bits((world.time, world.ego, world.npcs), (record.time, record.ego,
+                                                                    ctx.others))
+            assert same_bits((states, stations), (world.npcs, world.stations))
+        if brake_speed > 0.0 and trigger_ahead <= 0.0:  # it brakes from the first step
+            assert ctx.others[1].speed_long < brake_speed
 
 
 def _trace_stub(outcome, reward=0.0, progress=1.0, velocity=3.0):
