@@ -23,11 +23,11 @@ header = (f"{'density':>7} | {'succ%':>6} {'coll%':>6} {'offrd%':>6} {'time%':>6
 print(header)
 print("-" * len(header))
 for d_idx, density in enumerate((0.5, 0.75, 1.0)):
-    traces = [
+    # a generator: each episode is summarised and dropped before the next one runs
+    m = aggregate_metrics(
         run_episode(scenario, policy, cfg, density=density, seed=10_000 * d_idx + ep)
         for ep in range(EPISODES)
-    ]
-    m = aggregate_metrics(traces)
+    )
     print(f"{density:>7.2f} | {m.success_pct:>6.1f} {m.collision_pct:>6.1f} "
           f"{m.offroad_pct:>6.1f} {m.timeout_pct:>6.1f} | "
           f"{m.reward_mean:>7.2f} +- {m.reward_std:<5.2f} | "

@@ -145,8 +145,11 @@ def _episode_seed(base_seed: int, density_index: int, episode: int) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One aggregate row per density; rows ordered by (density, episode) index.
 
-    Episodes are mutually independent, so they could run in parallel; the
-    output ordering and content depend only on the seed and inputs either way.
+    Each density's episodes reach `aggregate_metrics` as a generator, so each
+    episode is summarised and dropped before the next one runs, and memory
+    does not grow with `--episodes`. Episodes are mutually independent, so
+    they could run in parallel; the output ordering and content depend only on
+    the seed and inputs either way.
     """
     config = _load_config_arg(args.config)
     scenario_path = Path(args.scenario)
@@ -171,12 +174,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     for d_idx, density in enumerate(densities):
-        traces = []
-        for episode in range(args.episodes):
-            scenario = scenarios[episode % len(scenarios)]
-            seed = _episode_seed(args.seed, d_idx, episode)
-            traces.append(run_episode(scenario, policy, config, density=density, seed=seed))
-        m = aggregate_metrics(traces)
+        m = aggregate_metrics(
+            run_episode(scenarios[episode % len(scenarios)], policy, config, density=density,
+                        seed=_episode_seed(args.seed, d_idx, episode))
+            for episode in range(args.episodes))
         rows.append([_fmt(density), str(m.episodes)]
                     + [_fmt(getattr(m, column)) for column in SWEEP_COLUMNS[2:]])
         print(

@@ -513,31 +513,45 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
 _BROAD_PHASE_MARGIN = 1e-9
 
 
-def _footprints_overlap(a: ActorState, b: ActorState) -> bool:
+def _reach(a: ActorState, b: ActorState) -> float:
+    """Centre distance beyond which the circumcircles of `a` and `b` are clearly disjoint."""
+    return (a.circumradius + b.circumradius) * (1.0 + _BROAD_PHASE_MARGIN)
+
+
+def _footprints_overlap(a: ActorState, b: ActorState, reach: float) -> bool:
     """Separating-axis test on the four footprint axes; touching counts.
 
     The footprints are apart on an axis when their centre distance projected
     onto it exceeds the sum of their half-extents projected onto it. Pairs
-    whose circumcircles are clearly disjoint are rejected before that test.
+    whose centres are further apart than `reach`, `_reach(a, b)`, are rejected
+    before that test.
     """
     (ax, ay), (bx, by) = a.position, b.position
-    circumradii = a.circumradius + b.circumradius
-    if math.hypot(bx - ax, by - ay) > circumradii * (1.0 + _BROAD_PHASE_MARGIN):
+    if math.hypot(bx - ax, by - ay) > reach:
         return False
     boxes = [(math.cos(x.heading), math.sin(x.heading), x.length / 2.0, x.width / 2.0)
              for x in (a, b)]
     for c, s, _, _ in boxes:
         for ux, uy in ((c, s), (-s, c)):
-            reach = sum(half_l * abs(ux * bc + uy * bs) + half_w * abs(uy * bc - ux * bs)
-                        for bc, bs, half_l, half_w in boxes)
-            if abs((bx - ax) * ux + (by - ay) * uy) > reach:
+            extent = sum(half_l * abs(ux * bc + uy * bs) + half_w * abs(uy * bc - ux * bs)
+                         for bc, bs, half_l, half_w in boxes)
+            if abs((bx - ax) * ux + (by - ay) * uy) > extent:
                 return False
     return True
 
 
-def detect_collision(ego: ActorState, actors: Iterable[ActorState]) -> bool:
-    """True iff the ego's oriented rectangle overlaps any actor's."""
-    return any(_footprints_overlap(ego, a) for a in actors)
+def detect_collision(ego: ActorState, actors: Iterable[ActorState], *,
+                     reaches: Sequence[float] | None = None) -> bool:
+    """True iff the ego's oriented rectangle overlaps any actor's.
+
+    `reaches`, one per actor, are the centre distances past which a pair is
+    apart without the separating-axis test, `_reach(ego, actor)`. `run_episode`
+    works them out once per episode, since every footprint is fixed for one;
+    without them, each pair's reach is worked out here.
+    """
+    pairs = (zip(actors, reaches) if reaches is not None
+             else ((actor, _reach(ego, actor)) for actor in actors))
+    return any(_footprints_overlap(ego, actor, reach) for actor, reach in pairs)
 
 
 def check_offroad(pose: RouteFramePose, ego: ActorState, route: Route) -> bool:
@@ -685,6 +699,7 @@ def run_episode(
     pose = project_to_route(ego.position, ego.heading, route)
     steps: list[tuple[float, tuple[float, float], StepContext]] = []
     actors = tuple(state for state, _ in npcs) + obstacles
+    reaches = [_reach(ego, actor) for actor in actors]  # _moved keeps every footprint
 
     for step in range(1, max_steps + 1):
         obs = Observation(ego=ego, pose=pose, others=actors, step=step - 1)
@@ -698,7 +713,7 @@ def run_episode(
         actors = tuple([track.at(step) for track in tracks]) + obstacles
         new_pose = project_to_route(ego.position, ego.heading, route)
 
-        if detect_collision(ego, actors):
+        if detect_collision(ego, actors, reaches=reaches):
             outcome = Outcome.COLLISION
         elif check_offroad(new_pose, ego, route):
             outcome = Outcome.OFFROAD
@@ -766,14 +781,21 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def aggregate_metrics(traces: Sequence[EpisodeTrace]) -> MetricsSummary:
-    """Outcome percentages plus mean and standard deviation of the run metrics."""
-    if not traces:
+def aggregate_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSummary:
+    """Outcome percentages plus mean and standard deviation of the run metrics.
+
+    `traces` may be any iterable, a one-shot generator included. Each trace is
+    read once, for its outcome and its three statistics, and not kept, so a
+    generator of `run_episode` calls holds one episode at a time: memory does
+    not grow with the number of episodes.
+    """
+    rows = [(trace.outcome, *(getattr(trace, f) for _, f in _EPISODE_STATS)) for trace in traces]
+    if not rows:
         raise ContractError("aggregate_metrics requires at least one trace")
-    n = len(traces)
-    outcomes = [trace.outcome for trace in traces]
+    n = len(rows)
+    outcomes, *stats = zip(*rows)
     values = {f"{o.value}_pct": 100.0 * outcomes.count(o) / n
               for o in Outcome if o is not Outcome.NONE}
-    for stat, f in _EPISODE_STATS:
-        values[f"{stat}_mean"], values[f"{stat}_std"] = _mean_std([getattr(t, f) for t in traces])
+    for (stat, _), column in zip(_EPISODE_STATS, stats):
+        values[f"{stat}_mean"], values[f"{stat}_std"] = _mean_std(column)
     return MetricsSummary(episodes=n, **values)

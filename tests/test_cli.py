@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,28 @@ class TestCmdSweep:
         for row in rows[1:]:
             outcome_sum = sum(float(v) for v in row[2:6])
             assert outcome_sum == pytest.approx(100.0)
+
+    def test_each_trace_is_dropped_before_the_next_but_one_episode(
+        self, tmp_path, scenarios_dir, monkeypatch
+    ):
+        traces, alive = [], []
+        run_episode = cli.run_episode
+
+        def spy(*args, **kwargs):
+            # traces from before the previous episode still alive when this one starts;
+            # aggregate_metrics' loop variable may still hold the previous trace
+            alive.append(sum(trace() is not None for trace in traces[:-1]))
+            trace = run_episode(*args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(cli, "run_episode", spy)
+        assert main([
+            "sweep", "--scenario", str(scenarios_dir / "intersection.json"),
+            "--densities", "0.5,1.0", "--episodes", "4", "--seed", "9",
+            "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+        assert alive == [0] * 8
 
     def test_sweeps_in_two_threads_match_a_serial_sweep(self, tmp_path, scenarios_dir):
         args = [

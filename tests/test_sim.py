@@ -305,6 +305,7 @@ class TestDetectCollision:
                 length=float(rng.uniform(1.0, 5.0)), width=float(rng.uniform(0.8, 2.2)),
             )
             sat = detect_collision(ego, [other])
+            assert detect_collision(ego, [other], reaches=[sim_module._reach(ego, other)]) is sat
             oracle = sampled_overlap(ego, other)
             disagreements += sat != oracle
         assert disagreements == 0
@@ -889,6 +890,17 @@ class TestAggregateMetrics:
     def test_empty_input_rejected(self):
         with pytest.raises(ContractError):
             aggregate_metrics([])
+
+    def test_any_iterable_gives_the_bits_of_a_list(self):
+        rng = np.random.default_rng(23)
+        outcomes = [o for o in Outcome if o is not Outcome.NONE] * 5
+        traces = [_trace_stub(outcome, *map(float, rng.uniform(-50, 50, size=3)))
+                  for outcome in outcomes]
+        listed = aggregate_metrics(traces)
+        assert same_bits(aggregate_metrics(trace for trace in traces), listed)
+        assert same_bits(aggregate_metrics(iter(traces)), listed)
+        with pytest.raises(ContractError):
+            aggregate_metrics(trace for trace in ())
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
