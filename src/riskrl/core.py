@@ -80,7 +80,30 @@ def _pair(value: object, what: str) -> tuple[float, float]:
     raise ContractError(f"{what} must be two finite numbers (got {reprlib.repr(value)})")
 
 
-@dataclass(frozen=True, eq=False)
+def _maker(cls: type) -> Callable[..., object]:
+    """A positional constructor for the slotted dataclass `cls`, one argument per field.
+
+    It makes the object with `object.__new__` and stores each argument through its
+    slot's member descriptor, one call per field written out in declared order, as
+    `dataclasses` writes out `__init__`: no `__init__`, `__post_init__` or frozen
+    `__setattr__` runs. Only for values that already hold the type's invariants.
+    """
+    names = cls.__slots__
+    setters = [f"_set_{name}" for name in names]
+    body = "".join(f"        {setter}(obj, {name})\n" for setter, name in zip(setters, names))
+    source = (f"def make(_new, _cls, {', '.join(setters)}):\n"
+              f"    def build({', '.join(names)}):\n"
+              f"        obj = _new(_cls)\n{body}"
+              f"        return obj\n"
+              f"    return build\n")
+    namespace: dict = {}
+    exec(compile(source, f"<{cls.__name__} builder>", "exec"), namespace)
+    build = namespace["make"](object.__new__, cls, *(getattr(cls, name).__set__ for name in names))
+    build.__qualname__ = f"_maker.<{cls.__name__}>"
+    return build
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class ActorState:
     """Pose, velocity, and footprint of one traffic participant.
 
@@ -227,13 +250,16 @@ class Route:
         return ax[i] + t * dx[i], ay[i] + t * dy[i], heading[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteFramePose:
     """Position of an actor expressed relative to the route."""
 
     station: float         # m, arc length of the nearest centerline point
     lateral_offset: float  # m, signed, left of travel direction positive
     heading_error: float   # rad, wrapped to (-pi, pi]
+
+
+_make_pose = _maker(RouteFramePose)
 
 
 def project_to_route(position: Sequence[float], heading: float, route: Route) -> RouteFramePose:
@@ -279,7 +305,7 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
     # local travel direction, via the cross product tangent x (p - foot)
     offset = math.copysign(math.sqrt(best), tx * fy - ty * fx)
     heading_error = wrap_angle(heading - route._tangent_heading[i])
-    return RouteFramePose(station=station, lateral_offset=offset, heading_error=heading_error)
+    return _make_pose(station, offset, heading_error)
 
 
 def relative_displacement(ego: ActorState, other: ActorState) -> tuple[float, float]:

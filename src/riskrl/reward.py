@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ActorState, ContractError, RewardConfig, RouteFramePose, _finite, _is_count
+from .core import (
+    ActorState, ContractError, RewardConfig, RouteFramePose, _finite, _is_count, _maker,
+)
 from .risk import RiskAssessment, risk_reward
 
 # Steering-rate normalisation needs a velocity floor to stay finite at rest.
@@ -49,7 +51,7 @@ class StepContext:
         object.__setattr__(self, "violations", frozenset(self.violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewardBreakdown:
     """Per-step value of each level plus the combined scalar.
 
@@ -67,6 +69,9 @@ class RewardBreakdown:
     risk_assessments: tuple[RiskAssessment, ...] = ()
 
 
+_make_breakdown = _maker(RewardBreakdown)
+
+
 def level_weight(i: int, beta: float) -> float:
     """Weight of hierarchy level i, an integer >= 1: beta^(i-1)."""
     if not _is_count(i, 1):
@@ -74,6 +79,11 @@ def level_weight(i: int, beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise ContractError(f"beta must lie in (0, 1) (got {beta})")
     return beta ** (i - 1)
+
+
+def _level_weights(config: RewardConfig) -> tuple[float, float, float]:
+    """The weights of levels 1, 2 and 3."""
+    return tuple(level_weight(i, config.beta) for i in (1, 2, 3))
 
 
 def collision_penalty(v: float, v_max: float) -> float:
@@ -152,12 +162,14 @@ def total_reward(ctx: StepContext, config: RewardConfig) -> RewardBreakdown:
     timeout ends the episode contributing zero. Progress and risk both carry
     the level-1 weight.
     """
-    return _combine(ctx, *risk_reward(ctx.ego, ctx.others, config), config)
+    return _combine(ctx, *risk_reward(ctx.ego, ctx.others, config), config,
+                    _level_weights(config))
 
 
 def _combine(ctx: StepContext, l1_risk: float, assessments: tuple[RiskAssessment, ...],
-             config: RewardConfig) -> RewardBreakdown:
-    """`total_reward` with its risk term given; `ctx.others` is not read."""
+             config: RewardConfig, weights: tuple[float, float, float]) -> RewardBreakdown:
+    """`total_reward` with its risk term and `_level_weights(config)` given; `ctx.others`
+    is not read."""
     speed = ctx.ego.speed
     l0 = traffic_rule_reward(ctx.violations)
     l1_progress = progress_reward(ctx.pose.station, ctx.prev_pose.station, config)
@@ -166,20 +178,9 @@ def _combine(ctx: StepContext, l1_risk: float, assessments: tuple[RiskAssessment
 
     if ctx.outcome is Outcome.NONE:
         terminal = 0.0
-        w1 = level_weight(1, config.beta)
-        w2 = level_weight(2, config.beta)
-        w3 = level_weight(3, config.beta)
+        w1, w2, w3 = weights
         total = l0 + w1 * (l1_progress + l1_risk) + w2 * l2 + w3 * l3
     else:
         terminal = total = terminal_reward(ctx.outcome, speed, ctx.pose.lateral_offset, config)
 
-    return RewardBreakdown(
-        terminal=terminal,
-        l0_rules=l0,
-        l1_progress=l1_progress,
-        l1_risk=l1_risk,
-        l2_style=l2,
-        l3_comfort=l3,
-        total=total,
-        risk_assessments=assessments,
-    )
+    return _make_breakdown(terminal, l0, l1_progress, l1_risk, l2, l3, total, assessments)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Literal, Sequence
 import numpy as np
 
 from .core import (
-    TWO_PI, ActorKind, ActorState, ContractError, RewardConfig, _finite, _rotate, _turn,
+    TWO_PI, ActorKind, ActorState, ContractError, RewardConfig, _finite, _maker, _rotate, _turn,
     relative_displacement, wrap_angle,
 )
 
@@ -60,7 +60,7 @@ class EllipseParams:
                 raise ContractError(f"ellipse exponents must be even integers >= 2 (got {p})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskAssessment:
     """Per-interaction risk summary for one other actor."""
 
@@ -69,6 +69,9 @@ class RiskAssessment:
     dyn_penalty: float    # in [0, 1]
     combined: float       # w_geom * geom + w_dyn * dyn
     ttc: float            # s; +inf unless the interaction is intersecting
+
+
+_make_assessment = _maker(RiskAssessment)
 
 
 def classify_interaction(ego: ActorState, other: ActorState) -> InteractionMode:
@@ -516,7 +519,7 @@ def _risk_rewards(egos: Sequence[ActorState], others: np.ndarray | None, counts:
                 out[:, at] = _mode_risk(mode, *(t._make(f[at] for f in t) for t in (ego, other)),
                                         config)
     combined = (config.w_geom * geom + config.w_dyn * dyn).tolist()
-    assessments = list(map(RiskAssessment, [_MODES[c] for c in codes.tolist()], geom.tolist(),
+    assessments = list(map(_make_assessment, [_MODES[c] for c in codes.tolist()], geom.tolist(),
                            dyn.tolist(), combined, ttc.tolist()))
     bounds = [0, *np.cumsum(counts).tolist()]
     return [(-max(combined[i:j]) + 0.0 if j > i else 0.0, tuple(assessments[i:j]))

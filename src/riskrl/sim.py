@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -30,10 +30,12 @@ from .core import (
     wrap_angle,
 )
 from .core import (
-    _REQUIRED, _Field, _finite, _is_count, _is_integer, _is_number, _pair, _positive, _read,
-    _read_json,
+    _REQUIRED, _Field, _finite, _is_count, _is_integer, _is_number, _maker, _pair, _positive,
+    _read, _read_json,
 )
-from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, StepContext, _combine
+from .reward import (
+    STEER_SPEED_FLOOR, Outcome, RewardBreakdown, StepContext, _combine, _level_weights,
+)
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
 from .reward import total_reward  # noqa: F401
 from .risk import _risk_rewards, _track_rows
@@ -145,13 +147,14 @@ _TOP_LEVEL = {
     "slots": _LIST,
 }
 _ROUTE = {"centerline": _POINTS, "lane_width": _positive(), "goal_station": _number()}
+_ACTOR_DEFAULTS = {f.name: f.default for f in fields(ActorState)}  # slots hide class defaults
 _SPAWN = {
     "station": _number(),
     "lateral_offset": _number(0.0),
     "heading_offset_deg": _number(0.0),
     "speed": _NON_NEGATIVE,
-    "length": _positive(ActorState.length),  # the ActorState default footprint
-    "width": _positive(ActorState.width),
+    "length": _positive(_ACTOR_DEFAULTS["length"]),  # the ActorState default footprint
+    "width": _positive(_ACTOR_DEFAULTS["width"]),
 }
 _OBSTACLE = {**_SPAWN, "speed": _Field(0.0, lambda v: _is_number(v) and v == 0.0, "must be 0")}
 _NPC = {
@@ -361,13 +364,17 @@ def _advance_along_heading(state: ActorState, dt: float) -> tuple[float, float]:
     return x + step * math.cos(state.heading), y + step * math.sin(state.heading)
 
 
+_make_state = _maker(ActorState)  # only behind `_moved`'s guard
+
+
 def _moved(state: ActorState, position: tuple[float, float], heading: float,
            speed_long: float, accel_long: float) -> ActorState:
     """`state` at a new pose and longitudinal motion; footprint, kind and lateral speed kept.
 
     `state` passed ActorState's checks and the new numbers are worked out from
     checked ones, so only an overflow or a static actor set moving can fail them.
-    Only then is the constructor run, to raise as it does for any caller.
+    Only then is the constructor run, to raise as it does for any caller; otherwise
+    the new state is built by `_make_state`, which stores the fields and runs no check.
     """
     x, y = position
     # a sum of finite numbers is finite unless it overflows, when the constructor decides
@@ -375,16 +382,8 @@ def _moved(state: ActorState, position: tuple[float, float], heading: float,
             speed_long != 0.0 and state.kind is ActorKind.STATIC_OBSTACLE):
         return ActorState(position, heading, speed_long, state.speed_lat, accel_long,
                           state.length, state.width, state.kind)
-    new, put = object.__new__(ActorState), object.__setattr__
-    put(new, "position", (float(x), float(y)))  # the fields in their declared order
-    put(new, "heading", heading)
-    put(new, "speed_long", speed_long)
-    put(new, "speed_lat", state.speed_lat)
-    put(new, "accel_long", accel_long)
-    put(new, "length", state.length)
-    put(new, "width", state.width)
-    put(new, "kind", state.kind)
-    return new
+    return _make_state((float(x), float(y)), heading, speed_long, state.speed_lat, accel_long,
+                       state.length, state.width, state.kind)
 
 
 # A track's first chunk holds this many steps, and each later chunk as many as all before it.
@@ -640,7 +639,7 @@ def build_policy(name: str, config: RewardConfig) -> Policy:
 # Episode execution
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StepRecord:
     """One simulation step: post-step state plus its reward breakdown."""
 
@@ -651,6 +650,9 @@ class StepRecord:
     action: tuple[float, float]
     breakdown: RewardBreakdown
     outcome: Outcome
+
+
+_make_record = _maker(StepRecord)
 
 
 @dataclass(frozen=True, eq=False)
@@ -740,8 +742,9 @@ def run_episode(
               if actors else None)
     risks = _risk_rewards([ctx.ego for _, _, ctx in steps], others, [len(actors)] * len(steps),
                           config)
-    records = [StepRecord(step=i, time=time, ego=ctx.ego, pose=ctx.pose, action=action,
-                          breakdown=_combine(ctx, *risk, config), outcome=ctx.outcome)
+    weights = _level_weights(config)
+    records = [_make_record(i, time, ctx.ego, ctx.pose, action,
+                            _combine(ctx, *risk, config, weights), ctx.outcome)
                for i, ((time, action, ctx), risk) in enumerate(zip(steps, risks), 1)]
     final = records[-1]
     return EpisodeTrace(

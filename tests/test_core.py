@@ -1,6 +1,8 @@
 """Route geometry, displacement frames, and config loading."""
 
 import ast
+import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -17,15 +19,24 @@ from riskrl import (
     ActorState,
     ConfigError,
     ContractError,
+    InteractionMode,
+    Outcome,
+    RewardBreakdown,
     RewardConfig,
+    RiskAssessment,
     Route,
+    RouteFramePose,
+    StepRecord,
     load_config,
     project_to_route,
     relative_displacement,
     wrap_angle,
 )
 import riskrl
-from riskrl.core import validate_config_data
+from riskrl.core import _make_pose, validate_config_data
+from riskrl.reward import _make_breakdown
+from riskrl.risk import _make_assessment
+from riskrl.sim import _make_record, _make_state
 
 DEFAULT_CONFIG = json.loads(
     (Path(__file__).resolve().parent.parent / "configs" / "default.json").read_text()
@@ -397,6 +408,46 @@ class TestActorState:
     def test_circumradius_is_half_diagonal(self):
         state = ActorState(position=[0, 0], heading=0.0, length=4.5, width=1.8)
         assert state.circumradius == pytest.approx(math.hypot(2.25, 0.9))
+
+
+# One value per field of each slotted record type, in declared order, with -0.0 and an inf TTC
+_STATE = (1.5, -0.0), -0.0, 3.0, 0.0, -0.0, 4.5, 1.8, ActorKind.NPC_VEHICLE
+_POSE = 12.0, -0.0, 0.25
+_ASSESSMENT = InteractionMode.INTERSECTING, 0.0, -0.0, 0.125, math.inf
+_BREAKDOWN = (-0.0, 0.0, 0.5, -0.125, -0.1, -0.0, 0.3,
+              (RiskAssessment(*_ASSESSMENT), RiskAssessment(InteractionMode.SAME_DIRECTION,
+                                                            1.0, 0.5, 0.75, math.inf)))
+_RECORD = (3, 0.30000000000000004, ActorState(*_STATE), RouteFramePose(*_POSE), (1.0, -0.0),
+           RewardBreakdown(*_BREAKDOWN), Outcome.NONE)
+BUILDERS = [(ActorState, _make_state, _STATE), (RouteFramePose, _make_pose, _POSE),
+            (RiskAssessment, _make_assessment, _ASSESSMENT),
+            (RewardBreakdown, _make_breakdown, _BREAKDOWN), (StepRecord, _make_record, _RECORD)]
+
+
+@pytest.mark.parametrize("cls, build, values", BUILDERS, ids=[c.__name__ for c, _, _ in BUILDERS])
+class TestRecordBuilders:
+    """Each hot path builds its records through `core._maker`, without the constructor."""
+
+    def test_builder_gives_the_constructors_bits(self, cls, build, values):
+        built, constructed = build(*values), cls(*values)
+        assert type(built) is cls
+        assert same_bits(built, constructed)
+
+    def test_records_are_slotted_and_frozen(self, cls, build, values):
+        for record in (build(*values), cls(*values)):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, dataclasses.fields(cls)[0].name, values[0])
+
+    def test_builder_takes_one_argument_per_field(self, cls, build, values):
+        assert list(inspect.signature(build).parameters) == [
+            f.name for f in dataclasses.fields(cls)]
+
+
+def test_replace_still_runs_the_actor_state_checks():
+    state = ActorState((0.0, 0.0), 0.0, speed_long=2.0)
+    with pytest.raises(ContractError, match="ActorState heading must be a finite number"):
+        dataclasses.replace(state, heading=math.nan)
 
 
 class TestWrapAngle:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 import sys
 import tracemalloc
@@ -48,6 +49,8 @@ from riskrl import risk as risk_module, sim as sim_module
 from riskrl.sim import BUILTIN_POLICIES, scenario_from_dict, validate_scenario_data
 
 CFG = RewardConfig()
+# ActorState is slotted, so its defaults are read through its fields
+DEFAULT_LENGTH = next(f.default for f in dataclasses.fields(ActorState) if f.name == "length")
 
 
 def straight_route(length=200.0, goal=None):
@@ -701,6 +704,16 @@ class TestRunEpisode:
             sum(r.breakdown.total for r in trace.records)
         )
 
+    def test_trace_survives_a_pickle_round_trip(self, scenarios_dir):
+        # slotted frozen records pickle through their generated __getstate__/__setstate__,
+        # which sending episodes to worker processes would need
+        scenario = load_scenario(scenarios_dir / "intersection.json")
+        trace = run_episode(scenario, build_policy("lane_follower", CFG), CFG, seed=3)
+        restored = pickle.loads(pickle.dumps(trace))
+        assert len(restored.records) == len(trace.records) > 1
+        assert any(r.breakdown.risk_assessments for r in trace.records)
+        assert same_bits(restored.records, trace.records)
+
     def test_speeding_violation_flags_level_zero(self):
         cfg = RewardConfig(speed_limit=2.0)
         scenario = scenario_from_dict(minimal_scenario_data(max_steps=30))
@@ -728,7 +741,7 @@ class TestRssClosure:
             route={"centerline": [[0.0, 0.0], [2000.0, 0.0]], "lane_width": 3.5,
                    "goal_station": 2000.0},
             ego={"station": 10.0, "speed": v_ego}, max_steps=40,
-            npcs=[{"station": 10.0 + ActorState.length + gap, "speed": v_lead,
+            npcs=[{"station": 10.0 + DEFAULT_LENGTH + gap, "speed": v_lead,
                    "script": braking}]))
         reaction = round(CFG.rho / CFG.dt)
         actions = [(CFG.a_acc_max_x, 0.0)] * reaction + [(-CFG.a_brk_min_x, 0.0)] * 40
