@@ -162,25 +162,28 @@ def total_reward(ctx: StepContext, config: RewardConfig) -> RewardBreakdown:
     timeout ends the episode contributing zero. Progress and risk both carry
     the level-1 weight.
     """
-    return _combine(ctx, *risk_reward(ctx.ego, ctx.others, config), config,
+    return _combine(ctx.ego, ctx.pose, ctx.prev_pose, ctx.lane_width, ctx.steering_rate, ctx.jerk,
+                    ctx.violations, ctx.outcome, *risk_reward(ctx.ego, ctx.others, config), config,
                     _level_weights(config))
 
 
-def _combine(ctx: StepContext, l1_risk: float, assessments: tuple[RiskAssessment, ...],
-             config: RewardConfig, weights: tuple[float, float, float]) -> RewardBreakdown:
-    """`total_reward` with its risk term and `_level_weights(config)` given; `ctx.others`
-    is not read."""
-    speed = ctx.ego.speed
-    l0 = traffic_rule_reward(ctx.violations)
-    l1_progress = progress_reward(ctx.pose.station, ctx.prev_pose.station, config)
-    l2 = driving_style_reward(speed, ctx.pose.lateral_offset, ctx.lane_width, config)
-    l3 = comfort_reward(ctx.ego.accel_long, ctx.steering_rate, ctx.jerk, speed, config)
+def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, lane_width: float,
+             steering_rate: float, jerk: float, violations: frozenset[str], outcome: Outcome,
+             l1_risk: float, assessments: tuple[RiskAssessment, ...], config: RewardConfig,
+             weights: tuple[float, float, float]) -> RewardBreakdown:
+    """`total_reward` of one step's values, in `StepContext`'s field order without `others`,
+    with its risk term and `_level_weights(config)` given."""
+    speed = ego.speed
+    l0 = traffic_rule_reward(violations)
+    l1_progress = progress_reward(pose.station, prev_pose.station, config)
+    l2 = driving_style_reward(speed, pose.lateral_offset, lane_width, config)
+    l3 = comfort_reward(ego.accel_long, steering_rate, jerk, speed, config)
 
-    if ctx.outcome is Outcome.NONE:
+    if outcome is Outcome.NONE:
         terminal = 0.0
         w1, w2, w3 = weights
         total = l0 + w1 * (l1_progress + l1_risk) + w2 * l2 + w3 * l3
     else:
-        terminal = total = terminal_reward(ctx.outcome, speed, ctx.pose.lateral_offset, config)
+        terminal = total = terminal_reward(outcome, speed, pose.lateral_offset, config)
 
     return _make_breakdown(terminal, l0, l1_progress, l1_risk, l2, l3, total, assessments)

@@ -499,14 +499,15 @@ def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
                     np.where(other_toward, away, g))
 
 
-def _risk_rewards(egos: Sequence[ActorState], others: np.ndarray | None, counts: Sequence[int],
+def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Sequence[int],
                   config: RewardConfig) -> list[tuple[float, tuple[RiskAssessment, ...]]]:
-    """`risk_reward(egos[i], others_i, config)` for every i, from one kernel call, where
-    others_i are the `counts[i]` actors whose `_rows` come next in `others`. When no step
-    has others, numpy is not called and `others` is not read."""
+    """`risk_reward(ego_i, others_i, config)` for every i < len(counts), from one kernel call,
+    where ego_i is the actor whose `_rows` row is `egos[i]` and others_i are the `counts[i]`
+    actors whose rows come next in `others`. When no step has others, numpy is not called
+    and neither `egos` nor `others` is read."""
     if not any(counts):
-        return [(0.0, ())] * len(egos)
-    ego = _columns(_rows(egos), counts)  # each ego once per pair
+        return [(0.0, ())] * len(counts)
+    ego = _columns(egos, counts)  # each ego once per pair
     other = _columns(others)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
         a = np.fmod(other.heading - ego.heading, TWO_PI)  # wrap_angle, then the partition

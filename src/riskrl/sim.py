@@ -33,15 +33,15 @@ from .core import (
     _REQUIRED, _Field, _finite, _is_count, _is_integer, _is_number, _maker, _pair, _positive,
     _read, _read_json,
 )
-from .reward import (
-    STEER_SPEED_FLOOR, Outcome, RewardBreakdown, StepContext, _combine, _level_weights,
-)
+from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _combine, _level_weights
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
 from .reward import total_reward  # noqa: F401
 from .risk import _risk_rewards, _track_rows
 
 SCHEMA_VERSION = 1
 SPEEDING_RULE = "speeding"
+# a step's rule violations, as the loop hands them to the level combination
+_NO_VIOLATION, _SPEEDING = frozenset(), frozenset((SPEEDING_RULE,))
 
 # ---------------------------------------------------------------------------
 # Actor scripts
@@ -562,7 +562,7 @@ def check_offroad(pose: RouteFramePose, ego: ActorState, route: Route) -> bool:
 # Policies
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Observation:
     """What a policy sees each step."""
 
@@ -572,6 +572,7 @@ class Observation:
     step: int  # steps already taken this episode; 0 at the first decision
 
 
+_make_observation = _maker(Observation)
 Policy = Callable[[Observation], tuple[float, float]]
 
 
@@ -685,8 +686,10 @@ def run_episode(
     timeout whose final step contributes zero reward. Ego acceleration
     commands are clamped to the braking/acceleration limits and the steering
     rate to the curvature-feasible envelope. Policies never see the reward, so
-    the risk of every step is scored after the loop, in one array-kernel call;
-    each breakdown has the bits `total_reward` gives that step's context.
+    the loop keeps only the step values that scoring reads, and every step is
+    scored after it: the risk in one array-kernel call, the levels by
+    `total_reward`'s combination. Each breakdown has the bits `total_reward`
+    gives that step's `StepContext`.
     """
     route = scenario.route
     if not route.goal_station > 0.0:  # route_progress divides by it
@@ -699,18 +702,20 @@ def run_episode(
     tracks = [_Track(state, script, route, config.dt, max_steps) for state, script in npcs]
     ego, time = scenario.ego_spawn, 0.0
     pose = project_to_route(ego.position, ego.heading, route)
-    steps: list[tuple[float, tuple[float, float], StepContext]] = []
+    steps: list[tuple] = []  # (time, ego, pose, previous pose, action, jerk, violations, outcome)
     actors = tuple(state for state, _ in npcs) + obstacles
     reaches = [_reach(ego, actor) for actor in actors]  # _moved keeps every footprint
+    speed_limit = config.speed_limit + 1e-9
 
     for step in range(1, max_steps + 1):
-        obs = Observation(ego=ego, pose=pose, others=actors, step=step - 1)
-        accel_cmd, steer_cmd = _pair(policy(obs), "policy action")
+        accel_cmd, steer_cmd = _pair(policy(_make_observation(ego, pose, actors, step - 1)),
+                                     "policy action")
         accel_cmd = min(max(accel_cmd, -config.a_brk_max_x), config.a_acc_max_x)
         steer_limit = max(ego.speed_long, STEER_SPEED_FLOOR) * config.kappa_max
         steer_cmd = min(max(steer_cmd, -steer_limit), steer_limit)
 
         # step_world's step: the ego, then each NPC along its track
+        prev_accel = ego.accel_long
         ego, time = _step_ego(ego, accel_cmd, steer_cmd, config), time + config.dt
         actors = tuple([track.at(step) for track in tracks]) + obstacles
         new_pose = project_to_route(ego.position, ego.heading, route)
@@ -726,26 +731,33 @@ def run_episode(
         else:
             outcome = Outcome.NONE
 
-        violations = frozenset(
-            (SPEEDING_RULE,) if ego.speed_long > config.speed_limit + 1e-9 else ())
-        jerk = (ego.accel_long - obs.ego.accel_long) / config.dt
-        ctx = StepContext(ego=ego, pose=new_pose, prev_pose=pose, others=actors,
-                          lane_width=route.lane_width, steering_rate=steer_cmd, jerk=jerk,
-                          violations=violations, outcome=outcome)
-        steps.append((time, (accel_cmd, steer_cmd), ctx))
+        # the one StepContext check a step can fail: the steering rate is clamped from a
+        # finite command and the lane width is the route's, but a difference of two finite
+        # accelerations (a hand-built spawn's, say) can overflow
+        jerk = (ego.accel_long - prev_accel) / config.dt
+        if not math.isfinite(jerk):
+            raise ContractError("steering_rate and jerk must be finite numbers")
+        violations = _SPEEDING if ego.speed_long > speed_limit else _NO_VIOLATION
+        steps.append((time, ego, new_pose, pose, (accel_cmd, steer_cmd), jerk, violations, outcome))
         pose = new_pose
         if outcome is not Outcome.NONE:
             break
 
-    # every step's actors at once, from the tracks' columns and each obstacle's own fields
-    others = (_track_rows(actors, len(steps), [t.columns(len(steps)) for t in tracks])
-              if actors else None)
-    risks = _risk_rewards([ctx.ego for _, _, ctx in steps], others, [len(actors)] * len(steps),
-                          config)
-    weights = _level_weights(config)
-    records = [_make_record(i, time, ctx.ego, ctx.pose, action,
-                            _combine(ctx, *risk, config, weights), ctx.outcome)
-               for i, ((time, action, ctx), risk) in enumerate(zip(steps, risks), 1)]
+    # every step's rows at once: the ego's from its states' x, y, heading and speed_long, the
+    # actors' from the tracks' columns and each obstacle's own fields
+    n = len(steps)
+    ego_rows = others = None
+    if actors:
+        path = np.array([(*s.position, s.heading, s.speed_long) for s in [t[1] for t in steps]])
+        ego_rows = _track_rows((scenario.ego_spawn,), n, [path])
+        others = _track_rows(actors, n, [track.columns(n) for track in tracks])
+    risks = _risk_rewards(ego_rows, others, [len(actors)] * n, config)
+    weights, lane_width = _level_weights(config), route.lane_width
+    records = [_make_record(i, time, ego, pose, action,
+                            _combine(ego, pose, prev, lane_width, action[1], jerk, violations,
+                                     outcome, *risk, config, weights), outcome)
+               for i, ((time, ego, pose, prev, action, jerk, violations, outcome), risk)
+               in enumerate(zip(steps, risks), 1)]
     final = records[-1]
     return EpisodeTrace(
         records=tuple(records),

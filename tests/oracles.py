@@ -7,7 +7,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from riskrl import ActorState, ContractError, Route, project_to_route, total_reward, wrap_angle
+from riskrl import (
+    ActorState, ContractError, Outcome, Route, StepContext, project_to_route, total_reward,
+    wrap_angle,
+)
 from riskrl import sim
 
 
@@ -130,23 +133,81 @@ def same_bits(a, b) -> bool:
 
 
 @contextmanager
-def recorded_contexts():
-    """Yield a list that fills with each `StepContext` that `run_episode` builds, as it runs."""
-    contexts, step_context = [], sim.StepContext
+def collision_checks():
+    """Yield a list that fills with the actors of each `sim.detect_collision` call, as made.
 
-    def record(**fields):
-        contexts.append(step_context(**fields))
-        return contexts[-1]
+    `run_episode` checks each step's actors once, the last step's too, which no policy sees.
+    """
+    checked, detect = [], sim.detect_collision
 
-    sim.StepContext = record
+    def spy(ego, actors, **kwargs):
+        checked.append(tuple(actors))
+        return detect(ego, actors, **kwargs)
+
+    sim.detect_collision = spy
     try:
-        yield contexts
+        yield checked
     finally:
-        sim.StepContext = step_context
+        sim.detect_collision = detect
 
 
-def breakdowns_match_total_reward(trace, contexts, config) -> bool:
-    """Whether each record's breakdown has the bits of `total_reward` of its step's context."""
-    return len(trace.records) == len(contexts) and all(
+def replayed_contexts(trace, scenario, config, density=None, seed=None):
+    """Each step's `StepContext`, rebuilt one step at a time by the public scalar path.
+
+    The world starts from `realize_traffic` and takes `step_world` on each record's action;
+    the ego is projected by `project_to_route`, and the outcome is decided by
+    `detect_collision` and `check_offroad` in `run_episode`'s order. Returns None unless
+    every replayed step, time, ego, pose and outcome has the bits of its record's, the
+    replay ends where the trace does, and the trace's outcome is its last record's.
+    """
+    route = scenario.route
+    max_steps = scenario.max_steps if scenario.max_steps is not None else config.timeout_steps
+    npcs, obstacles = sim.realize_traffic(scenario, density, seed)
+    world = sim.World(route=route, time=0.0, ego=scenario.ego_spawn,
+                      npcs=tuple(state for state, _ in npcs),
+                      scripts=tuple(script for _, script in npcs), obstacles=obstacles)
+    pose = project_to_route(world.ego.position, world.ego.heading, route)
+    contexts, outcome = [], None
+    for step, record in enumerate(trace.records, 1):
+        if outcome not in (None, Outcome.NONE):
+            return None  # the trace goes on past its end
+        prev_ego, prev_pose = world.ego, pose
+        world = sim.step_world(world, record.action, config)
+        ego = world.ego
+        pose = project_to_route(ego.position, ego.heading, route)
+        if sim.detect_collision(ego, world.actors):
+            outcome = Outcome.COLLISION
+        elif sim.check_offroad(pose, ego, route):
+            outcome = Outcome.OFFROAD
+        elif pose.station >= route.goal_station:
+            outcome = Outcome.SUCCESS
+        elif step == max_steps:
+            outcome = Outcome.TIMEOUT
+        else:
+            outcome = Outcome.NONE
+        if not same_bits((step, world.time, ego, pose, outcome),
+                         (record.step, record.time, record.ego, record.pose, record.outcome)):
+            return None
+        speeding = ego.speed_long > config.speed_limit + 1e-9
+        contexts.append(StepContext(
+            ego=ego, pose=pose, prev_pose=prev_pose, others=world.actors,
+            lane_width=route.lane_width, steering_rate=record.action[1],
+            jerk=(ego.accel_long - prev_ego.accel_long) / config.dt,
+            violations={sim.SPEEDING_RULE} if speeding else (), outcome=outcome))
+    if outcome in (None, Outcome.NONE) or trace.outcome is not outcome:
+        return None
+    return contexts
+
+
+def matches_replay(trace, scenario, config, density=None, seed=None, checked=None) -> bool:
+    """Whether `trace` is its scalar replay's (`replayed_contexts`), step for step, bit for bit.
+
+    Each record's breakdown must have the bits of `total_reward` of its replayed context,
+    and when `checked` is given, as `collision_checks` fills it while the trace runs, each
+    step's actors in the run must have the bits of that context's.
+    """
+    contexts = replayed_contexts(trace, scenario, config, density, seed)
+    return contexts is not None and all(
         same_bits(record.breakdown, total_reward(ctx, config))
-        for record, ctx in zip(trace.records, contexts))
+        for record, ctx in zip(trace.records, contexts)) and (
+        checked is None or same_bits(checked, [ctx.others for ctx in contexts]))

@@ -36,7 +36,7 @@ import riskrl
 from riskrl.core import _make_pose, validate_config_data
 from riskrl.reward import _make_breakdown
 from riskrl.risk import _make_assessment
-from riskrl.sim import _make_record, _make_state
+from riskrl.sim import Observation, _make_observation, _make_record, _make_state
 
 DEFAULT_CONFIG = json.loads(
     (Path(__file__).resolve().parent.parent / "configs" / "default.json").read_text()
@@ -410,7 +410,7 @@ class TestActorState:
         assert state.circumradius == pytest.approx(math.hypot(2.25, 0.9))
 
 
-# One value per field of each slotted record type, in declared order, with -0.0 and an inf TTC
+# One value per field of each slotted per-step type, in declared order, with -0.0 and an inf TTC
 _STATE = (1.5, -0.0), -0.0, 3.0, 0.0, -0.0, 4.5, 1.8, ActorKind.NPC_VEHICLE
 _POSE = 12.0, -0.0, 0.25
 _ASSESSMENT = InteractionMode.INTERSECTING, 0.0, -0.0, 0.125, math.inf
@@ -419,9 +419,12 @@ _BREAKDOWN = (-0.0, 0.0, 0.5, -0.125, -0.1, -0.0, 0.3,
                                                             1.0, 0.5, 0.75, math.inf)))
 _RECORD = (3, 0.30000000000000004, ActorState(*_STATE), RouteFramePose(*_POSE), (1.0, -0.0),
            RewardBreakdown(*_BREAKDOWN), Outcome.NONE)
+_OBSERVATION = (ActorState(*_STATE), RouteFramePose(*_POSE),
+                (ActorState(*_STATE), ActorState((9.0, 2.0), 0.5)), 0)
 BUILDERS = [(ActorState, _make_state, _STATE), (RouteFramePose, _make_pose, _POSE),
             (RiskAssessment, _make_assessment, _ASSESSMENT),
-            (RewardBreakdown, _make_breakdown, _BREAKDOWN), (StepRecord, _make_record, _RECORD)]
+            (RewardBreakdown, _make_breakdown, _BREAKDOWN), (StepRecord, _make_record, _RECORD),
+            (Observation, _make_observation, _OBSERVATION)]
 
 
 @pytest.mark.parametrize("cls, build, values", BUILDERS, ids=[c.__name__ for c, _, _ in BUILDERS])

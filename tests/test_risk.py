@@ -917,9 +917,11 @@ def kernel_rows(actors):
 
 
 def risk_rewards(egos, others):
-    """`_risk_rewards` of each ego against its step's sequence of actors in `others`."""
+    """`_risk_rewards` of each ego, passed as its `_row`, against its step's sequence of
+    actors in `others`."""
     rows = kernel_rows([actor for actors in others for actor in actors]).reshape(-1, 9)
-    return risk_module._risk_rewards(egos, rows, [len(actors) for actors in others], CFG)
+    return risk_module._risk_rewards(kernel_rows(egos), rows, [len(actors) for actors in others],
+                                     CFG)
 
 
 class TestPairRiskArrays:
@@ -993,6 +995,6 @@ class TestPairRiskArrays:
         assert risk_module._track_rows([], 5, []).shape == (0, 9)
 
     def test_no_pairs_call_no_numpy(self, monkeypatch):
+        egos = kernel_rows([car(kind=ActorKind.EGO_VEHICLE)] * 2)
         monkeypatch.setattr(risk_module, "np", None)
-        ego = car(kind=ActorKind.EGO_VEHICLE)
-        assert risk_module._risk_rewards([ego, ego], None, [0, 0], CFG) == [(0.0, ())] * 2
+        assert risk_module._risk_rewards(egos, None, [0, 0], CFG) == [(0.0, ())] * 2

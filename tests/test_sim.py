@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import breakdowns_match_total_reward, recorded_contexts, same_bits, step_npc
+from oracles import collision_checks, matches_replay, replayed_contexts, same_bits, step_npc
 from riskrl import (
     ActorKind,
     ActorState,
@@ -28,6 +28,7 @@ from riskrl import (
     RouteFramePose,
     Scenario,
     ScenarioError,
+    StepContext,
     WaypointFollower,
     World,
     aggregate_metrics,
@@ -579,9 +580,9 @@ class TestRunEpisode:
         # the risk of every step is scored after the loop, by the array kernel
         scenario = load_scenario(scenarios_dir / f"{name}.json")
         for density, seed in [(None, None), (1.0, 3)]:
-            with recorded_contexts() as contexts:
+            with collision_checks() as checked:
                 trace = run_episode(scenario, build_policy(policy, CFG), CFG, density, seed)
-            assert breakdowns_match_total_reward(trace, contexts, CFG)
+            assert matches_replay(trace, scenario, CFG, density, seed, checked)
 
     @pytest.mark.parametrize("name", ["blocked_road", "empty_road", "intersection"])
     def test_contexts_carry_the_actors_the_policy_sees_next(self, scenarios_dir, name):
@@ -591,17 +592,22 @@ class TestRunEpisode:
             seen.append(obs.others)
             return drive(obs)
 
-        with recorded_contexts() as contexts:
-            run_episode(load_scenario(scenarios_dir / f"{name}.json"), spy, CFG, 1.0, 3)
-        assert len(contexts) == len(seen) and any(seen) is (name != "empty_road")
-        assert [ctx.others for ctx in contexts[:-1]] == seen[1:]
+        scenario = load_scenario(scenarios_dir / f"{name}.json")
+        with collision_checks() as checked:
+            trace = run_episode(scenario, spy, CFG, 1.0, 3)
+        contexts = replayed_contexts(trace, scenario, CFG, 1.0, 3)
+        assert len(contexts) == len(seen) == len(checked) and any(seen) is (name != "empty_road")
+        assert same_bits([ctx.others for ctx in contexts[:-1]], seen[1:])
+        assert all(actors is next_seen for actors, next_seen in zip(checked, seen[1:]))
+        assert same_bits(contexts[-1].others, checked[-1])  # the last step's, which no policy sees
 
     def test_waypoint_breakdowns_have_the_bits_of_total_reward(self, waypoint_documents):
         for path in waypoint_documents:
-            with recorded_contexts() as contexts:
-                trace = run_episode(load_scenario(path), build_policy("lane_follower", CFG), CFG)
+            scenario = load_scenario(path)
+            with collision_checks() as checked:
+                trace = run_episode(scenario, build_policy("lane_follower", CFG), CFG)
             assert any(r.breakdown.risk_assessments for r in trace.records)
-            assert breakdowns_match_total_reward(trace, contexts, CFG)
+            assert matches_replay(trace, scenario, CFG, checked=checked)
 
     def test_trace_is_bit_deterministic(self, scenarios_dir):
         scenario = load_scenario(scenarios_dir / "intersection.json")
@@ -784,6 +790,31 @@ class TestTracks:
         trace = run_episode(scenario, build_policy("lane_follower", CFG), CFG)
         assert trace.outcome is Outcome.SUCCESS
 
+    def test_an_episode_builds_no_step_context(self, scenarios_dir, monkeypatch):
+        # the loop keeps each step's values and scores them after it; StepContext is the
+        # scalar path's record, which total_reward takes
+        scenario = load_scenario(scenarios_dir / "intersection.json")
+        policy = build_policy("lane_follower", CFG)
+        normal = run_episode(scenario, policy, CFG, 1.0, 3)
+
+        def refuse(ctx):
+            raise AssertionError("run_episode built a StepContext")
+
+        monkeypatch.setattr(StepContext, "__post_init__", refuse)
+        trace = run_episode(scenario, policy, CFG, 1.0, 3)
+        assert len(trace.records) > 10 and any(r.breakdown.risk_assessments for r in trace.records)
+        assert same_bits((trace.records, trace.outcome), (normal.records, normal.outcome))
+
+    def test_a_non_finite_jerk_raises_at_the_step_that_made_it(self):
+        # a Scenario built in code can spawn the ego at any finite acceleration; from
+        # 1e308 m/s^2 to the first step's 0, the jerk is -1e309, which overflows
+        ego = ActorState((5.0, 0.0), 0.0, accel_long=1e308, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego)
+        calls = []
+        with pytest.raises(ContractError, match="^steering_rate and jerk must be finite numbers$"):
+            run_episode(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), CFG)
+        assert len(calls) == 1
+
     def test_an_overflow_raises_at_the_step_whose_state_holds_it(self):
         # x is finite for three steps of 1e307 * dt and overflows on the fourth; the chunk
         # that holds it is built at the first step, and must not raise there
@@ -842,22 +873,22 @@ class TestTracks:
                    "script": {"kind": "waypoint_follower", "speed": wp_speed,
                               "waypoints": [[x + 2.0, y + 30.0] for x, y in SELF_CROSSING]}}]))
         config = RewardConfig(dt=dt)
-        with recorded_contexts() as contexts:
+        with collision_checks() as checked:  # each step's actors, as the loop made them
             trace = run_episode(scenario, build_policy(policy, config), config)
         npcs, _ = realize_traffic(scenario)
         world = make_world(ego=scenario.ego_spawn, npcs=[state for state, _ in npcs],
                            scripts=[script for _, script in npcs], route=scenario.route)
         states, stations = world.npcs, (None,) * len(npcs)
-        for record, ctx in zip(trace.records, contexts):
+        for record, actors in zip(trace.records, checked):
             world = step_world(world, record.action, config)
             states, stations = zip(*(step_npc(state, script, scenario.route, dt, station)
                                      for state, station, script
                                      in zip(states, stations, world.scripts)))
             assert same_bits((world.time, world.ego, world.npcs), (record.time, record.ego,
-                                                                    ctx.others))
+                                                                    actors))
             assert same_bits((states, stations), (world.npcs, world.stations))
         if brake_speed > 0.0 and trigger_ahead <= 0.0:  # it brakes from the first step
-            assert ctx.others[1].speed_long < brake_speed
+            assert actors[1].speed_long < brake_speed
 
 
 def _trace_stub(outcome, reward=0.0, progress=1.0, velocity=3.0):
@@ -963,9 +994,9 @@ def test_mutated_documents_fail_with_paths_or_run_within_bounds(name, data):
     scenario = scenario_from_dict(docs["scenario"])
     step_bound = 2.0 + config.beta + config.beta ** 2 + 1e-12  # criterion 6
     for policy in ("lane_follower", "full_throttle"):
-        with recorded_contexts() as contexts:
+        with collision_checks() as checked:
             trace = run_episode(scenario, build_policy(policy, config), config)
-        assert breakdowns_match_total_reward(trace, contexts, config)
+        assert matches_replay(trace, scenario, config, checked=checked)
         totals = [record.breakdown.total for record in trace.records]
         assert trace.outcome is not Outcome.NONE
         assert all(math.isfinite(total) for total in totals)
