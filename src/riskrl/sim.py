@@ -386,7 +386,7 @@ def _moved(state: ActorState, position: tuple[float, float], heading: float,
                        state.length, state.width, state.kind)
 
 
-# A track's first chunk holds this many steps, and each later chunk as many as all before it.
+# A waypoint track's first chunk holds this many steps, and each later one as many as all before.
 _FIRST_CHUNK = 32
 
 
@@ -394,13 +394,14 @@ class _Track:
     """An open-loop NPC's state at each step of one episode, built as the loop reaches it.
 
     Row k of `rows` is the NPC's x, y, heading, speed_long and accel_long at step k,
-    from its spawn at step 0. Constant-velocity and waypoint tracks are built ahead in
-    chunks that double, by array passes with the arithmetic of a step at a time, and
-    `table` holds their rows as an array; a braking track is built one step at a time,
-    as its trigger reads the pose just reached. Building never raises: an overflow fails
-    at the step whose state holds it, as that state is made. No chunk runs past `limit`,
-    the last step the track can be asked for. A track belongs to one episode and is
-    never kept on a scenario or a script.
+    from its spawn at step 0; the rows are the track's one store of its numbers.
+    Constant-velocity and braking tracks grow one plain-float step at a time (a
+    constant-velocity NPC takes a braking NPC's step without the trigger, and keeps its
+    spawn acceleration); waypoint tracks grow in chunks that double, by array passes with
+    the arithmetic of a step at a time, and no chunk runs past `limit`, the last step the
+    track can be asked for. Building never raises: an overflow fails at the step whose
+    state holds it, as that state is made. A track belongs to one episode and is never
+    kept on a scenario or a script.
     """
 
     def __init__(self, state: ActorState, script: ActorScript, route: Route, dt: float,
@@ -412,7 +413,6 @@ class _Track:
         # the arc length a waypoint follower has reached on its polyline, once it is known
         self.station = station
         self.rows = [[*state.position, state.heading, state.speed_long, state.accel_long]]
-        self.table = np.array(self.rows)
 
     def at(self, step: int) -> ActorState:
         """The NPC's state at `step`, which is at most one past the last step reached."""
@@ -423,48 +423,40 @@ class _Track:
 
     def columns(self, steps: int) -> np.ndarray:
         """Rows 1 to `steps`, which the loop has reached, as an array."""
-        if len(self.table) <= steps:  # a braking track, whose rows are plain floats only
-            self.table = np.array(self.rows)
-        return self.table[1:steps + 1]
+        return np.array(self.rows[1:steps + 1])
 
     def _extend(self) -> None:
-        built, script, dt = len(self.rows) - 1, self.script, self.dt
+        script, dt = self.script, self.dt
         x, y, heading, speed, accel = self.rows[-1]
-        if isinstance(script, Braking):
-            new_speed = speed  # only a moving NPC can brake, so only it is projected
-            if speed > 0.0 and project_to_route(
-                    (x, y), heading, self.route).station >= script.trigger_station:
-                new_speed = max(speed - script.decel * dt, 0.0)
+        if not isinstance(script, WaypointFollower):
+            new_speed = speed
+            if isinstance(script, Braking):
+                # only a moving NPC can brake, so only it is projected
+                if speed > 0.0 and project_to_route(
+                        (x, y), heading, self.route).station >= script.trigger_station:
+                    new_speed = max(speed - script.decel * dt, 0.0)
+                accel = (new_speed - speed) / dt
             step = speed * dt  # _advance_along_heading, at the speed the step starts with
             self.rows.append([x + step * math.cos(heading), y + step * math.sin(heading), heading,
-                              new_speed, (new_speed - speed) / dt])
+                              new_speed, accel])
             return
+        # advance by arc length from where it first meets its polyline; the carried arc
+        # length keeps a self-crossing polyline from sending it back
+        built, line = len(self.rows) - 1, script._line
+        if self.station is None:
+            self.station = project_to_route(self.state.position, self.state.heading, line).station
         n = min(max(built, _FIRST_CHUNK), self.limit - built)
+        stations = np.full(n, script.speed * dt)
+        stations[0] += self.station
+        with np.errstate(over="ignore"):  # an overflow to inf is clamped to the line's end
+            stations = np.add.accumulate(stations)
+        # min(station, length) at each step: once at the end, it stays there
+        stations = np.where(line.length < stations, line.length, stations)
         chunk = np.empty((n, 5))
-        # an overflow to inf builds, and the state of its step raises
-        with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(script, ConstantVelocity):
-                step = speed * dt
-                chunk[:] = step * math.cos(heading), step * math.sin(heading), heading, speed, accel
-                chunk[0, :2] += x, y
-                # x and y add their increments in turn, as one step at a time does
-                np.add.accumulate(chunk[:, :2], axis=0, out=chunk[:, :2])
-            else:  # advance by arc length from where it first meets its polyline; the carried
-                # arc length keeps a self-crossing polyline from sending it back
-                line = script._line
-                if self.station is None:
-                    self.station = project_to_route(self.state.position, self.state.heading,
-                                                    line).station
-                stations = np.full(n, script.speed * dt)
-                stations[0] += self.station
-                stations = np.add.accumulate(stations)
-                # min(station, length) at each step: once at the end, it stays there
-                stations = np.where(line.length < stations, line.length, stations)
-                chunk[:, 0], chunk[:, 1], chunk[:, 2] = line._poses_at(stations)
-                chunk[:, 3] = np.where(stations < line.length, script.speed, 0.0)
-                chunk[:, 4] = accel
-                self.station = stations[-1].item()
-        self.table = np.concatenate([self.table, chunk])
+        chunk[:, 0], chunk[:, 1], chunk[:, 2] = line._poses_at(stations)
+        chunk[:, 3] = np.where(stations < line.length, script.speed, 0.0)
+        chunk[:, 4] = accel
+        self.station = stations[-1].item()
         self.rows += chunk.tolist()
 
 

@@ -762,7 +762,9 @@ SPEEDS = st.just(0.0) | st.floats(0.0, 8.0)
 
 
 class TestTracks:
-    """Open-loop NPCs step along tracks built ahead in chunks, as one step at a time would."""
+    """Open-loop NPCs step along tracks built as the loop reaches them, as one step at a
+    time would: constant-velocity and braking tracks a step at a time, waypoint tracks
+    ahead in chunks."""
 
     def test_tracks_are_built_only_as_far_as_the_loop_reaches(self):
         # one NPC of each script, built in code well clear of the ego's lane
@@ -816,8 +818,8 @@ class TestTracks:
         assert len(calls) == 1
 
     def test_an_overflow_raises_at_the_step_whose_state_holds_it(self):
-        # x is finite for three steps of 1e307 * dt and overflows on the fourth; the chunk
-        # that holds it is built at the first step, and must not raise there
+        # x is finite for three steps of 1e307 * dt and overflows on the fourth; the row
+        # that holds it is built at that step, and its state raises there
         x = 1.79e308 - 3e307 * CFG.dt * 0.999
         npc = ActorState((x, 50.0), 0.0, speed_long=1e307)
         ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
@@ -828,6 +830,41 @@ class TestTracks:
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             run_episode(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), CFG)
         assert len(calls) == 4
+
+    def test_a_waypoint_chunk_whose_arc_length_overflows_warns_nothing(self):
+        # at 1e308 m/s each step adds 1e307 m of arc length, so the first chunk's running sum
+        # overflows to inf at its 18th step; the line's end clamps it, and no RuntimeWarning
+        # (an error under the suite's filterwarnings) escapes
+        npc = ActorState((0.0, 30.0), 0.0, speed_long=2.0)
+        script = WaypointFollower(tuple((x, y + 30.0) for x, y in SELF_CROSSING), speed=1e308)
+        ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(80.0, goal=10.0), ego_spawn=ego,
+                            npcs=((npc, script),), max_steps=40)
+        trace = run_episode(scenario, full_throttle_policy(6.0), CFG)
+        assert trace.outcome is Outcome.SUCCESS and len(trace.records) == 14
+
+    def test_step_world_steps_constant_velocity_and_braking_npcs_without_numpy(
+            self, scenarios_dir, monkeypatch):
+        # the seed-3, density-1.0 intersection world: five constant-velocity NPCs and one
+        # braking NPC, which reaches its trigger station at step 31 and brakes from step 32
+        scenario = load_scenario(scenarios_dir / "intersection.json")
+        npcs, obstacles = realize_traffic(scenario, 1.0, 3)
+        world = World(route=scenario.route, time=0.0, ego=scenario.ego_spawn,
+                      npcs=tuple(state for state, _ in npcs),
+                      scripts=tuple(script for _, script in npcs), obstacles=obstacles)
+        assert {type(script) for script in world.scripts} == {ConstantVelocity, Braking}
+
+        def stepped():
+            state = world
+            for _ in range(40):
+                state = step_world(state, (1.0, 0.0), CFG)
+            return state.time, state.ego, state.npcs, state.stations
+
+        expected = stepped()
+        monkeypatch.setattr(sim_module, "np", None)
+        assert same_bits(stepped(), expected)
+        braking = next(i for i, s in enumerate(world.scripts) if isinstance(s, Braking))
+        assert expected[2][braking].speed_long < world.npcs[braking].speed_long
 
     def test_waypoint_episodes_in_two_threads_match_a_serial_run(self, waypoint_documents):
         # both threads run every document, in step, on the same Scenario and script objects
