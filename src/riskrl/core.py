@@ -80,13 +80,16 @@ def _pair(value: object, what: str) -> tuple[float, float]:
     raise ContractError(f"{what} must be two finite numbers (got {reprlib.repr(value)})")
 
 
-def _maker(cls: type) -> Callable[..., object]:
+def _maker(cls: type, lazy: str | None = None) -> Callable[..., object]:
     """A positional constructor for the slotted dataclass `cls`, one argument per field.
 
     It makes the object with `object.__new__` and stores each argument through its
     slot's member descriptor, one call per field written out in declared order, as
     `dataclasses` writes out `__init__`: no `__init__`, `__post_init__` or frozen
     `__setattr__` runs. Only for values that already hold the type's invariants.
+    The field named `lazy` may then hold a callable that stands for its value: the
+    field's first read stores and returns that callable's value for the object, so
+    racing first reads build equal values, and pickling, `replace` and `repr` read it.
     """
     names = cls.__slots__
     setters = [f"_set_{name}" for name in names]
@@ -100,6 +103,15 @@ def _maker(cls: type) -> Callable[..., object]:
     exec(compile(source, f"<{cls.__name__} builder>", "exec"), namespace)
     build = namespace["make"](object.__new__, cls, *(getattr(cls, name).__set__ for name in names))
     build.__qualname__ = f"_maker.<{cls.__name__}>"
+    if lazy is not None:
+        slot = getattr(cls, lazy)
+
+        def read(obj):
+            if callable(value := slot.__get__(obj, cls)):
+                slot.__set__(obj, value := value(obj))
+            return value
+
+        setattr(cls, lazy, property(read, slot.__set__))
     return build
 
 

@@ -69,7 +69,7 @@ class RewardBreakdown:
     risk_assessments: tuple[RiskAssessment, ...] = ()
 
 
-_make_breakdown = _maker(RewardBreakdown)
+_make_breakdown = _maker(RewardBreakdown, "risk_assessments")  # built when read
 
 
 def level_weight(i: int, beta: float) -> float:
@@ -172,7 +172,7 @@ def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, l
              l1_risk: float, assessments: tuple[RiskAssessment, ...], config: RewardConfig,
              weights: tuple[float, float, float]) -> RewardBreakdown:
     """`total_reward` of one step's values, in `StepContext`'s field order without `others`,
-    with its risk term and `_level_weights(config)` given."""
+    with its risk term (assessments built or to build) and `_level_weights(config)` given."""
     speed = ego.speed
     l0 = traffic_rule_reward(violations)
     l1_progress = progress_reward(pose.station, prev_pose.station, config)

@@ -11,6 +11,7 @@ import reprlib
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -499,12 +500,19 @@ def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
                     np.where(other_toward, away, g))
 
 
+def _assessments(columns: tuple, start: int, stop: int, _=None) -> tuple[RiskAssessment, ...]:
+    """The `RiskAssessment`s of pairs `start` to `stop` of `_risk_rewards`'s columns; a
+    breakdown reading them passes itself as `_`."""
+    codes, *values = (column[start:stop].tolist() for column in columns)
+    return tuple(map(_make_assessment, [_MODES[c] for c in codes], *values))
+
+
 def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Sequence[int],
-                  config: RewardConfig) -> list[tuple[float, tuple[RiskAssessment, ...]]]:
+                  config: RewardConfig) -> list[tuple[float, tuple | partial]]:
     """`risk_reward(ego_i, others_i, config)` for every i < len(counts), from one kernel call,
     where ego_i is the actor whose `_rows` row is `egos[i]` and others_i are the `counts[i]`
-    actors whose rows come next in `others`. When no step has others, numpy is not called
-    and neither `egos` nor `others` is read."""
+    actors whose rows come next in `others`, each step's assessments left to `_assessments`.
+    When no step has others, numpy is not called and neither `egos` nor `others` is read."""
     if not any(counts):
         return [(0.0, ())] * len(counts)
     ego = _columns(egos, counts)  # each ego once per pair
@@ -519,11 +527,10 @@ def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Se
             if (at := np.flatnonzero(codes == code)).size:  # by position: quicker on small arrays
                 out[:, at] = _mode_risk(mode, *(t._make(f[at] for f in t) for t in (ego, other)),
                                         config)
-    combined = (config.w_geom * geom + config.w_dyn * dyn).tolist()
-    assessments = list(map(_make_assessment, [_MODES[c] for c in codes.tolist()], geom.tolist(),
-                           dyn.tolist(), combined, ttc.tolist()))
+    combined = config.w_geom * geom + config.w_dyn * dyn
+    columns, worst = (codes, geom, dyn, combined, ttc), combined.tolist()
     bounds = [0, *np.cumsum(counts).tolist()]
-    return [(-max(combined[i:j]) + 0.0 if j > i else 0.0, tuple(assessments[i:j]))
+    return [(-max(worst[i:j]) + 0.0, partial(_assessments, columns, i, j)) if j > i else (0.0, ())
             for i, j in zip(bounds, bounds[1:])]
 
 

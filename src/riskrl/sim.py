@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -400,8 +401,8 @@ class _Track:
     spawn acceleration); waypoint tracks grow in chunks that double, by array passes with
     the arithmetic of a step at a time, and no chunk runs past `limit`, the last step the
     track can be asked for. Building never raises: an overflow fails at the step whose
-    state holds it, as that state is made. A track belongs to one episode and is never
-    kept on a scenario or a script.
+    state holds it, as that state is made (`run_episode` makes it when the row fails its
+    cheap test). A track belongs to one episode and is never kept on a scenario or a script.
     """
 
     def __init__(self, state: ActorState, script: ActorScript, route: Route, dt: float,
@@ -423,7 +424,8 @@ class _Track:
 
     def columns(self, steps: int) -> np.ndarray:
         """Rows 1 to `steps`, which the loop has reached, as an array."""
-        return np.array(self.rows[1:steps + 1])
+        rows = chain.from_iterable(self.rows[1:steps + 1])
+        return np.fromiter(rows, float, 5 * steps).reshape(steps, 5)
 
     def _extend(self) -> None:
         script, dt = self.script, self.dt
@@ -564,7 +566,7 @@ class Observation:
     step: int  # steps already taken this episode; 0 at the first decision
 
 
-_make_observation = _maker(Observation)
+_make_observation = _maker(Observation, "others")  # built when a policy reads them
 Policy = Callable[[Observation], tuple[float, float]]
 
 
@@ -677,11 +679,12 @@ def run_episode(
     off-road, goal reached; hitting the step budget ends the episode as a
     timeout whose final step contributes zero reward. Ego acceleration
     commands are clamped to the braking/acceleration limits and the steering
-    rate to the curvature-feasible envelope. Policies never see the reward, so
-    the loop keeps only the step values that scoring reads, and every step is
-    scored after it: the risk in one array-kernel call, the levels by
-    `total_reward`'s combination. Each breakdown has the bits `total_reward`
-    gives that step's `StepContext`.
+    rate to the curvature-feasible envelope. An NPC's state is built only when
+    the broad phase on its track row keeps it, or to raise at a bad row.
+    Policies never see the reward, so the loop keeps only what scoring reads,
+    and every step is scored after it: the risk in one array-kernel call, the
+    levels by `total_reward`'s combination, with its bits for each step's
+    `StepContext`. `obs.others` and `risk_assessments` are built when read.
     """
     route = scenario.route
     if not route.goal_station > 0.0:  # route_progress divides by it
@@ -698,9 +701,13 @@ def run_episode(
     actors = tuple(state for state, _ in npcs) + obstacles
     reaches = [_reach(ego, actor) for actor in actors]  # _moved keeps every footprint
     speed_limit = config.speed_limit + 1e-9
+    movers = [(t, r, t.state.kind is ActorKind.STATIC_OBSTACLE) for t, r in zip(tracks, reaches)]
+
+    def traffic(obs: Observation) -> tuple[ActorState, ...]:  # `obs.others`, on its first read
+        return tuple([track.at(obs.step) for track in tracks]) + obstacles  # rows the loop read
 
     for step in range(1, max_steps + 1):
-        accel_cmd, steer_cmd = _pair(policy(_make_observation(ego, pose, actors, step - 1)),
+        accel_cmd, steer_cmd = _pair(policy(_make_observation(ego, pose, traffic, step - 1)),
                                      "policy action")
         accel_cmd = min(max(accel_cmd, -config.a_brk_max_x), config.a_acc_max_x)
         steer_limit = max(ego.speed_long, STEER_SPEED_FLOOR) * config.kappa_max
@@ -709,10 +716,24 @@ def run_episode(
         # step_world's step: the ego, then each NPC along its track
         prev_accel = ego.accel_long
         ego, time = _step_ego(ego, accel_cmd, steer_cmd, config), time + config.dt
-        actors = tuple([track.at(step) for track in tracks]) + obstacles
         new_pose = project_to_route(ego.position, ego.heading, route)
+        # `_footprints_overlap`'s broad phase on the rows; a row the state checks reject (an
+        # overflow, a static NPC set moving) goes to `at` too, which raises
+        (ex, ey), kept, kept_reaches = ego.position, [], []
+        for track, reach, is_static in movers:
+            if step == len(track.rows):
+                track._extend()
+            x, y, heading, speed, accel = track.rows[step]
+            if (math.hypot(x - ex, y - ey) <= reach or is_static and speed
+                    or not math.isfinite(x + y + heading + speed + accel)):
+                kept.append(track.at(step))
+                kept_reaches.append(reach)
+        for actor, reach in zip(obstacles, reaches[len(tracks):]):
+            if math.hypot(actor.position[0] - ex, actor.position[1] - ey) <= reach:
+                kept.append(actor)
+                kept_reaches.append(reach)
 
-        if detect_collision(ego, actors, reaches=reaches):
+        if detect_collision(ego, kept, reaches=kept_reaches):
             outcome = Outcome.COLLISION
         elif check_offroad(new_pose, ego, route):
             outcome = Outcome.OFFROAD

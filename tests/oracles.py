@@ -132,11 +132,20 @@ def same_bits(a, b) -> bool:
     return a == b
 
 
+def within_reach(ego, actors):
+    """The actors whose centres lie at most `sim._reach` from the ego's: the broad phase's."""
+    (ex, ey) = ego.position
+    return tuple(actor for actor in actors
+                 if math.hypot(actor.position[0] - ex, actor.position[1] - ey)
+                 <= sim._reach(ego, actor))
+
+
 @contextmanager
 def collision_checks():
     """Yield a list that fills with the actors of each `sim.detect_collision` call, as made.
 
-    `run_episode` checks each step's actors once, the last step's too, which no policy sees.
+    `run_episode` checks each step's actors within reach of the ego (`within_reach`) once,
+    the last step's too, which no policy sees.
     """
     checked, detect = [], sim.detect_collision
 
@@ -204,10 +213,12 @@ def matches_replay(trace, scenario, config, density=None, seed=None, checked=Non
 
     Each record's breakdown must have the bits of `total_reward` of its replayed context,
     and when `checked` is given, as `collision_checks` fills it while the trace runs, each
-    step's actors in the run must have the bits of that context's.
+    step's actors in the run must have the bits of exactly that context's actors within
+    reach of its ego.
     """
     contexts = replayed_contexts(trace, scenario, config, density, seed)
     return contexts is not None and all(
         same_bits(record.breakdown, total_reward(ctx, config))
         for record, ctx in zip(trace.records, contexts)) and (
-        checked is None or same_bits(checked, [ctx.others for ctx in contexts]))
+        checked is None or same_bits(checked, [within_reach(ctx.ego, ctx.others)
+                                               for ctx in contexts]))

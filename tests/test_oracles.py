@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_force_ttc, collision_checks, matches_replay, same_bits
+from oracles import (
+    brute_force_ttc, collision_checks, matches_replay, replayed_contexts, same_bits,
+)
 from riskrl import (
     ActorState, ContractError, InteractionMode, Outcome, RewardBreakdown, RewardConfig,
     RiskAssessment, load_scenario, run_episode,
@@ -115,5 +117,11 @@ class TestMatchesReplay:
         assert not matches_replay(with_record(trace, 0, outcome=wrong), scenario, CFG, 1.0, 3)
 
     def test_other_actors_than_the_run_checked_fail(self, episode):
+        # at the first step with actors in reach: none of them, one fewer, or every actor
         scenario, trace, checked = episode
-        assert not matches_replay(trace, scenario, CFG, 1.0, 3, checked[:-1] + checked[-2:-1])
+        k = next(k for k, actors in enumerate(checked) if actors)
+        every = replayed_contexts(trace, scenario, CFG, 1.0, 3)[k].others
+        assert len(every) > len(checked[k])
+        for wrong in ((), checked[k][1:], every):
+            assert not matches_replay(trace, scenario, CFG, 1.0, 3,
+                                      checked[:k] + [wrong] + checked[k + 1:])

@@ -918,10 +918,11 @@ def kernel_rows(actors):
 
 def risk_rewards(egos, others):
     """`_risk_rewards` of each ego, passed as its `_row`, against its step's sequence of
-    actors in `others`."""
+    actors in `others`, with each step's pending assessments built."""
     rows = kernel_rows([actor for actors in others for actor in actors]).reshape(-1, 9)
-    return risk_module._risk_rewards(kernel_rows(egos), rows, [len(actors) for actors in others],
-                                     CFG)
+    return [(reward, assessments() if actors else assessments)
+            for (reward, assessments), actors in zip(risk_module._risk_rewards(
+                kernel_rows(egos), rows, [len(actors) for actors in others], CFG), others)]
 
 
 class TestPairRiskArrays:

@@ -7,6 +7,7 @@ import math
 import pickle
 import re
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import collision_checks, matches_replay, replayed_contexts, same_bits, step_npc
+from oracles import (
+    collision_checks, matches_replay, replayed_contexts, same_bits, step_npc, within_reach,
+)
 from riskrl import (
     ActorKind,
     ActorState,
@@ -40,6 +43,7 @@ from riskrl import (
     leading_clearance,
     load_scenario,
     realize_traffic,
+    risk_reward,
     run_episode,
     scripted_replay_policy,
     step_world,
@@ -596,10 +600,13 @@ class TestRunEpisode:
         with collision_checks() as checked:
             trace = run_episode(scenario, spy, CFG, 1.0, 3)
         contexts = replayed_contexts(trace, scenario, CFG, 1.0, 3)
+        npcs, obstacles = realize_traffic(scenario, 1.0, 3)
         assert len(contexts) == len(seen) == len(checked) and any(seen) is (name != "empty_road")
-        assert same_bits([ctx.others for ctx in contexts[:-1]], seen[1:])
-        assert all(actors is next_seen for actors, next_seen in zip(checked, seen[1:]))
-        assert same_bits(contexts[-1].others, checked[-1])  # the last step's, which no policy sees
+        # the spawn states first, then each step's replayed actors, the last step's aside
+        spawned = tuple(state for state, _ in npcs) + obstacles
+        assert same_bits(seen, [spawned] + [ctx.others for ctx in contexts[:-1]])
+        # every step's checked actors, the last one's too, are its replayed ones within reach
+        assert matches_replay(trace, scenario, CFG, 1.0, 3, checked)
 
     def test_waypoint_breakdowns_have_the_bits_of_total_reward(self, waypoint_documents):
         for path in waypoint_documents:
@@ -726,6 +733,89 @@ class TestRunEpisode:
         trace = run_episode(scenario, full_throttle_policy(6.0), cfg)
         flagged = [r.breakdown.l0_rules for r in trace.records if r.ego.speed_long > 2.0 + 1e-9]
         assert flagged and all(v == -1.0 for v in flagged)
+
+
+class TestBuiltOnRead:
+    """The loop builds an NPC's state only for a pair the broad phase keeps, a policy's
+    `obs.others` when first read, and a step's `risk_assessments` when first read."""
+
+    @pytest.fixture
+    def intersection(self, scenarios_dir):
+        return load_scenario(scenarios_dir / "intersection.json")
+
+    def run(self, scenario, policy=None):
+        return run_episode(scenario, policy or build_policy("lane_follower", CFG), CFG, 1.0, 3)
+
+    def test_states_are_built_for_the_ego_and_the_kept_pairs_only(self, intersection,
+                                                                  monkeypatch):
+        calls, make = [], sim_module._make_state
+        monkeypatch.setattr(sim_module, "_make_state", lambda *args: calls.append(1) or make(*args))
+        with collision_checks() as checked:
+            trace = self.run(intersection)
+        kept = sum(actor.kind is ActorKind.NPC_VEHICLE for actors in checked for actor in actors)
+        npcs = len(realize_traffic(intersection, 1.0, 3)[0])
+        assert 0 < kept < npcs * len(trace.records)
+        assert len(calls) == len(trace.records) + kept
+
+    def test_assessments_are_built_when_read_with_the_bits_of_risk_reward(self, intersection,
+                                                                         monkeypatch):
+        calls, make = [], risk_module._make_assessment
+        monkeypatch.setattr(risk_module, "_make_assessment",
+                            lambda *args: calls.append(1) or make(*args))
+        trace = self.run(intersection)
+        assert calls == []
+        contexts = replayed_contexts(trace, intersection, CFG, 1.0, 3)
+        assert all(same_bits(record.breakdown.risk_assessments,
+                             risk_reward(ctx.ego, ctx.others, CFG)[1])
+                   for record, ctx in zip(trace.records, contexts))
+        assert len(calls) == sum(len(ctx.others) for ctx in contexts) > 0
+
+    def test_a_static_npc_set_moving_fails_the_first_step(self):
+        npc = ActorState((0.0, 5.0), 0.0, kind=ActorKind.STATIC_OBSTACLE)
+        ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego,
+                            npcs=((npc, WaypointFollower(((0, 5), (50, 5)), 3.0)),))
+        calls = []
+        with pytest.raises(ContractError, match="^static obstacles must have zero velocity$"):
+            run_episode(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), CFG)
+        assert len(calls) == 1
+
+    def test_a_trace_pickled_before_and_after_a_read_round_trips(self, intersection):
+        unread, read = self.run(intersection), self.run(intersection)
+        assert any(r.breakdown.risk_assessments for r in read.records)
+        for trace in (unread, read):
+            assert same_bits(pickle.loads(pickle.dumps(trace)), read)
+
+    def test_observations_pickle_before_and_after_a_read(self, intersection):
+        seen, drive = [], build_policy("lane_follower", CFG)
+
+        def spy(obs):
+            seen.append((pickle.dumps(obs), obs.others, pickle.dumps(obs)))
+            return drive(obs)
+
+        self.run(intersection, spy)
+        assert any(others for _, others, _ in seen)
+        for before, others, after in seen:
+            assert same_bits(pickle.loads(before).others, others)
+            assert same_bits(pickle.loads(after).others, others)
+
+    def test_four_threads_reading_one_trace_get_equal_assessments(self, intersection):
+        trace, serial = self.run(intersection), self.run(intersection)
+        barrier = threading.Barrier(4, timeout=30)
+
+        def read(_):
+            barrier.wait()
+            return [record.breakdown.risk_assessments for record in trace.records]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so the first reads race
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                reads = list(pool.map(read, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [record.breakdown.risk_assessments for record in serial.records]
+        assert any(expected) and all(same_bits(got, expected) for got in reads)
 
 
 class TestRssClosure:
@@ -909,23 +999,30 @@ class TestTracks:
                   {"station": wp_spawn, "lateral_offset": 30.0, "speed": wp_speed,
                    "script": {"kind": "waypoint_follower", "speed": wp_speed,
                               "waypoints": [[x + 2.0, y + 30.0] for x, y in SELF_CROSSING]}}]))
-        config = RewardConfig(dt=dt)
-        with collision_checks() as checked:  # each step's actors, as the loop made them
-            trace = run_episode(scenario, build_policy(policy, config), config)
+        config, seen = RewardConfig(dt=dt), []
+        drive = build_policy(policy, config)
+
+        def spy(obs):  # the NPCs after each step but the last, as the loop made them
+            seen.append(obs.others)
+            return drive(obs)
+
+        with collision_checks() as checked:  # each step's NPCs within reach of the ego
+            trace = run_episode(scenario, spy, config)
         npcs, _ = realize_traffic(scenario)
         world = make_world(ego=scenario.ego_spawn, npcs=[state for state, _ in npcs],
                            scripts=[script for _, script in npcs], route=scenario.route)
         states, stations = world.npcs, (None,) * len(npcs)
-        for record, actors in zip(trace.records, checked):
+        for record, actors, next_seen in zip(trace.records, checked, seen[1:] + [None]):
             world = step_world(world, record.action, config)
             states, stations = zip(*(step_npc(state, script, scenario.route, dt, station)
                                      for state, station, script
                                      in zip(states, stations, world.scripts)))
-            assert same_bits((world.time, world.ego, world.npcs), (record.time, record.ego,
-                                                                    actors))
+            assert same_bits((world.time, world.ego, within_reach(world.ego, world.npcs)),
+                             (record.time, record.ego, actors))
+            assert next_seen is None or same_bits(world.npcs, next_seen)
             assert same_bits((states, stations), (world.npcs, world.stations))
         if brake_speed > 0.0 and trigger_ahead <= 0.0:  # it brakes from the first step
-            assert actors[1].speed_long < brake_speed
+            assert world.npcs[1].speed_long < brake_speed
 
 
 def _trace_stub(outcome, reward=0.0, progress=1.0, velocity=3.0):
