@@ -229,11 +229,6 @@ class Route:
         object.__setattr__(self, "_tangent", tuple(map(tuple, tangent)))
         object.__setattr__(self, "_tangent_heading", tuple(math.atan2(y, x) for x, y in tangent))
         object.__setattr__(self, "_heading", tuple(math.atan2(y, x) for x, y in unit))
-        # `_poses_at`'s tables: the station tuple and, per segment, the columns of
-        # (ax, ay, dx, dy), its length and its heading
-        columns = np.column_stack([line[:-1], seg, seg_len, self._heading])
-        columns.flags.writeable = cum.flags.writeable = False
-        object.__setattr__(self, "_columns", (cum, *columns.T))
 
     @property
     def length(self) -> float:
@@ -246,20 +241,12 @@ class Route:
         (ux, uy) is the unit tangent of the segment holding the station; all plain floats.
         """
         s = min(max(station, 0.0), self.length)
-        i = min(max(bisect.bisect_right(self._stations, s) - 1, 0), len(self._seg_len) - 1)
+        # the segment holding s: the last to start at or before it, the first if none does
+        i = bisect.bisect_right(self._stations, s, 1, len(self._stations) - 1) - 1
         ax, ay, dx, dy, _ = self._segments[i]
         length = self._seg_len[i]
         t = (s - self._stations[i]) / length
         return ax + t * dx, ay + t * dy, self._heading[i], dx / length, dy / length
-
-    def _poses_at(self, stations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`_pose_at`'s x, y and heading at each of an array of stations, with its arithmetic."""
-        cum, ax, ay, dx, dy, length, heading = self._columns
-        s = np.where(0.0 > stations, 0.0, stations)  # max(station, 0.0), then min(., length)
-        s = np.where(self.length < s, self.length, s)
-        i = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(length) - 1)
-        t = (s - cum[i]) / length[i]
-        return ax[i] + t * dx[i], ay[i] + t * dy[i], heading[i]
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,6 +8,7 @@ share no mutable state and may run in parallel.
 
 from __future__ import annotations
 
+import bisect
 import math
 import reprlib
 from dataclasses import dataclass, fields
@@ -387,30 +388,25 @@ def _moved(state: ActorState, position: tuple[float, float], heading: float,
                        state.length, state.width, state.kind)
 
 
-# A waypoint track's first chunk holds this many steps, and each later one as many as all before.
-_FIRST_CHUNK = 32
-
-
 class _Track:
     """An open-loop NPC's state at each step of one episode, built as the loop reaches it.
 
     Row k of `rows` is the NPC's x, y, heading, speed_long and accel_long at step k,
-    from its spawn at step 0; the rows are the track's one store of its numbers.
-    Constant-velocity and braking tracks grow one plain-float step at a time (a
-    constant-velocity NPC takes a braking NPC's step without the trigger, and keeps its
-    spawn acceleration); waypoint tracks grow in chunks that double, by array passes with
-    the arithmetic of a step at a time, and no chunk runs past `limit`, the last step the
-    track can be asked for. Building never raises: an overflow fails at the step whose
+    from its spawn at step 0; the rows are the track's one store of its numbers. Every
+    track grows one plain-float step at a time, with the arithmetic of `step_world`'s
+    step: a constant-velocity NPC takes a braking NPC's step without the trigger, and a
+    waypoint follower takes `Route._pose_at` at its carried arc length, written out; both
+    keep the spawn acceleration. Building never raises: an overflow fails at the step whose
     state holds it, as that state is made (`run_episode` makes it when the row fails its
     cheap test). A track belongs to one episode and is never kept on a scenario or a script.
     """
 
     def __init__(self, state: ActorState, script: ActorScript, route: Route, dt: float,
-                 limit: int, station: float | None = None) -> None:
+                 station: float | None = None) -> None:
         if not isinstance(script, (ConstantVelocity, WaypointFollower, Braking)):
             raise ContractError(f"NPC script must be a ConstantVelocity, Braking or "
                                 f"WaypointFollower (got {type(script).__name__})")
-        self.state, self.script, self.route, self.dt, self.limit = state, script, route, dt, limit
+        self.state, self.script, self.route, self.dt = state, script, route, dt
         # the arc length a waypoint follower has reached on its polyline, once it is known
         self.station = station
         self.rows = [[*state.position, state.heading, state.speed_long, state.accel_long]]
@@ -444,22 +440,24 @@ class _Track:
             return
         # advance by arc length from where it first meets its polyline; the carried arc
         # length keeps a self-crossing polyline from sending it back
-        built, line = len(self.rows) - 1, script._line
+        line = script._line
         if self.station is None:
             self.station = project_to_route(self.state.position, self.state.heading, line).station
-        n = min(max(built, _FIRST_CHUNK), self.limit - built)
-        stations = np.full(n, script.speed * dt)
-        stations[0] += self.station
-        with np.errstate(over="ignore"):  # an overflow to inf is clamped to the line's end
-            stations = np.add.accumulate(stations)
-        # min(station, length) at each step: once at the end, it stays there
-        stations = np.where(line.length < stations, line.length, stations)
-        chunk = np.empty((n, 5))
-        chunk[:, 0], chunk[:, 1], chunk[:, 2] = line._poses_at(stations)
-        chunk[:, 3] = np.where(stations < line.length, script.speed, 0.0)
-        chunk[:, 4] = accel
-        self.station = stations[-1].item()
-        self.rows += chunk.tolist()
+        # min(station, length), its bits without the call: once at the line's end, or past it
+        # by an overflow to inf, it stays there
+        stations = line._stations
+        station = self.station + script.speed * dt
+        if stations[-1] < station:
+            station = stations[-1]
+        self.station = station
+        # `line._pose_at(station)` written out, its upper clamp done: a World may carry a
+        # station short of the line's start, or NaN, which gives a NaN pose that `_moved` rejects
+        s = 0.0 if 0.0 > station else station  # max(station, 0.0)
+        i = bisect.bisect_right(stations, s, 1, len(stations) - 1) - 1
+        ax, ay, dx, dy, _ = line._segments[i]
+        t = (s - stations[i]) / line._seg_len[i]
+        self.rows.append([ax + t * dx, ay + t * dy, line._heading[i],
+                          script.speed if station < stations[-1] else 0.0, accel])
 
 
 def _step_ego(ego: ActorState, accel_cmd: float, steer_rate: float,
@@ -489,7 +487,7 @@ def step_world(world: World, ego_action: tuple[float, float], config: RewardConf
         name = "scripts" if len(world.scripts) != n else "stations"
         raise ContractError(f"step_world world.{name} must hold one entry per NPC "
                             f"(got {len(getattr(world, name))} for {n} NPCs)")
-    tracks = [_Track(state, script, world.route, config.dt, 1, station) for state, script, station
+    tracks = [_Track(state, script, world.route, config.dt, station) for state, script, station
               in zip(world.npcs, world.scripts, world.stations or (None,) * n)]
     npcs = tuple(track.at(1) for track in tracks)  # a waypoint track's station is then known
     return World(route=world.route, time=world.time + config.dt, ego=new_ego, npcs=npcs,
@@ -511,16 +509,16 @@ def _reach(a: ActorState, b: ActorState) -> float:
     return (a.circumradius + b.circumradius) * (1.0 + _BROAD_PHASE_MARGIN)
 
 
-def _footprints_overlap(a: ActorState, b: ActorState, reach: float) -> bool:
+def _footprints_overlap(a: ActorState, b: ActorState) -> bool:
     """Separating-axis test on the four footprint axes; touching counts.
 
     The footprints are apart on an axis when their centre distance projected
     onto it exceeds the sum of their half-extents projected onto it. Pairs
-    whose centres are further apart than `reach`, `_reach(a, b)`, are rejected
-    before that test.
+    whose centres are further apart than `_reach(a, b)` are rejected before
+    that test.
     """
     (ax, ay), (bx, by) = a.position, b.position
-    if math.hypot(bx - ax, by - ay) > reach:
+    if math.hypot(bx - ax, by - ay) > _reach(a, b):
         return False
     boxes = [(math.cos(x.heading), math.sin(x.heading), x.length / 2.0, x.width / 2.0)
              for x in (a, b)]
@@ -533,18 +531,13 @@ def _footprints_overlap(a: ActorState, b: ActorState, reach: float) -> bool:
     return True
 
 
-def detect_collision(ego: ActorState, actors: Iterable[ActorState], *,
-                     reaches: Sequence[float] | None = None) -> bool:
+def detect_collision(ego: ActorState, actors: Iterable[ActorState]) -> bool:
     """True iff the ego's oriented rectangle overlaps any actor's.
 
-    `reaches`, one per actor, are the centre distances past which a pair is
-    apart without the separating-axis test, `_reach(ego, actor)`. `run_episode`
-    works them out once per episode, since every footprint is fixed for one;
-    without them, each pair's reach is worked out here.
+    `run_episode` hands it only the actors its broad phase kept, those whose
+    centres lie within `_reach(ego, actor)` of the ego's.
     """
-    pairs = (zip(actors, reaches) if reaches is not None
-             else ((actor, _reach(ego, actor)) for actor in actors))
-    return any(_footprints_overlap(ego, actor, reach) for actor, reach in pairs)
+    return any(_footprints_overlap(ego, actor) for actor in actors)
 
 
 def check_offroad(pose: RouteFramePose, ego: ActorState, route: Route) -> bool:
@@ -694,7 +687,7 @@ def run_episode(
     if not _is_count(max_steps, 1):
         raise ContractError(f"max_steps must be an integer >= 1 (got {reprlib.repr(max_steps)})")
     npcs, obstacles = realize_traffic(scenario, density=density, seed=seed)
-    tracks = [_Track(state, script, route, config.dt, max_steps) for state, script in npcs]
+    tracks = [_Track(state, script, route, config.dt) for state, script in npcs]
     ego, time = scenario.ego_spawn, 0.0
     pose = project_to_route(ego.position, ego.heading, route)
     steps: list[tuple] = []  # (time, ego, pose, previous pose, action, jerk, violations, outcome)
@@ -719,7 +712,7 @@ def run_episode(
         new_pose = project_to_route(ego.position, ego.heading, route)
         # `_footprints_overlap`'s broad phase on the rows; a row the state checks reject (an
         # overflow, a static NPC set moving) goes to `at` too, which raises
-        (ex, ey), kept, kept_reaches = ego.position, [], []
+        (ex, ey), kept = ego.position, []
         for track, reach, is_static in movers:
             if step == len(track.rows):
                 track._extend()
@@ -727,13 +720,11 @@ def run_episode(
             if (math.hypot(x - ex, y - ey) <= reach or is_static and speed
                     or not math.isfinite(x + y + heading + speed + accel)):
                 kept.append(track.at(step))
-                kept_reaches.append(reach)
         for actor, reach in zip(obstacles, reaches[len(tracks):]):
             if math.hypot(actor.position[0] - ex, actor.position[1] - ey) <= reach:
                 kept.append(actor)
-                kept_reaches.append(reach)
 
-        if detect_collision(ego, kept, reaches=kept_reaches):
+        if detect_collision(ego, kept):
             outcome = Outcome.COLLISION
         elif check_offroad(new_pose, ego, route):
             outcome = Outcome.OFFROAD

@@ -86,7 +86,7 @@ def numpy_projection(point, heading, centerline):
 def step_npc(state, script, route, dt, station):
     """(the NPC one step of dt on by its script, the arc length a waypoint follower carries).
 
-    The per-state stepping that the simulator's tracks build many steps of at once, with
+    The per-state stepping that the simulator's tracks grow by, one row per step, with
     every new state checked by the ActorState constructor.
     """
     def moved(position, heading, speed, accel):

@@ -313,7 +313,6 @@ class TestDetectCollision:
                 length=float(rng.uniform(1.0, 5.0)), width=float(rng.uniform(0.8, 2.2)),
             )
             sat = detect_collision(ego, [other])
-            assert detect_collision(ego, [other], reaches=[sim_module._reach(ego, other)]) is sat
             oracle = sampled_overlap(ego, other)
             disagreements += sat != oracle
         assert disagreements == 0
@@ -852,9 +851,8 @@ SPEEDS = st.just(0.0) | st.floats(0.0, 8.0)
 
 
 class TestTracks:
-    """Open-loop NPCs step along tracks built as the loop reaches them, as one step at a
-    time would: constant-velocity and braking tracks a step at a time, waypoint tracks
-    ahead in chunks."""
+    """Open-loop NPCs step along tracks built as the loop reaches them, one plain-float step
+    at a time, as repeated `step_world` calls and per-state steps would."""
 
     def test_tracks_are_built_only_as_far_as_the_loop_reaches(self):
         # one NPC of each script, built in code well clear of the ego's lane
@@ -921,10 +919,10 @@ class TestTracks:
             run_episode(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), CFG)
         assert len(calls) == 4
 
-    def test_a_waypoint_chunk_whose_arc_length_overflows_warns_nothing(self):
-        # at 1e308 m/s each step adds 1e307 m of arc length, so the first chunk's running sum
-        # overflows to inf at its 18th step; the line's end clamps it, and no RuntimeWarning
-        # (an error under the suite's filterwarnings) escapes
+    def test_a_waypoint_step_whose_arc_length_overflows_warns_nothing(self):
+        # at 1e308 m/s each step adds 1e307 m of arc length, so an unclamped running sum
+        # would overflow to inf at its 18th step; the line's end clamps it, and no
+        # RuntimeWarning (an error under the suite's filterwarnings) escapes
         npc = ActorState((0.0, 30.0), 0.0, speed_long=2.0)
         script = WaypointFollower(tuple((x, y + 30.0) for x, y in SELF_CROSSING), speed=1e308)
         ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
@@ -933,28 +931,60 @@ class TestTracks:
         trace = run_episode(scenario, full_throttle_policy(6.0), CFG)
         assert trace.outcome is Outcome.SUCCESS and len(trace.records) == 14
 
-    def test_step_world_steps_constant_velocity_and_braking_npcs_without_numpy(
-            self, scenarios_dir, monkeypatch):
+    @pytest.mark.parametrize("speed", [0.0, 3.0])
+    @pytest.mark.parametrize("station", [-5.0, -0.0, math.nan, math.inf, 60.0],
+                             ids=["negative", "minus-zero", "nan", "inf", "past-the-end"])
+    def test_a_carried_station_off_the_line_steps_as_the_oracle(self, station, speed):
+        # a World built in code may carry any arc length: below the line's start the pose
+        # clamps to its first point and past its end to its last, while NaN has no pose
+        script = WaypointFollower(((0.0, 5.0), (20.0, 5.0), (50.0, 5.0)), speed=speed)
+        npc = ActorState((10.0, 5.0), 0.0, speed_long=3.0, accel_long=0.5)
+        world = dataclasses.replace(make_world(npcs=[npc], scripts=[script]), stations=(station,))
+        if math.isnan(station):
+            with pytest.raises(ContractError) as oracle:
+                step_npc(npc, script, world.route, CFG.dt, station)
+            with pytest.raises(ContractError, match=f"^{re.escape(str(oracle.value))}$"):
+                step_world(world, (0.0, 0.0), CFG)
+            return
+        state = npc
+        for _ in range(3):
+            state, station = step_npc(state, script, world.route, CFG.dt, station)
+            world = step_world(world, (0.0, 0.0), CFG)
+            assert same_bits((world.npcs, world.stations), ((state,), (station,)))
+        if speed and world.stations[0] < 0.0:  # still short of the line's start
+            assert world.npcs[0].position == (0.0, 5.0)
+
+    def test_step_world_steps_npcs_of_every_script_without_numpy(
+            self, scenarios_dir, waypoint_documents, monkeypatch):
         # the seed-3, density-1.0 intersection world: five constant-velocity NPCs and one
-        # braking NPC, which reaches its trigger station at step 31 and brakes from step 32
-        scenario = load_scenario(scenarios_dir / "intersection.json")
-        npcs, obstacles = realize_traffic(scenario, 1.0, 3)
-        world = World(route=scenario.route, time=0.0, ego=scenario.ego_spawn,
-                      npcs=tuple(state for state, _ in npcs),
-                      scripts=tuple(script for _, script in npcs), obstacles=obstacles)
-        assert {type(script) for script in world.scripts} == {ConstantVelocity, Braking}
+        # braking NPC, which reaches its trigger station at step 31 and brakes from step 32;
+        # and the first seed-7 waypoint world, whose NPCs all follow waypoints
+        worlds = []
+        for path, density, seed in ((scenarios_dir / "intersection.json", 1.0, 3),
+                                    (waypoint_documents[0], None, None)):
+            scenario = load_scenario(path)
+            npcs, obstacles = realize_traffic(scenario, density, seed)
+            worlds.append(World(route=scenario.route, time=0.0, ego=scenario.ego_spawn,
+                                npcs=tuple(state for state, _ in npcs),
+                                scripts=tuple(script for _, script in npcs), obstacles=obstacles))
+        assert [{type(script) for script in world.scripts} for world in worlds] == [
+            {ConstantVelocity, Braking}, {WaypointFollower}]
 
         def stepped():
-            state = world
-            for _ in range(40):
-                state = step_world(state, (1.0, 0.0), CFG)
-            return state.time, state.ego, state.npcs, state.stations
+            states = []
+            for state in worlds:
+                for _ in range(40):
+                    state = step_world(state, (1.0, 0.0), CFG)
+                states.append((state.time, state.ego, state.npcs, state.stations))
+            return states
 
         expected = stepped()
         monkeypatch.setattr(sim_module, "np", None)
         assert same_bits(stepped(), expected)
-        braking = next(i for i, s in enumerate(world.scripts) if isinstance(s, Braking))
-        assert expected[2][braking].speed_long < world.npcs[braking].speed_long
+        intersection = worlds[0]
+        braking = next(i for i, s in enumerate(intersection.scripts) if isinstance(s, Braking))
+        assert expected[0][2][braking].speed_long < intersection.npcs[braking].speed_long
+        assert all(station > 0.0 for station in expected[1][3])
 
     def test_waypoint_episodes_in_two_threads_match_a_serial_run(self, waypoint_documents):
         # both threads run every document, in step, on the same Scenario and script objects
@@ -986,8 +1016,8 @@ class TestTracks:
     def test_tracks_equal_repeated_step_world_and_per_state_steps(
             self, cv_speed, cv_heading, brake_speed, trigger_ahead, decel, wp_speed, wp_spawn,
             dt, policy):
-        # a document with one NPC of each script, mutated; the episode runs past two chunk
-        # boundaries unless the ego ends it first
+        # a document with one NPC of each script, mutated; the episode runs up to 70 steps
+        # unless the ego ends it first
         brake_station = 30.0
         scenario = scenario_from_dict(minimal_scenario_data(
             max_steps=70, ego={"station": 1.0},
