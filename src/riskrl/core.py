@@ -37,6 +37,11 @@ def wrap_angle(angle: float) -> float:
     """Wrap an angle, a finite number, to (-pi, pi]."""
     if not _finite(angle):
         raise ContractError(f"wrap_angle angle must be a finite number (got {reprlib.repr(angle)})")
+    return _wrap(angle)
+
+
+def _wrap(angle: float) -> float:
+    """`wrap_angle` of an angle known to be a finite number, without the check."""
     a = math.fmod(angle, TWO_PI)
     if a <= -math.pi:
         a += TWO_PI
@@ -266,18 +271,26 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
 
     Returns the station of the nearest centerline point (ties resolve to the
     smaller station), the signed lateral offset (left-positive), and the
-    heading error relative to the local route tangent. Raises ContractError
-    unless `position` is two finite numbers and `heading` one, by ActorState's rule.
+    heading error relative to the local route tangent. Raises ContractError unless
+    `position` is two finite numbers and `heading` one (ActorState's rule); `_project` searches.
     """
     px, py = _pair(position, "project_to_route position")
     if not _finite(heading):
         got = reprlib.repr(heading)
         raise ContractError(f"project_to_route heading must be a finite number (got {got})")
+    return _project(px, py, heading, route)
+
+
+def _project(px: float, py: float, heading: float, route: Route) -> RouteFramePose:
+    """`project_to_route` of numbers that already hold its checks, such as an ActorState's."""
     # Blocks in order of the lower bound |p - centre| - r on their distance; a
     # block whose bound exceeds the best distance by more than rounding can
     # hold no nearer segment, and neither can any block after it. The distance
     # to a block's chord less its band is a tighter bound, for that block alone.
-    bounds = sorted([(math.hypot(px - b[0], py - b[1]) - b[2], b) for b in route._blocks])
+    # The first block searched is searched whatever its bound: a lone one is not sorted.
+    blocks = route._blocks
+    bounds = (sorted([(math.hypot(px - b[0], py - b[1]) - b[2], b) for b in blocks])
+              if len(blocks) > 1 else ((0.0, blocks[0]),))
     segments = route._segments
     best, i = math.inf, len(segments)  # i past the end: the first segment wins even at inf
     for bound, (_, _, _, first, stop, ax, ay, dx, dy, inv, band) in bounds:
@@ -303,7 +316,7 @@ def project_to_route(position: Sequence[float], heading: float, route: Route) ->
     # corner wedges, where the foot is a vertex); the sign is the side of the
     # local travel direction, via the cross product tangent x (p - foot)
     offset = math.copysign(math.sqrt(best), tx * fy - ty * fx)
-    heading_error = wrap_angle(heading - route._tangent_heading[i])
+    heading_error = _wrap(heading - route._tangent_heading[i])
     return _make_pose(station, offset, heading_error)
 
 

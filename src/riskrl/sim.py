@@ -33,7 +33,7 @@ from .core import (
 )
 from .core import (
     _REQUIRED, _Field, _finite, _is_count, _is_integer, _is_number, _maker, _pair, _positive,
-    _read, _read_json,
+    _project, _read, _read_json, _wrap,
 )
 from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _combine, _level_weights
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
@@ -360,12 +360,6 @@ class World:
         return self.npcs + self.obstacles
 
 
-def _advance_along_heading(state: ActorState, dt: float) -> tuple[float, float]:
-    x, y = state.position
-    step = state.speed_long * dt
-    return x + step * math.cos(state.heading), y + step * math.sin(state.heading)
-
-
 _make_state = _maker(ActorState)  # only behind `_moved`'s guard
 
 
@@ -396,9 +390,11 @@ class _Track:
     track grows one plain-float step at a time, with the arithmetic of `step_world`'s
     step: a constant-velocity NPC takes a braking NPC's step without the trigger, and a
     waypoint follower takes `Route._pose_at` at its carried arc length, written out; both
-    keep the spawn acceleration. Building never raises: an overflow fails at the step whose
-    state holds it, as that state is made (`run_episode` makes it when the row fails its
-    cheap test). A track belongs to one episode and is never kept on a scenario or a script.
+    keep the spawn acceleration. The script's kind and the cos and sin of the constant
+    heading are settled once; a braking track projects its last row, which the loop or the
+    spawn's constructor checked, unchecked. Building never raises: an overflow fails at the
+    step whose state holds it, as that state is made (`run_episode` makes it when the row
+    fails its cheap test). A track belongs to one episode, never kept on a scenario or script.
     """
 
     def __init__(self, state: ActorState, script: ActorScript, route: Route, dt: float,
@@ -410,6 +406,8 @@ class _Track:
         # the arc length a waypoint follower has reached on its polyline, once it is known
         self.station = station
         self.rows = [[*state.position, state.heading, state.speed_long, state.accel_long]]
+        self.follows, self.brakes = (isinstance(script, t) for t in (WaypointFollower, Braking))
+        self.cos, self.sin = math.cos(state.heading), math.sin(state.heading)
 
     def at(self, step: int) -> ActorState:
         """The NPC's state at `step`, which is at most one past the last step reached."""
@@ -426,17 +424,16 @@ class _Track:
     def _extend(self) -> None:
         script, dt = self.script, self.dt
         x, y, heading, speed, accel = self.rows[-1]
-        if not isinstance(script, WaypointFollower):
+        if not self.follows:
             new_speed = speed
-            if isinstance(script, Braking):
+            if self.brakes:
                 # only a moving NPC can brake, so only it is projected
-                if speed > 0.0 and project_to_route(
-                        (x, y), heading, self.route).station >= script.trigger_station:
+                if speed > 0.0 and _project(
+                        x, y, heading, self.route).station >= script.trigger_station:
                     new_speed = max(speed - script.decel * dt, 0.0)
                 accel = (new_speed - speed) / dt
-            step = speed * dt  # _advance_along_heading, at the speed the step starts with
-            self.rows.append([x + step * math.cos(heading), y + step * math.sin(heading), heading,
-                              new_speed, accel])
+            step = speed * dt  # the ego's advance, at the speed the step starts with
+            self.rows.append([x + step * self.cos, y + step * self.sin, heading, new_speed, accel])
             return
         # advance by arc length from where it first meets its polyline; the carried arc
         # length keeps a self-crossing polyline from sending it back
@@ -464,8 +461,10 @@ def _step_ego(ego: ActorState, accel_cmd: float, steer_rate: float,
               config: RewardConfig) -> ActorState:
     """The ego one step of config.dt on: a kinematic unicycle update (see `step_world`)."""
     dt = config.dt
-    position = _advance_along_heading(ego, dt)
-    heading = wrap_angle(ego.heading + steer_rate * dt)
+    (x, y), step = ego.position, ego.speed_long * dt  # along the heading the step starts with
+    position = x + step * math.cos(ego.heading), y + step * math.sin(ego.heading)
+    heading = ego.heading + steer_rate * dt  # an overflow goes to wrap_angle, which raises
+    heading = _wrap(heading) if math.isfinite(heading) else wrap_angle(heading)
     new_speed = min(max(ego.speed_long + accel_cmd * dt, 0.0), config.v_max)
     effective_accel = (new_speed - ego.speed_long) / dt
     return _moved(ego, position, heading, new_speed, effective_accel)
@@ -513,22 +512,24 @@ def _footprints_overlap(a: ActorState, b: ActorState) -> bool:
     """Separating-axis test on the four footprint axes; touching counts.
 
     The footprints are apart on an axis when their centre distance projected
-    onto it exceeds the sum of their half-extents projected onto it. Pairs
-    whose centres are further apart than `_reach(a, b)` are rejected before
-    that test.
+    onto it exceeds `a`'s half-extents projected onto it plus `b`'s; the axes are `a`'s
+    heading and its normal, then `b`'s. Pairs whose centres are further apart than
+    `_reach(a, b)` are rejected before that test.
     """
     (ax, ay), (bx, by) = a.position, b.position
-    if math.hypot(bx - ax, by - ay) > _reach(a, b):
+    if math.hypot(dx := bx - ax, dy := by - ay) > _reach(a, b):
         return False
-    boxes = [(math.cos(x.heading), math.sin(x.heading), x.length / 2.0, x.width / 2.0)
-             for x in (a, b)]
-    for c, s, _, _ in boxes:
-        for ux, uy in ((c, s), (-s, c)):
-            extent = sum(half_l * abs(ux * bc + uy * bs) + half_w * abs(uy * bc - ux * bs)
-                         for bc, bs, half_l, half_w in boxes)
-            if abs((bx - ax) * ux + (by - ay) * uy) > extent:
-                return False
-    return True
+    ca, sa, la, wa = math.cos(a.heading), math.sin(a.heading), a.length / 2.0, a.width / 2.0
+    cb, sb, lb, wb = math.cos(b.heading), math.sin(b.heading), b.length / 2.0, b.width / 2.0
+    # each extent has the bits of a projection of half-extents onto the axis: a footprint's
+    # own is one times cos^2 + sin^2 (the cross term is exactly 0), the other's two times
+    # |cos| and |sin| of the heading difference
+    na, nb = ca * ca + sa * sa, cb * cb + sb * sb
+    cos_ab, sin_ab = abs(ca * cb + sa * sb), abs(sa * cb - ca * sb)
+    return not (abs(dx * ca + dy * sa) > la * na + (lb * cos_ab + wb * sin_ab)
+                or abs(dy * ca - dx * sa) > wa * na + (lb * sin_ab + wb * cos_ab)
+                or abs(dx * cb + dy * sb) > (la * cos_ab + wa * sin_ab) + lb * nb
+                or abs(dy * cb - dx * sb) > (la * sin_ab + wa * cos_ab) + wb * nb)
 
 
 def detect_collision(ego: ActorState, actors: Iterable[ActorState]) -> bool:
@@ -695,6 +696,7 @@ def run_episode(
     reaches = [_reach(ego, actor) for actor in actors]  # _moved keeps every footprint
     speed_limit = config.speed_limit + 1e-9
     movers = [(t, r, t.state.kind is ActorKind.STATIC_OBSTACLE) for t, r in zip(tracks, reaches)]
+    fixed = [(actor, *actor.position, r) for actor, r in zip(obstacles, reaches[len(tracks):])]
 
     def traffic(obs: Observation) -> tuple[ActorState, ...]:  # `obs.others`, on its first read
         return tuple([track.at(obs.step) for track in tracks]) + obstacles  # rows the loop read
@@ -709,7 +711,7 @@ def run_episode(
         # step_world's step: the ego, then each NPC along its track
         prev_accel = ego.accel_long
         ego, time = _step_ego(ego, accel_cmd, steer_cmd, config), time + config.dt
-        new_pose = project_to_route(ego.position, ego.heading, route)
+        new_pose = _project(*ego.position, ego.heading, route)
         # `_footprints_overlap`'s broad phase on the rows; a row the state checks reject (an
         # overflow, a static NPC set moving) goes to `at` too, which raises
         (ex, ey), kept = ego.position, []
@@ -720,8 +722,8 @@ def run_episode(
             if (math.hypot(x - ex, y - ey) <= reach or is_static and speed
                     or not math.isfinite(x + y + heading + speed + accel)):
                 kept.append(track.at(step))
-        for actor, reach in zip(obstacles, reaches[len(tracks):]):
-            if math.hypot(actor.position[0] - ex, actor.position[1] - ey) <= reach:
+        for actor, x, y, reach in fixed:
+            if math.hypot(x - ex, y - ey) <= reach:
                 kept.append(actor)
 
         if detect_collision(ego, kept):

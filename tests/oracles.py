@@ -113,6 +113,51 @@ def step_npc(state, script, route, dt, station):
     return moved((x, y), heading, speed, state.accel_long), station
 
 
+def rectangle_contains(state: ActorState, points: np.ndarray) -> np.ndarray:
+    """Membership test used by the sampling oracle."""
+    local = points - state.position
+    c, s = math.cos(state.heading), math.sin(state.heading)
+    lon = local @ np.array([c, s])
+    lat = local @ np.array([-s, c])
+    return (np.abs(lon) <= state.length / 2.0 + 1e-12) & (np.abs(lat) <= state.width / 2.0 + 1e-12)
+
+
+def sampled_overlap(a: ActorState, b: ActorState, resolution=0.02) -> bool:
+    """Dense point-sampling containment oracle for rectangle overlap."""
+    for first, second in ((a, b), (b, a)):
+        nx = max(int(first.length / resolution), 2) + 1
+        ny = max(int(first.width / resolution), 2) + 1
+        lon = np.linspace(-first.length / 2.0, first.length / 2.0, nx)
+        lat = np.linspace(-first.width / 2.0, first.width / 2.0, ny)
+        grid = np.stack(np.meshgrid(lon, lat), axis=-1).reshape(-1, 2)
+        c, s = math.cos(first.heading), math.sin(first.heading)
+        world = first.position + grid @ np.array([[c, s], [-s, c]])
+        if bool(np.any(rectangle_contains(second, world))):
+            return True
+    return False
+
+
+def footprints_overlap(a: ActorState, b: ActorState) -> bool:
+    """The separating-axis test as nested loops over both footprints' axes and extents.
+
+    On each axis, `a`'s heading and its left normal, then `b`'s, the footprints are
+    apart when the centre distance projected onto it exceeds `sum` of both footprints'
+    projected half-extents, `a`'s first. Pairs beyond `sim._reach` are rejected first.
+    """
+    (ax, ay), (bx, by) = a.position, b.position
+    if math.hypot(bx - ax, by - ay) > sim._reach(a, b):
+        return False
+    boxes = [(math.cos(x.heading), math.sin(x.heading), x.length / 2.0, x.width / 2.0)
+             for x in (a, b)]
+    for c, s, _, _ in boxes:
+        for ux, uy in ((c, s), (-s, c)):
+            extent = sum(half_l * abs(ux * bc + uy * bs) + half_w * abs(uy * bc - ux * bs)
+                         for bc, bs, half_l, half_w in boxes)
+            if abs((bx - ax) * ux + (by - ay) * uy) > extent:
+                return False
+    return True
+
+
 def same_bits(a, b) -> bool:
     """True when a and b hold the same floats bit for bit, compared by `float.hex`.
 

@@ -33,7 +33,7 @@ from riskrl import (
     wrap_angle,
 )
 import riskrl
-from riskrl.core import _make_pose, validate_config_data
+from riskrl.core import _make_pose, _project, validate_config_data
 from riskrl.reward import _make_breakdown
 from riskrl.risk import _make_assessment
 from riskrl.sim import Observation, _make_observation, _make_record, _make_state
@@ -63,6 +63,21 @@ def random_polyline(rng, points):
         [np.cos(headings), np.sin(headings)], axis=1
     )
     return np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
+
+
+def curved_road():
+    """A 368-point, 0.3 m-spaced road of gently varying heading, like a `run_waypoints` road."""
+    stations = np.arange(368) * 0.3
+    heading = 0.7 + 0.4 * np.sin(stations / 9.0) + 0.25 * np.sin(stations / 5.0 + 1.0)
+    steps = 0.3 * np.stack([np.cos(heading[:-1]), np.sin(heading[:-1])], axis=1)
+    return Route(np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)]), 3.5, 0.0)
+
+
+def hairpin_road():
+    """Out along y = 0 and back along y = 2 in 1 m segments, so facing segments lie in
+    different blocks."""
+    out, back = [[x, 0.0] for x in range(21)], [[x, 2.0] for x in range(20, -1, -1)]
+    return Route(np.array(out + back, dtype=float), 3.5, 0.0)
 
 
 class TestRouteTables:
@@ -100,14 +115,11 @@ class TestRouteTables:
             assert (pose.station, pose.lateral_offset, pose.heading_error) == expected
 
     def test_straight_drivers_off_a_curved_road_match_numpy_projection(self):
-        # a 0.3 m-spaced road of gently varying heading; queries run straight on from
-        # points of the road along its tangent, out to well over 100 m off it
+        # queries run straight on from points of the road along its tangent, out to well
+        # over 100 m off it
         rng = np.random.default_rng(11)
-        stations = np.arange(368) * 0.3
-        heading = 0.7 + 0.4 * np.sin(stations / 9.0) + 0.25 * np.sin(stations / 5.0 + 1.0)
-        steps = 0.3 * np.stack([np.cos(heading[:-1]), np.sin(heading[:-1])], axis=1)
-        centerline = np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
-        route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+        route = curved_road()
+        centerline = route.centerline
         for start in rng.uniform(0.0, route.length, size=12):
             pose = route._pose_at(start)
             origin, tangent = np.array(pose[:2]), np.array(pose[3:])
@@ -305,6 +317,34 @@ class TestProjectToRoute:
         route = Route([[0.0, 0.0], [10.0, 0.0]], 3.5, 5.0)
         with pytest.raises(ContractError, match="project_to_route heading must be a finite number"):
             project_to_route((1.0, 1.0), heading, route)
+
+
+class TestProject:
+    """`core._project` is `project_to_route` after its checks, so it has its bits."""
+
+    @pytest.mark.parametrize("road", [straight_route, curved_road, hairpin_road],
+                             ids=["one-block", "curved", "hairpin"])
+    def test_has_the_bits_of_project_to_route(self, road):
+        route, rng = road(), np.random.default_rng(5)
+        points = [tuple(p) for p in route.centerline.tolist()]  # exactly at the vertices
+        for station in rng.uniform(-5.0, route.length + 5.0, size=40).tolist():
+            x, y, _, tx, ty = route._pose_at(station)
+            for off in (rng.uniform(-3.0, 3.0), rng.choice([-1.0, 1.0]) * rng.uniform(50.0, 1e3)):
+                points.append((x - float(off) * ty, y + float(off) * tx))  # near, and far off
+        for px, py in points:
+            for heading in (0, float(rng.uniform(-4.0, 4.0)), 1e6):
+                assert same_bits(_project(px, py, heading, route),
+                                 project_to_route((px, py), heading, route))
+
+    def test_a_tie_between_blocks_has_the_bits_of_project_to_route(self):
+        # midway between the hairpin's legs, 1 m from each: the segment out, in block 0,
+        # ties with the one back, in block 1 or 2, and its smaller station wins
+        route = hairpin_road()
+        assert route._blocks[0][3:5] == (0, 16) and len(route._blocks) == 3
+        for x in np.arange(16) + 0.5:
+            pose = _project(float(x), 1.0, 0.3, route)
+            assert pose.station == x and pose.lateral_offset == 1.0
+            assert same_bits(pose, project_to_route((x, 1.0), 0.3, route))
 
 
 class TestRelativeDisplacement:

@@ -1,4 +1,5 @@
-"""The brute-force TTC oracle, the bit comparison and the episode replay of `oracles.py`."""
+"""The brute-force TTC and overlap oracles, the bit comparison and the episode replay of
+`oracles.py`."""
 
 import dataclasses
 import math
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    brute_force_ttc, collision_checks, matches_replay, replayed_contexts, same_bits,
+    brute_force_ttc, collision_checks, footprints_overlap, matches_replay, replayed_contexts,
+    same_bits, sampled_overlap,
 )
 from riskrl import (
     ActorState, ContractError, InteractionMode, Outcome, RewardBreakdown, RewardConfig,
@@ -50,6 +52,29 @@ class TestBruteForceTtc:
         b = ActorState(position=[30, 0], heading=0.0)
         with pytest.raises(ContractError, match="horizon"):
             brute_force_ttc(a, b, dt_fine=1e-3, horizon=horizon)
+
+
+class TestFootprintsOverlap:
+    def test_agrees_with_point_sampling(self):
+        rng = np.random.default_rng(21)
+        decisions = []
+        for _ in range(100):
+            a = ActorState(position=rng.uniform(-1.0, 1.0, size=2),
+                           heading=float(rng.uniform(-math.pi, math.pi)),
+                           length=float(rng.uniform(1.0, 5.0)), width=float(rng.uniform(0.8, 2.2)))
+            b = ActorState(position=rng.uniform(-4.0, 4.0, size=2),
+                           heading=float(rng.uniform(-math.pi, math.pi)),
+                           length=float(rng.uniform(1.0, 5.0)), width=float(rng.uniform(0.8, 2.2)))
+            decisions.append(footprints_overlap(a, b))
+            assert decisions[-1] is sampled_overlap(a, b)
+        assert 0 < sum(decisions) < len(decisions)  # both decisions were tested
+
+    @pytest.mark.parametrize("gap, hit", [(0.0, True), (1e-9, False)], ids=["touching", "gap"])
+    @pytest.mark.parametrize("dx, dy", [(4.5, 0.0), (4.5, 1.8)], ids=["edges", "corners"])
+    def test_an_exact_touch_overlaps_as_sampled(self, dx, dy, gap, hit):
+        a = ActorState(position=[0.0, 0.0], heading=0.0)
+        b = ActorState(position=[dx + gap, dy + gap if dy else 0.0], heading=0.0)
+        assert footprints_overlap(a, b) is hit and sampled_overlap(a, b) is hit
 
 
 class TestSameBits:

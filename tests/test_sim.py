@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
-    collision_checks, matches_replay, replayed_contexts, same_bits, step_npc, within_reach,
+    collision_checks, footprints_overlap, matches_replay, replayed_contexts, same_bits,
+    sampled_overlap, step_npc, within_reach,
 )
 from riskrl import (
     ActorKind,
@@ -195,11 +196,12 @@ class TestStepWorld:
         ("static_npc_follows_waypoints", "static obstacles must have zero velocity"),
         ("static_ego_accelerates", "static obstacles must have zero velocity"),
         ("ego_accel_overflows", "ActorState accel_long must be a finite number (got -inf)"),
+        ("ego_heading_overflows", "wrap_angle angle must be a finite number (got inf)"),
     ])
     def test_a_state_the_constructor_rejects_fails_the_step(self, case, message):
         # states built in code, beyond the document bounds: the step raises as
-        # ActorState does for any caller
-        config, static = CFG, ActorKind.STATIC_OBSTACLE
+        # ActorState does for any caller, or as wrap_angle does for a heading
+        config, static, action = CFG, ActorKind.STATIC_OBSTACLE, (1.0, 0.0)
         if case == "constant_velocity_overflows":
             npc = ActorState(position=(1.7e308, 5.0), heading=0.0, speed_long=1e308)
             world = make_world(npcs=[npc], scripts=[ConstantVelocity()])
@@ -208,11 +210,13 @@ class TestStepWorld:
             world = make_world(npcs=[npc], scripts=[WaypointFollower(((0, 5), (50, 5)), 3.0)])
         elif case == "static_ego_accelerates":
             world = make_world(ego=ActorState(position=(0.0, 0.0), heading=0.0, kind=static))
-        else:
+        elif case == "ego_accel_overflows":
             world = make_world(ego=ActorState(position=(0.0, 0.0), heading=0.0, speed_long=1e300))
             config = RewardConfig(dt=1e-12)
+        else:  # the steering rate times dt overflows
+            world, config, action = make_world(), RewardConfig(dt=2.0), (0.0, 1.7e308)
         with pytest.raises(ContractError) as error:
-            step_world(world, (1.0, 0.0), config)
+            step_world(world, action, config)
         assert str(error.value) == message
 
     @settings(max_examples=200, deadline=None)
@@ -258,30 +262,6 @@ class TestStepWorld:
                 )
 
 
-def rectangle_contains(state: ActorState, points: np.ndarray) -> np.ndarray:
-    """Membership test used by the sampling oracle."""
-    local = points - state.position
-    c, s = math.cos(state.heading), math.sin(state.heading)
-    lon = local @ np.array([c, s])
-    lat = local @ np.array([-s, c])
-    return (np.abs(lon) <= state.length / 2.0 + 1e-12) & (np.abs(lat) <= state.width / 2.0 + 1e-12)
-
-
-def sampled_overlap(a: ActorState, b: ActorState, resolution=0.02) -> bool:
-    """Dense point-sampling containment oracle for rectangle overlap."""
-    for first, second in ((a, b), (b, a)):
-        nx = max(int(first.length / resolution), 2) + 1
-        ny = max(int(first.width / resolution), 2) + 1
-        lon = np.linspace(-first.length / 2.0, first.length / 2.0, nx)
-        lat = np.linspace(-first.width / 2.0, first.width / 2.0, ny)
-        grid = np.stack(np.meshgrid(lon, lat), axis=-1).reshape(-1, 2)
-        c, s = math.cos(first.heading), math.sin(first.heading)
-        world = first.position + grid @ np.array([[c, s], [-s, c]])
-        if bool(np.any(rectangle_contains(second, world))):
-            return True
-    return False
-
-
 class TestDetectCollision:
     def test_coincident_centers(self):
         assert detect_collision(
@@ -323,6 +303,33 @@ class TestDetectCollision:
         ego = ActorState(position=[0.0, 0.0], heading=0.0, kind=ActorKind.EGO_VEHICLE)
         other = ActorState(position=[dx + gap, dy + gap if dy else 0.0], heading=0.0)
         assert detect_collision(ego, [other]) is hit
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_decides_as_the_nested_loop_oracle(self, data):
+        # footprints from 1e-12 to 1e6 m at any heading: random pairs within a few sizes of
+        # each other, and edge or corner touches built as in test_exact_touch_is_a_collision
+        exponent = data.draw(st.floats(-12.0, 6.0))
+        size = st.floats(max(exponent - 1.0, -12.0), min(exponent + 1.0, 6.0)).map(
+            lambda e: 10.0 ** e)
+        la, wa, lb, wb = (data.draw(size) for _ in range(4))
+        x, y = (data.draw(st.just(0.0) | st.floats(-1e6, 1e6)) for _ in range(2))
+        case = data.draw(st.sampled_from(["random", "edges", "corners"]))
+        if case == "random":
+            heading = st.floats(-10.0, 10.0) | st.floats(-1e9, 1e9) | st.sampled_from(
+                [0.0, math.pi / 2.0, math.pi, -math.pi / 2.0])
+            ha, hb = data.draw(heading), data.draw(heading)
+            offset = st.floats(-3.0, 3.0).map(lambda f: f * 10.0 ** exponent)
+            dx, dy = data.draw(offset), data.draw(offset)
+        else:
+            ha = hb = 0.0
+            gap = data.draw(st.sampled_from([0.0, 1e-9 * 10.0 ** exponent]))
+            dx = (la + lb) / 2.0 + gap
+            dy = (wa + wb) / 2.0 + gap if case == "corners" else 0.0
+        a = ActorState(position=(x, y), heading=ha, length=la, width=wa,
+                       kind=ActorKind.EGO_VEHICLE)
+        b = ActorState(position=(x + dx, y + dy), heading=hb, length=lb, width=wb)
+        assert sim_module._footprints_overlap(a, b) is footprints_overlap(a, b)
 
 
 class TestCheckOffroad:
