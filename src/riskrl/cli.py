@@ -91,22 +91,28 @@ def _load_config_arg(path: str | None) -> RewardConfig:
 
 
 def trace_rows(trace: EpisodeTrace) -> list[list[str]]:
-    """Fixed-format trace table; one row per simulation step."""
-    rows = []
-    for record in trace.records:
-        b, ego, pose = record.breakdown, record.ego, record.pose
-        row = [str(record.step), _fmt(record.time), _fmt(ego.position[0]), _fmt(ego.position[1]),
-               _fmt(ego.heading), _fmt(ego.speed), _fmt(pose.station), _fmt(pose.lateral_offset)]
-        row += [_fmt(getattr(b, column)) for column in LEVEL_COLUMNS]
-        assessments = b.risk_assessments
-        if assessments:
-            worst_idx = max(range(len(assessments)), key=lambda i: assessments[i].combined)
-            worst = assessments[worst_idx]
-            row += [str(worst_idx)] + [_fmt(getattr(worst, column)) for column in RISK_COLUMNS]
-        else:
-            row += [""] * (1 + len(RISK_COLUMNS))
-        rows.append(row)
-    return rows
+    """Fixed-format trace table; one row per simulation step, built column by column.
+
+    The risk cells come from the episode's risk table, not from `RiskAssessment`s: each
+    step's worst actor is the first with the largest `combined`.
+    """
+    records = trace.records
+    egos, poses = [r.ego for r in records], [r.pose for r in records]
+    values = [[r.time for r in records], [e.position[0] for e in egos],
+              [e.position[1] for e in egos], [e.heading for e in egos], [e.speed for e in egos],
+              [p.station for p in poses], [p.lateral_offset for p in poses],
+              *([getattr(r.breakdown, column) for r in records] for column in LEVEL_COLUMNS)]
+    if trace._risk_table:
+        actors, _, geom, dyn, combined, ttc = trace._risk_table
+        # `combined` is never NaN (a NaN clearance is floored to inf and each penalty lies
+        # in [0, 1]), so argmax's first maximum is the one `max` over the step would take
+        worst = combined.reshape(-1, actors).argmax(axis=1)
+        at = worst + np.arange(0, combined.size, actors)
+        risk = [map(str, worst.tolist()), *(map(_fmt, c[at].tolist()) for c in (geom, dyn, ttc))]
+    else:
+        risk = [[""] * len(records)] * (1 + len(RISK_COLUMNS))
+    columns = [map(str, [r.step for r in records]), *(map(_fmt, v) for v in values), *risk]
+    return list(map(list, zip(*columns)))
 
 
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:

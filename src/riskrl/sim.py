@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 import reprlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -646,13 +646,20 @@ _make_record = _maker(StepRecord)
 
 @dataclass(frozen=True, eq=False)
 class EpisodeTrace:
-    """Full per-step record of a run plus its episode statistics."""
+    """Full per-step record of a run plus its episode statistics.
+
+    `_risk_table`, private, is (actors per step, then the risk kernel's step-major
+    per-pair columns: mode codes, geom, dyn, combined, ttc), () when no step has a
+    pair; `trace.csv` reads its risk cells from it. `run_episode` fills it to match
+    `records`, and a `dataclasses.replace` of `records` keeps the old table.
+    """
 
     records: tuple[StepRecord, ...]
     outcome: Outcome
     cumulative_reward: float
     route_progress: float     # final station / goal station, clamped to [0, 1]
     average_velocity: float   # m/s
+    _risk_table: tuple = field(default=(), repr=False)
 
 
 # (MetricsSummary name, EpisodeTrace field) of each statistic an episode reports
@@ -678,7 +685,9 @@ def run_episode(
     Policies never see the reward, so the loop keeps only what scoring reads,
     and every step is scored after it: the risk in one array-kernel call, the
     levels by `total_reward`'s combination, with its bits for each step's
-    `StepContext`. `obs.others` and `risk_assessments` are built when read.
+    `StepContext`. `obs.others` and `risk_assessments` are built when read; the
+    trace keeps the kernel's per-pair columns, which each step's pending
+    `risk_assessments` holds too, for `trace.csv`.
     """
     route = scenario.route
     if not route.goal_station > 0.0:  # route_progress divides by it
@@ -758,6 +767,8 @@ def run_episode(
         ego_rows = _track_rows((scenario.ego_spawn,), n, [path])
         others = _track_rows(actors, n, [track.columns(n) for track in tracks])
     risks = _risk_rewards(ego_rows, others, [len(actors)] * n, config)
+    # with actors, every step has pairs, and its pending assessments hold the columns
+    table = (len(actors), *risks[0][1].args[0]) if actors else ()
     weights, lane_width = _level_weights(config), route.lane_width
     records = [_make_record(i, time, ego, pose, action,
                             _combine(ego, pose, prev, lane_width, action[1], jerk, violations,
@@ -771,6 +782,7 @@ def run_episode(
         cumulative_reward=sum(r.breakdown.total for r in records),
         route_progress=min(max(final.pose.station / route.goal_station, 0.0), 1.0),
         average_velocity=sum(r.ego.speed for r in records) / len(records),
+        _risk_table=table,
     )
 
 

@@ -163,12 +163,15 @@ def same_bits(a, b) -> bool:
 
     So -0.0 differs from 0.0, where `==` would miss it, and NaN equals NaN.
     Recurses through tuples, lists and dataclasses; a float matches only a value of
-    its own type, and anything else compares with `==`.
+    its own type, a numpy array one of the same dtype, shape and bytes, and anything
+    else compares with `==`.
     """
     if type(a) is not type(b):
         return False
     if isinstance(a, float):
         return a.hex() == b.hex()
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     if isinstance(a, (tuple, list)):
         return len(a) == len(b) and all(map(same_bits, a, b))
     if dataclasses.is_dataclass(a):

@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskrl import (
-    ActorKind, ActorState, InteractionMode, RewardConfig, aggregate_metrics, dynamic_risk,
-    geometric_risk,
+    ActorKind, ActorState, InteractionMode, RewardConfig, aggregate_metrics, build_policy,
+    dynamic_risk, geometric_risk, load_scenario, run_episode,
 )
-from riskrl import cli
+from riskrl import cli, risk
 from riskrl.cli import FIELD_COLUMNS, MAX_FIELD_CELLS, SWEEP_COLUMNS, TRACE_COLUMNS, main
 
 GOLDEN_TRACE_HEADER = (
@@ -107,6 +108,39 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
+def expected_trace_rows(trace):
+    """trace.csv's rows worked out from each StepRecord field by field, not through
+    TRACE_COLUMNS, the worst actor by `np.argmax` over the step's `risk_assessments`."""
+    rows = []
+    for r in trace.records:
+        b = r.breakdown
+        values = (r.time, *r.ego.position, r.ego.heading, r.ego.speed, r.pose.station,
+                  r.pose.lateral_offset, b.terminal, b.l0_rules, b.l1_progress, b.l1_risk,
+                  b.l2_style, b.l3_comfort, b.total)
+        row = [str(r.step)] + [repr(float(v)) for v in values]
+        if b.risk_assessments:
+            k = int(np.argmax([a.combined for a in b.risk_assessments]))
+            worst = b.risk_assessments[k]
+            row += [str(k)] + [repr(float(v)) for v in
+                               (worst.geom_penalty, worst.dyn_penalty, worst.ttc)]
+        else:
+            row += [""] * 4
+        rows.append(row)
+    return rows
+
+
+def capture_traces(monkeypatch):
+    """Make `cli.run_episode` keep each trace it returns in the list this returns."""
+    traces, run = [], cli.run_episode
+
+    def capture(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run_episode", capture)
+    return traces
+
+
 class TestCmdRun:
     def test_empty_road_success(self, tmp_path, scenarios_dir, capsys):
         out = tmp_path / "out"
@@ -137,34 +171,75 @@ class TestCmdRun:
     def test_every_trace_cell_is_the_text_of_its_step_record_value(
         self, tmp_path, scenarios_dir, monkeypatch
     ):
-        # worked out from the StepRecord field by field, not through TRACE_COLUMNS
-        traces, run_episode = [], cli.run_episode
-
-        def capture(*args, **kwargs):
-            traces.append(run_episode(*args, **kwargs))
-            return traces[-1]
-
-        monkeypatch.setattr(cli, "run_episode", capture)
+        traces = capture_traces(monkeypatch)
         assert main(["run", "--scenario", str(scenarios_dir / "intersection.json"),
                      "--out", str(tmp_path)]) == 0
         rows = read_rows(tmp_path / "trace.csv")[1:]
-        records = traces[0].records
-        assert len(rows) == len(records) > 0
-        for row, r in zip(rows, records):
-            b = r.breakdown
-            values = (r.time, *r.ego.position, r.ego.heading, r.ego.speed, r.pose.station,
-                      r.pose.lateral_offset, b.terminal, b.l0_rules, b.l1_progress, b.l1_risk,
-                      b.l2_style, b.l3_comfort, b.total)
-            expected = [str(r.step)] + [repr(float(v)) for v in values]
-            if b.risk_assessments:
-                k = int(np.argmax([a.combined for a in b.risk_assessments]))
-                worst = b.risk_assessments[k]
-                expected += [str(k)] + [repr(float(v)) for v in
-                                        (worst.geom_penalty, worst.dyn_penalty, worst.ttc)]
-            else:
-                expected += [""] * 4
-            assert row == expected
+        assert len(rows) == len(traces[0].records) > 0
+        assert rows == expected_trace_rows(traces[0])
         assert any(row[15] not in ("", "0") for row in rows)  # a worst actor other than the first
+
+    @settings(max_examples=20, deadline=None)
+    @given(scenario=st.sampled_from(["intersection", "blocked_road"]),
+           policy=st.sampled_from(["lane_follower", "full_throttle"]),
+           seed=st.integers(0, 2**32 - 1), density=st.none() | st.floats(0.0, 1.0))
+    def test_trace_rows_equal_the_step_records_at_any_seed(self, scenario, policy, seed,
+                                                           density):
+        # each seed draws its own slots and jitters, which no pinned digest covers
+        config = RewardConfig()
+        trace = run_episode(load_scenario(REPO_ROOT / "scenarios" / f"{scenario}.json"),
+                            build_policy(policy, config), config, density=density, seed=seed)
+        assert cli.trace_rows(trace) == expected_trace_rows(trace)
+
+    def test_tied_actors_name_the_first(self, tmp_path):
+        # two obstacles mirrored about the lane of a straight road, passed at heading 0:
+        # their combined risk is equal at every step, and the first one is the worst
+        obstacles = [{"station": 20.0, "lateral_offset": side, "length": 1.0, "width": 1.0}
+                     for side in (2.5, -2.5)]
+        document = {"schema_version": 1, "seed": 1, "max_steps": 250,
+                    "route": {"centerline": [[0.0, 0.0], [60.0, 0.0]], "lane_width": 3.5,
+                              "goal_station": 50.0},
+                    "ego": {"station": 5.0, "lateral_offset": 0.0, "speed": 0.0},
+                    "obstacles": obstacles}
+        path = tmp_path / "mirrored.json"
+        path.write_text(json.dumps(document))
+        config = RewardConfig()
+        trace = run_episode(load_scenario(path), build_policy("full_throttle", config), config)
+        assert trace.outcome.value == "success"
+        assert all(a.combined == b.combined > 0.0
+                   for a, b in (r.breakdown.risk_assessments for r in trace.records))
+        assert main(["run", "--scenario", str(path), "--policy", "full_throttle",
+                     "--out", str(tmp_path / "out")]) == 0
+        rows = read_rows(tmp_path / "out" / "trace.csv")[1:]
+        assert len(rows) == len(trace.records)
+        assert all(row[15] == "0" for row in rows)
+
+    def test_run_builds_no_risk_assessment(self, tmp_path, scenarios_dir, monkeypatch):
+        calls, make = [], risk._make_assessment
+        monkeypatch.setattr(risk, "_make_assessment", lambda *args: calls.append(1) or make(*args))
+        assert main(["run", "--scenario", str(scenarios_dir / "intersection.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert any(row[15] for row in read_rows(tmp_path / "trace.csv")[1:])
+        assert calls == []
+
+    def test_cmd_run_calls_the_names_perfbench_traces(self, tmp_path, scenarios_dir,
+                                                      monkeypatch):
+        # perfbench's tracer times `riskrl run` by patching these names on the cli module;
+        # a rename or a direct import would leave its spans at zero
+        called = []
+
+        def spy(name):
+            original = getattr(cli, name)
+            return lambda *args, **kwargs: called.append(name) or original(*args, **kwargs)
+
+        for name in ("load_scenario", "run_episode"):
+            monkeypatch.setattr(cli, name, spy(name))
+        rows = [[str(i)] * len(TRACE_COLUMNS) for i in range(3)]
+        monkeypatch.setattr(cli, "trace_rows", lambda trace: called.append("trace_rows") or rows)
+        assert main(["run", "--scenario", str(scenarios_dir / "intersection.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert called == ["load_scenario", "run_episode", "trace_rows"]
+        assert read_rows(tmp_path / "trace.csv") == [list(TRACE_COLUMNS), *rows]
 
     def test_blocked_road_full_throttle_collides(self, tmp_path, scenarios_dir):
         out = tmp_path / "out"
@@ -412,13 +487,7 @@ class TestCsvBytes:
     def test_file_equals_the_csv_module_rendering(self, tmp_path, scenarios_dir, monkeypatch,
                                                   command, scenario):
         # the cells are joined without quoting; csv.writer would quote none of them
-        traces, run_episode = [], cli.run_episode
-
-        def capture(*args, **kwargs):
-            traces.append(run_episode(*args, **kwargs))
-            return traces[-1]
-
-        monkeypatch.setattr(cli, "run_episode", capture)
+        traces = capture_traces(monkeypatch)
         argv = [command, "--scenario", str(scenarios_dir / scenario), "--policy", "lane_follower"]
         if command == "run":
             out = tmp_path / "trace.csv"
