@@ -32,7 +32,7 @@ from .core import (
     load_config,
     validate_config_data,
 )
-from .risk import InteractionMode, _per_distinct, risk_field
+from .risk import InteractionMode, _per_distinct, _worst, risk_field
 # perfbench's tracer patches these two names on this module, so they stay importable here
 from .risk import dynamic_risk, geometric_risk  # noqa: F401
 from .sim import (
@@ -102,16 +102,10 @@ def trace_rows(trace: EpisodeTrace) -> list[list[str]]:
               [e.position[1] for e in egos], [e.heading for e in egos], [e.speed for e in egos],
               [p.station for p in poses], [p.lateral_offset for p in poses],
               *([getattr(r.breakdown, column) for r in records] for column in LEVEL_COLUMNS)]
-    if trace._risk_table:
-        actors, _, geom, dyn, combined, ttc = trace._risk_table
-        # `combined` is never NaN (a NaN clearance is floored to inf and each penalty lies
-        # in [0, 1]), so argmax's first maximum is the one `max` over the step would take
-        worst = combined.reshape(-1, actors).argmax(axis=1)
-        at = worst + np.arange(0, combined.size, actors)
-        risk = [map(str, worst.tolist()), *(map(_fmt, c[at].tolist()) for c in (geom, dyn, ttc))]
-    else:
-        risk = [[""] * len(records)] * (1 + len(RISK_COLUMNS))
-    columns = [map(str, [r.step for r in records]), *(map(_fmt, v) for v in values), *risk]
+    worst = _worst(trace._risk_table, len(records))  # None at a step without pairs
+    columns = [map(str, [r.step for r in records]), *(map(_fmt, v) for v in values),
+               *(["" if v is None else text(v) for v in column]
+                 for text, column in zip((str, _fmt, _fmt, _fmt), worst))]
     return list(map(list, zip(*columns)))
 
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -500,21 +500,51 @@ def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
                     np.where(other_toward, away, g))
 
 
-def _assessments(columns: tuple, start: int, stop: int, _=None) -> tuple[RiskAssessment, ...]:
-    """The `RiskAssessment`s of pairs `start` to `stop` of `_risk_rewards`'s columns; a
-    breakdown reading them passes itself as `_`."""
-    codes, *values = (column[start:stop].tolist() for column in columns)
+# The risk kernel's output over an episode, step-major: per pair, its mode code (an index
+# into _MODES), geom, dyn, combined and ttc; step k's pairs are bounds[k] to bounds[k + 1].
+_RiskTable = namedtuple("_RiskTable", "codes geom dyn combined ttc bounds")
+
+
+def _assessments(table: _RiskTable, start: int, stop: int, _=None) -> tuple[RiskAssessment, ...]:
+    """The `RiskAssessment`s of pairs `start` to `stop` of `table`; a breakdown reading them
+    passes itself as `_`."""
+    codes, *values = (column[start:stop].tolist() for column in table[:5])
     return tuple(map(_make_assessment, [_MODES[c] for c in codes], *values))
 
 
+def _assessed_table(steps: Sequence[Sequence[RiskAssessment]]) -> _RiskTable | None:
+    """The table of each step's `RiskAssessment`s, as `_risk_rewards` builds it, or None."""
+    pairs = [(_MODES.index(a.mode), a.geom_penalty, a.dyn_penalty, a.combined, a.ttc)
+             for a in chain.from_iterable(steps)]
+    columns = map(np.array, zip(*pairs))
+    return _RiskTable(*columns, [0, *accumulate(map(len, steps))]) if pairs else None
+
+
+def _worst(table: _RiskTable | None, steps: int) -> list[list]:
+    """Each step's worst pair in `table`, the first with the step's largest `combined`, as
+    `max` takes it: four columns of `steps` values, the pair's index among its step's
+    pairs, then its geom, dyn and ttc, each None at a step without pairs."""
+    if table is None:
+        return [[None] * steps] * 4
+    starts, counts = np.array(table.bounds[:-1]), np.diff(table.bounds)
+    # sorted by step, then from the largest `combined` (never NaN: a NaN clearance is floored
+    # to inf and each penalty lies in [0, 1]), ties in pair order, a step's worst comes first
+    order = np.lexsort((-table.combined, np.repeat(np.arange(steps), counts)))
+    at = order[np.minimum(starts, order.size - 1)]
+    return [np.where(counts > 0, values, None).tolist()
+            for values in (at - starts, table.geom[at], table.dyn[at], table.ttc[at])]
+
+
 def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Sequence[int],
-                  config: RewardConfig) -> list[tuple[float, tuple | partial]]:
+                  config: RewardConfig) -> tuple[list[tuple[float, tuple | partial]],
+                                                 _RiskTable | None]:
     """`risk_reward(ego_i, others_i, config)` for every i < len(counts), from one kernel call,
     where ego_i is the actor whose `_rows` row is `egos[i]` and others_i are the `counts[i]`
-    actors whose rows come next in `others`, each step's assessments left to `_assessments`.
-    When no step has others, numpy is not called and neither `egos` nor `others` is read."""
+    actors whose rows come next in `others`, each step's assessments left to `_assessments`;
+    then the table they are built from. When no step has others, the table is None, numpy is
+    not called and neither `egos` nor `others` is read."""
     if not any(counts):
-        return [(0.0, ())] * len(counts)
+        return [(0.0, ())] * len(counts), None
     ego = _columns(egos, counts)  # each ego once per pair
     other = _columns(others)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
@@ -528,10 +558,10 @@ def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Se
                 out[:, at] = _mode_risk(mode, *(t._make(f[at] for f in t) for t in (ego, other)),
                                         config)
     combined = config.w_geom * geom + config.w_dyn * dyn
-    columns, worst = (codes, geom, dyn, combined, ttc), combined.tolist()
-    bounds = [0, *np.cumsum(counts).tolist()]
-    return [(-max(worst[i:j]) + 0.0, partial(_assessments, columns, i, j)) if j > i else (0.0, ())
-            for i, j in zip(bounds, bounds[1:])]
+    table = _RiskTable(codes, geom, dyn, combined, ttc, [0, *np.cumsum(counts).tolist()])
+    worst, bounds = combined.tolist(), table.bounds
+    return [(-max(worst[i:j]) + 0.0, partial(_assessments, table, i, j)) if j > i else (0.0, ())
+            for i, j in zip(bounds, bounds[1:])], table
 
 
 def assess_interaction(

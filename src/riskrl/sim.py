@@ -11,7 +11,8 @@ from __future__ import annotations
 import bisect
 import math
 import reprlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -38,7 +39,7 @@ from .core import (
 from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _combine, _level_weights
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
 from .reward import total_reward  # noqa: F401
-from .risk import _risk_rewards, _track_rows
+from .risk import _assessed_table, _risk_rewards, _track_rows
 
 SCHEMA_VERSION = 1
 SPEEDING_RULE = "speeding"
@@ -646,20 +647,20 @@ _make_record = _maker(StepRecord)
 
 @dataclass(frozen=True, eq=False)
 class EpisodeTrace:
-    """Full per-step record of a run plus its episode statistics.
-
-    `_risk_table`, private, is (actors per step, then the risk kernel's step-major
-    per-pair columns: mode codes, geom, dyn, combined, ttc), () when no step has a
-    pair; `trace.csv` reads its risk cells from it. `run_episode` fills it to match
-    `records`, and a `dataclasses.replace` of `records` keeps the old table.
-    """
+    """Full per-step record of a run plus its episode statistics."""
 
     records: tuple[StepRecord, ...]
     outcome: Outcome
     cumulative_reward: float
     route_progress: float     # final station / goal station, clamped to [0, 1]
     average_velocity: float   # m/s
-    _risk_table: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def _risk_table(self) -> tuple | None:
+        """The risk table of `records`, which `trace.csv` reads: the one `run_episode` scored
+        them with, or for a trace made otherwise (by `dataclasses.replace`, say) the table of
+        their `risk_assessments`, built when first read."""
+        return _assessed_table([record.breakdown.risk_assessments for record in self.records])
 
 
 # (MetricsSummary name, EpisodeTrace field) of each statistic an episode reports
@@ -680,15 +681,16 @@ def run_episode(
     off-road, goal reached; hitting the step budget ends the episode as a
     timeout whose final step contributes zero reward. Ego acceleration
     commands are clamped to the braking/acceleration limits and the steering
-    rate to the curvature-feasible envelope. An NPC's state is built only when
-    the broad phase on its track row keeps it, or to raise at a bad row.
-    Policies never see the reward, so the loop keeps only what scoring reads,
-    and every step is scored after it: the risk in one array-kernel call, the
-    levels by `total_reward`'s combination, with its bits for each step's
-    `StepContext`. `obs.others` and `risk_assessments` are built when read; the
-    trace keeps the kernel's per-pair columns, which each step's pending
-    `risk_assessments` holds too, for `trace.csv`.
+    rate to the curvature-feasible envelope.
     """
+    return _score(scenario, *_rollout(scenario, policy, config, density, seed), config)
+
+
+def _rollout(scenario: Scenario, policy: Policy, config: RewardConfig, density: float | None,
+             seed: int | None) -> tuple[list[tuple], tuple[ActorState, ...], list[_Track]]:
+    """The episode's steps, its actors (NPCs, then obstacles) and the NPCs' tracks. Policies
+    never see the reward, so a step keeps only what scoring reads. An NPC's state is built
+    only when the broad phase on its track row keeps it, or to raise at a bad row."""
     route = scenario.route
     if not route.goal_station > 0.0:  # route_progress divides by it
         raise ContractError(f"route.goal_station must be positive to run an episode "
@@ -758,17 +760,22 @@ def run_episode(
         if outcome is not Outcome.NONE:
             break
 
+    return steps, actors, tracks
+
+
+def _score(scenario: Scenario, steps: list[tuple], actors: tuple[ActorState, ...],
+           tracks: list[_Track], config: RewardConfig) -> EpisodeTrace:
+    """The trace of `_rollout`'s steps: the risk in one array-kernel call, the levels by
+    `total_reward`'s combination, with its bits for each step's `StepContext`."""
     # every step's rows at once: the ego's from its states' x, y, heading and speed_long, the
     # actors' from the tracks' columns and each obstacle's own fields
-    n = len(steps)
+    route, n = scenario.route, len(steps)
     ego_rows = others = None
     if actors:
         path = np.array([(*s.position, s.heading, s.speed_long) for s in [t[1] for t in steps]])
         ego_rows = _track_rows((scenario.ego_spawn,), n, [path])
         others = _track_rows(actors, n, [track.columns(n) for track in tracks])
-    risks = _risk_rewards(ego_rows, others, [len(actors)] * n, config)
-    # with actors, every step has pairs, and its pending assessments hold the columns
-    table = (len(actors), *risks[0][1].args[0]) if actors else ()
+    risks, table = _risk_rewards(ego_rows, others, [len(actors)] * n, config)
     weights, lane_width = _level_weights(config), route.lane_width
     records = [_make_record(i, time, ego, pose, action,
                             _combine(ego, pose, prev, lane_width, action[1], jerk, violations,
@@ -776,14 +783,15 @@ def run_episode(
                for i, ((time, ego, pose, prev, action, jerk, violations, outcome), risk)
                in enumerate(zip(steps, risks), 1)]
     final = records[-1]
-    return EpisodeTrace(
+    trace = EpisodeTrace(
         records=tuple(records),
         outcome=final.outcome,
         cumulative_reward=sum(r.breakdown.total for r in records),
         route_progress=min(max(final.pose.station / route.goal_station, 0.0), 1.0),
         average_velocity=sum(r.ego.speed for r in records) / len(records),
-        _risk_table=table,
     )
+    object.__setattr__(trace, "_risk_table", table)  # the table the records were scored with
+    return trace
 
 
 # ---------------------------------------------------------------------------

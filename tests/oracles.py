@@ -1,6 +1,7 @@
 """Test oracles: numpy and brute-force forms of what the library computes in plain floats,
 and the checks that hold the library's array and two-phase paths to its scalar ones."""
 
+import copy
 import dataclasses
 import math
 from contextlib import contextmanager
@@ -17,6 +18,24 @@ from riskrl import sim
 def rotation(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def transformed(doc, theta, shift):
+    """A scenario document moved rigidly: every world-frame point, the route's centerline
+    and each waypoint follower's polyline, turned by `theta` about the origin and then
+    shifted by `shift`. Route-frame fields (stations, lateral and heading offsets) carry
+    over unchanged, so each actor spawns at its moved pose."""
+    c, s = math.cos(theta), math.sin(theta)
+
+    def move(points):
+        return [[c * x - s * y + shift[0], s * x + c * y + shift[1]] for x, y in points]
+
+    doc = copy.deepcopy(doc)
+    doc["route"]["centerline"] = move(doc["route"]["centerline"])
+    for actor in doc.get("npcs", []) + doc.get("slots", []):
+        if (actor.get("script") or {}).get("kind") == "waypoint_follower":
+            actor["script"]["waypoints"] = move(actor["script"]["waypoints"])
+    return doc
 
 
 def numpy_velocity(actor):

@@ -241,6 +241,24 @@ class TestCmdRun:
         assert called == ["load_scenario", "run_episode", "trace_rows"]
         assert read_rows(tmp_path / "trace.csv") == [list(TRACE_COLUMNS), *rows]
 
+    def test_a_trace_replaced_with_other_records_writes_their_risk(self, scenarios_dir):
+        # `dataclasses.replace` builds a trace around other records, as tests do to make
+        # wrong traces; its risk cells must be those records' own, whichever trace each
+        # came from: a busier or quieter episode, one without actors, or a mix of steps
+        # with 8, 0 and 4 actors
+        config = RewardConfig()
+        policy = build_policy("lane_follower", config)
+        busy, quiet = (run_episode(load_scenario(scenarios_dir / "intersection.json"), policy,
+                                   config, density, seed) for density, seed in ((1.0, 3), (0.5, 4)))
+        empty = run_episode(load_scenario(scenarios_dir / "empty_road.json"), policy, config)
+        assert [len(t.records[0].breakdown.risk_assessments) for t in (busy, quiet, empty)] == [
+            8, 4, 0]
+        mixed = busy.records[:3] + empty.records[:2] + quiet.records[:3] + empty.records[:1]
+        for trace, records in ((busy, quiet.records), (quiet, busy.records),
+                               (empty, busy.records), (busy, empty.records), (busy, mixed)):
+            replaced = dataclasses.replace(trace, records=records)
+            assert cli.trace_rows(replaced) == expected_trace_rows(replaced)
+
     def test_blocked_road_full_throttle_collides(self, tmp_path, scenarios_dir):
         out = tmp_path / "out"
         code = main([

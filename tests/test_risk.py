@@ -918,11 +918,23 @@ def kernel_rows(actors):
 
 def risk_rewards(egos, others):
     """`_risk_rewards` of each ego, passed as its `_row`, against its step's sequence of
-    actors in `others`, with each step's pending assessments built."""
+    actors in `others`, with each step's pending assessments built. The table it returns
+    must have the bits of the table of those assessments, and each step's worst pair in it
+    must be the first `np.argmax` of their `combined`."""
     rows = kernel_rows([actor for actors in others for actor in actors]).reshape(-1, 9)
-    return [(reward, assessments() if actors else assessments)
-            for (reward, assessments), actors in zip(risk_module._risk_rewards(
-                kernel_rows(egos), rows, [len(actors) for actors in others], CFG), others)]
+    results, table = risk_module._risk_rewards(kernel_rows(egos), rows,
+                                               [len(actors) for actors in others], CFG)
+    built = [(reward, assessments() if actors else assessments)
+             for (reward, assessments), actors in zip(results, others)]
+    assert same_bits(table, risk_module._assessed_table([a for _, a in built]))
+    worst = [(None,) * 4] * len(built)
+    for i, (_, assessments) in enumerate(built):
+        if assessments:
+            k = int(np.argmax([a.combined for a in assessments]))
+            worst[i] = (k, assessments[k].geom_penalty, assessments[k].dyn_penalty,
+                        assessments[k].ttc)
+    assert same_bits(risk_module._worst(table, len(built)), [list(c) for c in zip(*worst)])
+    return built
 
 
 class TestPairRiskArrays:
@@ -998,4 +1010,4 @@ class TestPairRiskArrays:
     def test_no_pairs_call_no_numpy(self, monkeypatch):
         egos = kernel_rows([car(kind=ActorKind.EGO_VEHICLE)] * 2)
         monkeypatch.setattr(risk_module, "np", None)
-        assert risk_module._risk_rewards(egos, None, [0, 0], CFG) == [(0.0, ())] * 2
+        assert risk_module._risk_rewards(egos, None, [0, 0], CFG) == ([(0.0, ())] * 2, None)

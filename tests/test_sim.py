@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from oracles import (
     collision_checks, footprints_overlap, matches_replay, replayed_contexts, same_bits,
-    sampled_overlap, step_npc, within_reach,
+    sampled_overlap, step_npc, transformed, within_reach,
 )
 from riskrl import (
     ActorKind,
@@ -790,7 +790,9 @@ class TestBuiltOnRead:
         unread, read = self.run(intersection), self.run(intersection)
         assert any(r.breakdown.risk_assessments for r in read.records)
         for trace in (unread, read):
-            assert same_bits(pickle.loads(pickle.dumps(trace)), read)
+            unpickled = pickle.loads(pickle.dumps(trace))
+            assert same_bits(unpickled, read)
+            assert trace_rows(unpickled) == trace_rows(trace)
 
     def test_observations_pickle_before_and_after_a_read(self, intersection):
         seen, drive = [], build_policy("lane_follower", CFG)
@@ -1173,3 +1175,40 @@ def test_mutated_documents_fail_with_paths_or_run_within_bounds(name, data):
         assert all(math.isfinite(total) for total in totals)
         assert all(abs(total) <= step_bound for total in totals[:-1])
         assert abs(totals[-1]) <= config.w_terminal + 1e-12
+
+
+# a float64's unit roundoff: each correctly rounded operation errs by at most this share
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # the files are only read
+@given(data=st.data(), policy=st.sampled_from(["lane_follower", "full_throttle"]),
+       seed=st.none() | st.integers(0, 2**32 - 1), theta=st.floats(-math.pi, math.pi),
+       shift=st.tuples(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5)))
+def test_a_rigid_motion_of_a_scenario_changes_only_rounding(waypoint_documents, data, policy,
+                                                             seed, theta, shift):
+    """Every objective is read in the ego's or the route's frame, so turning a whole
+    scenario by `theta` and shifting it by `shift` (`oracles.transformed`) leaves every
+    outcome and step count as they were, and the rewards equal up to rounding.
+
+    The tolerance: a step rounds each world coordinate to within u * R, with u the unit
+    roundoff and R the largest coordinate magnitude of the moved centerline, so by step k
+    the geometry a reward reads has moved by at most about k * u * R, and each level's
+    reward by its slope times that. Over 2,700 scratch draws of this kind, shifts up to 1e5 m,
+    the largest difference at step k was 3.9 * k * u * R, and the episode's largest was
+    0.37 * n * (n + 1) * u * R over its n steps. Step k may differ by 32 * k * u * R, and
+    the episode's reward by the sum of those, 16 * n * (n + 1) * u * R.
+    """
+    documents = {**SHIPPED_SCENARIOS,
+                 **{path.name: json.loads(path.read_text()) for path in waypoint_documents}}
+    document = documents[data.draw(st.sampled_from(sorted(documents)), label="document")]
+    moved = transformed(document, theta, shift)
+    before, after = (run_episode(scenario_from_dict(doc), build_policy(policy, CFG), CFG,
+                                 seed=seed) for doc in (document, moved))
+    assert (after.outcome, len(after.records)) == (before.outcome, len(before.records))
+    u_r = UNIT_ROUNDOFF * max(abs(v) for point in moved["route"]["centerline"] for v in point)
+    for k, (a, b) in enumerate(zip(before.records, after.records), 1):
+        assert abs(a.breakdown.total - b.breakdown.total) <= 32 * k * u_r
+    n = len(before.records)
+    assert abs(before.cumulative_reward - after.cumulative_reward) <= 16 * n * (n + 1) * u_r
