@@ -287,20 +287,22 @@ def _project(px: float, py: float, heading: float, route: Route) -> RouteFramePo
     # block whose bound exceeds the best distance by more than rounding can
     # hold no nearer segment, and neither can any block after it. The distance
     # to a block's chord less its band is a tighter bound, for that block alone.
-    # The first block searched is searched whatever its bound: a lone one is not sorted.
+    # While the best distance is inf, so is the reach, and neither test can skip a block:
+    # the first block searched is scanned directly, and a lone one is not sorted either.
     blocks = route._blocks
     bounds = (sorted([(math.hypot(px - b[0], py - b[1]) - b[2], b) for b in blocks])
               if len(blocks) > 1 else ((0.0, blocks[0]),))
     segments = route._segments
     best, i = math.inf, len(segments)  # i past the end: the first segment wins even at inf
     for bound, (_, _, _, first, stop, ax, ay, dx, dy, inv, band) in bounds:
-        reach = math.sqrt(best) * (1.0 + _PROJECTION_MARGIN)
-        if bound > reach:
-            break
-        t = ((px - ax) * dx + (py - ay) * dy) * inv
-        t = 0.0 if not t > 0.0 else 1.0 if t > 1.0 else t
-        if math.hypot(px - (ax + t * dx), py - (ay + t * dy)) - band > reach:
-            continue
+        if best < math.inf:
+            reach = math.sqrt(best) * (1.0 + _PROJECTION_MARGIN)
+            if bound > reach:
+                break
+            t = ((px - ax) * dx + (py - ay) * dy) * inv
+            t = 0.0 if not t > 0.0 else 1.0 if t > 1.0 else t
+            if math.hypot(px - (ax + t * dx), py - (ay + t * dy)) - band > reach:
+                continue
         for j in range(first, stop):
             ax, ay, dx, dy, len2 = segments[j]
             t = ((px - ax) * dx + (py - ay) * dy) / len2

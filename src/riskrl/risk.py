@@ -189,18 +189,16 @@ def _ratio(excess, r):
     return math.inf if excess == math.inf else excess / r
 
 
-def _clearance(v_ego, v_other, axis: Axis, config: RewardConfig, approach: bool = False):
-    """`approach_clearance`, else `leading_clearance`, of floats or arrays, unchecked.
+def _clearances(v_ego, v_other, axis: Axis, config: RewardConfig):
+    """(`leading_clearance`, `approach_clearance`) of floats or arrays, unchecked.
 
     A leading clearance is NaN before its floor when both stop distances overflow.
     """
     (a_acc, a_brk_min, a_brk_max, r_geom), rho = _axis_params(axis, config), config.rho
     r = accel_distance(v_ego, rho, a_acc) + stop_distance(v_ego, rho, a_acc, a_brk_min)
-    if approach:
-        r = r + accel_distance(v_other, rho, a_acc) + stop_distance(v_other, rho, a_acc, a_brk_min)
-    else:
-        r = r - v_other * v_other / (2.0 * a_brk_max)
-    return _floored(r, r_geom)
+    return (_floored(r - v_other * v_other / (2.0 * a_brk_max), r_geom), _floored(
+        r + accel_distance(v_other, rho, a_acc) + stop_distance(v_other, rho, a_acc, a_brk_min),
+        r_geom))
 
 
 def leading_clearance(v_ego: float, v_other: float, axis: Axis, config: RewardConfig) -> float:
@@ -213,7 +211,7 @@ def leading_clearance(v_ego: float, v_other: float, axis: Axis, config: RewardCo
     overflow, it is inf, the conservative clearance. Speeds are magnitudes, >= 0.
     """
     _require_speeds("leading_clearance", v_ego=v_ego, v_other=v_other)
-    return _clearance(v_ego, v_other, axis, config)
+    return _clearances(v_ego, v_other, axis, config)[0]
 
 
 def approach_clearance(v_ego: float, v_other: float, axis: Axis, config: RewardConfig) -> float:
@@ -224,7 +222,7 @@ def approach_clearance(v_ego: float, v_other: float, axis: Axis, config: RewardC
     at the geometric radius for the axis. Speeds are magnitudes, >= 0.
     """
     _require_speeds("approach_clearance", v_ego=v_ego, v_other=v_other)
-    return _clearance(v_ego, v_other, axis, config, approach=True)
+    return _clearances(v_ego, v_other, axis, config)[1]
 
 
 def away_clearance(v_ego_away: float, v_other_toward: float, config: RewardConfig) -> float:
@@ -320,26 +318,6 @@ def _lateral_dynamic_radius(
     return config.r_y_geom
 
 
-def _mode_setup(
-    ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
-) -> tuple[float, float, int, int, float]:
-    """(c_x, c_y, p_x, p_y, r_x) of one pair: each mode's centres, exponents and clearance.
-
-    The exponents favour the axis the mode is critical on. r_x is the dynamic
-    longitudinal clearance; the intersecting mode scores the TTC and never uses it.
-    The array kernel passes `_Actors` of pairs in one mode, whose fields may be arrays.
-    """
-    c_x, c_y = clearance_center(ego, other, mode)
-    v_ego, v_other = abs(ego.speed_long), abs(other.speed_long)
-    if mode is InteractionMode.SAME_DIRECTION:
-        return c_x, c_y, config.p_max, config.p_min, _clearance(v_ego, v_other, "long", config)
-    if mode is InteractionMode.OPPOSITE_DIRECTION:
-        return c_x, c_y, config.p_min, config.p_max, _clearance(v_ego, v_other, "long", config, True)
-    if mode is InteractionMode.STATIC_OBSTACLE:
-        return c_x, c_y, config.p_min, config.p_max, _clearance(v_ego, 0.0, "long", config)
-    return c_x, c_y, config.p_max, config.p_max, math.inf
-
-
 def dynamic_risk(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
 ) -> tuple[float, float]:
@@ -357,9 +335,21 @@ def dynamic_risk(
 def _pair_risk(
     ego: ActorState, other: ActorState, mode: InteractionMode, config: RewardConfig
 ) -> tuple[float, float, float]:
-    """(geometric penalty, dynamic penalty, ttc) of one pair, its geometry worked out once."""
+    """(geometric penalty, dynamic penalty, ttc) of one pair, its geometry worked out once.
+
+    Each mode has its centres, its exponents, which favour the axis it is critical on, and
+    its dynamic longitudinal clearance r_x; the intersecting mode scores the TTC instead.
+    """
     d_x, d_y = relative_displacement(ego, other)
-    c_x, c_y, p_x, p_y, r_x = _mode_setup(ego, other, mode, config)
+    c_x, c_y = clearance_center(ego, other, mode)
+    v_ego, v_other = abs(ego.speed_long), abs(other.speed_long)
+    p_x, p_y = config.p_max, config.p_max
+    if mode is InteractionMode.SAME_DIRECTION:
+        p_y, r_x = config.p_min, _clearances(v_ego, v_other, "long", config)[0]
+    elif mode is InteractionMode.OPPOSITE_DIRECTION:
+        p_x, r_x = config.p_min, _clearances(v_ego, v_other, "long", config)[1]
+    elif mode is InteractionMode.STATIC_OBSTACLE:
+        p_x, r_x = config.p_min, _clearances(v_ego, 0.0, "long", config)[0]
     excess_x = max(abs(d_x) - c_x, 0.0)
     excess_y = max(abs(d_y) - c_y, 0.0)
     geom = _ellipse_power(excess_x / config.r_x_geom, excess_y / config.r_y_geom,
@@ -405,7 +395,7 @@ def risk_field(
     ego, other = (_Actors(*_row(a), *_turns(a.heading)) for a in (ego, other))
     cells = other._replace(x=np.tile(xs, ys.size), y=np.repeat(ys, xs.size))
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
-        return _mode_risk(mode, ego, cells, config)[:2]
+        return _pairs_risk(_MODES.index(mode), ego, cells, config)[:2]
 
 
 # Actors as the array kernel takes them: `_row`'s fields, then the cos and sin of the
@@ -445,44 +435,66 @@ def _columns(rows: np.ndarray, repeats: Sequence[int] | None = None) -> _Actors:
     return _Actors(*(table if repeats is None else np.repeat(table, repeats, axis=0)).T)
 
 
-def _mode_risk(mode: InteractionMode, e: _Actors, o: _Actors,
-               config: RewardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(geom, dyn, ttc) of pairs that all take `mode` (`o.x` is an array), in `_pair_risk`'s
-    steps and with its bits: cos and sin from `math`, the ego frame as the turn by (cos, -sin),
-    `ttc_penalty` once per distinct TTC, and every other step one correctly rounded array
-    operation in the scalar order, `max(a, b)` as `np.where(b > a, b, a)`."""
+def _pairs_risk(codes, e: _Actors, o: _Actors,
+                config: RewardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(geom, dyn, ttc) of each pair in its own mode, `_MODES[codes[i]]` for pair i (`codes` may
+    be one code for all pairs; `o.x` is an array), with `_pair_risk`'s bits: each of its mode
+    branches worked out for all pairs, cos and sin from `math`, the ego frame as the turn by
+    (cos, -sin), `ttc_penalty` once per distinct TTC, every other step one correctly rounded
+    array operation in the scalar order, `max(a, b)` as `np.where(b > a, b, a)`."""
     dx, dy = o.x - e.x, o.y - e.y
     d_x, d_y = _turn(e.cos, -e.sin, dx, dy)
     over = np.isinf(dx) | np.isinf(dy)
     if over.any():  # relative_displacement's rule: turn the halves, which are finite, and double
         halves = _turn(e.cos, -e.sin, o.x / 2 - e.x / 2, o.y / 2 - e.y / 2)
         d_x, d_y = (np.where(over, 2.0 * h, d) for h, d in zip(halves, (d_x, d_y)))
-    c_x, c_y, p_x, p_y, r_x = _mode_setup(e, o, mode, config)
+    intersecting = codes == 2
+    radii = e.circumradius + o.circumradius  # clearance_center's centres
+    c_x = np.where(intersecting, radii, 0.5 * (e.length + o.length))
+    c_y = np.where(intersecting, radii, 0.5 * (e.width + o.width))
     excess_x, excess_y = np.abs(d_x) - c_x, np.abs(d_y) - c_y
     excess_x, excess_y = (np.where(0.0 > excess, 0.0, excess) for excess in (excess_x, excess_y))
-    geom = _ellipse_power(excess_x / config.r_x_geom, excess_y / config.r_y_geom,
-                          p_x, p_y, config.p_outer)
-    if mode is InteractionMode.INTERSECTING:  # ttc_circle, its velocity scaling included
-        (bvx, bvy), (avx, avy) = (_turn(a.cos, a.sin, a.speed_long, a.speed_lat) for a in (o, e))
-        dvx, dvy = bvx - avx, bvy - avy
-        big = np.where(abs(dvy) > abs(dvx), abs(dvy), abs(dvx))
-        scale = np.where(big > 1e150, np.frexp(big)[1], 0) if np.any(big > 1e150) else 0
-        dvx, dvy = np.ldexp(dvx, -scale), np.ldexp(dvy, -scale)
-        radius = e.circumradius + o.circumradius
-        c = dx * dx + dy * dy - radius * radius
-        aa = dvx * dvx + dvy * dvy
-        bb = dx * dvx + dy * dvy
-        # ttc_circle's misses: a negative disc gives a NaN root, which fails `>= 0`; with
-        # aa == 0 the root is NaN, -inf or, when bb * bb underflows, +inf, which ldexp keeps
-        t_first = (-bb - np.sqrt(bb * bb - aa * c)) / aa
-        ttc = np.where(c <= 0.0, 0.0, np.where(t_first >= 0.0, np.ldexp(t_first, -scale), math.inf))
-        return geom, _per_distinct(lambda t: ttc_penalty(t, config), ttc, float), ttc
+    # approach for opposite directions, else leading, behind a static obstacle at speed 0
+    leading, approach = _clearances(abs(e.speed_long), np.where(
+        codes == 3, 0.0, abs(o.speed_long)), "long", config)
+    r_x = np.where(codes == 1, approach, leading)
     # _lateral_dynamic_radius: the side of the other actor, and the lateral speeds toward it
     side = np.where(d_y == 0.0, 0.0, np.copysign(1.0, d_y))
     w = _turn(e.cos, -e.sin, *_turn(o.cos, o.sin, o.speed_long, o.speed_lat))[1]
     r_y = _lateral_radius(side, e.speed_lat, w, config)
-    dyn = _ellipse_power(_ratio(excess_x, r_x), _ratio(excess_y, r_y), p_x, p_y, config.p_outer)
-    return geom, dyn, np.full(dyn.shape, math.inf)
+    # p_max on x in the same-direction and intersecting modes, on y in all but the former
+    wide = (codes == 0) | intersecting, codes != 0
+    geom = _modes_field(excess_x / config.r_x_geom, excess_y / config.r_y_geom, wide, config)
+    dyn = _modes_field(_ratio(excess_x, r_x), _ratio(excess_y, r_y), wide, config)
+    if not np.any(intersecting):
+        return geom, dyn, np.full(dyn.shape, math.inf)
+    # ttc_circle, its velocity scaling included, of every pair; only the intersecting keep it
+    (bvx, bvy), (avx, avy) = (_turn(a.cos, a.sin, a.speed_long, a.speed_lat) for a in (o, e))
+    dvx, dvy = bvx - avx, bvy - avy
+    big = np.where(abs(dvy) > abs(dvx), abs(dvy), abs(dvx))
+    scale = np.where(big > 1e150, np.frexp(big)[1], 0) if np.any(big > 1e150) else 0
+    dvx, dvy = np.ldexp(dvx, -scale), np.ldexp(dvy, -scale)
+    c = dx * dx + dy * dy - radii * radii
+    aa = dvx * dvx + dvy * dvy
+    bb = dx * dvx + dy * dvy
+    # ttc_circle's misses: a negative disc gives a NaN root, which fails `>= 0`; with
+    # aa == 0 the root is NaN, -inf or, when bb * bb underflows, +inf, which ldexp keeps
+    t_first = (-bb - np.sqrt(bb * bb - aa * c)) / aa
+    ttc = np.where(c <= 0.0, 0.0, np.where(t_first >= 0.0, np.ldexp(t_first, -scale), math.inf))
+    ttc = np.where(intersecting, ttc, math.inf)
+    return geom, np.where(intersecting, _per_distinct(
+        lambda t: ttc_penalty(t, config), ttc, float), dyn), ttc
+
+
+def _modes_field(tx, ty, wide: tuple, config: RewardConfig) -> np.ndarray:
+    """`_ellipse_power` with each pair's exponent on each axis: p_max where `wide` holds for the
+    axis, else p_min. When `wide` is two bools, as one code for all pairs gives, it is one call."""
+    if isinstance(wide[0], bool):
+        return _ellipse_power(tx, ty, *(config.p_max if on else config.p_min for on in wide),
+                              config.p_outer)
+    px, py = (np.where(on, _even_power(t, config.p_max), _even_power(t, config.p_min))
+              for t, on in zip((tx, ty), wide))
+    return 1.0 / _even_power(px + py + 1.0, config.p_outer)
 
 
 def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
@@ -491,7 +503,7 @@ def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
     ego_toward, other_toward = side * v > 0.0, side * w < 0.0
     g, rho, a_acc = config.r_y_geom, config.rho, config.a_acc_max_y
     v_away, v, w = -side * v, abs(v), abs(w)
-    closing, leading = _clearance(v, w, "lat", config, True), _clearance(v, w, "lat", config)
+    leading, closing = _clearances(v, w, "lat", config)
     # max(away_clearance(v_away, w), g), whose floor at 0 changes nothing; where the ego is
     # not toward, v_away is >= 0 or -0.0, which max(., 0.0) keeps
     r = accel_distance(w, rho, a_acc) - v_away * rho
@@ -527,11 +539,13 @@ def _worst(table: _RiskTable | None, steps: int) -> list[list]:
     if table is None:
         return [[None] * steps] * 4
     starts, counts = np.array(table.bounds[:-1]), np.diff(table.bounds)
-    # sorted by step, then from the largest `combined` (never NaN: a NaN clearance is floored
-    # to inf and each penalty lies in [0, 1]), ties in pair order, a step's worst comes first
-    order = np.lexsort((-table.combined, np.repeat(np.arange(steps), counts)))
-    at = order[np.minimum(starts, order.size - 1)]
-    return [np.where(counts > 0, values, None).tolist()
+    full = counts > 0
+    # each step's largest `combined` (never NaN: a NaN clearance is floored to inf and each
+    # penalty lies in [0, 1]), then the first of the step's pairs equal to it
+    largest = np.repeat(np.maximum.reduceat(table.combined, starts[full]), counts[full])
+    hits = np.flatnonzero(table.combined == largest)
+    at = hits[np.minimum(np.searchsorted(hits, starts), hits.size - 1)]
+    return [np.where(full, values, None).tolist()
             for values in (at - starts, table.geom[at], table.dyn[at], table.ttc[at])]
 
 
@@ -552,15 +566,15 @@ def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Se
         dpsi = np.abs(np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a)))
         codes = np.where(other.static != 0.0, 3, np.where(  # indices into _MODES
             dpsi <= SAME_DIRECTION_MAX, 0, np.where(dpsi >= OPPOSITE_DIRECTION_MIN, 1, 2)))
-        geom, dyn, ttc = out = np.empty((3, codes.size))  # rows that each mode fills in
-        for code, mode in enumerate(_MODES):  # each mode runs only on the pairs that take it
-            if (at := np.flatnonzero(codes == code)).size:  # by position: quicker on small arrays
-                out[:, at] = _mode_risk(mode, *(t._make(f[at] for f in t) for t in (ego, other)),
-                                        config)
+        geom, dyn, ttc = _pairs_risk(codes, ego, other, config)
     combined = config.w_geom * geom + config.w_dyn * dyn
     table = _RiskTable(codes, geom, dyn, combined, ttc, [0, *np.cumsum(counts).tolist()])
-    worst, bounds = combined.tolist(), table.bounds
-    return [(-max(worst[i:j]) + 0.0, partial(_assessments, table, i, j)) if j > i else (0.0, ())
+    # each step's max, as `max` over its pairs takes it: `combined` is never NaN (see `_worst`),
+    # and -m + 0.0 is 0.0 for either zero, so whichever equal value is kept gives the same bits
+    bounds = table.bounds
+    rewards = iter((-np.maximum.reduceat(combined, [i for i, j in zip(bounds, bounds[1:]) if j > i])
+                    + 0.0).tolist())
+    return [(next(rewards), partial(_assessments, table, i, j)) if j > i else (0.0, ())
             for i, j in zip(bounds, bounds[1:])], table
 
 

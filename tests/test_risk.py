@@ -937,6 +937,15 @@ def risk_rewards(egos, others):
     return built
 
 
+def pairs_risk(codes, egos, others):
+    """`_pairs_risk` of the pairs (egos[i], others[i]) in modes `codes`, one tuple per pair."""
+    with np.errstate(all="ignore"):
+        geom, dyn, ttc = risk_module._pairs_risk(
+            codes, risk_module._columns(kernel_rows(egos)),
+            risk_module._columns(kernel_rows(others)), CFG)
+    return list(zip(geom.tolist(), dyn.tolist(), ttc.tolist()))
+
+
 class TestPairRiskArrays:
     """The array kernel against the scalar pair functions, element by element, bit for bit."""
 
@@ -977,18 +986,21 @@ class TestPairRiskArrays:
                          [risk_reward(ego, other, CFG) for ego, other in zip(egos, others)])
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 5_000),
-           mode=st.sampled_from(InteractionMode))
-    def test_a_given_mode_has_the_bits_of_pair_risk(self, seed, size, mode):
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 5_000))
+    def test_each_pair_in_its_own_mode_has_the_bits_of_pair_risk(self, seed, size):
+        """Any mode for any pair, whatever its kind and headings, mixed in one call."""
         egos, others = kernel_batch(seed, size)
-        with np.errstate(all="ignore"):
-            geom, dyn, ttc = risk_module._mode_risk(
-                mode, risk_module._columns(kernel_rows(egos)),
-                risk_module._columns(kernel_rows(others)), CFG)
-        got = list(zip(geom.tolist(), dyn.tolist(), np.broadcast_to(ttc, geom.shape).tolist()))
-        expected = [risk_module._pair_risk(ego, other, mode, CFG)
-                    for ego, other in zip(egos, others)]
-        assert same_bits(got, expected)
+        codes = np.random.default_rng(seed).integers(0, 4, len(egos))
+        assert same_bits(pairs_risk(codes, egos, others),
+                         [risk_module._pair_risk(ego, other, risk_module._MODES[code], CFG)
+                          for ego, other, code in zip(egos, others, codes.tolist())])
+
+    def test_far_apart_pairs_in_every_mode_have_the_bits_of_pair_risk(self):
+        pairs = [(ego, other, code) for code in range(4) for ego, other in FAR_APART + FAR_AND_FAST]
+        egos, others, codes = zip(*pairs)
+        assert same_bits(pairs_risk(np.array(codes), egos, others),
+                         [risk_module._pair_risk(ego, other, risk_module._MODES[code], CFG)
+                          for ego, other, code in pairs])
 
     @given(h=st.floats(allow_nan=False, allow_infinity=False))
     @example(h=0.0)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from oracles import (
     collision_checks, footprints_overlap, matches_replay, replayed_contexts, same_bits,
@@ -1181,7 +1181,9 @@ def test_mutated_documents_fail_with_paths_or_run_within_bounds(name, data):
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
-@settings(max_examples=80, deadline=None,
+# no shrinking: each candidate runs two episodes of up to 600 steps, so shrinking a failure
+# took minutes; the examples tried and the assertions on them are the same
+@settings(max_examples=80, deadline=None, phases=[p for p in Phase if p is not Phase.shrink],
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # the files are only read
 @given(data=st.data(), policy=st.sampled_from(["lane_follower", "full_throttle"]),
        seed=st.none() | st.integers(0, 2**32 - 1), theta=st.floats(-math.pi, math.pi),
