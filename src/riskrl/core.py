@@ -205,8 +205,8 @@ class Route:
         # The projection normalises a segment by sqrt(d . d), the station lookups
         # by its hypot length; the two can differ in the last bit, so each keeps
         # its own tangents.
-        tangent = (seg / np.sqrt(seg_len2)[:, None]).tolist()
-        unit = (seg / seg_len[:, None]).tolist()
+        tx, ty = (seg / np.sqrt(seg_len2)[:, None]).T.tolist()
+        ux, uy = (seg / seg_len[:, None]).T.tolist()
         # the projection's tables: (ax, ay, dx, dy, d . d) per segment; per block of
         # segments a circle around its points, its segment range, the chord from its
         # first to its last point (a point if that is too short) and the band around
@@ -231,9 +231,9 @@ class Route:
                 stop.tolist(), *a.T.tolist(), *chord.T.tolist(), inv.tolist(), band.tolist())))
         object.__setattr__(self, "_seg_len", tuple(seg_len.tolist()))
         object.__setattr__(self, "_stations", tuple(cum.tolist()))
-        object.__setattr__(self, "_tangent", tuple(map(tuple, tangent)))
-        object.__setattr__(self, "_tangent_heading", tuple(math.atan2(y, x) for x, y in tangent))
-        object.__setattr__(self, "_heading", tuple(math.atan2(y, x) for x, y in unit))
+        object.__setattr__(self, "_tangent", tuple(zip(tx, ty)))
+        object.__setattr__(self, "_tangent_heading", tuple(map(math.atan2, ty, tx)))
+        object.__setattr__(self, "_heading", tuple(map(math.atan2, uy, ux)))
 
     @property
     def length(self) -> float:

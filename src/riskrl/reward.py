@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .core import (
     ActorState, ContractError, RewardConfig, RouteFramePose, _finite, _is_count, _maker,
 )
@@ -171,8 +173,8 @@ def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, l
              steering_rate: float, jerk: float, violations: frozenset[str], outcome: Outcome,
              l1_risk: float, assessments: tuple[RiskAssessment, ...], config: RewardConfig,
              weights: tuple[float, float, float]) -> RewardBreakdown:
-    """`total_reward` of one step's values, in `StepContext`'s field order without `others`,
-    with its risk term (assessments built or to build) and `_level_weights(config)` given."""
+    """`total_reward` of one step's values (`StepContext`'s fields but `others`, the risk term
+    and its assessments, built or to build, and `_level_weights(config)`); `_levels`' oracle."""
     speed = ego.speed
     l0 = traffic_rule_reward(violations)
     l1_progress = progress_reward(pose.station, prev_pose.station, config)
@@ -187,3 +189,27 @@ def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, l
         terminal = total = terminal_reward(outcome, speed, pose.lateral_offset, config)
 
     return _make_breakdown(terminal, l0, l1_progress, l1_risk, l2, l3, total, assessments)
+
+
+def _levels(speed, accel, station, prev_station, offset, lane_width: float, steering_rate, jerk,
+            violations, l1_risk, outcome: Outcome, config: RewardConfig) -> tuple[list[float], ...]:
+    """`_combine` of each step of an episode, from columns, only the last step ending it (with
+    `outcome`): (terminal, l0, l1_progress, l2, l3, total) as lists with `_combine`'s bits, each
+    step one correctly rounded array operation in its order, `min(a, b)` `np.where(b < a, b, a)`."""
+    def low(x):  # min(x, 1.0)
+        return np.where(1.0 < x, 1.0, x)
+    v, l0 = np.array(speed), [traffic_rule_reward(x) for x in violations]
+    with np.errstate(all="ignore"):  # Python floats overflow to inf silently
+        progress = np.subtract(station, prev_station) / (config.v_max * config.dt)
+        progress = low(np.where(-1.0 > progress, -1.0, progress))
+        l2 = (-config.w_vel * low(abs(v - config.v_desired) / config.v_desired)
+              - config.w_lane * low(np.abs(offset) / lane_width))
+        steer_max = np.where(STEER_SPEED_FLOOR > v, STEER_SPEED_FLOOR, v) * config.kappa_max
+        l3 = -(low(np.abs(accel) / config.a_comfort_max) + low(np.abs(steering_rate) / steer_max)
+               + low(np.abs(jerk) / (config.a_comfort_max / config.dt))) / 3.0
+        w1, w2, w3 = _level_weights(config)
+        total = (np.array(l0) + w1 * (progress + l1_risk) + w2 * l2 + w3 * l3).tolist()
+    terminal = [0.0] * len(total)
+    if outcome is not Outcome.NONE:
+        terminal[-1] = total[-1] = terminal_reward(outcome, speed[-1], offset[-1], config)
+    return terminal, l0, progress.tolist(), l2.tolist(), l3.tolist(), total

@@ -454,18 +454,20 @@ def _pairs_risk(codes, e: _Actors, o: _Actors,
     c_y = np.where(intersecting, radii, 0.5 * (e.width + o.width))
     excess_x, excess_y = np.abs(d_x) - c_x, np.abs(d_y) - c_y
     excess_x, excess_y = (np.where(0.0 > excess, 0.0, excess) for excess in (excess_x, excess_y))
-    # approach for opposite directions, else leading, behind a static obstacle at speed 0
-    leading, approach = _clearances(abs(e.speed_long), np.where(
-        codes == 3, 0.0, abs(o.speed_long)), "long", config)
-    r_x = np.where(codes == 1, approach, leading)
-    # _lateral_dynamic_radius: the side of the other actor, and the lateral speeds toward it
-    side = np.where(d_y == 0.0, 0.0, np.copysign(1.0, d_y))
-    w = _turn(e.cos, -e.sin, *_turn(o.cos, o.sin, o.speed_long, o.speed_lat))[1]
-    r_y = _lateral_radius(side, e.speed_lat, w, config)
     # p_max on x in the same-direction and intersecting modes, on y in all but the former
     wide = (codes == 0) | intersecting, codes != 0
     geom = _modes_field(excess_x / config.r_x_geom, excess_y / config.r_y_geom, wide, config)
-    dyn = _modes_field(_ratio(excess_x, r_x), _ratio(excess_y, r_y), wide, config)
+    dyn = 0.0  # with one intersecting code for all pairs, the TTC's penalty is all of dyn
+    if intersecting is not True:
+        # approach for opposite directions, else leading, behind a static obstacle at speed 0
+        leading, approach = _clearances(abs(e.speed_long), np.where(
+            codes == 3, 0.0, abs(o.speed_long)), "long", config)
+        r_x = np.where(codes == 1, approach, leading)
+        # _lateral_dynamic_radius: the side of the other actor, and the lateral speeds toward it
+        side = np.where(d_y == 0.0, 0.0, np.copysign(1.0, d_y))
+        w = _turn(e.cos, -e.sin, *_turn(o.cos, o.sin, o.speed_long, o.speed_lat))[1]
+        r_y = _lateral_radius(side, e.speed_lat, w, config)
+        dyn = _modes_field(_ratio(excess_x, r_x), _ratio(excess_y, r_y), wide, config)
     if not np.any(intersecting):
         return geom, dyn, np.full(dyn.shape, math.inf)
     # ttc_circle, its velocity scaling included, of every pair; only the intersecting keep it

@@ -36,7 +36,7 @@ from .core import (
     _REQUIRED, _Field, _finite, _is_count, _is_integer, _is_number, _maker, _pair, _positive,
     _project, _read, _read_json, _wrap,
 )
-from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _combine, _level_weights
+from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _levels, _make_breakdown
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
 from .reward import total_reward  # noqa: F401
 from .risk import _assessed_table, _risk_rewards, _track_rows
@@ -765,30 +765,32 @@ def _rollout(scenario: Scenario, policy: Policy, config: RewardConfig, density: 
 
 def _score(scenario: Scenario, steps: list[tuple], actors: tuple[ActorState, ...],
            tracks: list[_Track], config: RewardConfig) -> EpisodeTrace:
-    """The trace of `_rollout`'s steps: the risk in one array-kernel call, the levels by
-    `total_reward`'s combination, with its bits for each step's `StepContext`."""
+    """The trace of `_rollout`'s steps: the risk in one array-kernel call, the levels in one
+    `_levels` call, each step with the bits `total_reward` gives its `StepContext`."""
+    times, egos, poses, prevs, actions, jerks, violations, outcomes = zip(*steps)
     # every step's rows at once: the ego's from its states' x, y, heading and speed_long, the
     # actors' from the tracks' columns and each obstacle's own fields
     route, n = scenario.route, len(steps)
     ego_rows = others = None
     if actors:
-        path = np.array([(*s.position, s.heading, s.speed_long) for s in [t[1] for t in steps]])
+        path = np.array([(*e.position, e.heading, e.speed_long) for e in egos])
         ego_rows = _track_rows((scenario.ego_spawn,), n, [path])
         others = _track_rows(actors, n, [track.columns(n) for track in tracks])
     risks, table = _risk_rewards(ego_rows, others, [len(actors)] * n, config)
-    weights, lane_width = _level_weights(config), route.lane_width
-    records = [_make_record(i, time, ego, pose, action,
-                            _combine(ego, pose, prev, lane_width, action[1], jerk, violations,
-                                     outcome, *risk, config, weights), outcome)
-               for i, ((time, ego, pose, prev, action, jerk, violations, outcome), risk)
-               in enumerate(zip(steps, risks), 1)]
-    final = records[-1]
+    l1_risk, assessments = zip(*risks)
+    speeds = [e.speed for e in egos]
+    terminal, l0, progress, l2, l3, total = _levels(
+        speeds, [e.accel_long for e in egos], [p.station for p in poses],
+        [p.station for p in prevs], [p.lateral_offset for p in poses], route.lane_width,
+        [action[1] for action in actions], jerks, violations, l1_risk, outcomes[-1], config)
+    breakdowns = map(_make_breakdown, terminal, l0, progress, l1_risk, l2, l3, total, assessments)
     trace = EpisodeTrace(
-        records=tuple(records),
-        outcome=final.outcome,
-        cumulative_reward=sum(r.breakdown.total for r in records),
-        route_progress=min(max(final.pose.station / route.goal_station, 0.0), 1.0),
-        average_velocity=sum(r.ego.speed for r in records) / len(records),
+        records=tuple(map(_make_record, range(1, n + 1), times, egos, poses, actions, breakdowns,
+                          outcomes)),
+        outcome=outcomes[-1],
+        cumulative_reward=sum(total),
+        route_progress=min(max(poses[-1].station / route.goal_station, 0.0), 1.0),
+        average_velocity=sum(speeds) / n,
     )
     object.__setattr__(trace, "_risk_table", table)  # the table the records were scored with
     return trace

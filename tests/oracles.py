@@ -20,21 +20,29 @@ def rotation(angle):
     return np.array([[c, -s], [s, c]])
 
 
-def transformed(doc, theta, shift):
+def transformed(doc, theta, shift, mirror=False):
     """A scenario document moved rigidly: every world-frame point, the route's centerline
     and each waypoint follower's polyline, turned by `theta` about the origin and then
     shifted by `shift`. Route-frame fields (stations, lateral and heading offsets) carry
-    over unchanged, so each actor spawns at its moved pose."""
+    over unchanged, so each actor spawns at its moved pose. With `mirror`, the document is
+    first reflected in the x axis: every y, lateral offset and heading offset changes sign.
+    A slot's lateral jitter draw does not, so a mirror moves jittered traffic elsewhere."""
     c, s = math.cos(theta), math.sin(theta)
+    sign = -1.0 if mirror else 1.0
 
     def move(points):
-        return [[c * x - s * y + shift[0], s * x + c * y + shift[1]] for x, y in points]
+        return [[c * x - s * (sign * y) + shift[0], s * x + c * (sign * y) + shift[1]]
+                for x, y in points]
 
     doc = copy.deepcopy(doc)
     doc["route"]["centerline"] = move(doc["route"]["centerline"])
-    for actor in doc.get("npcs", []) + doc.get("slots", []):
+    for actor in [doc["ego"], *doc.get("npcs", []), *doc.get("obstacles", []),
+                  *doc.get("slots", [])]:
         if (actor.get("script") or {}).get("kind") == "waypoint_follower":
             actor["script"]["waypoints"] = move(actor["script"]["waypoints"])
+        for key in ("lateral_offset", "heading_offset_deg"):
+            if mirror and key in actor:
+                actor[key] = -actor[key]
     return doc
 
 

@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskrl import (
-    ActorKind, ActorState, InteractionMode, RewardConfig, aggregate_metrics, build_policy,
-    dynamic_risk, geometric_risk, load_scenario, run_episode,
+    ActorKind, ActorState, InteractionMode, RewardConfig, RouteFramePose, StepContext,
+    aggregate_metrics, build_policy, dynamic_risk, geometric_risk, load_scenario, run_episode,
 )
-from riskrl import cli, risk
+from riskrl import cli, core, reward, risk, sim
 from riskrl.cli import FIELD_COLUMNS, MAX_FIELD_CELLS, SWEEP_COLUMNS, TRACE_COLUMNS, main
 
 GOLDEN_TRACE_HEADER = (
@@ -471,6 +471,33 @@ class TestCmdSweep:
             "--densities", "0.5,0.75,1.0", "--episodes", "20", "--seed", "7", "--out", str(out),
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGEST
+
+    def test_a_sweep_scores_its_levels_without_the_scalar_combination(
+        self, tmp_path, scenarios_dir, configs_dir, monkeypatch
+    ):
+        # each episode's levels come from one `reward._levels` call; `_combine` stays the
+        # scalar path of `total_reward`, so it is spied on wherever a module binds it
+        combine, calls = reward._combine, []
+
+        def spy(*args):
+            calls.append(args)
+            return combine(*args)
+
+        for module in (cli, core, reward, risk, sim):
+            for name, value in list(vars(module).items()):
+                if value is combine:
+                    monkeypatch.setattr(module, name, spy)
+        assert main([
+            "sweep", "--scenario", str(scenarios_dir / "intersection.json"),
+            "--config", str(configs_dir / "default.json"),
+            "--densities", "0.5,0.75,1.0", "--episodes", "20", "--seed", "7",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        assert len(calls) == 0
+        ego = ActorState(position=(0.0, 0.0), heading=0.0)
+        pose = RouteFramePose(0.0, 0.0, 0.0)
+        reward.total_reward(StepContext(ego, pose, pose, (), 3.5), RewardConfig())
+        assert len(calls) == 1  # the spy is live
 
     def test_empty_scenario_directory_rejected(self, tmp_path, capsys):
         assert main(["sweep", "--scenario", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 2

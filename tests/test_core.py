@@ -210,6 +210,25 @@ class TestRouteTables:
             heading = math.atan2(tangent[1], tangent[0])
             assert route._pose_at(station) == (*point.tolist(), heading, *tangent.tolist())
 
+    def test_heading_tables_match_a_per_segment_atan2(self, scenarios_dir, waypoint_documents):
+        # each segment's projection tangent (d / sqrt(d . d)), its station tangent (d / hypot)
+        # and math.atan2 of each, for the shipped routes and the six `run_waypoints` roads
+        paths = [*sorted(scenarios_dir.glob("*.json")), *waypoint_documents]
+        routes = [Route(doc["route"]["centerline"], doc["route"]["lane_width"], 0.0)
+                  for doc in (json.loads(path.read_text()) for path in paths)]
+        assert len(routes) == 9
+        for route in routes:
+            tangents, headings, tangent_headings = [], [], []
+            for (ax, ay), (bx, by) in zip(route.centerline.tolist(), route.centerline[1:].tolist()):
+                dx, dy = bx - ax, by - ay
+                norm, length = math.sqrt(dx * dx + dy * dy), float(np.hypot(dx, dy))
+                tangents.append((dx / norm, dy / norm))
+                tangent_headings.append(math.atan2(dy / norm, dx / norm))
+                headings.append(math.atan2(dy / length, dx / length))
+            assert same_bits(route._tangent, tuple(tangents))
+            assert same_bits(route._tangent_heading, tuple(tangent_headings))
+            assert same_bits(route._heading, tuple(headings))
+
     def test_tables_are_read_only(self):
         route = straight_route()
         with pytest.raises(ValueError):

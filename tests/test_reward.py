@@ -1,5 +1,6 @@
 """Non-risk objectives and the hierarchical combination."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from riskrl import (
     total_reward,
     traffic_rule_reward,
 )
+from oracles import same_bits
 from riskrl.cli import _episode_seed
+from riskrl.reward import STEER_SPEED_FLOOR, _combine, _level_weights, _levels
 from riskrl.risk import EllipseParams, leading_clearance
 from riskrl.sim import detect_collision
 
@@ -331,6 +334,77 @@ class TestTotalReward:
         w3 = level_weight(3, beta)
         assert math.copysign(1.0, w2 * b.l2_style) == -1.0
         assert math.copysign(1.0, w3 * b.l3_comfort) == -1.0
+
+
+# a config whose level divisors, weights and terminal values all differ from the default's
+ODD_CONFIG = RewardConfig(beta=0.3, v_max=13.7, dt=0.05, v_desired=5.3, a_comfort_max=2.9,
+                          kappa_max=0.37, w_vel=0.6, w_lane=0.4, w_terminal=7.0,
+                          offset_threshold=0.2)
+ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def edge_or_any(*edges):
+    """Each edge and its negation (so 0.0 and -0.0), or any finite float."""
+    return st.sampled_from([v for edge in edges for v in (edge, -edge)]) | ANY_FLOAT
+
+
+@st.composite
+def level_steps(draw, config):
+    """An episode's steps as `_combine` takes them, each at its levels' edges or anywhere: a
+    progress of exactly +-v_max * dt, ratios of exactly 1, zeros of both signs, speeds under
+    `STEER_SPEED_FLOOR`, speeding or not, and any outcome on the last step."""
+    lane_width = draw(st.sampled_from([3.5]) | st.floats(1e-3, 1e6))
+    steps = []
+    for k in range(draw(st.integers(1, 6)), 0, -1):
+        speed = draw(edge_or_any(0.0, 0.05, STEER_SPEED_FLOOR, config.v_desired,
+                                 2.0 * config.v_desired, config.v_max))
+        ego = ActorState(position=(0.0, 0.0), heading=0.0, speed_long=speed,
+                         speed_lat=draw(st.sampled_from([0.0, -0.0]) | ANY_FLOAT),
+                         accel_long=draw(edge_or_any(0.0, config.a_comfort_max)))
+        prev = draw(edge_or_any(0.0, 10.0))
+        station = draw(st.sampled_from([prev, prev + config.v_max * config.dt,
+                                        prev - config.v_max * config.dt]) | ANY_FLOAT)
+        offset = draw(edge_or_any(0.0, lane_width))
+        steer_max = max(ego.speed, STEER_SPEED_FLOOR) * config.kappa_max
+        steps.append((ego, RouteFramePose(station, offset, 0.0), RouteFramePose(prev, 0.0, 0.0),
+                      lane_width, draw(edge_or_any(0.0, steer_max)),
+                      draw(edge_or_any(0.0, config.a_comfort_max / config.dt)),
+                      frozenset({"speeding"}) if draw(st.booleans()) else frozenset(),
+                      draw(st.sampled_from(list(Outcome))) if k == 1 else Outcome.NONE,
+                      draw(st.sampled_from([0.0, -0.0, -1.0]) | st.floats(-1.0, 0.0))))
+    return steps
+
+
+def levels_of(steps, config):
+    """`_levels` of steps given in `_combine`'s argument order, up to its risk term, in
+    columns; the lane width is the first step's."""
+    egos, poses, prevs, lane_widths, rates, jerks, violations, outcomes, risks = zip(*steps)
+    return _levels([e.speed for e in egos], [e.accel_long for e in egos],
+                   [p.station for p in poses], [p.station for p in prevs],
+                   [p.lateral_offset for p in poses], lane_widths[0], rates, jerks, violations,
+                   risks, outcomes[-1], config)
+
+
+@given(data=st.data(), config=st.sampled_from([CFG, ODD_CONFIG]))
+def test_levels_have_the_bits_of_combine_step_by_step(data, config):
+    steps = data.draw(level_steps(config), label="steps")
+    expected = [_combine(*step, (), config, _level_weights(config)) for step in steps]
+    columns = ("terminal", "l0_rules", "l1_progress", "l2_style", "l3_comfort", "total")
+    assert same_bits(levels_of(steps, config),
+                     tuple([getattr(b, name) for b in expected] for name in columns))
+
+
+def test_levels_keep_the_sign_of_a_zero_total():
+    """A step at rest (every level 0, at the desired speed) for each sign of zero of its seven
+    inputs: the total is 0.0 every time, a sign that random draws rarely reach."""
+    steps = [(ActorState(position=(0.0, 0.0), heading=0.0, speed_long=CFG.v_desired,
+                         accel_long=accel), RouteFramePose(station, offset, 0.0),
+              RouteFramePose(prev, 0.0, 0.0), 3.5, rate, jerk, frozenset(), Outcome.NONE, risk)
+             for station, prev, offset, accel, rate, jerk, risk
+             in itertools.product((0.0, -0.0), repeat=7)]
+    expected = [_combine(*step, (), CFG, _level_weights(CFG)).total for step in steps]
+    total = levels_of(steps, CFG)[5]
+    assert same_bits(total, expected) and {math.copysign(1.0, t) for t in total} == {1.0}
 
 
 def extreme_context(every_level):

