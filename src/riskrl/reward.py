@@ -165,16 +165,15 @@ def total_reward(ctx: StepContext, config: RewardConfig) -> RewardBreakdown:
     the level-1 weight.
     """
     return _combine(ctx.ego, ctx.pose, ctx.prev_pose, ctx.lane_width, ctx.steering_rate, ctx.jerk,
-                    ctx.violations, ctx.outcome, *risk_reward(ctx.ego, ctx.others, config), config,
-                    _level_weights(config))
+                    ctx.violations, ctx.outcome, *risk_reward(ctx.ego, ctx.others, config), config)
 
 
 def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, lane_width: float,
              steering_rate: float, jerk: float, violations: frozenset[str], outcome: Outcome,
-             l1_risk: float, assessments: tuple[RiskAssessment, ...], config: RewardConfig,
-             weights: tuple[float, float, float]) -> RewardBreakdown:
-    """`total_reward` of one step's values (`StepContext`'s fields but `others`, the risk term
-    and its assessments, built or to build, and `_level_weights(config)`); `_levels`' oracle."""
+             l1_risk: float, assessments: tuple[RiskAssessment, ...],
+             config: RewardConfig) -> RewardBreakdown:
+    """`total_reward` of one step's values (`StepContext`'s fields but `others`, then the risk
+    term and its assessments, built or to build); `_levels`' oracle."""
     speed = ego.speed
     l0 = traffic_rule_reward(violations)
     l1_progress = progress_reward(pose.station, prev_pose.station, config)
@@ -183,7 +182,7 @@ def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, l
 
     if outcome is Outcome.NONE:
         terminal = 0.0
-        w1, w2, w3 = weights
+        w1, w2, w3 = _level_weights(config)
         total = l0 + w1 * (l1_progress + l1_risk) + w2 * l2 + w3 * l3
     else:
         terminal = total = terminal_reward(outcome, speed, pose.lateral_offset, config)

@@ -515,8 +515,18 @@ def _lateral_radius(side: np.ndarray, v, w, config: RewardConfig) -> np.ndarray:
 
 
 # The risk kernel's output over an episode, step-major: per pair, its mode code (an index
-# into _MODES), geom, dyn, combined and ttc; step k's pairs are bounds[k] to bounds[k + 1].
-_RiskTable = namedtuple("_RiskTable", "codes geom dyn combined ttc bounds")
+# into _MODES), geom, dyn, combined and ttc; step k's pairs are bounds[k] to bounds[k + 1];
+# `largest` has the largest `combined` of each step with pairs, for its reward and worst pair.
+_RiskTable = namedtuple("_RiskTable", "codes geom dyn combined ttc bounds largest")
+
+
+def _table(codes, geom, dyn, combined, ttc, counts: Iterable[int]) -> _RiskTable:
+    """The one builder of a `_RiskTable`: these columns, in steps of `counts` pairs, not all 0."""
+    bounds = [0, *accumulate(counts)]
+    # each step's max, as `max` over its pairs takes it: `combined` is never NaN (a NaN
+    # clearance is floored to inf and each penalty lies in [0, 1])
+    largest = np.maximum.reduceat(combined, [i for i, j in zip(bounds, bounds[1:]) if j > i])
+    return _RiskTable(codes, geom, dyn, combined, ttc, bounds, largest)
 
 
 def _assessments(table: _RiskTable, start: int, stop: int, _=None) -> tuple[RiskAssessment, ...]:
@@ -530,37 +540,33 @@ def _assessed_table(steps: Sequence[Sequence[RiskAssessment]]) -> _RiskTable | N
     """The table of each step's `RiskAssessment`s, as `_risk_rewards` builds it, or None."""
     pairs = [(_MODES.index(a.mode), a.geom_penalty, a.dyn_penalty, a.combined, a.ttc)
              for a in chain.from_iterable(steps)]
-    columns = map(np.array, zip(*pairs))
-    return _RiskTable(*columns, [0, *accumulate(map(len, steps))]) if pairs else None
+    return _table(*map(np.array, zip(*pairs)), map(len, steps)) if pairs else None
 
 
 def _worst(table: _RiskTable | None, steps: int) -> list[list]:
-    """Each step's worst pair in `table`, the first with the step's largest `combined`, as
-    `max` takes it: four columns of `steps` values, the pair's index among its step's
+    """Each step's worst pair in `table`, the first whose `combined` is the step's `largest`,
+    as `max` takes it: four columns of `steps` values, the pair's index among its step's
     pairs, then its geom, dyn and ttc, each None at a step without pairs."""
     if table is None:
         return [[None] * steps] * 4
     starts, counts = np.array(table.bounds[:-1]), np.diff(table.bounds)
     full = counts > 0
-    # each step's largest `combined` (never NaN: a NaN clearance is floored to inf and each
-    # penalty lies in [0, 1]), then the first of the step's pairs equal to it
-    largest = np.repeat(np.maximum.reduceat(table.combined, starts[full]), counts[full])
-    hits = np.flatnonzero(table.combined == largest)
+    hits = np.flatnonzero(table.combined == np.repeat(table.largest, counts[full]))
     at = hits[np.minimum(np.searchsorted(hits, starts), hits.size - 1)]
     return [np.where(full, values, None).tolist()
             for values in (at - starts, table.geom[at], table.dyn[at], table.ttc[at])]
 
 
 def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Sequence[int],
-                  config: RewardConfig) -> tuple[list[tuple[float, tuple | partial]],
+                  config: RewardConfig) -> tuple[list[float], list[tuple | partial],
                                                  _RiskTable | None]:
     """`risk_reward(ego_i, others_i, config)` for every i < len(counts), from one kernel call,
     where ego_i is the actor whose `_rows` row is `egos[i]` and others_i are the `counts[i]`
-    actors whose rows come next in `others`, each step's assessments left to `_assessments`;
-    then the table they are built from. When no step has others, the table is None, numpy is
-    not called and neither `egos` nor `others` is read."""
+    actors whose rows come next in `others`, as columns: the rewards, each step's assessments
+    left to `_assessments`, and the table they are read from. When no step has others, the
+    table is None, numpy is not called and neither `egos` nor `others` is read."""
     if not any(counts):
-        return [(0.0, ())] * len(counts), None
+        return [0.0] * len(counts), [()] * len(counts), None
     ego = _columns(egos, counts)  # each ego once per pair
     other = _columns(others)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
@@ -569,15 +575,12 @@ def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Se
         codes = np.where(other.static != 0.0, 3, np.where(  # indices into _MODES
             dpsi <= SAME_DIRECTION_MAX, 0, np.where(dpsi >= OPPOSITE_DIRECTION_MIN, 1, 2)))
         geom, dyn, ttc = _pairs_risk(codes, ego, other, config)
-    combined = config.w_geom * geom + config.w_dyn * dyn
-    table = _RiskTable(codes, geom, dyn, combined, ttc, [0, *np.cumsum(counts).tolist()])
-    # each step's max, as `max` over its pairs takes it: `combined` is never NaN (see `_worst`),
-    # and -m + 0.0 is 0.0 for either zero, so whichever equal value is kept gives the same bits
-    bounds = table.bounds
-    rewards = iter((-np.maximum.reduceat(combined, [i for i, j in zip(bounds, bounds[1:]) if j > i])
-                    + 0.0).tolist())
-    return [(next(rewards), partial(_assessments, table, i, j)) if j > i else (0.0, ())
-            for i, j in zip(bounds, bounds[1:])], table
+    table = _table(codes, geom, dyn, config.w_geom * geom + config.w_dyn * dyn, ttc, counts)
+    # -m + 0.0 is 0.0 for either zero, so whichever equal value the max kept gives the same bits
+    rewards = iter((-table.largest + 0.0).tolist())
+    spans = list(zip(table.bounds, table.bounds[1:]))
+    return ([next(rewards) if j > i else 0.0 for i, j in spans],
+            [partial(_assessments, table, i, j) if j > i else () for i, j in spans], table)
 
 
 def assess_interaction(

@@ -776,8 +776,7 @@ def _score(scenario: Scenario, steps: list[tuple], actors: tuple[ActorState, ...
         path = np.array([(*e.position, e.heading, e.speed_long) for e in egos])
         ego_rows = _track_rows((scenario.ego_spawn,), n, [path])
         others = _track_rows(actors, n, [track.columns(n) for track in tracks])
-    risks, table = _risk_rewards(ego_rows, others, [len(actors)] * n, config)
-    l1_risk, assessments = zip(*risks)
+    l1_risk, assessments, table = _risk_rewards(ego_rows, others, [len(actors)] * n, config)
     speeds = [e.speed for e in egos]
     terminal, l0, progress, l2, l3, total = _levels(
         speeds, [e.accel_long for e in egos], [p.station for p in poses],

@@ -129,6 +129,23 @@ def expected_trace_rows(trace):
     return rows
 
 
+def replaced_traces(scenarios_dir):
+    """Traces that `dataclasses.replace` builds around other records, as tests do to make
+    wrong traces: records from a busier or quieter episode, from one without actors, or a
+    mix of steps with 8, 0 and 4 actors."""
+    config = RewardConfig()
+    policy = build_policy("lane_follower", config)
+    busy, quiet = (run_episode(load_scenario(scenarios_dir / "intersection.json"), policy,
+                               config, density, seed) for density, seed in ((1.0, 3), (0.5, 4)))
+    empty = run_episode(load_scenario(scenarios_dir / "empty_road.json"), policy, config)
+    assert [len(t.records[0].breakdown.risk_assessments) for t in (busy, quiet, empty)] == [
+        8, 4, 0]
+    mixed = busy.records[:3] + empty.records[:2] + quiet.records[:3] + empty.records[:1]
+    return [dataclasses.replace(trace, records=records)
+            for trace, records in ((busy, quiet.records), (quiet, busy.records),
+                                   (empty, busy.records), (busy, empty.records), (busy, mixed))]
+
+
 def capture_traces(monkeypatch):
     """Make `cli.run_episode` keep each trace it returns in the list this returns."""
     traces, run = [], cli.run_episode
@@ -242,22 +259,30 @@ class TestCmdRun:
         assert read_rows(tmp_path / "trace.csv") == [list(TRACE_COLUMNS), *rows]
 
     def test_a_trace_replaced_with_other_records_writes_their_risk(self, scenarios_dir):
-        # `dataclasses.replace` builds a trace around other records, as tests do to make
-        # wrong traces; its risk cells must be those records' own, whichever trace each
-        # came from: a busier or quieter episode, one without actors, or a mix of steps
-        # with 8, 0 and 4 actors
-        config = RewardConfig()
-        policy = build_policy("lane_follower", config)
-        busy, quiet = (run_episode(load_scenario(scenarios_dir / "intersection.json"), policy,
-                                   config, density, seed) for density, seed in ((1.0, 3), (0.5, 4)))
-        empty = run_episode(load_scenario(scenarios_dir / "empty_road.json"), policy, config)
-        assert [len(t.records[0].breakdown.risk_assessments) for t in (busy, quiet, empty)] == [
-            8, 4, 0]
-        mixed = busy.records[:3] + empty.records[:2] + quiet.records[:3] + empty.records[:1]
-        for trace, records in ((busy, quiet.records), (quiet, busy.records),
-                               (empty, busy.records), (busy, empty.records), (busy, mixed)):
-            replaced = dataclasses.replace(trace, records=records)
+        # its risk cells must be its records' own, whichever trace each came from
+        for replaced in replaced_traces(scenarios_dir):
             assert cli.trace_rows(replaced) == expected_trace_rows(replaced)
+
+    def test_the_named_actor_sets_the_risk_reward(self, scenarios_dir, waypoint_documents):
+        # the reward and trace.csv's worst actor read one maximum per step: the actor a row
+        # names has the combined risk whose negation is the step's l1_risk, and a row names
+        # none just where its step has no pairs; pinned runs and replaced traces alike
+        config = RewardConfig()
+        runs = [(scenarios_dir / f"{scenario}.json", policy)
+                for scenario, policy in sorted(RUN_DIGESTS)]
+        runs += [(path, "lane_follower") for path in waypoint_documents]
+        traces = [run_episode(load_scenario(path), build_policy(policy, config), config)
+                  for path, policy in runs]
+        named = 0
+        for trace in traces + replaced_traces(scenarios_dir):
+            for row, record in zip(cli.trace_rows(trace), trace.records, strict=True):
+                b = record.breakdown
+                assert (row[15] == "") == (b.risk_assessments == ())
+                if row[15]:
+                    named += 1
+                    risk = config.w_geom * float(row[16]) + config.w_dyn * float(row[17])
+                    assert risk == b.risk_assessments[int(row[15])].combined == -b.l1_risk
+        assert named > 1000
 
     def test_blocked_road_full_throttle_collides(self, tmp_path, scenarios_dir):
         out = tmp_path / "out"

@@ -31,7 +31,7 @@ from riskrl import (
 )
 from oracles import same_bits
 from riskrl.cli import _episode_seed
-from riskrl.reward import STEER_SPEED_FLOOR, _combine, _level_weights, _levels
+from riskrl.reward import STEER_SPEED_FLOOR, _combine, _levels
 from riskrl.risk import EllipseParams, leading_clearance
 from riskrl.sim import detect_collision
 
@@ -388,7 +388,7 @@ def levels_of(steps, config):
 @given(data=st.data(), config=st.sampled_from([CFG, ODD_CONFIG]))
 def test_levels_have_the_bits_of_combine_step_by_step(data, config):
     steps = data.draw(level_steps(config), label="steps")
-    expected = [_combine(*step, (), config, _level_weights(config)) for step in steps]
+    expected = [_combine(*step, (), config) for step in steps]
     columns = ("terminal", "l0_rules", "l1_progress", "l2_style", "l3_comfort", "total")
     assert same_bits(levels_of(steps, config),
                      tuple([getattr(b, name) for b in expected] for name in columns))
@@ -402,7 +402,7 @@ def test_levels_keep_the_sign_of_a_zero_total():
               RouteFramePose(prev, 0.0, 0.0), 3.5, rate, jerk, frozenset(), Outcome.NONE, risk)
              for station, prev, offset, accel, rate, jerk, risk
              in itertools.product((0.0, -0.0), repeat=7)]
-    expected = [_combine(*step, (), CFG, _level_weights(CFG)).total for step in steps]
+    expected = [_combine(*step, (), CFG).total for step in steps]
     total = levels_of(steps, CFG)[5]
     assert same_bits(total, expected) and {math.copysign(1.0, t) for t in total} == {1.0}
 

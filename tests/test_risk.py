@@ -922,10 +922,10 @@ def risk_rewards(egos, others):
     must have the bits of the table of those assessments, and each step's worst pair in it
     must be the first `np.argmax` of their `combined`."""
     rows = kernel_rows([actor for actors in others for actor in actors]).reshape(-1, 9)
-    results, table = risk_module._risk_rewards(kernel_rows(egos), rows,
-                                               [len(actors) for actors in others], CFG)
+    rewards, pending, table = risk_module._risk_rewards(kernel_rows(egos), rows,
+                                                        [len(actors) for actors in others], CFG)
     built = [(reward, assessments() if actors else assessments)
-             for (reward, assessments), actors in zip(results, others)]
+             for reward, assessments, actors in zip(rewards, pending, others)]
     assert same_bits(table, risk_module._assessed_table([a for _, a in built]))
     worst = [(None,) * 4] * len(built)
     for i, (_, assessments) in enumerate(built):
@@ -1022,4 +1022,4 @@ class TestPairRiskArrays:
     def test_no_pairs_call_no_numpy(self, monkeypatch):
         egos = kernel_rows([car(kind=ActorKind.EGO_VEHICLE)] * 2)
         monkeypatch.setattr(risk_module, "np", None)
-        assert risk_module._risk_rewards(egos, None, [0, 0], CFG) == ([(0.0, ())] * 2, None)
+        assert risk_module._risk_rewards(egos, None, [0, 0], CFG) == ([0.0] * 2, [()] * 2, None)
