@@ -37,6 +37,7 @@ from .risk import InteractionMode, _per_distinct, _worst, risk_field
 from .risk import dynamic_risk, geometric_risk  # noqa: F401
 from .sim import (
     _EPISODE_STATS,
+    _EgoTrack,
     BUILTIN_POLICIES,
     EpisodeTrace,
     MetricsSummary,
@@ -147,9 +148,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     Each density's episodes reach `aggregate_metrics` as a generator, so each
     episode is summarised and dropped before the next one runs, and memory
-    does not grow with `--episodes`. Episodes are mutually independent, so
-    they could run in parallel; the output ordering and content depend only on
-    the seed and inputs either way.
+    does not grow with `--episodes`. No built-in policy reads `obs.others` and
+    every NPC script is open loop, so the ego's steps depend on its scenario
+    alone: the episodes of a scenario share one ego track, which this call
+    builds and drops, and each steps only its own traffic. The output ordering
+    and content depend only on the seed and inputs.
     """
     config = _load_config_arg(args.config)
     scenario_path = Path(args.scenario)
@@ -171,12 +174,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ScenarioError(f"--seed must be >= 0 (got {args.seed})")
     policy = build_policy(args.policy, config)
+    ego_tracks = [_EgoTrack(scenario, policy, config) for scenario in scenarios]
 
     rows = []
     for d_idx, density in enumerate(densities):
         m = aggregate_metrics(
-            run_episode(scenarios[episode % len(scenarios)], policy, config, density=density,
-                        seed=_episode_seed(args.seed, d_idx, episode))
+            run_episode(scenarios[episode % len(scenarios)], ego_tracks[episode % len(scenarios)],
+                        config, density=density, seed=_episode_seed(args.seed, d_idx, episode))
             for episode in range(args.episodes))
         rows.append([_fmt(density), str(m.episodes)]
                     + [_fmt(getattr(m, column)) for column in SWEEP_COLUMNS[2:]])

@@ -2,8 +2,10 @@
 
 Scenarios are declarative JSON documents; everything random (slot selection,
 attribute jitter) resolves from the scenario seed, so identical inputs always
-produce identical traces. One episode runs single-threaded; distinct episodes
-share no mutable state and may run in parallel.
+produce identical traces. One episode runs single-threaded. The ego's steps are
+a track grown as episodes reach them: each `run_episode` call of a policy builds
+its own, so distinct calls share no mutable state and may run in parallel, and
+`riskrl sweep` shares one per scenario between the episodes of one call.
 """
 
 from __future__ import annotations
@@ -668,6 +670,62 @@ _EPISODE_STATS = (("reward", "cumulative_reward"), ("progress", "route_progress"
                   ("velocity", "average_velocity"))
 
 
+def _shared_traffic(obs: Observation) -> tuple[ActorState, ...]:
+    raise ContractError("obs.others is not available on an ego track that episodes share")
+
+
+class _EgoTrack:
+    """The ego's steps under one policy, scenario and config, built as episodes reach them.
+
+    Row 0 is the spawn's (time, state, pose); row k is step k's (time, ego, pose, previous
+    pose, action, jerk, violations, outcome), the outcome the ego makes alone: off-road,
+    success, timeout or none. `_rollout` takes a collision with its traffic over it. The
+    ego's steps depend on its traffic only through `obs.others`, which reads `traffic`:
+    an episode's own NPC tracks, or, for a track that `riskrl sweep` shares between the
+    episodes of a scenario, `_shared_traffic`, which raises. A step that raises appends no
+    row, so the next episode to reach it raises the same error.
+    """
+
+    def __init__(self, scenario: Scenario, policy: Policy, config: RewardConfig,
+                 traffic: Callable[[Observation], tuple] = _shared_traffic) -> None:
+        route = scenario.route
+        if not route.goal_station > 0.0:  # route_progress divides by it
+            raise ContractError(f"route.goal_station must be positive to run an episode "
+                                f"(got {route.goal_station})")
+        max_steps = scenario.max_steps if scenario.max_steps is not None else config.timeout_steps
+        if not _is_count(max_steps, 1):
+            got = reprlib.repr(max_steps)
+            raise ContractError(f"max_steps must be an integer >= 1 (got {got})")
+        self.scenario, self.policy, self.config, self.traffic = scenario, policy, config, traffic
+        self.route, self.max_steps, self.speed_limit = route, max_steps, config.speed_limit + 1e-9
+        ego = scenario.ego_spawn
+        self.rows: list[tuple] = [(0.0, ego, project_to_route(ego.position, ego.heading, route))]
+
+    def _extend(self) -> tuple:
+        config, route, step = self.config, self.route, len(self.rows)
+        time, ego, pose = self.rows[-1][:3]
+        accel_cmd, steer_cmd = _pair(
+            self.policy(_make_observation(ego, pose, self.traffic, step - 1)), "policy action")
+        accel_cmd = min(max(accel_cmd, -config.a_brk_max_x), config.a_acc_max_x)
+        steer_limit = max(ego.speed_long, STEER_SPEED_FLOOR) * config.kappa_max
+        steer_cmd = min(max(steer_cmd, -steer_limit), steer_limit)
+        new_ego = _step_ego(ego, accel_cmd, steer_cmd, config)  # step_world's ego step
+        new_pose = _project(*new_ego.position, new_ego.heading, route)
+        if check_offroad(new_pose, new_ego, route):
+            outcome = Outcome.OFFROAD
+        elif new_pose.station >= route.goal_station:
+            outcome = Outcome.SUCCESS
+        elif step == self.max_steps:
+            outcome = Outcome.TIMEOUT
+        else:
+            outcome = Outcome.NONE
+        jerk = (new_ego.accel_long - ego.accel_long) / config.dt  # `_rollout` checks it
+        violations = _SPEEDING if new_ego.speed_long > self.speed_limit else _NO_VIOLATION
+        self.rows.append(row := (time + config.dt, new_ego, new_pose, pose, (accel_cmd, steer_cmd),
+                                 jerk, violations, outcome))
+        return row
+
+
 def run_episode(
     scenario: Scenario,
     policy: Policy,
@@ -686,43 +744,31 @@ def run_episode(
     return _score(scenario, *_rollout(scenario, policy, config, density, seed), config)
 
 
-def _rollout(scenario: Scenario, policy: Policy, config: RewardConfig, density: float | None,
-             seed: int | None) -> tuple[list[tuple], tuple[ActorState, ...], list[_Track]]:
+def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfig,
+             density: float | None, seed: int | None) -> tuple[list, tuple, list[_Track]]:
     """The episode's steps, its actors (NPCs, then obstacles) and the NPCs' tracks. Policies
-    never see the reward, so a step keeps only what scoring reads. An NPC's state is built
-    only when the broad phase on its track row keeps it, or to raise at a bad row."""
-    route = scenario.route
-    if not route.goal_station > 0.0:  # route_progress divides by it
-        raise ContractError(f"route.goal_station must be positive to run an episode "
-                            f"(got {route.goal_station})")
-    max_steps = scenario.max_steps if scenario.max_steps is not None else config.timeout_steps
-    if not _is_count(max_steps, 1):
-        raise ContractError(f"max_steps must be an integer >= 1 (got {reprlib.repr(max_steps)})")
-    npcs, obstacles = realize_traffic(scenario, density=density, seed=seed)
-    tracks = [_Track(state, script, route, config.dt) for state, script in npcs]
-    ego, time = scenario.ego_spawn, 0.0
-    pose = project_to_route(ego.position, ego.heading, route)
-    steps: list[tuple] = []  # (time, ego, pose, previous pose, action, jerk, violations, outcome)
-    actors = tuple(state for state, _ in npcs) + obstacles
-    reaches = [_reach(ego, actor) for actor in actors]  # _moved keeps every footprint
-    speed_limit = config.speed_limit + 1e-9
-    movers = [(t, r, t.state.kind is ActorKind.STATIC_OBSTACLE) for t, r in zip(tracks, reaches)]
-    fixed = [(actor, *actor.position, r) for actor, r in zip(obstacles, reaches[len(tracks):])]
-
+    never see the reward, so a step keeps only what scoring reads. The ego's steps are the
+    rows of an `_EgoTrack`: the one passed for `policy`, or a new one whose observations read
+    this episode's traffic. An NPC's state is built only when the broad phase on its track
+    row keeps it, or to raise at a bad row."""
     def traffic(obs: Observation) -> tuple[ActorState, ...]:  # `obs.others`, on its first read
         return tuple([track.at(obs.step) for track in tracks]) + obstacles  # rows the loop read
 
-    for step in range(1, max_steps + 1):
-        accel_cmd, steer_cmd = _pair(policy(_make_observation(ego, pose, traffic, step - 1)),
-                                     "policy action")
-        accel_cmd = min(max(accel_cmd, -config.a_brk_max_x), config.a_acc_max_x)
-        steer_limit = max(ego.speed_long, STEER_SPEED_FLOOR) * config.kappa_max
-        steer_cmd = min(max(steer_cmd, -steer_limit), steer_limit)
+    ego_track = (policy if isinstance(policy, _EgoTrack)
+                 else _EgoTrack(scenario, policy, config, traffic))
+    if ego_track.scenario is not scenario or ego_track.config is not config:
+        raise ContractError("an ego track runs only the scenario and config it was built for")
+    npcs, obstacles = realize_traffic(scenario, density=density, seed=seed)
+    tracks = [_Track(state, script, scenario.route, config.dt) for state, script in npcs]
+    actors = tuple(state for state, _ in npcs) + obstacles
+    reaches = [_reach(scenario.ego_spawn, actor) for actor in actors]  # _moved keeps footprints
+    movers = [(t, r, t.state.kind is ActorKind.STATIC_OBSTACLE) for t, r in zip(tracks, reaches)]
+    fixed = [(actor, *actor.position, r) for actor, r in zip(obstacles, reaches[len(tracks):])]
 
-        # step_world's step: the ego, then each NPC along its track
-        prev_accel = ego.accel_long
-        ego, time = _step_ego(ego, accel_cmd, steer_cmd, config), time + config.dt
-        new_pose = _project(*ego.position, ego.heading, route)
+    rows, extend = ego_track.rows, ego_track._extend
+    for step in range(1, ego_track.max_steps + 1):
+        row = rows[step] if step < len(rows) else extend()
+        ego = row[1]
         # `_footprints_overlap`'s broad phase on the rows; a row the state checks reject (an
         # overflow, a static NPC set moving) goes to `at` too, which raises
         (ex, ey), kept = ego.position, []
@@ -736,30 +782,19 @@ def _rollout(scenario: Scenario, policy: Policy, config: RewardConfig, density: 
         for actor, x, y, reach in fixed:
             if math.hypot(x - ex, y - ey) <= reach:
                 kept.append(actor)
-
-        if detect_collision(ego, kept):
-            outcome = Outcome.COLLISION
-        elif check_offroad(new_pose, ego, route):
-            outcome = Outcome.OFFROAD
-        elif new_pose.station >= route.goal_station:
-            outcome = Outcome.SUCCESS
-        elif step == max_steps:
-            outcome = Outcome.TIMEOUT
-        else:
-            outcome = Outcome.NONE
+        outcome = Outcome.COLLISION if detect_collision(ego, kept) else row[7]
 
         # the one StepContext check a step can fail: the steering rate is clamped from a
         # finite command and the lane width is the route's, but a difference of two finite
         # accelerations (a hand-built spawn's, say) can overflow
-        jerk = (ego.accel_long - prev_accel) / config.dt
-        if not math.isfinite(jerk):
+        if not math.isfinite(row[5]):
             raise ContractError("steering_rate and jerk must be finite numbers")
-        violations = _SPEEDING if ego.speed_long > speed_limit else _NO_VIOLATION
-        steps.append((time, ego, new_pose, pose, (accel_cmd, steer_cmd), jerk, violations, outcome))
-        pose = new_pose
         if outcome is not Outcome.NONE:
             break
 
+    steps = rows[1:step + 1]
+    if outcome is not row[7]:
+        steps[-1] = (*row[:7], outcome)
     return steps, actors, tracks
 
 

@@ -524,6 +524,47 @@ class TestCmdSweep:
         reward.total_reward(StepContext(ego, pose, pose, (), 3.5), RewardConfig())
         assert len(calls) == 1  # the spy is live
 
+    def test_the_criterion_7_sweep_steps_the_ego_once_per_step_of_its_longest_episode(
+        self, tmp_path, scenarios_dir, configs_dir, monkeypatch
+    ):
+        # the episodes share one ego track, so the policy decides each step once, not once
+        # per episode that reaches it
+        calls, build = [], cli.build_policy
+
+        def counted(name, config):
+            drive = build(name, config)
+            return lambda obs: calls.append(obs.step) or drive(obs)
+
+        monkeypatch.setattr(cli, "build_policy", counted)
+        traces = capture_traces(monkeypatch)
+        assert main([
+            "sweep", "--scenario", str(scenarios_dir / "intersection.json"),
+            "--config", str(configs_dir / "default.json"),
+            "--densities", "0.5,0.75,1.0", "--episodes", "20", "--seed", "7",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        lengths = [len(trace.records) for trace in traces]
+        assert (len(lengths), sum(lengths), max(lengths)) == (60, 7644, 171)
+        assert calls == list(range(171))
+
+    def test_a_directory_sweep_equals_plain_episodes(self, tmp_path, scenarios_dir,
+                                                     monkeypatch):
+        args = ["sweep", "--scenario", str(scenarios_dir), "--densities", "0.5,1.0",
+                "--episodes", "7", "--seed", "5"]
+        shared, plain = tmp_path / "shared.csv", tmp_path / "plain.csv"
+        assert main(args + ["--out", str(shared)]) == 0
+        tracks = {}
+
+        def unshared(scenario, track, config, **kwargs):  # the track's policy, run plainly
+            assert isinstance(track, sim._EgoTrack) and track.scenario is scenario
+            tracks[id(track)] = track
+            return run_episode(scenario, track.policy, config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_episode", unshared)
+        assert main(args + ["--out", str(plain)]) == 0
+        assert len({id(track.scenario) for track in tracks.values()}) == len(tracks) == 3
+        assert shared.read_bytes() == plain.read_bytes()
+
     def test_empty_scenario_directory_rejected(self, tmp_path, capsys):
         assert main(["sweep", "--scenario", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 2
         assert f"no scenario files found in {tmp_path}" in capsys.readouterr().err

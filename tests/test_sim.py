@@ -49,7 +49,7 @@ from riskrl import (
     scripted_replay_policy,
     step_world,
 )
-from riskrl.cli import trace_rows
+from riskrl.cli import _episode_seed, trace_rows
 from riskrl.core import validate_config_data
 from riskrl import risk as risk_module, sim as sim_module
 from riskrl.sim import BUILTIN_POLICIES, scenario_from_dict, validate_scenario_data
@@ -1062,6 +1062,99 @@ class TestTracks:
             assert same_bits((states, stations), (world.npcs, world.stations))
         if brake_speed > 0.0 and trigger_ahead <= 0.0:  # it brakes from the first step
             assert world.npcs[1].speed_long < brake_speed
+
+
+# the (density, seed) of each episode of the criterion-7 sweep: seed 7, 20 episodes per density
+CRITERION_7_EPISODES = [(density, _episode_seed(7, d_idx, episode))
+                        for d_idx, density in enumerate((0.5, 0.75, 1.0)) for episode in range(20)]
+
+
+def same_trace(trace, other):
+    return same_bits(
+        (trace.records, trace.outcome, trace.cumulative_reward, trace.route_progress,
+         trace.average_velocity),
+        (other.records, other.outcome, other.cumulative_reward, other.route_progress,
+         other.average_velocity))
+
+
+class TestEgoTrack:
+    """The ego's steps are a track that `riskrl sweep` shares between the episodes of a
+    scenario, which is sound because no built-in policy reads the traffic."""
+
+    @pytest.mark.parametrize("name", ["blocked_road", "empty_road", "intersection"])
+    def test_no_builtin_policy_reads_the_traffic(self, scenarios_dir, monkeypatch, name):
+        made, reads, make = [], [], sim_module._make_observation
+
+        def counted(ego, pose, others, step):  # `others` is the lazy traffic callable
+            made.append(step)
+            return make(ego, pose, lambda obs: reads.append(step) or others(obs), step)
+
+        monkeypatch.setattr(sim_module, "_make_observation", counted)
+        scenario = load_scenario(scenarios_dir / f"{name}.json")
+        for policy in BUILTIN_POLICIES:
+            for density, seed in CRITERION_7_EPISODES:
+                run_episode(scenario, build_policy(policy, CFG), CFG, density, seed)
+        assert len(made) > 60 * 3 and reads == []
+
+    def test_a_shared_track_whose_policy_reads_the_traffic_raises_at_that_step(
+            self, scenarios_dir):
+        scenario = load_scenario(scenarios_dir / "intersection.json")
+        drive = build_policy("lane_follower", CFG)
+
+        def peek(obs):  # reads the traffic at its sixth decision only
+            if obs.step == 5:
+                assert isinstance(obs.others, tuple)
+            return drive(obs)
+
+        plain = run_episode(scenario, peek, CFG, 1.0, 3)  # an episode's own track reads it
+        track = sim_module._EgoTrack(scenario, peek, CFG)
+        with pytest.raises(ContractError, match="^obs.others is not available on an ego track "):
+            run_episode(scenario, track, CFG, 1.0, 3)
+        assert len(plain.records) > 5 and len(track.rows) == 6  # the spawn and steps 1 to 5
+
+    @pytest.mark.parametrize("speed, policy, rows, message", [
+        # from 1e308 m/s to v_max in one step is an acceleration of -1e309, which overflows
+        (1e308, full_throttle_policy(1.0), 1,
+         "ActorState accel_long must be a finite number (got -inf)"),
+        (0.0, lambda obs: (math.nan, 0.0) if obs.step == 3 else (1.0, 0.0), 4,
+         "policy action must be two finite numbers"),
+    ], ids=["ego-state", "policy-action"])
+    def test_a_step_that_fails_its_checks_leaves_the_track_unextended(
+            self, speed, policy, rows, message):
+        ego = ActorState((5.0, 0.0), 0.0, speed_long=speed, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego)
+        track = sim_module._EgoTrack(scenario, policy, CFG)
+        for _ in range(2):  # the second episode reaches the same step and raises the same
+            with pytest.raises(ContractError, match=f"^{re.escape(message)}"):
+                run_episode(scenario, track, CFG)
+            assert len(track.rows) == rows
+
+    def test_a_track_runs_only_its_scenario_and_config(self, scenarios_dir):
+        scenario = load_scenario(scenarios_dir / "intersection.json")
+        policy = build_policy("lane_follower", CFG)
+        track = sim_module._EgoTrack(scenario, policy, CFG)
+        for other, config in ((load_scenario(scenarios_dir / "intersection.json"), CFG),
+                              (scenario, RewardConfig())):
+            with pytest.raises(ContractError, match="^an ego track runs only the scenario and "):
+                run_episode(other, track, config)
+        assert len(track.rows) == 1
+
+    @pytest.mark.parametrize("policy", BUILTIN_POLICIES)
+    @pytest.mark.parametrize("name", ["blocked_road", "empty_road", "intersection"])
+    def test_episodes_of_a_shared_track_have_the_bits_of_plain_episodes(
+            self, scenarios_dir, name, policy):
+        scenario = load_scenario(scenarios_dir / f"{name}.json")
+        drive, calls = build_policy(policy, CFG), []
+        episodes = [(density, seed) for density in (0.5, 1.0) for seed in (0, 3, 11)]
+        plain = {episode: run_episode(scenario, drive, CFG, *episode) for episode in episodes}
+        by_length = sorted(episodes, key=lambda episode: len(plain[episode].records))
+        longest = len(plain[by_length[-1]].records)
+        for order in (by_length[::-1], by_length):  # the longest episode first, then last
+            calls.clear()
+            track = sim_module._EgoTrack(scenario, lambda obs: calls.append(1) or drive(obs), CFG)
+            for episode in order:
+                assert same_trace(run_episode(scenario, track, CFG, *episode), plain[episode])
+            assert len(calls) == longest == len(track.rows) - 1
 
 
 def _trace_stub(outcome, reward=0.0, progress=1.0, velocity=3.0):
