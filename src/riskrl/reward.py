@@ -173,7 +173,7 @@ def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, l
              l1_risk: float, assessments: tuple[RiskAssessment, ...],
              config: RewardConfig) -> RewardBreakdown:
     """`total_reward` of one step's values (`StepContext`'s fields but `others`, then the risk
-    term and its assessments, built or to build); `_levels`' oracle."""
+    term and its assessments, built or to build); `_levels` and `_totals`' oracle."""
     speed = ego.speed
     l0 = traffic_rule_reward(violations)
     l1_progress = progress_reward(pose.station, prev_pose.station, config)
@@ -191,13 +191,13 @@ def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, l
 
 
 def _levels(speed, accel, station, prev_station, offset, lane_width: float, steering_rate, jerk,
-            violations, l1_risk, outcome: Outcome, config: RewardConfig) -> tuple[list[float], ...]:
-    """`_combine` of each step of an episode, from columns, only the last step ending it (with
-    `outcome`): (terminal, l0, l1_progress, l2, l3, total) as lists with `_combine`'s bits, each
-    step one correctly rounded array operation in its order, `min(a, b)` `np.where(b < a, b, a)`."""
+            violations, config: RewardConfig) -> tuple[list[float], ...]:
+    """The levels of each step that read the ego alone, from columns: (l0, l1_progress, l2, l3)
+    as lists with `_combine`'s bits, each step apart from the others, each step of `_combine`
+    one correctly rounded array operation in its order, `min(a, b)` `np.where(b < a, b, a)`."""
     def low(x):  # min(x, 1.0)
         return np.where(1.0 < x, 1.0, x)
-    v, l0 = np.array(speed), [traffic_rule_reward(x) for x in violations]
+    v = np.array(speed)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
         progress = np.subtract(station, prev_station) / (config.v_max * config.dt)
         progress = low(np.where(-1.0 > progress, -1.0, progress))
@@ -206,9 +206,18 @@ def _levels(speed, accel, station, prev_station, offset, lane_width: float, stee
         steer_max = np.where(STEER_SPEED_FLOOR > v, STEER_SPEED_FLOOR, v) * config.kappa_max
         l3 = -(low(np.abs(accel) / config.a_comfort_max) + low(np.abs(steering_rate) / steer_max)
                + low(np.abs(jerk) / (config.a_comfort_max / config.dt))) / 3.0
-        w1, w2, w3 = _level_weights(config)
-        total = (np.array(l0) + w1 * (progress + l1_risk) + w2 * l2 + w3 * l3).tolist()
+    return [traffic_rule_reward(x) for x in violations], progress.tolist(), l2.tolist(), l3.tolist()
+
+
+def _totals(l0, l1_progress, l2, l3, l1_risk, outcome: Outcome, speed: float, offset: float,
+            config: RewardConfig) -> tuple[list[float], list[float]]:
+    """`_combine`'s (terminal, total) of each step of an episode from `_levels`' columns and the
+    risk column, only the last step ending it (with `outcome`, at its `speed` and `offset`)."""
+    w1, w2, w3 = _level_weights(config)
+    with np.errstate(all="ignore"):
+        total = (np.array(l0) + w1 * np.add(l1_progress, l1_risk) + w2 * np.array(l2)
+                 + w3 * np.array(l3)).tolist()
     terminal = [0.0] * len(total)
     if outcome is not Outcome.NONE:
-        terminal[-1] = total[-1] = terminal_reward(outcome, speed[-1], offset[-1], config)
-    return terminal, l0, progress.tolist(), l2.tolist(), l3.tolist(), total
+        terminal[-1] = total[-1] = terminal_reward(outcome, speed, offset, config)
+    return terminal, total

@@ -429,9 +429,15 @@ def _turns(heading: float) -> tuple[float, float]:
     return math.cos(heading), math.sin(heading)
 
 
+def _turned(rows: np.ndarray) -> np.ndarray:
+    """An array of `_row`s, each followed by the cos and sin of its heading."""
+    return np.column_stack([rows, _per_distinct(_turns, rows[:, 2], float)])
+
+
 def _columns(rows: np.ndarray, repeats: Sequence[int] | None = None) -> _Actors:
-    """The `_Actors` of an array of `_row`s, each taken `repeats[i]` times when given."""
-    table = np.column_stack([rows, _per_distinct(_turns, rows[:, 2], float)])
+    """The `_Actors` of an array of `_row`s, or of `_turned` ones as they are, each taken
+    `repeats[i]` times when given."""
+    table = rows if rows.shape[1] == len(_Actors._fields) else _turned(rows)
     return _Actors(*(table if repeats is None else np.repeat(table, repeats, axis=0)).T)
 
 
@@ -561,10 +567,10 @@ def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Se
                   config: RewardConfig) -> tuple[list[float], list[tuple | partial],
                                                  _RiskTable | None]:
     """`risk_reward(ego_i, others_i, config)` for every i < len(counts), from one kernel call,
-    where ego_i is the actor whose `_rows` row is `egos[i]` and others_i are the `counts[i]`
-    actors whose rows come next in `others`, as columns: the rewards, each step's assessments
-    left to `_assessments`, and the table they are read from. When no step has others, the
-    table is None, numpy is not called and neither `egos` nor `others` is read."""
+    where ego_i is the actor whose `_rows` (or `_turned`) row is `egos[i]` and others_i are the
+    `counts[i]` actors whose rows come next in `others`, as columns: the rewards, each step's
+    assessments left to `_assessments`, and the table they are read from. When no step has
+    others, the table is None, numpy is not called and neither `egos` nor `others` is read."""
     if not any(counts):
         return [0.0] * len(counts), [()] * len(counts), None
     ego = _columns(egos, counts)  # each ego once per pair

@@ -15,7 +15,7 @@ import math
 import reprlib
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -38,10 +38,10 @@ from .core import (
     _REQUIRED, _Field, _finite, _is_count, _is_integer, _is_number, _maker, _pair, _positive,
     _project, _read, _read_json, _wrap,
 )
-from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _levels, _make_breakdown
+from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _levels, _make_breakdown, _totals
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
 from .reward import total_reward  # noqa: F401
-from .risk import _assessed_table, _risk_rewards, _track_rows
+from .risk import _assessed_table, _risk_rewards, _track_rows, _turned
 
 SCHEMA_VERSION = 1
 SPEEDING_RULE = "speeding"
@@ -683,7 +683,8 @@ class _EgoTrack:
     ego's steps depend on its traffic only through `obs.others`, which reads `traffic`:
     an episode's own NPC tracks, or, for a track that `riskrl sweep` shares between the
     episodes of a scenario, `_shared_traffic`, which raises. A step that raises appends no
-    row, so the next episode to reach it raises the same error.
+    row, so the next episode to reach it raises the same error. A row's scoring columns are
+    built once, by the first episode to score it, and live and die with the track.
     """
 
     def __init__(self, scenario: Scenario, policy: Policy, config: RewardConfig,
@@ -700,6 +701,8 @@ class _EgoTrack:
         self.route, self.max_steps, self.speed_limit = route, max_steps, config.speed_limit + 1e-9
         ego = scenario.ego_spawn
         self.rows: list[tuple] = [(0.0, ego, project_to_route(ego.position, ego.heading, route))]
+        self.scored: list[list] = [[] for _ in range(9)]  # `_columns` of rows 1, 2, ...
+        self.kernel = ()  # the `_turned` kernel rows of rows 1, 2, ..., built with actors
 
     def _extend(self) -> tuple:
         config, route, step = self.config, self.route, len(self.rows)
@@ -725,6 +728,27 @@ class _EgoTrack:
                                  jerk, violations, outcome))
         return row
 
+    def _columns(self, n: int, kernel: bool) -> tuple[list[list], np.ndarray | None]:
+        """The scoring columns of rows 1 to `n`, which episodes have reached: times, states,
+        poses, actions and speeds, then `_levels`' (l0, l1_progress, l2, l3); and the ego's
+        `_turned` kernel rows with `kernel`, else None. Rows not yet covered are appended."""
+        scored, have = self.scored, len(self.scored[0])
+        if have < n:
+            times, egos, poses, prevs, actions, jerks, rules, _ = zip(*self.rows[have + 1:n + 1])
+            speeds = [e.speed for e in egos]
+            levels = _levels(speeds, [e.accel_long for e in egos], [p.station for p in poses],
+                             [p.station for p in prevs], [p.lateral_offset for p in poses],
+                             self.route.lane_width, [a[1] for a in actions], jerks, rules,
+                             self.config)
+            for column, values in zip(scored, (times, egos, poses, actions, speeds, *levels)):
+                column.extend(values)
+        if kernel and len(self.kernel) < n:
+            have = len(self.kernel)
+            path = np.array([(*e.position, e.heading, e.speed_long) for e in scored[1][have:n]])
+            rows = _turned(_track_rows((self.scenario.ego_spawn,), n - have, [path]))
+            self.kernel = np.concatenate((self.kernel, rows)) if have else rows
+        return [column[:n] for column in scored], self.kernel[:n] if kernel else None
+
 
 def run_episode(
     scenario: Scenario,
@@ -741,16 +765,15 @@ def run_episode(
     commands are clamped to the braking/acceleration limits and the steering
     rate to the curvature-feasible envelope.
     """
-    return _score(scenario, *_rollout(scenario, policy, config, density, seed), config)
+    return _score(*_rollout(scenario, policy, config, density, seed))
 
 
 def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfig,
-             density: float | None, seed: int | None) -> tuple[list, tuple, list[_Track]]:
-    """The episode's steps, its actors (NPCs, then obstacles) and the NPCs' tracks. Policies
-    never see the reward, so a step keeps only what scoring reads. The ego's steps are the
-    rows of an `_EgoTrack`: the one passed for `policy`, or a new one whose observations read
-    this episode's traffic. An NPC's state is built only when the broad phase on its track
-    row keeps it, or to raise at a bad row."""
+             density: float | None, seed: int | None) -> tuple:
+    """The episode's ego track, its step count and outcome, its actors (NPCs, then obstacles)
+    and the NPCs' tracks. The ego's steps are the rows of an `_EgoTrack`: the one passed for
+    `policy`, or a new one whose observations read this episode's traffic. An NPC's state is
+    built only when the broad phase on its track row keeps it, or to raise at a bad row."""
     def traffic(obs: Observation) -> tuple[ActorState, ...]:  # `obs.others`, on its first read
         return tuple([track.at(obs.step) for track in tracks]) + obstacles  # rows the loop read
 
@@ -792,36 +815,27 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
         if outcome is not Outcome.NONE:
             break
 
-    steps = rows[1:step + 1]
-    if outcome is not row[7]:
-        steps[-1] = (*row[:7], outcome)
-    return steps, actors, tracks
+    return ego_track, step, outcome, actors, tracks
 
 
-def _score(scenario: Scenario, steps: list[tuple], actors: tuple[ActorState, ...],
-           tracks: list[_Track], config: RewardConfig) -> EpisodeTrace:
-    """The trace of `_rollout`'s steps: the risk in one array-kernel call, the levels in one
-    `_levels` call, each step with the bits `total_reward` gives its `StepContext`."""
-    times, egos, poses, prevs, actions, jerks, violations, outcomes = zip(*steps)
-    # every step's rows at once: the ego's from its states' x, y, heading and speed_long, the
-    # actors' from the tracks' columns and each obstacle's own fields
-    route, n = scenario.route, len(steps)
-    ego_rows = others = None
-    if actors:
-        path = np.array([(*e.position, e.heading, e.speed_long) for e in egos])
-        ego_rows = _track_rows((scenario.ego_spawn,), n, [path])
-        others = _track_rows(actors, n, [track.columns(n) for track in tracks])
+def _score(ego_track: _EgoTrack, n: int, outcome: Outcome, actors: tuple[ActorState, ...],
+           tracks: list[_Track]) -> EpisodeTrace:
+    """The trace of the episode `_rollout` ran: `n` steps of `ego_track`, ending in `outcome`.
+    The ego's columns are sliced off the track, which builds each row's once; the episode's own
+    work is its traffic's: the actors' rows, the risk in one array-kernel call, and the levels
+    combined with it in one `_totals` call, each step with `total_reward`'s bits."""
+    config, route = ego_track.config, ego_track.route
+    (times, egos, poses, actions, speeds, l0, progress, l2, l3), ego_rows = ego_track._columns(
+        n, bool(actors))
+    others = _track_rows(actors, n, [track.columns(n) for track in tracks]) if actors else None
     l1_risk, assessments, table = _risk_rewards(ego_rows, others, [len(actors)] * n, config)
-    speeds = [e.speed for e in egos]
-    terminal, l0, progress, l2, l3, total = _levels(
-        speeds, [e.accel_long for e in egos], [p.station for p in poses],
-        [p.station for p in prevs], [p.lateral_offset for p in poses], route.lane_width,
-        [action[1] for action in actions], jerks, violations, l1_risk, outcomes[-1], config)
+    terminal, total = _totals(l0, progress, l2, l3, l1_risk, outcome, speeds[-1],
+                              poses[-1].lateral_offset, config)
     breakdowns = map(_make_breakdown, terminal, l0, progress, l1_risk, l2, l3, total, assessments)
     trace = EpisodeTrace(
         records=tuple(map(_make_record, range(1, n + 1), times, egos, poses, actions, breakdowns,
-                          outcomes)),
-        outcome=outcomes[-1],
+                          chain(repeat(Outcome.NONE, n - 1), (outcome,)))),
+        outcome=outcome,
         cumulative_reward=sum(total),
         route_progress=min(max(poses[-1].station / route.goal_station, 0.0), 1.0),
         average_velocity=sum(speeds) / n,

@@ -500,8 +500,9 @@ class TestCmdSweep:
     def test_a_sweep_scores_its_levels_without_the_scalar_combination(
         self, tmp_path, scenarios_dir, configs_dir, monkeypatch
     ):
-        # each episode's levels come from one `reward._levels` call; `_combine` stays the
-        # scalar path of `total_reward`, so it is spied on wherever a module binds it
+        # each episode's levels come from `reward._levels` columns and one `reward._totals`
+        # call; `_combine` stays the scalar path of `total_reward`, so it is spied on wherever
+        # a module binds it
         combine, calls = reward._combine, []
 
         def spy(*args):
@@ -546,6 +547,29 @@ class TestCmdSweep:
         lengths = [len(trace.records) for trace in traces]
         assert (len(lengths), sum(lengths), max(lengths)) == (60, 7644, 171)
         assert calls == list(range(171))
+
+    def test_the_criterion_7_sweep_scores_the_ego_once_per_row_of_its_longest_episode(
+        self, tmp_path, scenarios_dir, configs_dir, monkeypatch
+    ):
+        # each episode slices the ego's scoring columns off its shared track, which builds its
+        # levels and kernel rows once per track row, not once per episode step
+        built = {}
+        for name in ("_levels", "_turned"):  # the ego's levels, then its kernel rows
+            def counted(rows, *args, build=getattr(sim, name), sizes=built.setdefault(name, [])):
+                sizes.append(len(rows))
+                return build(rows, *args)
+
+            monkeypatch.setattr(sim, name, counted)
+        traces = capture_traces(monkeypatch)
+        assert main([
+            "sweep", "--scenario", str(scenarios_dir / "intersection.json"),
+            "--config", str(configs_dir / "default.json"),
+            "--densities", "0.5,0.75,1.0", "--episodes", "20", "--seed", "7",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        assert sum(len(trace.records) for trace in traces) == 7644
+        assert {name: sum(sizes) for name, sizes in built.items()} == {"_levels": 171,
+                                                                     "_turned": 171}
 
     def test_a_directory_sweep_equals_plain_episodes(self, tmp_path, scenarios_dir,
                                                      monkeypatch):

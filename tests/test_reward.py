@@ -31,7 +31,7 @@ from riskrl import (
 )
 from oracles import same_bits
 from riskrl.cli import _episode_seed
-from riskrl.reward import STEER_SPEED_FLOOR, _combine, _levels
+from riskrl.reward import STEER_SPEED_FLOOR, _combine, _levels, _totals
 from riskrl.risk import EllipseParams, leading_clearance
 from riskrl.sim import detect_collision
 
@@ -375,22 +375,32 @@ def level_steps(draw, config):
     return steps
 
 
-def levels_of(steps, config):
-    """`_levels` of steps given in `_combine`'s argument order, up to its risk term, in
-    columns; the lane width is the first step's."""
+def levels_of(steps, config, cut=0):
+    """(terminal, l0, l1_progress, l2, l3, total) of steps given in `_combine`'s argument
+    order, up to its risk term, in columns: `_levels` of the steps before `cut` and of the
+    rest, joined, then `_totals`; the lane width is the first step's."""
     egos, poses, prevs, lane_widths, rates, jerks, violations, outcomes, risks = zip(*steps)
-    return _levels([e.speed for e in egos], [e.accel_long for e in egos],
-                   [p.station for p in poses], [p.station for p in prevs],
-                   [p.lateral_offset for p in poses], lane_widths[0], rates, jerks, violations,
-                   risks, outcomes[-1], config)
+
+    def levels(part):
+        return _levels([e.speed for e in egos[part]], [e.accel_long for e in egos[part]],
+                       [p.station for p in poses[part]], [p.station for p in prevs[part]],
+                       [p.lateral_offset for p in poses[part]], lane_widths[0], rates[part],
+                       jerks[part], violations[part], config)
+
+    joined = [a + b for a, b in zip(levels(slice(cut)), levels(slice(cut, None)))]
+    terminal, total = _totals(*joined, risks, outcomes[-1], egos[-1].speed,
+                              poses[-1].lateral_offset, config)
+    return terminal, *joined, total
 
 
 @given(data=st.data(), config=st.sampled_from([CFG, ODD_CONFIG]))
 def test_levels_have_the_bits_of_combine_step_by_step(data, config):
     steps = data.draw(level_steps(config), label="steps")
+    # the ego's levels are built as episodes reach the steps, so in pieces
+    cut = data.draw(st.integers(0, len(steps)), label="cut")
     expected = [_combine(*step, (), config) for step in steps]
     columns = ("terminal", "l0_rules", "l1_progress", "l2_style", "l3_comfort", "total")
-    assert same_bits(levels_of(steps, config),
+    assert same_bits(levels_of(steps, config, cut),
                      tuple([getattr(b, name) for b in expected] for name in columns))
 
 

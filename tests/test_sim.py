@@ -1156,6 +1156,24 @@ class TestEgoTrack:
                 assert same_trace(run_episode(scenario, track, CFG, *episode), plain[episode])
             assert len(calls) == longest == len(track.rows) - 1
 
+    @pytest.mark.parametrize("lead", [[], [(0.0, 0)]], ids=["by-length", "no-traffic-first"])
+    def test_columns_that_grow_with_longer_episodes_give_the_bits_of_plain_episodes(
+            self, scenarios_dir, lead):
+        # by increasing length, each episode scores rows the track has not covered; an episode
+        # without traffic (density 0) first covers every row's levels but no kernel row
+        scenario = load_scenario(scenarios_dir / "intersection.json")
+        drive = build_policy("lane_follower", CFG)
+        episodes = lead + CRITERION_7_EPISODES
+        plain = {episode: run_episode(scenario, drive, CFG, *episode) for episode in episodes}
+        track, kernel_rows = sim_module._EgoTrack(scenario, drive, CFG), []
+        for episode in lead + sorted(CRITERION_7_EPISODES, key=lambda e: len(plain[e].records)):
+            trace, expected = run_episode(scenario, track, CFG, *episode), plain[episode]
+            assert same_trace(trace, expected)
+            assert same_bits(trace._risk_table, expected._risk_table)
+            assert trace_rows(trace) == trace_rows(expected)
+            kernel_rows.append(len(track.kernel))
+        assert len(set(kernel_rows)) > 5 and len(track.scored[0]) == len(track.rows) - 1
+
 
 def _trace_stub(outcome, reward=0.0, progress=1.0, velocity=3.0):
     # aggregate_metrics only touches these four attributes
