@@ -199,7 +199,8 @@ class Route:
         if not (_finite(self.lane_width) and self.lane_width > 0.0):
             raise ConfigError(f"route.lane_width must be finite and > 0 (got {self.lane_width!r})")
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-        if not (_finite(self.goal_station) and 0.0 <= self.goal_station <= cum[-1] + 1e-9):
+        # a projected station never passes cum[-1], so no goal past it can be reached
+        if not (_finite(self.goal_station) and 0.0 <= self.goal_station <= cum[-1]):
             raise ConfigError(f"route.goal_station must be a number within [0, {cum[-1]:.6g}] "
                               f"(got {reprlib.repr(self.goal_station)})")
         # The projection normalises a segment by sqrt(d . d), the station lookups

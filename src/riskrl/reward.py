@@ -4,14 +4,15 @@ Level layout (priority order): terminal conditions override everything; rule
 conformance (level 0) enters unweighted; progress and risk share the level-1
 weight; driving style sits at level 2 and comfort at level 3. Level weights
 decay geometrically with the level index.
+
+Each objective is one plain-float function; `total_reward` and each ego-track row score a
+step's ego-only levels with them through `_ego_levels`, and `_totals` alone weights levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .core import (
     ActorState, ContractError, RewardConfig, RouteFramePose, _finite, _is_count, _maker,
@@ -126,7 +127,7 @@ def progress_reward(station: float, prev_station: float, config: RewardConfig) -
     overshoot cannot break the normalisation contract.
     """
     value = (station - prev_station) / (config.v_max * config.dt)
-    return min(max(value, -1.0), 1.0)
+    return 1.0 if 1.0 < value else -1.0 if -1.0 > value else value  # min(max(value, -1.0), 1.0)
 
 
 def driving_style_reward(v: float, offset: float, lane_width: float, config: RewardConfig) -> float:
@@ -136,9 +137,10 @@ def driving_style_reward(v: float, offset: float, lane_width: float, config: Rew
     """
     if not lane_width > 0.0:
         raise ContractError(f"lane_width must be positive (got {lane_width})")
-    vel_term = min(abs(v - config.v_desired) / config.v_desired, 1.0)
-    lane_term = min(abs(offset) / lane_width, 1.0)
-    return -config.w_vel * vel_term - config.w_lane * lane_term
+    vel_term = abs(v - config.v_desired) / config.v_desired
+    lane_term = abs(offset) / lane_width
+    return (-config.w_vel * (1.0 if 1.0 < vel_term else vel_term)  # min(vel_term, 1.0)
+            - config.w_lane * (1.0 if 1.0 < lane_term else lane_term))
 
 
 def comfort_reward(
@@ -150,11 +152,12 @@ def comfort_reward(
     steering rate scales with speed (speed times maximum curvature), with a
     small velocity floor so a standing vehicle is well-defined.
     """
-    accel_term = min(abs(accel) / config.a_comfort_max, 1.0)
-    steer_max = max(v, STEER_SPEED_FLOOR) * config.kappa_max
-    steer_term = min(abs(steering_rate) / steer_max, 1.0)
-    jerk_term = min(abs(jerk) / (config.a_comfort_max / config.dt), 1.0)
-    return -(accel_term + steer_term + jerk_term) / 3.0
+    accel_term = abs(accel) / config.a_comfort_max
+    steer_max = (STEER_SPEED_FLOOR if STEER_SPEED_FLOOR > v else v) * config.kappa_max
+    steer_term = abs(steering_rate) / steer_max
+    jerk_term = abs(jerk) / (config.a_comfort_max / config.dt)
+    return -((1.0 if 1.0 < accel_term else accel_term) + (1.0 if 1.0 < steer_term else steer_term)
+             + (1.0 if 1.0 < jerk_term else jerk_term)) / 3.0  # min(term, 1.0) of each term
 
 
 def total_reward(ctx: StepContext, config: RewardConfig) -> RewardBreakdown:
@@ -173,50 +176,33 @@ def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, l
              l1_risk: float, assessments: tuple[RiskAssessment, ...],
              config: RewardConfig) -> RewardBreakdown:
     """`total_reward` of one step's values (`StepContext`'s fields but `others`, then the risk
-    term and its assessments, built or to build); `_levels` and `_totals`' oracle."""
-    speed = ego.speed
-    l0 = traffic_rule_reward(violations)
-    l1_progress = progress_reward(pose.station, prev_pose.station, config)
-    l2 = driving_style_reward(speed, pose.lateral_offset, lane_width, config)
-    l3 = comfort_reward(ego.accel_long, steering_rate, jerk, speed, config)
-
-    if outcome is Outcome.NONE:
-        terminal = 0.0
-        w1, w2, w3 = _level_weights(config)
-        total = l0 + w1 * (l1_progress + l1_risk) + w2 * l2 + w3 * l3
-    else:
-        terminal = total = terminal_reward(outcome, speed, pose.lateral_offset, config)
-
+    term and its assessments, built or to build): `_ego_levels`, then `_totals` of one step."""
+    l0, l1_progress, l2, l3 = _ego_levels(ego, pose, prev_pose, lane_width, steering_rate, jerk,
+                                          violations, config)
+    (terminal,), (total,) = _totals((l0,), (l1_progress,), (l2,), (l3,), (l1_risk,), outcome,
+                                    ego.speed, pose.lateral_offset, config)
     return _make_breakdown(terminal, l0, l1_progress, l1_risk, l2, l3, total, assessments)
 
 
-def _levels(speed, accel, station, prev_station, offset, lane_width: float, steering_rate, jerk,
-            violations, config: RewardConfig) -> tuple[list[float], ...]:
-    """The levels of each step that read the ego alone, from columns: (l0, l1_progress, l2, l3)
-    as lists with `_combine`'s bits, each step apart from the others, each step of `_combine`
-    one correctly rounded array operation in its order, `min(a, b)` `np.where(b < a, b, a)`."""
-    def low(x):  # min(x, 1.0)
-        return np.where(1.0 < x, 1.0, x)
-    v = np.array(speed)
-    with np.errstate(all="ignore"):  # Python floats overflow to inf silently
-        progress = np.subtract(station, prev_station) / (config.v_max * config.dt)
-        progress = low(np.where(-1.0 > progress, -1.0, progress))
-        l2 = (-config.w_vel * low(abs(v - config.v_desired) / config.v_desired)
-              - config.w_lane * low(np.abs(offset) / lane_width))
-        steer_max = np.where(STEER_SPEED_FLOOR > v, STEER_SPEED_FLOOR, v) * config.kappa_max
-        l3 = -(low(np.abs(accel) / config.a_comfort_max) + low(np.abs(steering_rate) / steer_max)
-               + low(np.abs(jerk) / (config.a_comfort_max / config.dt))) / 3.0
-    return [traffic_rule_reward(x) for x in violations], progress.tolist(), l2.tolist(), l3.tolist()
+def _ego_levels(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose,
+                lane_width: float, steering_rate: float, jerk: float, violations: frozenset[str],
+                config: RewardConfig) -> tuple[float, float, float, float]:
+    """The levels of a step that read the ego alone: (l0, l1_progress, l2, l3)."""
+    speed = ego.speed
+    return (traffic_rule_reward(violations),
+            progress_reward(pose.station, prev_pose.station, config),
+            driving_style_reward(speed, pose.lateral_offset, lane_width, config),
+            comfort_reward(ego.accel_long, steering_rate, jerk, speed, config))
 
 
 def _totals(l0, l1_progress, l2, l3, l1_risk, outcome: Outcome, speed: float, offset: float,
             config: RewardConfig) -> tuple[list[float], list[float]]:
-    """`_combine`'s (terminal, total) of each step of an episode from `_levels`' columns and the
-    risk column, only the last step ending it (with `outcome`, at its `speed` and `offset`)."""
+    """(terminal, total) of each step of an episode from its columns of `_ego_levels` and of
+    risk, only the last step ending it (with `outcome`, at its `speed` and `offset`): the one
+    place the levels are weighted."""
     w1, w2, w3 = _level_weights(config)
-    with np.errstate(all="ignore"):
-        total = (np.array(l0) + w1 * np.add(l1_progress, l1_risk) + w2 * np.array(l2)
-                 + w3 * np.array(l3)).tolist()
+    total = [a + w1 * (b + r) + w2 * c + w3 * d for a, b, c, d, r in zip(l0, l1_progress, l2, l3,
+                                                                         l1_risk)]
     terminal = [0.0] * len(total)
     if outcome is not Outcome.NONE:
         terminal[-1] = total[-1] = terminal_reward(outcome, speed, offset, config)

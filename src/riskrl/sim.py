@@ -38,7 +38,8 @@ from .core import (
     _REQUIRED, _Field, _finite, _is_count, _is_integer, _is_number, _maker, _pair, _positive,
     _project, _read, _read_json, _wrap,
 )
-from .reward import STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _levels, _make_breakdown, _totals
+from .reward import (STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _ego_levels, _make_breakdown,
+                     _totals)
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
 from .reward import total_reward  # noqa: F401
 from .risk import _assessed_table, _risk_rewards, _track_rows, _turned
@@ -677,14 +678,15 @@ def _shared_traffic(obs: Observation) -> tuple[ActorState, ...]:
 class _EgoTrack:
     """The ego's steps under one policy, scenario and config, built as episodes reach them.
 
-    Row 0 is the spawn's (time, state, pose); row k is step k's (time, ego, pose, previous
-    pose, action, jerk, violations, outcome), the outcome the ego makes alone: off-road,
-    success, timeout or none. `_rollout` takes a collision with its traffic over it. The
+    Row 0 is the spawn's (time, state, pose); row k is step k's (time, ego, pose, action,
+    jerk, outcome, l0, l1_progress, l2, l3): the outcome the ego makes alone (off-road,
+    success, timeout or none), over which `_rollout` takes a collision with its traffic, then
+    the levels that read the ego alone, scored by `_ego_levels` as the row is appended. The
     ego's steps depend on its traffic only through `obs.others`, which reads `traffic`:
     an episode's own NPC tracks, or, for a track that `riskrl sweep` shares between the
     episodes of a scenario, `_shared_traffic`, which raises. A step that raises appends no
-    row, so the next episode to reach it raises the same error. A row's scoring columns are
-    built once, by the first episode to score it, and live and die with the track.
+    row, so the next episode to reach it raises the same error. The ego's kernel rows are
+    built once, by the first episode with actors to reach them, and die with the track.
     """
 
     def __init__(self, scenario: Scenario, policy: Policy, config: RewardConfig,
@@ -701,7 +703,6 @@ class _EgoTrack:
         self.route, self.max_steps, self.speed_limit = route, max_steps, config.speed_limit + 1e-9
         ego = scenario.ego_spawn
         self.rows: list[tuple] = [(0.0, ego, project_to_route(ego.position, ego.heading, route))]
-        self.scored: list[list] = [[] for _ in range(9)]  # `_columns` of rows 1, 2, ...
         self.kernel = ()  # the `_turned` kernel rows of rows 1, 2, ..., built with actors
 
     def _extend(self) -> tuple:
@@ -724,30 +725,21 @@ class _EgoTrack:
             outcome = Outcome.NONE
         jerk = (new_ego.accel_long - ego.accel_long) / config.dt  # `_rollout` checks it
         violations = _SPEEDING if new_ego.speed_long > self.speed_limit else _NO_VIOLATION
-        self.rows.append(row := (time + config.dt, new_ego, new_pose, pose, (accel_cmd, steer_cmd),
-                                 jerk, violations, outcome))
+        self.rows.append(row := (time + config.dt, new_ego, new_pose, (accel_cmd, steer_cmd), jerk,
+                                 outcome, *_ego_levels(new_ego, new_pose, pose, route.lane_width,
+                                                       steer_cmd, jerk, violations, config)))
         return row
 
-    def _columns(self, n: int, kernel: bool) -> tuple[list[list], np.ndarray | None]:
-        """The scoring columns of rows 1 to `n`, which episodes have reached: times, states,
-        poses, actions and speeds, then `_levels`' (l0, l1_progress, l2, l3); and the ego's
-        `_turned` kernel rows with `kernel`, else None. Rows not yet covered are appended."""
-        scored, have = self.scored, len(self.scored[0])
+    def _kernel_rows(self, n: int) -> np.ndarray:
+        """The ego's `_turned` kernel rows of rows 1 to `n`, which episodes have reached; rows
+        not yet covered are appended."""
+        have = len(self.kernel)
         if have < n:
-            times, egos, poses, prevs, actions, jerks, rules, _ = zip(*self.rows[have + 1:n + 1])
-            speeds = [e.speed for e in egos]
-            levels = _levels(speeds, [e.accel_long for e in egos], [p.station for p in poses],
-                             [p.station for p in prevs], [p.lateral_offset for p in poses],
-                             self.route.lane_width, [a[1] for a in actions], jerks, rules,
-                             self.config)
-            for column, values in zip(scored, (times, egos, poses, actions, speeds, *levels)):
-                column.extend(values)
-        if kernel and len(self.kernel) < n:
-            have = len(self.kernel)
-            path = np.array([(*e.position, e.heading, e.speed_long) for e in scored[1][have:n]])
+            egos = [row[1] for row in self.rows[have + 1:n + 1]]
+            path = np.array([(*e.position, e.heading, e.speed_long) for e in egos])
             rows = _turned(_track_rows((self.scenario.ego_spawn,), n - have, [path]))
             self.kernel = np.concatenate((self.kernel, rows)) if have else rows
-        return [column[:n] for column in scored], self.kernel[:n] if kernel else None
+        return self.kernel[:n]
 
 
 def run_episode(
@@ -805,12 +797,12 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
         for actor, x, y, reach in fixed:
             if math.hypot(x - ex, y - ey) <= reach:
                 kept.append(actor)
-        outcome = Outcome.COLLISION if detect_collision(ego, kept) else row[7]
+        outcome = Outcome.COLLISION if detect_collision(ego, kept) else row[5]
 
         # the one StepContext check a step can fail: the steering rate is clamped from a
         # finite command and the lane width is the route's, but a difference of two finite
         # accelerations (a hand-built spawn's, say) can overflow
-        if not math.isfinite(row[5]):
+        if not math.isfinite(row[4]):
             raise ContractError("steering_rate and jerk must be finite numbers")
         if outcome is not Outcome.NONE:
             break
@@ -821,15 +813,15 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
 def _score(ego_track: _EgoTrack, n: int, outcome: Outcome, actors: tuple[ActorState, ...],
            tracks: list[_Track]) -> EpisodeTrace:
     """The trace of the episode `_rollout` ran: `n` steps of `ego_track`, ending in `outcome`.
-    The ego's columns are sliced off the track, which builds each row's once; the episode's own
-    work is its traffic's: the actors' rows, the risk in one array-kernel call, and the levels
-    combined with it in one `_totals` call, each step with `total_reward`'s bits."""
+    The track's rows 1 to `n`, scored as they were appended, are transposed once; the episode's
+    own work is its traffic's: the actors' rows, the risk in one array-kernel call, and the
+    levels combined with it in one `_totals` call, each step with `total_reward`'s bits."""
     config, route = ego_track.config, ego_track.route
-    (times, egos, poses, actions, speeds, l0, progress, l2, l3), ego_rows = ego_track._columns(
-        n, bool(actors))
+    times, egos, poses, actions, _, _, l0, progress, l2, l3 = zip(*ego_track.rows[1:n + 1])
+    ego_rows = ego_track._kernel_rows(n) if actors else None
     others = _track_rows(actors, n, [track.columns(n) for track in tracks]) if actors else None
     l1_risk, assessments, table = _risk_rewards(ego_rows, others, [len(actors)] * n, config)
-    terminal, total = _totals(l0, progress, l2, l3, l1_risk, outcome, speeds[-1],
+    terminal, total = _totals(l0, progress, l2, l3, l1_risk, outcome, egos[-1].speed,
                               poses[-1].lateral_offset, config)
     breakdowns = map(_make_breakdown, terminal, l0, progress, l1_risk, l2, l3, total, assessments)
     trace = EpisodeTrace(
@@ -838,7 +830,7 @@ def _score(ego_track: _EgoTrack, n: int, outcome: Outcome, actors: tuple[ActorSt
         outcome=outcome,
         cumulative_reward=sum(total),
         route_progress=min(max(poses[-1].station / route.goal_station, 0.0), 1.0),
-        average_velocity=sum(speeds) / n,
+        average_velocity=sum(ego.speed for ego in egos) / n,
     )
     object.__setattr__(trace, "_risk_table", table)  # the table the records were scored with
     return trace

@@ -1,5 +1,5 @@
-"""Test oracles: numpy and brute-force forms of what the library computes in plain floats,
-and the checks that hold the library's array and two-phase paths to its scalar ones."""
+"""Test oracles: numpy, brute-force and plain-call forms of what the library computes in plain
+floats, and the checks that hold the library's array and two-phase paths to its scalar ones."""
 
 import copy
 import dataclasses
@@ -13,6 +13,7 @@ from riskrl import (
     wrap_angle,
 )
 from riskrl import sim
+from riskrl.reward import STEER_SPEED_FLOOR
 
 
 def rotation(angle):
@@ -138,6 +139,30 @@ def step_npc(state, script, route, dt, station):
     x, y, heading, _, _ = line._pose_at(station)
     speed = script.speed if station < line.length else 0.0
     return moved((x, y), heading, speed, state.accel_long), station
+
+
+def progress_reward(station, prev_station, config):
+    """`reward.progress_reward` with its clamp as `min` and `max` calls."""
+    value = (station - prev_station) / (config.v_max * config.dt)
+    return min(max(value, -1.0), 1.0)
+
+
+def driving_style_reward(v, offset, lane_width, config):
+    """`reward.driving_style_reward` with its clamps as `min` calls."""
+    if not lane_width > 0.0:
+        raise ContractError(f"lane_width must be positive (got {lane_width})")
+    vel_term = min(abs(v - config.v_desired) / config.v_desired, 1.0)
+    lane_term = min(abs(offset) / lane_width, 1.0)
+    return -config.w_vel * vel_term - config.w_lane * lane_term
+
+
+def comfort_reward(accel, steering_rate, jerk, v, config):
+    """`reward.comfort_reward` with its clamps as `min` and `max` calls."""
+    accel_term = min(abs(accel) / config.a_comfort_max, 1.0)
+    steer_max = max(v, STEER_SPEED_FLOOR) * config.kappa_max
+    steer_term = min(abs(steering_rate) / steer_max, 1.0)
+    jerk_term = min(abs(jerk) / (config.a_comfort_max / config.dt), 1.0)
+    return -(accel_term + steer_term + jerk_term) / 3.0
 
 
 def rectangle_contains(state: ActorState, points: np.ndarray) -> np.ndarray:

@@ -500,9 +500,9 @@ class TestCmdSweep:
     def test_a_sweep_scores_its_levels_without_the_scalar_combination(
         self, tmp_path, scenarios_dir, configs_dir, monkeypatch
     ):
-        # each episode's levels come from `reward._levels` columns and one `reward._totals`
-        # call; `_combine` stays the scalar path of `total_reward`, so it is spied on wherever
-        # a module binds it
+        # each ego step's levels come from `reward._ego_levels`, called as the ego track appends
+        # the row, and each episode's from one `reward._totals` call; `_combine` is the
+        # one-step path of `total_reward`, so it is spied on wherever a module binds it
         combine, calls = reward._combine, []
 
         def spy(*args):
@@ -551,12 +551,14 @@ class TestCmdSweep:
     def test_the_criterion_7_sweep_scores_the_ego_once_per_row_of_its_longest_episode(
         self, tmp_path, scenarios_dir, configs_dir, monkeypatch
     ):
-        # each episode slices the ego's scoring columns off its shared track, which builds its
-        # levels and kernel rows once per track row, not once per episode step
+        # each episode reads the ego's levels and kernel rows off its shared track, which
+        # scores each row once as it is appended and builds its kernel rows once per track
+        # row, not once per episode step
         built = {}
-        for name in ("_levels", "_turned"):  # the ego's levels, then its kernel rows
-            def counted(rows, *args, build=getattr(sim, name), sizes=built.setdefault(name, [])):
-                sizes.append(len(rows))
+        for name, size in (("_ego_levels", lambda ego: 1), ("_turned", len)):  # one row, many
+            def counted(rows, *args, build=getattr(sim, name), sizes=built.setdefault(name, []),
+                        size=size):
+                sizes.append(size(rows))
                 return build(rows, *args)
 
             monkeypatch.setattr(sim, name, counted)
@@ -568,7 +570,7 @@ class TestCmdSweep:
             "--out", str(tmp_path / "sweep.csv"),
         ]) == 0
         assert sum(len(trace.records) for trace in traces) == 7644
-        assert {name: sum(sizes) for name, sizes in built.items()} == {"_levels": 171,
+        assert {name: sum(sizes) for name, sizes in built.items()} == {"_ego_levels": 171,
                                                                      "_turned": 171}
 
     def test_a_directory_sweep_equals_plain_episodes(self, tmp_path, scenarios_dir,

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from riskrl import (
     ActorKind,
@@ -29,9 +30,10 @@ from riskrl import (
     total_reward,
     traffic_rule_reward,
 )
+import oracles
 from oracles import same_bits
 from riskrl.cli import _episode_seed
-from riskrl.reward import STEER_SPEED_FLOOR, _combine, _levels, _totals
+from riskrl.reward import STEER_SPEED_FLOOR, _combine, _ego_levels, _totals
 from riskrl.risk import EllipseParams, leading_clearance
 from riskrl.sim import detect_collision
 
@@ -375,32 +377,23 @@ def level_steps(draw, config):
     return steps
 
 
-def levels_of(steps, config, cut=0):
+def levels_of(steps, config):
     """(terminal, l0, l1_progress, l2, l3, total) of steps given in `_combine`'s argument
-    order, up to its risk term, in columns: `_levels` of the steps before `cut` and of the
-    rest, joined, then `_totals`; the lane width is the first step's."""
-    egos, poses, prevs, lane_widths, rates, jerks, violations, outcomes, risks = zip(*steps)
-
-    def levels(part):
-        return _levels([e.speed for e in egos[part]], [e.accel_long for e in egos[part]],
-                       [p.station for p in poses[part]], [p.station for p in prevs[part]],
-                       [p.lateral_offset for p in poses[part]], lane_widths[0], rates[part],
-                       jerks[part], violations[part], config)
-
-    joined = [a + b for a, b in zip(levels(slice(cut)), levels(slice(cut, None)))]
-    terminal, total = _totals(*joined, risks, outcomes[-1], egos[-1].speed,
+    order, up to its risk term, in columns, as an episode scores them: `_ego_levels` of each
+    step, as the ego track scores its rows, transposed, then one `_totals` call."""
+    egos, poses, *_, outcomes, risks = zip(*steps)
+    levels = [list(column) for column in zip(*(_ego_levels(*step[:7], config) for step in steps))]
+    terminal, total = _totals(*levels, risks, outcomes[-1], egos[-1].speed,
                               poses[-1].lateral_offset, config)
-    return terminal, *joined, total
+    return terminal, *levels, total
 
 
 @given(data=st.data(), config=st.sampled_from([CFG, ODD_CONFIG]))
 def test_levels_have_the_bits_of_combine_step_by_step(data, config):
     steps = data.draw(level_steps(config), label="steps")
-    # the ego's levels are built as episodes reach the steps, so in pieces
-    cut = data.draw(st.integers(0, len(steps)), label="cut")
     expected = [_combine(*step, (), config) for step in steps]
     columns = ("terminal", "l0_rules", "l1_progress", "l2_style", "l3_comfort", "total")
-    assert same_bits(levels_of(steps, config, cut),
+    assert same_bits(levels_of(steps, config),
                      tuple([getattr(b, name) for b in expected] for name in columns))
 
 
@@ -415,6 +408,75 @@ def test_levels_keep_the_sign_of_a_zero_total():
     expected = [_combine(*step, (), CFG).total for step in steps]
     total = levels_of(steps, CFG)[5]
     assert same_bits(total, expected) and {math.copysign(1.0, t) for t in total} == {1.0}
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+def at_edges(neutral, *edges):
+    """`neutral`, the special floats, then each clamp edge, its negation and the floats on
+    either side of both."""
+    return (neutral, *SPECIAL_FLOATS, *(x for edge in edges for v in (edge, -edge)
+                                        for x in (math.nextafter(v, -math.inf), v,
+                                                  math.nextafter(v, math.inf))))
+
+
+def edge_examples(edges_of):
+    """`example`s of a test given `config` and float inputs: for each config, each input at
+    each of its values in `edges_of(config)` (a name -> `at_edges` map), the others neutral."""
+    def wrap(test):
+        for config in (CFG, ODD_CONFIG):
+            edges = edges_of(config)
+            neutral = {name: values[0] for name, values in edges.items()}
+            for name, values in edges.items():
+                for value in values:
+                    test = example(config=config, **neutral | {name: value})(test)
+        return test
+    return wrap
+
+
+def assert_same_result(function, oracle, *args):
+    """Both calls give the same bits, or both raise the same `ContractError`."""
+    try:
+        expected = oracle(*args)
+    except ContractError as error:
+        with pytest.raises(ContractError, match=f"^{re.escape(str(error))}$"):
+            function(*args)
+    else:
+        assert same_bits(function(*args), expected)
+
+
+CONFIGS = st.sampled_from([CFG, ODD_CONFIG])
+
+
+class TestClampsAsComparisons:
+    """The objectives clamp by comparisons; each keeps the bits of its `min`/`max` form in
+    `oracles` for every float, NaN, infinities, both zeros and the clamp edges included."""
+
+    @given(config=CONFIGS, station=st.floats(), prev_station=st.floats())
+    @edge_examples(lambda c: dict.fromkeys(("station", "prev_station"),
+                                           at_edges(0.0, c.v_max * c.dt)))
+    def test_progress_reward(self, config, station, prev_station):
+        assert_same_result(progress_reward, oracles.progress_reward, station, prev_station,
+                           config)
+
+    @given(config=CONFIGS, v=st.floats(), offset=st.floats(), lane_width=st.floats())
+    @edge_examples(lambda c: {"v": at_edges(c.v_desired, 2.0 * c.v_desired),
+                              "offset": at_edges(0.0, 3.5), "lane_width": at_edges(3.5, 3.5)})
+    def test_driving_style_reward(self, config, v, offset, lane_width):
+        assert_same_result(driving_style_reward, oracles.driving_style_reward, v, offset,
+                           lane_width, config)
+
+    @given(config=CONFIGS, accel=st.floats(), steering_rate=st.floats(), jerk=st.floats(),
+           v=st.floats())
+    @edge_examples(lambda c: {"accel": at_edges(0.0, c.a_comfort_max),
+                              "steering_rate": at_edges(0.0, c.kappa_max,
+                                                        STEER_SPEED_FLOOR * c.kappa_max),
+                              "jerk": at_edges(0.0, c.a_comfort_max / c.dt),
+                              "v": at_edges(1.0, STEER_SPEED_FLOOR)})
+    def test_comfort_reward(self, config, accel, steering_rate, jerk, v):
+        assert_same_result(comfort_reward, oracles.comfort_reward, accel, steering_rate, jerk, v,
+                           config)
 
 
 def extreme_context(every_level):

@@ -51,7 +51,7 @@ from riskrl import (
 )
 from riskrl.cli import _episode_seed, trace_rows
 from riskrl.core import validate_config_data
-from riskrl import risk as risk_module, sim as sim_module
+from riskrl import reward as reward_module, risk as risk_module, sim as sim_module
 from riskrl.sim import BUILTIN_POLICIES, scenario_from_dict, validate_scenario_data
 
 CFG = RewardConfig()
@@ -475,6 +475,20 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="route.goal_station"):
             scenario_from_dict(data)
 
+    def test_a_goal_past_the_route_end_fails_validation(self):
+        # a projected station never passes the route's length, so no episode could reach it
+        data = minimal_scenario_data()
+        data["route"]["goal_station"] = goal = math.nextafter(80.0, math.inf)
+        assert validate_scenario_data(data) == [
+            f"route.goal_station must be a number within [0, 80] (got {goal!r})"]
+
+    @pytest.mark.parametrize("policy", ["full_throttle", "lane_follower"])
+    def test_a_goal_at_the_route_end_is_reached(self, policy):
+        data = minimal_scenario_data(ego={"station": 0.0, "speed": 0.0})
+        data["route"] |= {"centerline": [[0.0, 0.0], [20.0, 0.0]], "goal_station": 20.0}
+        trace = run_episode(scenario_from_dict(data), build_policy(policy, CFG), CFG)
+        assert trace.outcome is Outcome.SUCCESS
+
     @pytest.mark.parametrize("section, key, value", [
         ("route", "goal_station", "70"),
         ("route", "lane_width", True),
@@ -884,8 +898,8 @@ class TestTracks:
 
     def test_an_episode_without_actors_calls_no_numpy(self, scenarios_dir, monkeypatch):
         scenario = load_scenario(scenarios_dir / "empty_road.json")
-        for module in (sim_module, risk_module):
-            monkeypatch.setattr(module, "np", None)
+        for module in (sim_module, risk_module, reward_module):
+            monkeypatch.setattr(module, "np", None, raising=False)  # reward imports no numpy
         trace = run_episode(scenario, build_policy("lane_follower", CFG), CFG)
         assert trace.outcome is Outcome.SUCCESS
 
@@ -1159,8 +1173,8 @@ class TestEgoTrack:
     @pytest.mark.parametrize("lead", [[], [(0.0, 0)]], ids=["by-length", "no-traffic-first"])
     def test_columns_that_grow_with_longer_episodes_give_the_bits_of_plain_episodes(
             self, scenarios_dir, lead):
-        # by increasing length, each episode scores rows the track has not covered; an episode
-        # without traffic (density 0) first covers every row's levels but no kernel row
+        # by increasing length, each episode reaches rows the track has not covered; an
+        # episode without traffic (density 0) first appends every row but builds no kernel row
         scenario = load_scenario(scenarios_dir / "intersection.json")
         drive = build_policy("lane_follower", CFG)
         episodes = lead + CRITERION_7_EPISODES
@@ -1172,7 +1186,7 @@ class TestEgoTrack:
             assert same_bits(trace._risk_table, expected._risk_table)
             assert trace_rows(trace) == trace_rows(expected)
             kernel_rows.append(len(track.kernel))
-        assert len(set(kernel_rows)) > 5 and len(track.scored[0]) == len(track.rows) - 1
+        assert len(set(kernel_rows)) > 5
 
 
 def _trace_stub(outcome, reward=0.0, progress=1.0, velocity=3.0):
