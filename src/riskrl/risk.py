@@ -392,53 +392,43 @@ def risk_field(
     """
     clearance_center(ego, other, mode)  # a bad mode fails before the grid is built
     xs, ys = _grid_axis(xs, "xs"), _grid_axis(ys, "ys")
-    ego, other = (_Actors(*_row(a), *_turns(a.heading)) for a in (ego, other))
+    ego, other = (_Actors(*_row(a)) for a in (ego, other))
     cells = other._replace(x=np.tile(xs, ys.size), y=np.repeat(ys, xs.size))
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
         return _pairs_risk(_MODES.index(mode), ego, cells, config)[:2]
 
 
-# Actors as the array kernel takes them: `_row`'s fields, then the cos and sin of the
-# heading. A field is one value for all pairs or an array of them.
+# Actors as the array kernel takes them, one `_row` each: the cos and sin of the heading are
+# made where the heading is. A field is one value for all pairs or an array of them.
 _Actors = namedtuple("_Actors", "x y heading speed_long speed_lat length width circumradius "
                                 "static cos sin")
 
 
 def _row(actor: ActorState) -> tuple:
     return (*actor.position, actor.heading, actor.speed_long, actor.speed_lat, actor.length,
-            actor.width, actor.circumradius, actor.kind is ActorKind.STATIC_OBSTACLE)
+            actor.width, actor.circumradius, actor.kind is ActorKind.STATIC_OBSTACLE,
+            math.cos(actor.heading), math.sin(actor.heading))
 
 
 def _rows(actors: Iterable[ActorState]) -> np.ndarray:
     """The `_row` of each actor, one array row each."""
-    return np.fromiter(chain.from_iterable(map(_row, actors)), float).reshape(-1, 9)
+    return np.fromiter(chain.from_iterable(map(_row, actors)), float).reshape(-1, 11)
 
 
 def _track_rows(actors: Sequence[ActorState], steps: int,
                 tracks: Sequence[np.ndarray]) -> np.ndarray:
-    """`_rows` of `actors` at each of `steps` steps, step-major. Columns 0-3 of `tracks[j]`
-    (one row per step) give the x, y, heading and speed_long of actor j, for j < len(tracks);
-    every other field, and every field of the other actors, is the actor's own."""
-    rows = np.tile(_rows(actors), (steps, 1)).reshape(steps, len(actors), 9)
+    """`_rows` of `actors` at each of `steps` steps, step-major. The columns of `tracks[j]` (one
+    row per step) give the x, y, heading, speed_long, cos and sin of actor j, for j <
+    len(tracks); every other field, and every field of the other actors, is the actor's own."""
+    rows = np.tile(_rows(actors), (steps, 1)).reshape(steps, len(actors), 11)
     for j, track in enumerate(tracks):
-        rows[:, j, :4] = track[:, :4]
-    return rows.reshape(-1, 9)
-
-
-def _turns(heading: float) -> tuple[float, float]:
-    return math.cos(heading), math.sin(heading)
-
-
-def _turned(rows: np.ndarray) -> np.ndarray:
-    """An array of `_row`s, each followed by the cos and sin of its heading."""
-    return np.column_stack([rows, _per_distinct(_turns, rows[:, 2], float)])
+        rows[:, j, [0, 1, 2, 3, 9, 10]] = track
+    return rows.reshape(-1, 11)
 
 
 def _columns(rows: np.ndarray, repeats: Sequence[int] | None = None) -> _Actors:
-    """The `_Actors` of an array of `_row`s, or of `_turned` ones as they are, each taken
-    `repeats[i]` times when given."""
-    table = rows if rows.shape[1] == len(_Actors._fields) else _turned(rows)
-    return _Actors(*(table if repeats is None else np.repeat(table, repeats, axis=0)).T)
+    """The `_Actors` of an array of `_row`s, each taken `repeats[i]` times when given."""
+    return _Actors(*(rows if repeats is None else np.repeat(rows, repeats, axis=0)).T)
 
 
 def _pairs_risk(codes, e: _Actors, o: _Actors,
@@ -567,10 +557,11 @@ def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Se
                   config: RewardConfig) -> tuple[list[float], list[tuple | partial],
                                                  _RiskTable | None]:
     """`risk_reward(ego_i, others_i, config)` for every i < len(counts), from one kernel call,
-    where ego_i is the actor whose `_rows` (or `_turned`) row is `egos[i]` and others_i are the
-    `counts[i]` actors whose rows come next in `others`, as columns: the rewards, each step's
-    assessments left to `_assessments`, and the table they are read from. When no step has
-    others, the table is None, numpy is not called and neither `egos` nor `others` is read."""
+    where ego_i is the actor whose `_rows` row, its cos and sin included, is `egos[i]` and
+    others_i are the `counts[i]` actors whose rows come next in `others`, as columns: the
+    rewards, each step's assessments left to `_assessments`, and the table they are read from.
+    When no step has others, the table is None, numpy is not called and neither `egos` nor
+    `others` is read."""
     if not any(counts):
         return [0.0] * len(counts), [()] * len(counts), None
     ego = _columns(egos, counts)  # each ego once per pair

@@ -42,7 +42,7 @@ from .reward import (STEER_SPEED_FLOOR, Outcome, RewardBreakdown, _ego_levels, _
                      _totals)
 # perfbench's tracer patches total_reward on this module, so the name stays importable here
 from .reward import total_reward  # noqa: F401
-from .risk import _assessed_table, _risk_rewards, _track_rows, _turned
+from .risk import _assessed_table, _risk_rewards, _rows, _track_rows
 
 SCHEMA_VERSION = 1
 SPEEDING_RULE = "speeding"
@@ -389,14 +389,15 @@ def _moved(state: ActorState, position: tuple[float, float], heading: float,
 class _Track:
     """An open-loop NPC's state at each step of one episode, built as the loop reaches it.
 
-    Row k of `rows` is the NPC's x, y, heading, speed_long and accel_long at step k,
-    from its spawn at step 0; the rows are the track's one store of its numbers. Every
-    track grows one plain-float step at a time, with the arithmetic of `step_world`'s
-    step: a constant-velocity NPC takes a braking NPC's step without the trigger, and a
-    waypoint follower takes `Route._pose_at` at its carried arc length, written out; both
-    keep the spawn acceleration. The script's kind and the cos and sin of the constant
-    heading are settled once; a braking track projects its last row, which the loop or the
-    spawn's constructor checked, unchecked. Building never raises: an overflow fails at the
+    Row k of `rows` is the NPC's x, y, heading, speed_long, the cos and sin of that heading,
+    and accel_long at step k, from its spawn at step 0; the rows are the track's one store of
+    its numbers. Every track grows one plain-float step at a time, with the arithmetic of
+    `step_world`'s step: a constant-velocity NPC takes a braking NPC's step without the
+    trigger, and a waypoint follower takes `Route._pose_at` at its carried arc length, written
+    out; both keep the spawn acceleration. A heading's cos and sin are made with it: a
+    constant-velocity or braking row carries the spawn's, a waypoint row its segment's. The
+    script's kind is settled once; a braking track projects its last row, which the loop or
+    the spawn's constructor checked, unchecked. Building never raises: an overflow fails at the
     step whose state holds it, as that state is made (`run_episode` makes it when the row
     fails its cheap test). A track belongs to one episode, never kept on a scenario or script.
     """
@@ -409,25 +410,25 @@ class _Track:
         self.state, self.script, self.route, self.dt = state, script, route, dt
         # the arc length a waypoint follower has reached on its polyline, once it is known
         self.station = station
-        self.rows = [[*state.position, state.heading, state.speed_long, state.accel_long]]
+        self.rows = [[*state.position, state.heading, state.speed_long, math.cos(state.heading),
+                      math.sin(state.heading), state.accel_long]]
         self.follows, self.brakes = (isinstance(script, t) for t in (WaypointFollower, Braking))
-        self.cos, self.sin = math.cos(state.heading), math.sin(state.heading)
 
     def at(self, step: int) -> ActorState:
         """The NPC's state at `step`, which is at most one past the last step reached."""
         if step == len(self.rows):
             self._extend()
-        x, y, heading, speed, accel = self.rows[step]
+        x, y, heading, speed, _, _, accel = self.rows[step]
         return _moved(self.state, (x, y), heading, speed, accel)
 
     def columns(self, steps: int) -> np.ndarray:
-        """Rows 1 to `steps`, which the loop has reached, as an array."""
+        """The first six fields of rows 1 to `steps`, which the loop has reached, as an array."""
         rows = chain.from_iterable(self.rows[1:steps + 1])
-        return np.fromiter(rows, float, 5 * steps).reshape(steps, 5)
+        return np.fromiter(rows, float, 7 * steps).reshape(steps, 7)[:, :6]
 
     def _extend(self) -> None:
         script, dt = self.script, self.dt
-        x, y, heading, speed, accel = self.rows[-1]
+        x, y, heading, speed, cos, sin, accel = self.rows[-1]
         if not self.follows:
             new_speed = speed
             if self.brakes:
@@ -437,7 +438,7 @@ class _Track:
                     new_speed = max(speed - script.decel * dt, 0.0)
                 accel = (new_speed - speed) / dt
             step = speed * dt  # the ego's advance, at the speed the step starts with
-            self.rows.append([x + step * self.cos, y + step * self.sin, heading, new_speed, accel])
+            self.rows.append([x + step * cos, y + step * sin, heading, new_speed, cos, sin, accel])
             return
         # advance by arc length from where it first meets its polyline; the carried arc
         # length keeps a self-crossing polyline from sending it back
@@ -457,8 +458,9 @@ class _Track:
         i = bisect.bisect_right(stations, s, 1, len(stations) - 1) - 1
         ax, ay, dx, dy, _ = line._segments[i]
         t = (s - stations[i]) / line._seg_len[i]
-        self.rows.append([ax + t * dx, ay + t * dy, line._heading[i],
-                          script.speed if station < stations[-1] else 0.0, accel])
+        heading, speed = line._heading[i], script.speed if station < stations[-1] else 0.0
+        self.rows.append([ax + t * dx, ay + t * dy, heading, speed, math.cos(heading),
+                          math.sin(heading), accel])
 
 
 def _step_ego(ego: ActorState, accel_cmd: float, steer_rate: float,
@@ -679,14 +681,15 @@ class _EgoTrack:
     """The ego's steps under one policy, scenario and config, built as episodes reach them.
 
     Row 0 is the spawn's (time, state, pose); row k is step k's (time, ego, pose, action,
-    jerk, outcome, l0, l1_progress, l2, l3): the outcome the ego makes alone (off-road,
-    success, timeout or none), over which `_rollout` takes a collision with its traffic, then
-    the levels that read the ego alone, scored by `_ego_levels` as the row is appended. The
+    outcome, l0, l1_progress, l2, l3): the outcome the ego makes alone (off-road, success,
+    timeout or none), over which `_rollout` takes a collision with its traffic, then the
+    levels that read the ego alone, scored by `_ego_levels` as the row is appended. The
     ego's steps depend on its traffic only through `obs.others`, which reads `traffic`:
     an episode's own NPC tracks, or, for a track that `riskrl sweep` shares between the
     episodes of a scenario, `_shared_traffic`, which raises. A step that raises appends no
-    row, so the next episode to reach it raises the same error. The ego's kernel rows are
-    built once, by the first episode with actors to reach them, and die with the track.
+    row, so the next episode to reach it raises the same error. The ego's kernel rows, the
+    `risk._rows` of its states, are built once, by the first episode with actors to reach
+    them, and die with the track.
     """
 
     def __init__(self, scenario: Scenario, policy: Policy, config: RewardConfig,
@@ -703,7 +706,7 @@ class _EgoTrack:
         self.route, self.max_steps, self.speed_limit = route, max_steps, config.speed_limit + 1e-9
         ego = scenario.ego_spawn
         self.rows: list[tuple] = [(0.0, ego, project_to_route(ego.position, ego.heading, route))]
-        self.kernel = ()  # the `_turned` kernel rows of rows 1, 2, ..., built with actors
+        self.kernel = ()  # the kernel rows of rows 1, 2, ..., built with actors
 
     def _extend(self) -> tuple:
         config, route, step = self.config, self.route, len(self.rows)
@@ -723,21 +726,22 @@ class _EgoTrack:
             outcome = Outcome.TIMEOUT
         else:
             outcome = Outcome.NONE
-        jerk = (new_ego.accel_long - ego.accel_long) / config.dt  # `_rollout` checks it
+        # the one StepContext check a step can fail: the steering rate is clamped from a finite
+        # command, but a difference of two finite accelerations (a hand-built spawn's) can overflow
+        if not math.isfinite(jerk := (new_ego.accel_long - ego.accel_long) / config.dt):
+            raise ContractError("steering_rate and jerk must be finite numbers")
         violations = _SPEEDING if new_ego.speed_long > self.speed_limit else _NO_VIOLATION
-        self.rows.append(row := (time + config.dt, new_ego, new_pose, (accel_cmd, steer_cmd), jerk,
+        self.rows.append(row := (time + config.dt, new_ego, new_pose, (accel_cmd, steer_cmd),
                                  outcome, *_ego_levels(new_ego, new_pose, pose, route.lane_width,
                                                        steer_cmd, jerk, violations, config)))
         return row
 
     def _kernel_rows(self, n: int) -> np.ndarray:
-        """The ego's `_turned` kernel rows of rows 1 to `n`, which episodes have reached; rows
-        not yet covered are appended."""
+        """The ego's kernel rows of rows 1 to `n`, which episodes have reached; rows not yet
+        covered are appended."""
         have = len(self.kernel)
         if have < n:
-            egos = [row[1] for row in self.rows[have + 1:n + 1]]
-            path = np.array([(*e.position, e.heading, e.speed_long) for e in egos])
-            rows = _turned(_track_rows((self.scenario.ego_spawn,), n - have, [path]))
+            rows = _rows(row[1] for row in self.rows[have + 1:n + 1])
             self.kernel = np.concatenate((self.kernel, rows)) if have else rows
         return self.kernel[:n]
 
@@ -790,20 +794,14 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
         for track, reach, is_static in movers:
             if step == len(track.rows):
                 track._extend()
-            x, y, heading, speed, accel = track.rows[step]
+            x, y, heading, speed, _, _, accel = track.rows[step]
             if (math.hypot(x - ex, y - ey) <= reach or is_static and speed
                     or not math.isfinite(x + y + heading + speed + accel)):
                 kept.append(track.at(step))
         for actor, x, y, reach in fixed:
             if math.hypot(x - ex, y - ey) <= reach:
                 kept.append(actor)
-        outcome = Outcome.COLLISION if detect_collision(ego, kept) else row[5]
-
-        # the one StepContext check a step can fail: the steering rate is clamped from a
-        # finite command and the lane width is the route's, but a difference of two finite
-        # accelerations (a hand-built spawn's, say) can overflow
-        if not math.isfinite(row[4]):
-            raise ContractError("steering_rate and jerk must be finite numbers")
+        outcome = Outcome.COLLISION if detect_collision(ego, kept) else row[4]
         if outcome is not Outcome.NONE:
             break
 
@@ -817,7 +815,7 @@ def _score(ego_track: _EgoTrack, n: int, outcome: Outcome, actors: tuple[ActorSt
     own work is its traffic's: the actors' rows, the risk in one array-kernel call, and the
     levels combined with it in one `_totals` call, each step with `total_reward`'s bits."""
     config, route = ego_track.config, ego_track.route
-    times, egos, poses, actions, _, _, l0, progress, l2, l3 = zip(*ego_track.rows[1:n + 1])
+    times, egos, poses, actions, _, l0, progress, l2, l3 = zip(*ego_track.rows[1:n + 1])
     ego_rows = ego_track._kernel_rows(n) if actors else None
     others = _track_rows(actors, n, [track.columns(n) for track in tracks]) if actors else None
     l1_risk, assessments, table = _risk_rewards(ego_rows, others, [len(actors)] * n, config)

@@ -555,11 +555,11 @@ class TestCmdSweep:
         # scores each row once as it is appended and builds its kernel rows once per track
         # row, not once per episode step
         built = {}
-        for name, size in (("_ego_levels", lambda ego: 1), ("_turned", len)):  # one row, many
-            def counted(rows, *args, build=getattr(sim, name), sizes=built.setdefault(name, []),
+        for name, size in (("_ego_levels", lambda levels: 1), ("_rows", len)):  # one row, many
+            def counted(*args, build=getattr(sim, name), sizes=built.setdefault(name, []),
                         size=size):
-                sizes.append(size(rows))
-                return build(rows, *args)
+                sizes.append(size(built_rows := build(*args)))
+                return built_rows
 
             monkeypatch.setattr(sim, name, counted)
         traces = capture_traces(monkeypatch)
@@ -571,7 +571,7 @@ class TestCmdSweep:
         ]) == 0
         assert sum(len(trace.records) for trace in traces) == 7644
         assert {name: sum(sizes) for name, sizes in built.items()} == {"_ego_levels": 171,
-                                                                     "_turned": 171}
+                                                                     "_rows": 171}
 
     def test_a_directory_sweep_equals_plain_episodes(self, tmp_path, scenarios_dir,
                                                      monkeypatch):

@@ -921,7 +921,7 @@ def risk_rewards(egos, others):
     actors in `others`, with each step's pending assessments built. The table it returns
     must have the bits of the table of those assessments, and each step's worst pair in it
     must be the first `np.argmax` of their `combined`."""
-    rows = kernel_rows([actor for actors in others for actor in actors]).reshape(-1, 9)
+    rows = kernel_rows([actor for actors in others for actor in actors]).reshape(-1, 11)
     rewards, pending, table = risk_module._risk_rewards(kernel_rows(egos), rows,
                                                         [len(actors) for actors in others], CFG)
     built = [(reward, assessments() if actors else assessments)
@@ -1012,12 +1012,26 @@ class TestPairRiskArrays:
 
     def test_track_rows_take_the_moving_fields_from_the_tracks(self):
         actors = kernel_batch(seed=3, size=6)[1][-6:]
-        tracks = np.random.default_rng(3).uniform(-50.0, 50.0, (4, 5, 5))  # 4 of 6 move, 5 steps
-        expected = [[*tracks[j, i, :4].tolist(), *risk_module._row(a)[4:]] if j < 4
-                    else list(risk_module._row(a)) for i in range(5) for j, a in enumerate(actors)]
+        tracks = np.random.default_rng(3).uniform(-50.0, 50.0, (4, 5, 6))  # 4 of 6 move, 5 steps
+        expected = [[*tracks[j, i, :4].tolist(), *risk_module._row(a)[4:9], *tracks[j, i, 4:]]
+                    if j < 4 else list(risk_module._row(a))
+                    for i in range(5) for j, a in enumerate(actors)]
         rows = risk_module._track_rows(actors, 5, tracks)
         assert same_bits(rows.tolist(), [[float(v) for v in row] for row in expected])
-        assert risk_module._track_rows([], 5, []).shape == (0, 9)
+        assert risk_module._track_rows([], 5, []).shape == (0, 11)
+
+    def test_headings_are_never_deduplicated(self, monkeypatch):
+        """Each kernel row carries its heading's cos and sin, so `_per_distinct` runs for the
+        TTCs alone: not at all when no pair intersects, once when one does."""
+        calls, per_distinct = [], risk_module._per_distinct
+        monkeypatch.setattr(risk_module, "_per_distinct",
+                            lambda *args: calls.append(args) or per_distinct(*args))
+        egos = [car(kind=ActorKind.EGO_VEHICLE, heading=h) for h in (0.0, 0.5)]
+        ahead, oncoming = car(10.0, heading=0.25), car(-10.0, 3.0, heading=3.0)
+        for others, expected in (([ahead, oncoming], 0), ([ahead, car(5.0, 9.0, 1.5)], 1)):
+            calls.clear()
+            risk_module._risk_rewards(kernel_rows(egos), kernel_rows(others * 2), [2, 2], CFG)
+            assert len(calls) == expected
 
     def test_no_pairs_call_no_numpy(self, monkeypatch):
         egos = kernel_rows([car(kind=ActorKind.EGO_VEHICLE)] * 2)

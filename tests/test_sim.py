@@ -1126,16 +1126,19 @@ class TestEgoTrack:
             run_episode(scenario, track, CFG, 1.0, 3)
         assert len(plain.records) > 5 and len(track.rows) == 6  # the spawn and steps 1 to 5
 
-    @pytest.mark.parametrize("speed, policy, rows, message", [
+    @pytest.mark.parametrize("spawn, policy, rows, message", [
         # from 1e308 m/s to v_max in one step is an acceleration of -1e309, which overflows
-        (1e308, full_throttle_policy(1.0), 1,
+        ({"speed_long": 1e308}, full_throttle_policy(1.0), 1,
          "ActorState accel_long must be a finite number (got -inf)"),
-        (0.0, lambda obs: (math.nan, 0.0) if obs.step == 3 else (1.0, 0.0), 4,
+        ({}, lambda obs: (math.nan, 0.0) if obs.step == 3 else (1.0, 0.0), 4,
          "policy action must be two finite numbers"),
-    ], ids=["ego-state", "policy-action"])
+        # from 1e308 m/s^2 to the first step's 0, the jerk is -1e309, which overflows
+        ({"accel_long": 1e308}, lambda obs: (0.0, 0.0), 1,
+         "steering_rate and jerk must be finite numbers"),
+    ], ids=["ego-state", "policy-action", "jerk"])
     def test_a_step_that_fails_its_checks_leaves_the_track_unextended(
-            self, speed, policy, rows, message):
-        ego = ActorState((5.0, 0.0), 0.0, speed_long=speed, kind=ActorKind.EGO_VEHICLE)
+            self, spawn, policy, rows, message):
+        ego = ActorState((5.0, 0.0), 0.0, **spawn, kind=ActorKind.EGO_VEHICLE)
         scenario = Scenario(route=straight_route(80.0), ego_spawn=ego)
         track = sim_module._EgoTrack(scenario, policy, CFG)
         for _ in range(2):  # the second episode reaches the same step and raises the same
