@@ -151,8 +151,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     does not grow with `--episodes`. No built-in policy reads `obs.others` and
     every NPC script is open loop, so the ego's steps depend on its scenario
     alone: the episodes of a scenario share one ego track, which this call
-    builds and drops, and each steps only its own traffic. The output ordering
-    and content depend only on the seed and inputs.
+    builds and drops, and each runs the rows it holds as array passes over its
+    own traffic. The output ordering and content depend only on the seed and inputs.
     """
     config = _load_config_arg(args.config)
     scenario_path = Path(args.scenario)

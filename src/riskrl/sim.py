@@ -365,6 +365,7 @@ class World:
 
 
 _make_state = _maker(ActorState)  # only behind `_moved`'s guard
+_CHUNK = 192  # steps per array pass of `_rollout`: a criterion-7 episode has at most 171
 
 
 def _moved(state: ActorState, position: tuple[float, float], heading: float,
@@ -389,17 +390,18 @@ def _moved(state: ActorState, position: tuple[float, float], heading: float,
 class _Track:
     """An open-loop NPC's state at each step of one episode, built as the loop reaches it.
 
-    Row k of `rows` is the NPC's x, y, heading, speed_long, the cos and sin of that heading,
-    and accel_long at step k, from its spawn at step 0; the rows are the track's one store of
-    its numbers. Every track grows one plain-float step at a time, with the arithmetic of
-    `step_world`'s step: a constant-velocity NPC takes a braking NPC's step without the
-    trigger, and a waypoint follower takes `Route._pose_at` at its carried arc length, written
-    out; both keep the spawn acceleration. A heading's cos and sin are made with it: a
+    Row k is the NPC's x, y, heading, speed_long, the cos and sin of that heading, and
+    accel_long at step k, from its spawn at step 0. The per-step loop grows `rows` one
+    plain-float step at a time, with the arithmetic of `step_world`'s step: a constant-velocity
+    NPC takes a braking NPC's step without the trigger, and a waypoint follower takes
+    `Route._pose_at` at its carried arc length, written out; both keep the spawn acceleration.
+    `_rollout`'s array pass fills `block`, a chunk of steps at a time: a constant-velocity
+    track's x and y by `np.add.accumulate`, which gives the bits of those repeated adds, any
+    other track's rows by the same steps. A heading's cos and sin are made with it: a
     constant-velocity or braking row carries the spawn's, a waypoint row its segment's. The
-    script's kind is settled once; a braking track projects its last row, which the loop or
-    the spawn's constructor checked, unchecked. Building never raises: an overflow fails at the
-    step whose state holds it, as that state is made (`run_episode` makes it when the row
-    fails its cheap test). A track belongs to one episode, never kept on a scenario or script.
+    script's kind is settled once. Building never raises: an overflow fails at the step whose
+    state holds it, as that state is made (`_rollout` makes it when the row fails its cheap
+    test). A track belongs to one episode, never kept on a scenario or script.
     """
 
     def __init__(self, state: ActorState, script: ActorScript, route: Route, dt: float,
@@ -413,6 +415,7 @@ class _Track:
         self.rows = [[*state.position, state.heading, state.speed_long, math.cos(state.heading),
                       math.sin(state.heading), state.accel_long]]
         self.follows, self.brakes = (isinstance(script, t) for t in (WaypointFollower, Braking))
+        self.block = ()  # rows 0 to the held steps of a shared ego track, if the array pass ran
 
     def at(self, step: int) -> ActorState:
         """The NPC's state at `step`, which is at most one past the last step reached."""
@@ -423,8 +426,25 @@ class _Track:
 
     def columns(self, steps: int) -> np.ndarray:
         """The first six fields of rows 1 to `steps`, which the loop has reached, as an array."""
+        if steps < len(self.block):
+            return self.block[1:steps + 1, :6]
         rows = chain.from_iterable(self.rows[1:steps + 1])
         return np.fromiter(rows, float, 7 * steps).reshape(steps, 7)[:, :6]
+
+    def _fill(self, start: int, stop: int) -> None:
+        """Rows `start` to `stop` of `block`, which holds row start - 1; never raises."""
+        block, rows = self.block[start - 1:stop + 1], self.rows
+        if not (self.follows or self.brakes):
+            block[1:] = block[0]
+            block[1:, :2] = block[0, 3] * self.dt * block[0, 4:6]  # step * cos, step * sin
+            np.add.accumulate(block[:, :2], out=block[:, :2])
+            return
+        # a braking row after one at rest repeats; rows after a NaN one (it raises) go unread
+        while len(rows) <= stop and not (self.brakes and (len(rows) > 1 and rows[-2][3] == 0.0
+                                                          or math.isnan(sum(rows[-1][:2])))):
+            self._extend()
+        grown = rows[start:stop + 1]
+        block[1:] = grown + rows[-1:] * (stop + 1 - start - len(grown))
 
     def _extend(self) -> None:
         script, dt = self.script, self.dt
@@ -706,7 +726,7 @@ class _EgoTrack:
         self.route, self.max_steps, self.speed_limit = route, max_steps, config.speed_limit + 1e-9
         ego = scenario.ego_spawn
         self.rows: list[tuple] = [(0.0, ego, project_to_route(ego.position, ego.heading, route))]
-        self.kernel = ()  # the kernel rows of rows 1, 2, ..., built with actors
+        self.kernel = self.xy = ()  # the kernel rows and the x, y of rows 1, 2, ..., as read
 
     def _extend(self) -> tuple:
         config, route, step = self.config, self.route, len(self.rows)
@@ -768,8 +788,9 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
              density: float | None, seed: int | None) -> tuple:
     """The episode's ego track, its step count and outcome, its actors (NPCs, then obstacles)
     and the NPCs' tracks. The ego's steps are the rows of an `_EgoTrack`: the one passed for
-    `policy`, or a new one whose observations read this episode's traffic. An NPC's state is
-    built only when the broad phase on its track row keeps it, or to raise at a bad row."""
+    `policy`, or a new one whose observations read this episode's traffic. Steps a shared track
+    holds run as array passes of `_CHUNK` steps, numpy keeping candidates for the scalar broad
+    phase, and later ones one at a time. NPC states are built for what it keeps, or to raise."""
     def traffic(obs: Observation) -> tuple[ActorState, ...]:  # `obs.others`, on its first read
         return tuple([track.at(obs.step) for track in tracks]) + obstacles  # rows the loop read
 
@@ -781,11 +802,50 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
     tracks = [_Track(state, script, scenario.route, config.dt) for state, script in npcs]
     actors = tuple(state for state, _ in npcs) + obstacles
     reaches = [_reach(scenario.ego_spawn, actor) for actor in actors]  # _moved keeps footprints
-    movers = [(t, r, t.state.kind is ActorKind.STATIC_OBSTACLE) for t, r in zip(tracks, reaches)]
-    fixed = [(actor, *actor.position, r) for actor, r in zip(obstacles, reaches[len(tracks):])]
+    statics = [actor.kind is ActorKind.STATIC_OBSTACLE for actor in actors]
+    movers, n = list(zip(tracks, reaches, statics)), len(tracks)
+    fixed = [(actor, *actor.position, r) for actor, r in zip(obstacles, reaches[n:])]
 
     rows, extend = ego_track.rows, ego_track._extend
-    for step in range(1, ego_track.max_steps + 1):
+    step, held = 0, len(rows) - 1
+    if actors and held:  # the held rows' steps, as array passes of up to _CHUNK steps
+        if len(ego_track.xy) < held:
+            ego_track.xy = np.array([row[1].position for row in rows[1:]])
+        limits = np.array(reaches) * (1.0 + 1e-12) + 1e-300  # np.hypot's last bit, any reach
+        table = np.empty((held + 1, len(actors), 7))  # every actor's row at steps 0 to held
+        table[0] = [track.rows[0] for track in tracks] + [(x, y, 0.0, 0.0, 0.0, 0.0, 0.0)
+                                                          for _, x, y, _ in fixed]  # spawn rows
+        for j, track in enumerate(tracks):
+            track.block = table[:, j]
+        while step < held:
+            start, step = step + 1, min(step + _CHUNK, held)
+            now, (ex, ey) = table[start:step + 1], ego_track.xy[start - 1:step].T[:, :, None]
+            now[:, n:] = table[0, n:]  # obstacles stay at their spawn rows
+            with np.errstate(all="ignore"):  # rows overflow silently, as Python floats do
+                for track in tracks:
+                    track._fill(start, step)
+                x, y, heading, speed, accel = (now[:, :, i] for i in (0, 1, 2, 3, 6))
+                # a superset of the scalar test's keeps, which decides each candidate below
+                near = ((np.hypot(x - ex, y - ey) <= limits) | np.array(statics) & (speed != 0.0)
+                        | ~np.isfinite(x + y + heading + speed + accel))
+            found = [[] for _ in range(start, step + 1)]  # each step's candidates, in actor order
+            ks, js = near.nonzero()
+            for k, j, values in zip(ks.tolist(), js.tolist(), now[ks, js].tolist()):
+                found[k].append((j, values))
+            for step, candidates in enumerate(found, start):
+                row, kept = rows[step], []
+                ex, ey = row[1].position
+                for j, (x, y, heading, speed, _, _, accel) in candidates:
+                    if (math.hypot(x - ex, y - ey) <= reaches[j] or statics[j] and speed
+                            or not math.isfinite(x + y + heading + speed + accel)):
+                        kept.append(_moved(actors[j], (x, y), heading, speed, accel) if j < n
+                                    else actors[j])
+                outcome = Outcome.COLLISION if detect_collision(row[1], kept) else row[4]
+                if outcome is not Outcome.NONE:
+                    return ego_track, step, outcome, actors, tracks
+        for track in tracks:  # the loop below grows the tracks past the held rows
+            track.rows = track.block.tolist()
+    for step in range(step + 1, ego_track.max_steps + 1):
         row = rows[step] if step < len(rows) else extend()
         ego = row[1]
         # `_footprints_overlap`'s broad phase on the rows; a row the state checks reject (an

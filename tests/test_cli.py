@@ -573,6 +573,33 @@ class TestCmdSweep:
         assert {name: sum(sizes) for name, sizes in built.items()} == {"_ego_levels": 171,
                                                                      "_rows": 171}
 
+    def test_the_criterion_7_sweep_grows_constant_velocity_rows_only_past_the_held_rows(
+        self, tmp_path, scenarios_dir, configs_dir, monkeypatch
+    ):
+        # an episode runs the steps whose ego rows its shared track holds as array passes, which
+        # give a constant-velocity NPC's rows by np.add.accumulate; only the steps past them,
+        # which also grow the ego track, grow its rows one `_Track._extend` at a time, so the
+        # sweep makes 513 such calls, where one per NPC and step would be 27,946
+        grown, extend = [], sim._Track._extend
+        monkeypatch.setattr(sim._Track, "_extend",
+                            lambda track: grown.append(type(track.script)) or extend(track))
+        traces = capture_traces(monkeypatch)
+        assert main([
+            "sweep", "--scenario", str(scenarios_dir / "intersection.json"),
+            "--config", str(configs_dir / "default.json"),
+            "--densities", "0.5,0.75,1.0", "--episodes", "20", "--seed", "7",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        scenario, held, past = load_scenario(scenarios_dir / "intersection.json"), 0, 0
+        episodes = [(density, cli._episode_seed(7, d_idx, episode))
+                    for d_idx, density in enumerate((0.5, 0.75, 1.0)) for episode in range(20)]
+        for (density, seed), trace in zip(episodes, traces, strict=True):
+            npcs, _ = sim.realize_traffic(scenario, density, seed)
+            steps = len(trace.records)
+            past += max(steps - held, 0) * sum(isinstance(s, sim.ConstantVelocity) for _, s in npcs)
+            held = max(held, steps)
+        assert grown.count(sim.ConstantVelocity) == past == 513
+
     def test_a_directory_sweep_equals_plain_episodes(self, tmp_path, scenarios_dir,
                                                      monkeypatch):
         args = ["sweep", "--scenario", str(scenarios_dir), "--densities", "0.5,1.0",

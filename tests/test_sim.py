@@ -67,6 +67,31 @@ def straight_route(length=200.0, goal=None):
     )
 
 
+def held_rows(scenario, policy, shared, config=CFG, steps=30):
+    """`policy`, or if `shared`, an ego track of `scenario`, `policy` and `config` that holds
+    rows 1 to `steps`, or up to the ego's own outcome if that comes first: the rows that an
+    earlier, longer episode on a track that episodes share would have left, which a later
+    episode runs as array passes."""
+    if not shared:
+        return policy
+    track = sim_module._EgoTrack(scenario, policy, config)
+    while len(track.rows) <= steps and track._extend()[4] is Outcome.NONE:
+        pass
+    return track
+
+
+ON_A_SHARED_TRACK = pytest.mark.parametrize("shared", [False, True], ids=["plain", "shared"])
+
+
+def overflowing_npc_scenario():
+    """A constant-velocity NPC whose x is finite for three steps of 1e307 * dt and
+    overflows to inf on the fourth; the ego stays well clear of it."""
+    x = 1.79e308 - 3e307 * CFG.dt * 0.999
+    npc = ActorState((x, 50.0), 0.0, speed_long=1e307)
+    ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
+    return Scenario(route=straight_route(80.0), ego_spawn=ego, npcs=((npc, ConstantVelocity()),))
+
+
 def make_world(ego=None, npcs=(), scripts=(), obstacles=(), route=None):
     if ego is None:
         ego = ActorState(position=[0.0, 0.0], heading=0.0, kind=ActorKind.EGO_VEHICLE)
@@ -790,15 +815,18 @@ class TestBuiltOnRead:
                    for record, ctx in zip(trace.records, contexts))
         assert len(calls) == sum(len(ctx.others) for ctx in contexts) > 0
 
-    def test_a_static_npc_set_moving_fails_the_first_step(self):
+    @ON_A_SHARED_TRACK
+    def test_a_static_npc_set_moving_fails_the_first_step(self, shared):
         npc = ActorState((0.0, 5.0), 0.0, kind=ActorKind.STATIC_OBSTACLE)
         ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
         scenario = Scenario(route=straight_route(80.0), ego_spawn=ego,
                             npcs=((npc, WaypointFollower(((0, 5), (50, 5)), 3.0)),))
         calls = []
-        with pytest.raises(ContractError, match="^static obstacles must have zero velocity$"):
-            run_episode(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), CFG)
-        assert len(calls) == 1
+        policy = held_rows(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), shared)
+        with collision_checks() as checked, pytest.raises(
+                ContractError, match="^static obstacles must have zero velocity$"):
+            run_episode(scenario, policy, CFG)
+        assert (len(checked), len(calls)) == (0, 30 if shared else 1)
 
     def test_a_trace_pickled_before_and_after_a_read_round_trips(self, intersection):
         unread, read = self.run(intersection), self.run(intersection)
@@ -928,21 +956,46 @@ class TestTracks:
             run_episode(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), CFG)
         assert len(calls) == 1
 
-    def test_an_overflow_raises_at_the_step_whose_state_holds_it(self):
+    @ON_A_SHARED_TRACK
+    def test_an_overflow_raises_at_the_step_whose_state_holds_it(self, shared):
         # x is finite for three steps of 1e307 * dt and overflows on the fourth; the row
-        # that holds it is built at that step, and its state raises there
-        x = 1.79e308 - 3e307 * CFG.dt * 0.999
-        npc = ActorState((x, 50.0), 0.0, speed_long=1e307)
-        ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
-        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego,
-                            npcs=((npc, ConstantVelocity()),))
-        calls = []
+        # that holds it is built at that step, or with the rows after it, and its state
+        # raises at that step
+        scenario, calls = overflowing_npc_scenario(), []
+        policy = held_rows(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), shared)
         message = "ActorState position must be two finite numbers (got (inf, 50.0))"
-        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
-            run_episode(scenario, lambda obs: calls.append(obs) or (0.0, 0.0), CFG)
-        assert len(calls) == 4
+        with collision_checks() as checked, pytest.raises(ContractError,
+                                                           match=f"^{re.escape(message)}$"):
+            run_episode(scenario, policy, CFG)
+        assert (len(checked), len(calls)) == (3, 30 if shared else 4)
 
-    def test_a_waypoint_step_whose_arc_length_overflows_warns_nothing(self):
+    @ON_A_SHARED_TRACK
+    def test_an_overflow_after_the_collision_step_raises_nothing(self, shared):
+        # the ego spawns against an obstacle, so the episode ends at step 1, before the NPC's
+        # row overflows at step 4, even where the array pass has built that row
+        scenario = dataclasses.replace(overflowing_npc_scenario(),
+                                       obstacles=(ActorState((8.0, 1.0), 0.3),))
+        trace = run_episode(scenario, held_rows(scenario, lambda obs: (0.0, 0.0), shared), CFG)
+        assert (trace.outcome, len(trace.records)) == (Outcome.COLLISION, 1)
+
+    @ON_A_SHARED_TRACK
+    def test_a_braking_row_made_nan_raises_at_its_step(self, shared):
+        # at dt 2.0 a step at 1e308 m/s is inf m, and inf * sin(0.0) is NaN, so the first row
+        # holds a NaN y; the array pass builds the rows after it too, unprojected
+        config = RewardConfig(dt=2.0)
+        npc = ActorState((30.0, 20.0), 0.0, speed_long=1e308)
+        ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
+        scenario = Scenario(route=straight_route(), ego_spawn=ego,
+                            npcs=((npc, Braking(0.0, 1.0)),))
+        message = "ActorState position must be two finite numbers (got (inf, nan))"
+        with collision_checks() as checked, pytest.raises(ContractError,
+                                                           match=f"^{re.escape(message)}$"):
+            run_episode(scenario, held_rows(scenario, lambda obs: (0.0, 0.0), shared, config),
+                        config)
+        assert checked == []
+
+    @ON_A_SHARED_TRACK
+    def test_a_waypoint_step_whose_arc_length_overflows_warns_nothing(self, shared):
         # at 1e308 m/s each step adds 1e307 m of arc length, so an unclamped running sum
         # would overflow to inf at its 18th step; the line's end clamps it, and no
         # RuntimeWarning (an error under the suite's filterwarnings) escapes
@@ -951,7 +1004,7 @@ class TestTracks:
         ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
         scenario = Scenario(route=straight_route(80.0, goal=10.0), ego_spawn=ego,
                             npcs=((npc, script),), max_steps=40)
-        trace = run_episode(scenario, full_throttle_policy(6.0), CFG)
+        trace = run_episode(scenario, held_rows(scenario, full_throttle_policy(6.0), shared), CFG)
         assert trace.outcome is Outcome.SUCCESS and len(trace.records) == 14
 
     @pytest.mark.parametrize("speed", [0.0, 3.0])
@@ -1027,6 +1080,34 @@ class TestTracks:
             sys.setswitchinterval(interval)
         assert same_bits(threaded, [serial, serial])
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-1.79e308, 1.79e308), y=st.floats(-1.79e308, 1.79e308),
+           heading=st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi]) | st.floats(-4.0, 4.0),
+           speed=st.floats(-1e3, 1e3) | st.floats(-1.79e308, 1.79e308),
+           dt=st.sampled_from([0.05, 0.1, 0.3, 2.0]), steps=st.integers(1, 2 * sim_module._CHUNK),
+           data=st.data())
+    # x overflows to inf at step 4; at dt 2.0, speed * dt overflows and inf * sin(0.0) is NaN
+    @example(x=1.79e308 - 3e307 * 0.1 * 0.999, y=50.0, heading=0.0, speed=1e307, dt=0.1, steps=9,
+             data=None)
+    @example(x=0.0, y=-0.0, heading=0.0, speed=1e308, dt=2.0, steps=3, data=None)
+    def test_accumulated_constant_velocity_rows_have_the_bits_of_repeated_steps(
+            self, x, y, heading, speed, dt, steps, data):
+        # the array pass fills a constant-velocity track's rows by np.add.accumulate, a chunk
+        # of steps at a time; `_extend` adds one plain-float step per row
+        state = ActorState((x, y), heading, speed_long=speed, accel_long=-0.5)
+        scalar, track = (sim_module._Track(state, ConstantVelocity(), straight_route(), dt)
+                         for _ in range(2))
+        for _ in range(steps):
+            scalar._extend()
+        track.block = np.zeros((steps + 1, 7))
+        track.block[0] = track.rows[0]
+        chunk = data.draw(st.integers(1, steps), label="chunk") if data else steps
+        with np.errstate(all="ignore"):
+            for start in range(1, steps + 1, chunk):
+                track._fill(start, min(start + chunk - 1, steps))
+        assert same_bits(track.block.tolist(), scalar.rows)
+        assert same_bits(track.columns(steps), np.array(scalar.rows)[1:, :6])
+
     @settings(max_examples=60, deadline=None)
     @given(cv_speed=SPEEDS, cv_heading=st.floats(-180.0, 180.0), brake_speed=SPEEDS,
            trigger_ahead=st.floats(-2.0, 12.0), decel=st.floats(0.5, 8.0), wp_speed=SPEEDS,
@@ -1081,6 +1162,21 @@ class TestTracks:
 # the (density, seed) of each episode of the criterion-7 sweep: seed 7, 20 episodes per density
 CRITERION_7_EPISODES = [(density, _episode_seed(7, d_idx, episode))
                         for d_idx, density in enumerate((0.5, 0.75, 1.0)) for episode in range(20)]
+
+
+def at_distance(centre, distance, np_distance):
+    """A point whose `math.hypot` distance from `centre` is `distance`, and whose `np.hypot`
+    distance is `np_distance` if a seeded search over 5,000 directions finds one."""
+    cx, cy = centre
+    found = []
+    for theta in np.random.default_rng(0).uniform(-math.pi, math.pi, 5000).tolist():
+        x, y = cx + distance * math.cos(theta), cy + distance * math.sin(theta)
+        for x in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+            if math.hypot(x - cx, y - cy) == distance:
+                if np.hypot(x - cx, y - cy) == np_distance:
+                    return x, y
+                found.append((x, y))
+    return found[0]
 
 
 def same_trace(trace, other):
@@ -1172,6 +1268,60 @@ class TestEgoTrack:
             for episode in order:
                 assert same_trace(run_episode(scenario, track, CFG, *episode), plain[episode])
             assert len(calls) == longest == len(track.rows) - 1
+
+    def test_a_later_episode_keeps_an_npc_at_exactly_its_reach_as_the_plain_path_does(self):
+        # NPCs at rest: one whose centre lies exactly at the reach from the ego's, and one a
+        # ulp beyond it, by math.hypot; where a search finds them, np.hypot rounds the first
+        # distance up past the reach and the second down onto it
+        ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
+        reach = sim_module._reach(ego, ActorState((0.0, 0.0), 0.0))
+        beyond = math.nextafter(reach, math.inf)
+        points = [at_distance(ego.position, reach, beyond),
+                  at_distance(ego.position, beyond, reach)]
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego, max_steps=5,
+                            npcs=tuple((ActorState(p, 0.0), ConstantVelocity()) for p in points))
+        idle = build_policy("idle", CFG)
+        with collision_checks() as plain:
+            expected = run_episode(scenario, idle, CFG)
+        with collision_checks() as shared:
+            trace = run_episode(scenario, held_rows(scenario, idle, True), CFG)
+        assert same_trace(trace, expected) and same_bits(shared, plain)
+        assert [[actor.position for actor in actors] for actors in plain] == [[points[0]]] * 5
+
+    def test_a_later_episode_keeps_an_npc_at_a_subnormal_reach_as_the_plain_path_does(self):
+        # footprints of 5e-313 m make a subnormal reach, 143,120,005,985 steps of 5e-324; the
+        # NPC's centre is exactly at it by math.hypot, and np.hypot rounds it a step up, past
+        # any relative margin of 1e-12
+        size, point = 5e-313, (5.95716677106e-313, 3.8094834509e-313)
+        ego = ActorState((0.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE, length=size, width=size)
+        npc = ActorState(point, 0.0, length=size, width=size)
+        assert math.hypot(*point) == sim_module._reach(ego, npc) == 143120005985 * 5e-324
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego, max_steps=5,
+                            npcs=((npc, ConstantVelocity()),))
+        idle = build_policy("idle", CFG)
+        with collision_checks() as plain:
+            expected = run_episode(scenario, idle, CFG)
+        with collision_checks() as shared:
+            trace = run_episode(scenario, held_rows(scenario, idle, True), CFG)
+        assert same_trace(trace, expected) and same_bits(shared, plain)
+        assert [[actor.position for actor in actors] for actors in plain] == [[point]] * 5
+
+    def test_a_later_episode_keeps_a_braking_npc_at_rest_as_the_plain_path_does(self):
+        # the NPC brakes from its spawn and comes to rest by step 11, within the ego's reach;
+        # its rows at rest, acceleration 0 from the second, are built once in the array pass
+        ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
+        npc = ActorState((2.0, 3.0), 0.0, speed_long=2.0, accel_long=0.5)
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego, max_steps=40,
+                            npcs=((npc, Braking(0.0, 2.0)),))
+        idle = build_policy("idle", CFG)
+        with collision_checks() as plain:
+            expected = run_episode(scenario, idle, CFG)
+        with collision_checks() as shared:
+            trace = run_episode(scenario, held_rows(scenario, idle, True, steps=40), CFG)
+        assert same_trace(trace, expected) and same_bits(shared, plain)
+        speeds, accels = zip(*((actor.speed_long, actor.accel_long) for (actor,) in plain))
+        assert len(speeds) == 40 and speeds[10:] == (0.0,) * 30 and accels[11:] == (0.0,) * 29
+        assert accels[10] < 0.0
 
     @pytest.mark.parametrize("lead", [[], [(0.0, 0)]], ids=["by-length", "no-traffic-first"])
     def test_columns_that_grow_with_longer_episodes_give_the_bits_of_plain_episodes(
@@ -1275,6 +1425,18 @@ def _leaf_paths(value, path=()):
         yield path
 
 
+def second_on_a_shared_track(scenario, policy, config, seed=None):
+    """(the trace, each step's `collision_checks`) of the episode of `scenario` under the
+    built-in `policy`, run second on an ego track shared with the episode at density 0 and
+    `seed`. That one has the same NPCs bar the slots', so it lasts at least as long, and the
+    second runs every step as array passes over the rows it left."""
+    track = sim_module._EgoTrack(scenario, build_policy(policy, config), config)
+    run_episode(scenario, track, config, 0.0, seed)
+    with collision_checks() as checked:
+        trace = run_episode(scenario, track, config, seed=seed)
+    return trace, checked
+
+
 @settings(max_examples=500, deadline=None)
 @given(name=st.sampled_from(sorted(SHIPPED_SCENARIOS)), data=st.data())
 def test_mutated_documents_fail_with_paths_or_run_within_bounds(name, data):
@@ -1298,6 +1460,7 @@ def test_mutated_documents_fail_with_paths_or_run_within_bounds(name, data):
         with collision_checks() as checked:
             trace = run_episode(scenario, build_policy(policy, config), config)
         assert matches_replay(trace, scenario, config, checked=checked)
+        assert same_bits(second_on_a_shared_track(scenario, policy, config), (trace, checked))
         totals = [record.breakdown.total for record in trace.records]
         assert trace.outcome is not Outcome.NONE
         assert all(math.isfinite(total) for total in totals)
@@ -1336,6 +1499,9 @@ def test_a_rigid_motion_of_a_scenario_changes_only_rounding(waypoint_documents, 
     moved = transformed(document, theta, shift)
     before, after = (run_episode(scenario_from_dict(doc), build_policy(policy, CFG), CFG,
                                  seed=seed) for doc in (document, moved))
+    for doc, trace in ((document, before), (moved, after)):
+        shared, _ = second_on_a_shared_track(scenario_from_dict(doc), policy, CFG, seed)
+        assert same_trace(shared, trace)
     assert (after.outcome, len(after.records)) == (before.outcome, len(before.records))
     u_r = UNIT_ROUNDOFF * max(abs(v) for point in moved["route"]["centerline"] for v in point)
     for k, (a, b) in enumerate(zip(before.records, after.records), 1):
@@ -1379,6 +1545,9 @@ def test_a_mirrored_scenario_changes_only_rounding(waypoint_documents, data, pol
     mirrored = transformed(document, theta, shift, mirror=True)
     before, after = (run_episode(scenario_from_dict(doc), build_policy(policy, CFG), CFG,
                                  seed=seed) for doc in (document, mirrored))
+    for doc, trace in ((document, before), (mirrored, after)):
+        shared, _ = second_on_a_shared_track(scenario_from_dict(doc), policy, CFG, seed)
+        assert same_trace(shared, trace)
     assert (after.outcome, len(after.records)) == (before.outcome, len(before.records))
     u_r = UNIT_ROUNDOFF * max(abs(v) for point in mirrored["route"]["centerline"] for v in point)
     for k, (a, b) in enumerate(zip(before.records, after.records), 1):
