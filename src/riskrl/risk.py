@@ -453,17 +453,15 @@ def _pairs_risk(codes, e: _Actors, o: _Actors,
     # p_max on x in the same-direction and intersecting modes, on y in all but the former
     wide = (codes == 0) | intersecting, codes != 0
     geom = _modes_field(excess_x / config.r_x_geom, excess_y / config.r_y_geom, wide, config)
-    dyn = 0.0  # with one intersecting code for all pairs, the TTC's penalty is all of dyn
-    if intersecting is not True:
-        # approach for opposite directions, else leading, behind a static obstacle at speed 0
-        leading, approach = _clearances(abs(e.speed_long), np.where(
-            codes == 3, 0.0, abs(o.speed_long)), "long", config)
-        r_x = np.where(codes == 1, approach, leading)
-        # _lateral_dynamic_radius: the side of the other actor, and the lateral speeds toward it
-        side = np.where(d_y == 0.0, 0.0, np.copysign(1.0, d_y))
-        w = _turn(e.cos, -e.sin, *_turn(o.cos, o.sin, o.speed_long, o.speed_lat))[1]
-        r_y = _lateral_radius(side, e.speed_lat, w, config)
-        dyn = _modes_field(_ratio(excess_x, r_x), _ratio(excess_y, r_y), wide, config)
+    # approach for opposite directions, else leading, behind a static obstacle at speed 0
+    leading, approach = _clearances(abs(e.speed_long), np.where(
+        codes == 3, 0.0, abs(o.speed_long)), "long", config)
+    r_x = np.where(codes == 1, approach, leading)
+    # _lateral_dynamic_radius: the side of the other actor, and the lateral speeds toward it
+    side = np.where(d_y == 0.0, 0.0, np.copysign(1.0, d_y))
+    w = _turn(e.cos, -e.sin, *_turn(o.cos, o.sin, o.speed_long, o.speed_lat))[1]
+    r_y = _lateral_radius(side, e.speed_lat, w, config)
+    dyn = _modes_field(_ratio(excess_x, r_x), _ratio(excess_y, r_y), wide, config)
     if not np.any(intersecting):
         return geom, dyn, np.full(dyn.shape, math.inf)
     # ttc_circle, its velocity scaling included, of every pair; only the intersecting keep it
@@ -486,10 +484,7 @@ def _pairs_risk(codes, e: _Actors, o: _Actors,
 
 def _modes_field(tx, ty, wide: tuple, config: RewardConfig) -> np.ndarray:
     """`_ellipse_power` with each pair's exponent on each axis: p_max where `wide` holds for the
-    axis, else p_min. When `wide` is two bools, as one code for all pairs gives, it is one call."""
-    if isinstance(wide[0], bool):
-        return _ellipse_power(tx, ty, *(config.p_max if on else config.p_min for on in wide),
-                              config.p_outer)
+    axis, else p_min; `wide` is one bool per axis when one code serves all pairs."""
     px, py = (np.where(on, _even_power(t, config.p_max), _even_power(t, config.p_min))
               for t, on in zip((tx, ty), wide))
     return 1.0 / _even_power(px + py + 1.0, config.p_outer)

@@ -391,17 +391,18 @@ class _Track:
     """An open-loop NPC's state at each step of one episode, built as the loop reaches it.
 
     Row k is the NPC's x, y, heading, speed_long, the cos and sin of that heading, and
-    accel_long at step k, from its spawn at step 0. The per-step loop grows `rows` one
-    plain-float step at a time, with the arithmetic of `step_world`'s step: a constant-velocity
-    NPC takes a braking NPC's step without the trigger, and a waypoint follower takes
+    accel_long at step k, from its spawn at step 0. `_extend` appends the next row in plain
+    floats and returns it, with the arithmetic of `step_world`'s step: a constant-velocity NPC
+    takes a braking NPC's step without the trigger, and a waypoint follower takes
     `Route._pose_at` at its carried arc length, written out; both keep the spawn acceleration.
-    `_rollout`'s array pass fills `block`, a chunk of steps at a time: a constant-velocity
-    track's x and y by `np.add.accumulate`, which gives the bits of those repeated adds, any
-    other track's rows by the same steps. A heading's cos and sin are made with it: a
-    constant-velocity or braking row carries the spawn's, a waypoint row its segment's. The
-    script's kind is settled once. Building never raises: an overflow fails at the step whose
-    state holds it, as that state is made (`_rollout` makes it when the row fails its cheap
-    test). A track belongs to one episode, never kept on a scenario or script.
+    A single step of `_rollout` grows each track by one row; its array pass fills `block`, a
+    chunk of steps at a time: a constant-velocity track's x and y by `np.add.accumulate`,
+    which gives the bits of those repeated adds, any other track's rows by `_extend`. A
+    heading's cos and sin are made with it: a constant-velocity or braking row carries the
+    spawn's, a waypoint row its segment's. The script's kind is settled once. Building never
+    raises: an overflow fails at the step whose state holds it, as that state is made
+    (`_rollout` makes it when the row fails its cheap test). A track belongs to one episode,
+    never kept on a scenario or script.
     """
 
     def __init__(self, state: ActorState, script: ActorScript, route: Route, dt: float,
@@ -419,9 +420,8 @@ class _Track:
 
     def at(self, step: int) -> ActorState:
         """The NPC's state at `step`, which is at most one past the last step reached."""
-        if step == len(self.rows):
-            self._extend()
-        x, y, heading, speed, _, _, accel = self.rows[step]
+        x, y, heading, speed, _, _, accel = (self.rows[step] if step < len(self.rows)
+                                             else self._extend())
         return _moved(self.state, (x, y), heading, speed, accel)
 
     def columns(self, steps: int) -> np.ndarray:
@@ -446,7 +446,7 @@ class _Track:
         grown = rows[start:stop + 1]
         block[1:] = grown + rows[-1:] * (stop + 1 - start - len(grown))
 
-    def _extend(self) -> None:
+    def _extend(self) -> list:
         script, dt = self.script, self.dt
         x, y, heading, speed, cos, sin, accel = self.rows[-1]
         if not self.follows:
@@ -458,8 +458,9 @@ class _Track:
                     new_speed = max(speed - script.decel * dt, 0.0)
                 accel = (new_speed - speed) / dt
             step = speed * dt  # the ego's advance, at the speed the step starts with
-            self.rows.append([x + step * cos, y + step * sin, heading, new_speed, cos, sin, accel])
-            return
+            self.rows.append(row := [x + step * cos, y + step * sin, heading, new_speed, cos, sin,
+                                     accel])
+            return row
         # advance by arc length from where it first meets its polyline; the carried arc
         # length keeps a self-crossing polyline from sending it back
         line = script._line
@@ -479,8 +480,9 @@ class _Track:
         ax, ay, dx, dy, _ = line._segments[i]
         t = (s - stations[i]) / line._seg_len[i]
         heading, speed = line._heading[i], script.speed if station < stations[-1] else 0.0
-        self.rows.append([ax + t * dx, ay + t * dy, heading, speed, math.cos(heading),
-                          math.sin(heading), accel])
+        self.rows.append(row := [ax + t * dx, ay + t * dy, heading, speed, math.cos(heading),
+                                 math.sin(heading), accel])
+        return row
 
 
 def _step_ego(ego: ActorState, accel_cmd: float, steer_rate: float,
@@ -564,7 +566,10 @@ def detect_collision(ego: ActorState, actors: Iterable[ActorState]) -> bool:
     `run_episode` hands it only the actors its broad phase kept, those whose
     centres lie within `_reach(ego, actor)` of the ego's.
     """
-    return any(_footprints_overlap(ego, actor) for actor in actors)
+    for actor in actors:  # not `any` of a generator, whose set-up every step would pay
+        if _footprints_overlap(ego, actor):
+            return True
+    return False
 
 
 def check_offroad(pose: RouteFramePose, ego: ActorState, route: Route) -> bool:
@@ -788,9 +793,11 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
              density: float | None, seed: int | None) -> tuple:
     """The episode's ego track, its step count and outcome, its actors (NPCs, then obstacles)
     and the NPCs' tracks. The ego's steps are the rows of an `_EgoTrack`: the one passed for
-    `policy`, or a new one whose observations read this episode's traffic. Steps a shared track
-    holds run as array passes of `_CHUNK` steps, numpy keeping candidates for the scalar broad
-    phase, and later ones one at a time. NPC states are built for what it keeps, or to raise."""
+    `policy`, or a new one whose observations read this episode's traffic. One loop runs them
+    in segments: while the track holds the next steps' rows, an array pass of up to `_CHUNK`
+    steps, whose numpy mask gives each step's candidates; past them, one step, whose candidates
+    are every actor's row. One body decides each step: the scalar broad phase on its candidates,
+    NPC states built for what it keeps, or to raise, then `detect_collision`."""
     def traffic(obs: Observation) -> tuple[ActorState, ...]:  # `obs.others`, on its first read
         return tuple([track.at(obs.step) for track in tracks]) + obstacles  # rows the loop read
 
@@ -803,69 +810,54 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
     actors = tuple(state for state, _ in npcs) + obstacles
     reaches = [_reach(scenario.ego_spawn, actor) for actor in actors]  # _moved keeps footprints
     statics = [actor.kind is ActorKind.STATIC_OBSTACLE for actor in actors]
-    movers, n = list(zip(tracks, reaches, statics)), len(tracks)
-    fixed = [(actor, *actor.position, r) for actor, r in zip(obstacles, reaches[n:])]
-
-    rows, extend = ego_track.rows, ego_track._extend
-    step, held = 0, len(rows) - 1
-    if actors and held:  # the held rows' steps, as array passes of up to _CHUNK steps
+    spawns = [(*actor.position, 0.0, 0.0, 0.0, 0.0, 0.0) for actor in obstacles]  # their rows
+    rows, n = ego_track.rows, len(tracks)
+    step, held = 0, (len(rows) - 1 if actors else 0)  # no pass without actors
+    if held:
         if len(ego_track.xy) < held:
             ego_track.xy = np.array([row[1].position for row in rows[1:]])
         limits = np.array(reaches) * (1.0 + 1e-12) + 1e-300  # np.hypot's last bit, any reach
         table = np.empty((held + 1, len(actors), 7))  # every actor's row at steps 0 to held
-        table[0] = [track.rows[0] for track in tracks] + [(x, y, 0.0, 0.0, 0.0, 0.0, 0.0)
-                                                          for _, x, y, _ in fixed]  # spawn rows
+        table[0] = [track.rows[0] for track in tracks] + spawns
         for j, track in enumerate(tracks):
             track.block = table[:, j]
-        while step < held:
-            start, step = step + 1, min(step + _CHUNK, held)
-            now, (ex, ey) = table[start:step + 1], ego_track.xy[start - 1:step].T[:, :, None]
+    while True:  # the ego's row at max_steps ends the episode, if nothing before it does
+        if step < held:  # an array pass of the held rows' next steps
+            start, stop = step + 1, min(step + _CHUNK, held)
+            now, (ex, ey) = table[start:stop + 1], ego_track.xy[start - 1:stop].T[:, :, None]
             now[:, n:] = table[0, n:]  # obstacles stay at their spawn rows
             with np.errstate(all="ignore"):  # rows overflow silently, as Python floats do
                 for track in tracks:
-                    track._fill(start, step)
+                    track._fill(start, stop)
                 x, y, heading, speed, accel = (now[:, :, i] for i in (0, 1, 2, 3, 6))
-                # a superset of the scalar test's keeps, which decides each candidate below
+                # a superset of the scalar test's keeps, which the body below decides
                 near = ((np.hypot(x - ex, y - ey) <= limits) | np.array(statics) & (speed != 0.0)
                         | ~np.isfinite(x + y + heading + speed + accel))
-            found = [[] for _ in range(start, step + 1)]  # each step's candidates, in actor order
+            segment = [(s, []) for s in range(start, stop + 1)]  # candidates in actor order
             ks, js = near.nonzero()
             for k, j, values in zip(ks.tolist(), js.tolist(), now[ks, js].tolist()):
-                found[k].append((j, values))
-            for step, candidates in enumerate(found, start):
-                row, kept = rows[step], []
-                ex, ey = row[1].position
-                for j, (x, y, heading, speed, _, _, accel) in candidates:
-                    if (math.hypot(x - ex, y - ey) <= reaches[j] or statics[j] and speed
-                            or not math.isfinite(x + y + heading + speed + accel)):
-                        kept.append(_moved(actors[j], (x, y), heading, speed, accel) if j < n
-                                    else actors[j])
-                outcome = Outcome.COLLISION if detect_collision(row[1], kept) else row[4]
-                if outcome is not Outcome.NONE:
-                    return ego_track, step, outcome, actors, tracks
-        for track in tracks:  # the loop below grows the tracks past the held rows
-            track.rows = track.block.tolist()
-    for step in range(step + 1, ego_track.max_steps + 1):
-        row = rows[step] if step < len(rows) else extend()
-        ego = row[1]
-        # `_footprints_overlap`'s broad phase on the rows; a row the state checks reject (an
-        # overflow, a static NPC set moving) goes to `at` too, which raises
-        (ex, ey), kept = ego.position, []
-        for track, reach, is_static in movers:
-            if step == len(track.rows):
-                track._extend()
-            x, y, heading, speed, _, _, accel = track.rows[step]
-            if (math.hypot(x - ex, y - ey) <= reach or is_static and speed
-                    or not math.isfinite(x + y + heading + speed + accel)):
-                kept.append(track.at(step))
-        for actor, x, y, reach in fixed:
-            if math.hypot(x - ex, y - ey) <= reach:
-                kept.append(actor)
-        outcome = Outcome.COLLISION if detect_collision(ego, kept) else row[4]
-        if outcome is not Outcome.NONE:
-            break
-
-    return ego_track, step, outcome, actors, tracks
+                segment[k][1].append((j, values))
+        else:  # one step: every actor's row
+            if step == held and held:  # the tracks grow past the held rows from here
+                for track in tracks:
+                    track.rows = track.block.tolist()
+            if (step := step + 1) == len(rows):
+                ego_track._extend()
+            # each track holds rows 0 to step - 1, so each grows by one
+            segment = ((step, enumerate(chain(map(_Track._extend, tracks), spawns))),)
+        for step, candidates in segment:
+            # `_footprints_overlap`'s broad phase on the rows; a row the state checks reject (an
+            # overflow, a static NPC set moving) goes to `_moved` too, which raises
+            ego = rows[step][1]
+            (ex, ey), kept = ego.position, []
+            for j, (x, y, heading, speed, _, _, accel) in candidates:
+                if (math.hypot(x - ex, y - ey) <= reaches[j] or statics[j] and speed
+                        or not math.isfinite(x + y + heading + speed + accel)):
+                    kept.append(_moved(actors[j], (x, y), heading, speed, accel) if j < n
+                                else actors[j])
+            outcome = Outcome.COLLISION if detect_collision(ego, kept) else rows[step][4]
+            if outcome is not Outcome.NONE:
+                return ego_track, step, outcome, actors, tracks
 
 
 def _score(ego_track: _EgoTrack, n: int, outcome: Outcome, actors: tuple[ActorState, ...],

@@ -1269,17 +1269,22 @@ class TestEgoTrack:
                 assert same_trace(run_episode(scenario, track, CFG, *episode), plain[episode])
             assert len(calls) == longest == len(track.rows) - 1
 
-    def test_a_later_episode_keeps_an_npc_at_exactly_its_reach_as_the_plain_path_does(self):
-        # NPCs at rest: one whose centre lies exactly at the reach from the ego's, and one a
-        # ulp beyond it, by math.hypot; where a search finds them, np.hypot rounds the first
-        # distance up past the reach and the second down onto it
+    @pytest.mark.parametrize("kind", ["npc", "obstacle"])
+    def test_a_later_episode_keeps_an_npc_at_exactly_its_reach_as_the_plain_path_does(self, kind):
+        # NPCs at rest, or static obstacles: one whose centre lies exactly at the reach from the
+        # ego's, and one a ulp beyond it, by math.hypot; where a search finds them, np.hypot
+        # rounds the first distance up past the reach and the second down onto it
         ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
         reach = sim_module._reach(ego, ActorState((0.0, 0.0), 0.0))
         beyond = math.nextafter(reach, math.inf)
         points = [at_distance(ego.position, reach, beyond),
                   at_distance(ego.position, beyond, reach)]
-        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego, max_steps=5,
-                            npcs=tuple((ActorState(p, 0.0), ConstantVelocity()) for p in points))
+        if kind == "npc":
+            traffic = {"npcs": tuple((ActorState(p, 0.0), ConstantVelocity()) for p in points)}
+        else:
+            traffic = {"obstacles": tuple(ActorState(p, 0.0, kind=ActorKind.STATIC_OBSTACLE)
+                                          for p in points)}
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego, max_steps=5, **traffic)
         idle = build_policy("idle", CFG)
         with collision_checks() as plain:
             expected = run_episode(scenario, idle, CFG)
@@ -1322,6 +1327,33 @@ class TestEgoTrack:
         speeds, accels = zip(*((actor.speed_long, actor.accel_long) for (actor,) in plain))
         assert len(speeds) == 40 and speeds[10:] == (0.0,) * 30 and accels[11:] == (0.0,) * 29
         assert accels[10] < 0.0
+
+    def test_an_episode_past_a_held_prefix_longer_than_one_pass_has_the_plain_bits(self):
+        # the track holds 200 rows: array passes run steps 1-192 and 193-200, then steps 201-260
+        # run one at a time. Within reach: the constant-velocity NPC at steps 143-197, across the
+        # passes' boundary; the braking NPC, at rest from step 11, and the obstacle throughout;
+        # the waypoint NPC from step 232, past the held rows
+        ego = ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE)
+        npcs = ((ActorState((-12.0, 4.0), 0.0, speed_long=1.0), ConstantVelocity()),
+                (ActorState((2.0, 3.0), 0.0, speed_long=2.0), Braking(0.0, 2.0)),
+                (ActorState((30.0, -4.5), math.pi, speed_long=1.0),
+                 WaypointFollower(((30.0, -4.5), (-10.0, -4.5)), 1.0)))
+        obstacle = ActorState((8.0, -3.0), 0.0, kind=ActorKind.STATIC_OBSTACLE)
+        scenario = Scenario(route=straight_route(80.0), ego_spawn=ego, max_steps=260, npcs=npcs,
+                            obstacles=(obstacle,))
+        idle = build_policy("idle", CFG)
+        with collision_checks() as plain:
+            expected = run_episode(scenario, idle, CFG)
+        track = held_rows(scenario, idle, True, steps=200)
+        assert len(track.rows) == 201
+        with collision_checks() as shared:
+            trace = run_episode(scenario, track, CFG)
+        assert same_trace(trace, expected) and same_bits(shared, plain)
+        assert same_bits(trace._risk_table, expected._risk_table)
+        assert trace_rows(trace) == trace_rows(expected)
+        assert expected.outcome is Outcome.TIMEOUT
+        assert [len(actors) for actors in plain] == [
+            3 if 143 <= step <= 197 or step >= 232 else 2 for step in range(1, 261)]
 
     @pytest.mark.parametrize("lead", [[], [(0.0, 0)]], ids=["by-length", "no-traffic-first"])
     def test_columns_that_grow_with_longer_episodes_give_the_bits_of_plain_episodes(
