@@ -209,27 +209,21 @@ class Route:
         tx, ty = (seg / np.sqrt(seg_len2)[:, None]).T.tolist()
         ux, uy = (seg / seg_len[:, None]).T.tolist()
         # the projection's tables: (ax, ay, dx, dy, d . d) per segment; per block of
-        # segments a circle around its points, its segment range, the chord from its
-        # first to its last point (a point if that is too short) and the band around
-        # the chord that holds its points
+        # segments a circle around its points and its segment range. A circle holds
+        # a segment when it holds both ends; no segment's square overflows, so a block
+        # spans less than about 2.2e155 and every radius is finite.
         first = np.arange(0, len(seg), _PROJECTION_BLOCK)
         stop = np.minimum(first + _PROJECTION_BLOCK, len(seg))  # also a block's last point
-        a, chord, k = line[first], line[stop] - line[first], np.arange(len(seg)) // _PROJECTION_BLOCK
-        with np.errstate(over="ignore", invalid="ignore"):  # a chord's square may overflow
-            len2 = np.einsum("ij,ij->i", chord, chord)
-            inv = np.divide(1.0, len2, out=np.zeros_like(len2), where=len2 > 1e-300)
-            t = np.clip(np.einsum("ij,ij->i", line[:-1] - a[k], chord[k]) * inv[k], 0.0, 1.0)
-            band = np.maximum.reduceat(
-                np.hypot(*(line[:-1] - a[k] - t[:, None] * chord[k]).T), first)
-        # a NaN band, from an overflowed chord, is no bound: the block is always searched
-        band = np.where(np.isnan(band), math.inf, band + _PROJECTION_MARGIN * np.abs(line).max())
+        a, b, k = line[first], line[stop], np.arange(len(seg)) // _PROJECTION_BLOCK
+        centre = a + (b - a) / 2.0
+        r = np.maximum(np.maximum.reduceat(np.hypot(*(line[:-1] - centre[k]).T), first),
+                       np.hypot(*(b - centre).T)) + _PROJECTION_MARGIN * np.abs(line).max()
         line.flags.writeable = False
         object.__setattr__(self, "centerline", line)
         object.__setattr__(self, "_segments", tuple(
             zip(*line[:-1].T.tolist(), *seg.T.tolist(), seg_len2.tolist())))
         object.__setattr__(self, "_blocks", tuple(
-            zip(*(a + chord / 2.0).T.tolist(), (np.sqrt(len2) / 2.0 + band).tolist(), first.tolist(),
-                stop.tolist(), *a.T.tolist(), *chord.T.tolist(), inv.tolist(), band.tolist())))
+            zip(*centre.T.tolist(), r.tolist(), first.tolist(), stop.tolist())))
         object.__setattr__(self, "_seg_len", tuple(seg_len.tolist()))
         object.__setattr__(self, "_stations", tuple(cum.tolist()))
         object.__setattr__(self, "_tangent", tuple(zip(tx, ty)))
@@ -286,24 +280,16 @@ def _project(px: float, py: float, heading: float, route: Route) -> RouteFramePo
     """`project_to_route` of numbers that already hold its checks, such as an ActorState's."""
     # Blocks in order of the lower bound |p - centre| - r on their distance; a
     # block whose bound exceeds the best distance by more than rounding can
-    # hold no nearer segment, and neither can any block after it. The distance
-    # to a block's chord less its band is a tighter bound, for that block alone.
-    # While the best distance is inf, so is the reach, and neither test can skip a block:
-    # the first block searched is scanned directly, and a lone one is not sorted either.
+    # hold no nearer segment, and neither can any block after it. While the best
+    # distance is inf no block is skipped; a lone one is neither sorted nor bounded.
     blocks = route._blocks
     bounds = (sorted([(math.hypot(px - b[0], py - b[1]) - b[2], b) for b in blocks])
               if len(blocks) > 1 else ((0.0, blocks[0]),))
     segments = route._segments
     best, i = math.inf, len(segments)  # i past the end: the first segment wins even at inf
-    for bound, (_, _, _, first, stop, ax, ay, dx, dy, inv, band) in bounds:
-        if best < math.inf:
-            reach = math.sqrt(best) * (1.0 + _PROJECTION_MARGIN)
-            if bound > reach:
-                break
-            t = ((px - ax) * dx + (py - ay) * dy) * inv
-            t = 0.0 if not t > 0.0 else 1.0 if t > 1.0 else t
-            if math.hypot(px - (ax + t * dx), py - (ay + t * dy)) - band > reach:
-                continue
+    for bound, (_, _, _, first, stop) in bounds:
+        if bound > math.sqrt(best) * (1.0 + _PROJECTION_MARGIN):
+            break
         for j in range(first, stop):
             ax, ay, dx, dy, len2 = segments[j]
             t = ((px - ax) * dx + (py - ay) * dy) / len2

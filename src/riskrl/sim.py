@@ -378,8 +378,9 @@ def _moved(state: ActorState, position: tuple[float, float], heading: float,
     the new state is built by `_make_state`, which stores the fields and runs no check.
     """
     x, y = position
-    # a sum of finite numbers is finite unless it overflows, when the constructor decides
-    if not math.isfinite(x + y + heading + speed_long + accel_long) or (
+    # each difference is 0.0 if its field is finite and NaN if not, so the sum cannot overflow
+    if not math.isfinite(x - x + y - y + heading - heading + speed_long - speed_long
+                         + accel_long - accel_long) or (
             speed_long != 0.0 and state.kind is ActorKind.STATIC_OBSTACLE):
         return ActorState(position, heading, speed_long, state.speed_lat, accel_long,
                           state.length, state.width, state.kind)
@@ -832,7 +833,8 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
                 x, y, heading, speed, accel = (now[:, :, i] for i in (0, 1, 2, 3, 6))
                 # a superset of the scalar test's keeps, which the body below decides
                 near = ((np.hypot(x - ex, y - ey) <= limits) | np.array(statics) & (speed != 0.0)
-                        | ~np.isfinite(x + y + heading + speed + accel))
+                        | ~np.isfinite(x - x + y - y + heading - heading + speed - speed
+                                       + accel - accel))
             segment = [(s, []) for s in range(start, stop + 1)]  # candidates in actor order
             ks, js = near.nonzero()
             for k, j, values in zip(ks.tolist(), js.tolist(), now[ks, js].tolist()):
@@ -852,7 +854,8 @@ def _rollout(scenario: Scenario, policy: Policy | _EgoTrack, config: RewardConfi
             (ex, ey), kept = ego.position, []
             for j, (x, y, heading, speed, _, _, accel) in candidates:
                 if (math.hypot(x - ex, y - ey) <= reaches[j] or statics[j] and speed
-                        or not math.isfinite(x + y + heading + speed + accel)):
+                        or not math.isfinite(x - x + y - y + heading - heading + speed - speed
+                                             + accel - accel)):
                     kept.append(_moved(actors[j], (x, y), heading, speed, accel) if j < n
                                 else actors[j])
             outcome = Outcome.COLLISION if detect_collision(ego, kept) else rows[step][4]

@@ -33,7 +33,7 @@ from riskrl import (
     wrap_angle,
 )
 import riskrl
-from riskrl.core import _make_pose, _project, validate_config_data
+from riskrl.core import _PROJECTION_MARGIN, _make_pose, _project, validate_config_data
 from riskrl.reward import _make_breakdown
 from riskrl.risk import _make_assessment
 from riskrl.sim import Observation, _make_observation, _make_record, _make_state
@@ -71,6 +71,14 @@ def curved_road():
     heading = 0.7 + 0.4 * np.sin(stations / 9.0) + 0.25 * np.sin(stations / 5.0 + 1.0)
     steps = 0.3 * np.stack([np.cos(heading[:-1]), np.sin(heading[:-1])], axis=1)
     return Route(np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)]), 3.5, 0.0)
+
+
+def closed_loop(loop):
+    """A regular `loop`-gon of radius 5 m that ends where it starts, then a tail."""
+    angles = np.linspace(0.0, 2.0 * math.pi, loop + 1)
+    ring = 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1) + [5.0, 0.0]
+    ring[-1] = ring[0]
+    return np.concatenate([ring, [[20.0, 0.0], [30.0, 5.0]]])
 
 
 def hairpin_road():
@@ -134,23 +142,31 @@ class TestRouteTables:
         centerline = random_polyline(rng, 120)
         route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
         for point in rng.uniform(centerline.min() - 50.0, centerline.max() + 50.0, size=(60, 2)):
-            for cx, cy, r, first, stop, ax, ay, dx, dy, inv, band in route._blocks:
+            for cx, cy, r, first, stop in route._blocks:
                 nearest = dense_nearest_distance(centerline[first:stop + 1], point, step=0.05)
-                t = min(max(((point[0] - ax) * dx + (point[1] - ay) * dy) * inv, 0.0), 1.0)
-                chord = math.hypot(point[0] - ax - t * dx, point[1] - ay - t * dy)
                 assert math.hypot(point[0] - cx, point[1] - cy) - r <= nearest
-                assert chord - band <= nearest
+
+    @pytest.mark.parametrize("centerline", [
+        *(random_polyline(np.random.default_rng(points), points) for points in (2, 17, 40, 400)),
+        np.array([[i * 1e153, 0.0] for i in range(40)]),
+        *(closed_loop(loop) for loop in (8, 16, 40))],
+        ids=["2", "17", "40", "400", "spaced-1e153", "loop-8", "loop-16", "loop-40"])
+    def test_block_circles_hold_their_points_with_half_the_margin_to_spare(self, centerline):
+        # the search skips a block on its circle bound alone, so the circle must hold every
+        # point of the block, both ends of each segment, by more than rounding, and be finite
+        route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
+        spare = 0.5 * _PROJECTION_MARGIN * float(np.abs(centerline).max())
+        for cx, cy, r, first, stop in route._blocks:
+            assert math.isfinite(r)
+            for x, y in centerline[first:stop + 1].tolist():
+                assert math.hypot(x - cx, y - cy) <= r - spare
 
     @pytest.mark.parametrize("loop", [8, 16, 40])
     def test_closed_loops_queried_at_their_centre(self, loop):
         # a regular polygon that ends where it starts, then a tail: at the centre every
-        # vertex is equally far, and the loop of exactly one block has a chord of length 0
-        angles = np.linspace(0.0, 2.0 * math.pi, loop + 1)
-        ring = 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1) + [5.0, 0.0]
-        ring[-1] = ring[0]
-        centerline = np.concatenate([ring, [[20.0, 0.0], [30.0, 5.0]]])
+        # vertex is equally far, and the loop of exactly one block ends where it starts
+        centerline = closed_loop(loop)
         route = Route(centerline=centerline, lane_width=3.5, goal_station=0.0)
-        assert (route._blocks[0][9] == 0.0) == (loop == 16)  # inv: the chord is a point
         for point in ([5.0, 0.0], [5.0, 1e-9], [4.0, 0.5], [5.0, 20.0], [25.0, -3.0]):
             pose = project_to_route(point, 0.0, route)
             expected = numpy_projection(np.array(point), 0.0, centerline)
@@ -299,11 +315,11 @@ class TestProjectToRoute:
             with pytest.raises(ConfigError, match="route.centerline .* overflows"):
                 Route(centerline=np.array(centerline), lane_width=3.5, goal_station=0.0)
 
-    def test_block_chord_whose_square_overflows_is_searched_without_a_bound(self):
+    def test_block_chord_whose_square_overflows_has_a_finite_bound(self):
         # every segment is finite, but the 16-segment chord of a block squares past the
-        # float range: its band is NaN, so it is no bound and that block is always searched
+        # float range; its circle is worked out from distances, not squares, so it is finite
         route = Route(np.array([[i * 1e153, 0.0] for i in range(40)]), 3.5, 0.0)
-        assert route._blocks[0][-1] == math.inf
+        assert all(math.isfinite(r) for _, _, r, _, _ in route._blocks)
         for k in (0, 5, 17, 39):
             assert project_to_route(route.centerline[k], 0.0, route).station == route._stations[k]
 

@@ -979,6 +979,20 @@ class TestTracks:
         assert (trace.outcome, len(trace.records)) == (Outcome.COLLISION, 1)
 
     @ON_A_SHARED_TRACK
+    def test_actors_whose_coordinates_sum_past_the_float_range_are_not_kept(self, shared):
+        # at (1e308, 1e308) x + y overflows though each field is finite, so a finiteness test
+        # of the fields' sum would keep the NPC and the obstacle on every step, however far
+        far = (1e308, 1e308)
+        scenario = Scenario(route=straight_route(80.0), max_steps=3,
+                            ego_spawn=ActorState((5.0, 0.0), 0.0, kind=ActorKind.EGO_VEHICLE),
+                            npcs=((ActorState(far, 0.0), ConstantVelocity()),),
+                            obstacles=(ActorState(far, 0.0, kind=ActorKind.STATIC_OBSTACLE),))
+        idle = build_policy("idle", CFG)
+        with collision_checks() as checked:
+            trace = run_episode(scenario, held_rows(scenario, idle, shared), CFG)
+        assert checked == [()] * 3 and matches_replay(trace, scenario, CFG, checked=checked)
+
+    @ON_A_SHARED_TRACK
     def test_a_braking_row_made_nan_raises_at_its_step(self, shared):
         # at dt 2.0 a step at 1e308 m/s is inf m, and inf * sin(0.0) is NaN, so the first row
         # holds a NaN y; the array pass builds the rows after it too, unprojected
