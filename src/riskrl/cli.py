@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .core import (
     load_config,
     validate_config_data,
 )
-from .risk import InteractionMode, _per_distinct, _worst, risk_field
+from .risk import InteractionMode, _worst, risk_field
 # perfbench's tracer patches these two names on this module, so they stay importable here
 from .risk import dynamic_risk, geometric_risk  # noqa: F401
 from .sim import (
@@ -116,7 +116,10 @@ def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]])
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(row) + "\n" for row in rows)
+        write = handle.write
+        for row in rows:
+            write(",".join(row))
+            write("\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -219,13 +222,26 @@ def _axis_count(low: float, high: float, resolution: float) -> float:
     return math.ceil(count) if math.isfinite(count) else math.inf
 
 
+def _per_distinct(func: Callable[[float], object], values: np.ndarray,
+                  dtype: type) -> np.ndarray:
+    """`func` of each element of the float array `values`, called once per distinct value.
+
+    Values are keyed by their bits, so -0.0 and 0.0 (and NaN payloads) stay apart.
+    """
+    keys, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    return np.array([func(v) for v in keys.view(float).tolist()], dtype=dtype)[inverse]
+
+
 def _field_rows(ego: ActorState, other: ActorState, xs: np.ndarray, ys: np.ndarray,
                 mode: InteractionMode, config: RewardConfig) -> Iterable[tuple[str, ...]]:
-    """The rows of one block of field cells, each distinct value formatted once."""
+    """The rows of one block of field cells: each coordinate formatted once per axis value,
+    each distinct value of the other columns once."""
     geom, dyn = risk_field(ego, other, xs, ys, mode, config)
     combined = config.w_geom * geom + config.w_dyn * dyn
-    columns = (np.tile(xs, ys.size), np.repeat(ys, xs.size), geom, dyn, combined)
-    return zip(*(_per_distinct(_fmt, column, object).tolist() for column in columns))
+    x_texts = [_fmt(x) for x in xs.tolist()]
+    y_texts = chain.from_iterable([_fmt(y)] * xs.size for y in ys.tolist())
+    return zip(x_texts * ys.size, y_texts,
+               *(_per_distinct(_fmt, column, object).tolist() for column in (geom, dyn, combined)))
 
 
 def cmd_field(args: argparse.Namespace) -> int:

@@ -372,7 +372,8 @@ def _read(spec: object, path: str, table: dict[str, _Field], problems: list[str]
         problems.append(f"{path or 'document'} must be an object")
         return {}
     prefix = f"{path}." if path else ""
-    for key in sorted(set(spec) - set(table)):
+    # str orders string keys as before; repr parts a str key from a number that prints alike
+    for key in sorted(set(spec) - set(table), key=lambda k: (str(k), repr(k))):
         problems.append(f"{prefix}{key} is an unknown field")
     values = {}
     for key, field in table.items():
@@ -392,13 +393,17 @@ def _read_json(path: str | Path, error: type[ValueError], what: str) -> object:
     """Read and parse a JSON file, raising `error` when either step fails."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} {path} nests too deeply to parse") from exc
 
 
 @dataclass(frozen=True)

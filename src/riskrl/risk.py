@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -369,16 +369,6 @@ def _grid_axis(values: Sequence[float], name: str) -> np.ndarray:
     return axis.astype(float)
 
 
-def _per_distinct(func: Callable[[float], object], values: np.ndarray,
-                  dtype: type) -> np.ndarray:
-    """`func` of each element of the float array `values`, called once per distinct value.
-
-    Values are keyed by their bits, so -0.0 and 0.0 (and NaN payloads) stay apart.
-    """
-    keys, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    return np.array([func(v) for v in keys.view(float).tolist()], dtype=dtype)[inverse]
-
-
 def risk_field(
     ego: ActorState, other: ActorState, xs: Sequence[float], ys: Sequence[float],
     mode: InteractionMode, config: RewardConfig,
@@ -436,7 +426,7 @@ def _pairs_risk(codes, e: _Actors, o: _Actors,
     """(geom, dyn, ttc) of each pair in its own mode, `_MODES[codes[i]]` for pair i (`codes` may
     be one code for all pairs; `o.x` is an array), with `_pair_risk`'s bits: each of its mode
     branches worked out for all pairs, cos and sin from `math`, the ego frame as the turn by
-    (cos, -sin), `ttc_penalty` once per distinct TTC, every other step one correctly rounded
+    (cos, -sin), `ttc_penalty`'s `log10` from `math`, every other step one correctly rounded
     array operation in the scalar order, `max(a, b)` as `np.where(b > a, b, a)`."""
     dx, dy = o.x - e.x, o.y - e.y
     d_x, d_y = _turn(e.cos, -e.sin, dx, dy)
@@ -478,8 +468,19 @@ def _pairs_risk(codes, e: _Actors, o: _Actors,
     t_first = (-bb - np.sqrt(bb * bb - aa * c)) / aa
     ttc = np.where(c <= 0.0, 0.0, np.where(t_first >= 0.0, np.ldexp(t_first, -scale), math.inf))
     ttc = np.where(intersecting, ttc, math.inf)
-    return geom, np.where(intersecting, _per_distinct(
-        lambda t: ttc_penalty(t, config), ttc, float), dyn), ttc
+    return geom, np.where(intersecting, _ttc_penalties(ttc, config), dyn), ttc
+
+
+def _ttc_penalties(ttc: np.ndarray, config: RewardConfig) -> np.ndarray:
+    """`ttc_penalty` of each TTC, unchecked: its clamps in numpy, its `log10` from `math`
+    on the ratios below 1, and exactly 0.0 everywhere else."""
+    ratio = ttc / config.ttc_max
+    ratio = np.where(1.0 < ratio, 1.0, ratio)
+    ratio = np.where(ratio > 0.1, ratio, 0.1)
+    near = ratio < 1.0
+    penalty = np.zeros(ratio.shape)
+    penalty[near] = -np.fromiter(map(math.log10, ratio[near].tolist()), float) + 0.0
+    return penalty
 
 
 def _modes_field(tx, ty, wide: tuple, config: RewardConfig) -> np.ndarray:

@@ -642,6 +642,39 @@ class TestFmt:
         assert cli._fmt(value) + "\n" == text.getvalue()
 
 
+class TestPerDistinct:
+    """`func` once per distinct float, keyed by its bits, gathered back in input order."""
+
+    def test_input_order_kept_and_signed_zeros_apart(self):
+        values = np.array([2.5, -0.0, 0.0, 2.5, -0.0, 1.0])
+        got = cli._per_distinct(repr, values, object)
+        assert got.tolist() == ["2.5", "-0.0", "0.0", "2.5", "-0.0", "1.0"]
+
+    def test_nan_and_inf(self):
+        values = np.array([math.inf, math.nan, -math.inf, math.nan, math.inf, 1e300])
+        got = cli._per_distinct(repr, values, object)
+        assert got.tolist() == ["inf", "nan", "-inf", "nan", "inf", "1e+300"]
+
+    def test_one_call_per_bit_pattern(self):
+        calls = []
+
+        def double(value):
+            calls.append(value)
+            return 2.0 * value
+
+        other_nan = (np.array([math.nan]).view(np.int64) | 1).view(float)[0]
+        values = np.array([3.0, 1.0, 3.0, -0.0, 0.0, 3.0, math.nan, other_nan, math.nan])
+        got = cli._per_distinct(double, values, float)
+        assert got[:6].tolist() == [6.0, 2.0, 6.0, -0.0, 0.0, 6.0]
+        assert [math.copysign(1.0, v) for v in got[3:5]] == [-1.0, 1.0]
+        assert np.isnan(got[6:]).all()
+        assert len(calls) == 6  # 3, 1, -0, 0 and two NaN payloads
+
+    def test_empty(self):
+        got = cli._per_distinct(repr, np.array([]), object)
+        assert got.shape == (0,) and got.dtype == object
+
+
 class TestCsvBytes:
     @pytest.mark.parametrize("command, scenario", [
         ("run", "intersection.json"),
@@ -901,6 +934,23 @@ class TestCmdValidate:
         path.write_text('{\n  "beta": 0.25,\n  oops\n}\n')
         assert main(["validate", str(path)]) != 0
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00\x7b", b"[" * 100_000],
+                             ids=["utf16_bom", "deep_nesting"])
+    @pytest.mark.parametrize("command", ["validate", "run_scenario", "run_config"])
+    def test_unreadable_document_is_an_error_not_a_traceback(self, tmp_path, scenarios_dir,
+                                                              capsys, content, command):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        argv = {"validate": ["validate", str(path)],
+                "run_scenario": ["run", "--scenario", str(path)],
+                "run_config": ["run", "--scenario", str(scenarios_dir / "empty_road.json"),
+                               "--config", str(path)]}[command]
+        out = tmp_path / "out"
+        assert main(argv + (["--out", str(out)] if command != "validate" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_scenario_violations_all_reported(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -554,6 +554,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             load_config(path)
 
+    def test_unknown_keys_of_mixed_types_are_reported(self):
+        assert validate_config_data({1: 0, "a": 0}) == ["1 is an unknown field",
+                                                        "a is an unknown field"]
+        # string keys in code-point order, as `sorted` gives them
+        assert validate_config_data({"b": 0, "a": 0, "Z": 0, "beta": 0.5}) == [
+            "Z is an unknown field", "a is an unknown field", "b is an unknown field"]
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"beta": 0.5, "w_vel": 0.8, "v_max": 5.0}))

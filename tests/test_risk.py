@@ -777,46 +777,7 @@ class TestRiskField:
             geom, dyn = risk_field(ego, other, *axes, mode, CFG)
             assert geom.shape == dyn.shape == (0,)
 
-    @pytest.mark.parametrize("xs", [[0.0, math.nan], [math.inf], [[1.0, 2.0]], ["1"], [True]])
-    def test_bad_axis_rejected(self, xs):
-        ego, other = car(kind=ActorKind.EGO_VEHICLE), car()
-        with pytest.raises(ContractError, match="xs"):
-            risk_field(ego, other, xs, [0.0], InteractionMode.SAME_DIRECTION, CFG)
-
-
-class TestPerDistinct:
-    """`func` once per distinct float, keyed by its bits, gathered back in input order."""
-
-    def test_input_order_kept_and_signed_zeros_apart(self):
-        values = np.array([2.5, -0.0, 0.0, 2.5, -0.0, 1.0])
-        got = risk_module._per_distinct(repr, values, object)
-        assert got.tolist() == ["2.5", "-0.0", "0.0", "2.5", "-0.0", "1.0"]
-
-    def test_nan_and_inf(self):
-        values = np.array([math.inf, math.nan, -math.inf, math.nan, math.inf, 1e300])
-        got = risk_module._per_distinct(repr, values, object)
-        assert got.tolist() == ["inf", "nan", "-inf", "nan", "inf", "1e+300"]
-
-    def test_one_call_per_bit_pattern(self):
-        calls = []
-
-        def double(value):
-            calls.append(value)
-            return 2.0 * value
-
-        other_nan = (np.array([math.nan]).view(np.int64) | 1).view(float)[0]
-        values = np.array([3.0, 1.0, 3.0, -0.0, 0.0, 3.0, math.nan, other_nan, math.nan])
-        got = risk_module._per_distinct(double, values, float)
-        assert got[:6].tolist() == [6.0, 2.0, 6.0, -0.0, 0.0, 6.0]
-        assert [math.copysign(1.0, v) for v in got[3:5]] == [-1.0, 1.0]
-        assert np.isnan(got[6:]).all()
-        assert len(calls) == 6  # 3, 1, -0, 0 and two NaN payloads
-
-    def test_empty(self):
-        got = risk_module._per_distinct(repr, np.array([]), object)
-        assert got.shape == (0,) and got.dtype == object
-
-    def test_intersecting_field_scores_each_distinct_ttc_once(self, monkeypatch):
+    def test_intersecting_field_calls_no_scalar_ttc_penalty(self, monkeypatch):
         mode = InteractionMode.INTERSECTING
         ego, other, xs, ys = field_case("ego_at_origin", mode)
         expected = risk_field(ego, other, xs, ys, mode, CFG)[1].tolist()
@@ -828,9 +789,28 @@ class TestPerDistinct:
 
         monkeypatch.setattr(risk_module, "ttc_penalty", counted)
         _, dyn = risk_field(ego, other, xs, ys, mode, CFG)
-        ttcs = [ttc_circle(ego, cell) for cell in scalar_cells(other, xs, ys)]
-        assert dyn.tolist() == expected
-        assert sorted(calls) == sorted(set(ttcs)) and len(calls) < len(ttcs)
+        assert dyn.tolist() == expected and calls == []
+        scalar = [dynamic_risk(ego, cell, mode, CFG)[0] for cell in scalar_cells(other, xs, ys)]
+        assert same_bits(dyn.tolist(), scalar) and len(calls) == len(scalar)
+
+    def test_intersecting_band_meeting_the_actor_on_every_cell(self):
+        """Every TTC finite and positive, most within ttc_max, so most cells take the `log10`
+        map."""
+        mode = InteractionMode.INTERSECTING
+        ego, other = car(kind=ActorKind.EGO_VEHICLE), car(heading=math.pi / 2.0, v=3.0)
+        xs, ys = np.arange(-4.5, 4.5 + 0.125, 0.25), np.arange(-30.0, -10.0 + 0.125, 0.25)
+        _, dyn = risk_field(ego, other, xs, ys, mode, CFG)
+        cells = scalar_cells(other, xs, ys)
+        scalar = [dynamic_risk(ego, cell, mode, CFG) for cell in cells]
+        assert len(cells) == 37 * 81 and all(0.0 < ttc < math.inf for _, ttc in scalar)
+        assert same_bits(dyn.tolist(), [penalty for penalty, _ in scalar])
+        assert 0.0 in dyn and (dyn > 0.0).sum() > len(cells) // 2  # past ttc_max, and within
+
+    @pytest.mark.parametrize("xs", [[0.0, math.nan], [math.inf], [[1.0, 2.0]], ["1"], [True]])
+    def test_bad_axis_rejected(self, xs):
+        ego, other = car(kind=ActorKind.EGO_VEHICLE), car()
+        with pytest.raises(ContractError, match="xs"):
+            risk_field(ego, other, xs, [0.0], InteractionMode.SAME_DIRECTION, CFG)
 
 
 class TestAssessInteraction:
@@ -1020,18 +1000,33 @@ class TestPairRiskArrays:
         assert same_bits(rows.tolist(), [[float(v) for v in row] for row in expected])
         assert risk_module._track_rows([], 5, []).shape == (0, 11)
 
+    @pytest.mark.parametrize("cfg", [CFG, replace(CFG, ttc_max=3.3)], ids=["default", "3.3"])
+    def test_ttc_penalty_equals_the_scalar_on_every_element(self, cfg):
+        ttcs = [0.0, 5e-324, 1e300, math.inf]
+        for t in (0.1 * cfg.ttc_max, cfg.ttc_max):
+            ttcs += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+        got = risk_module._ttc_penalties(np.array(ttcs), cfg).tolist()
+        assert same_bits(got, [ttc_penalty(t, cfg) for t in ttcs])
+        assert 0.0 < got[7] < 1.0 and got[0] == 1.0 and got[3] == 0.0
+
     def test_headings_are_never_deduplicated(self, monkeypatch):
-        """Each kernel row carries its heading's cos and sin, so `_per_distinct` runs for the
-        TTCs alone: not at all when no pair intersects, once when one does."""
-        calls, per_distinct = [], risk_module._per_distinct
-        monkeypatch.setattr(risk_module, "_per_distinct",
-                            lambda *args: calls.append(args) or per_distinct(*args))
-        egos = [car(kind=ActorKind.EGO_VEHICLE, heading=h) for h in (0.0, 0.5)]
+        """Each kernel row carries its heading's cos and sin, and the TTC penalty maps `log10`
+        over the TTCs, so `np.unique` runs neither when no pair intersects nor when one does."""
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(args)
+                            or unique(*args, **kw))
+        egos = [car(kind=ActorKind.EGO_VEHICLE, heading=h, v=2.0) for h in (0.0, 0.5)]
         ahead, oncoming = car(10.0, heading=0.25), car(-10.0, 3.0, heading=3.0)
-        for others, expected in (([ahead, oncoming], 0), ([ahead, car(5.0, 9.0, 1.5)], 1)):
-            calls.clear()
-            risk_module._risk_rewards(kernel_rows(egos), kernel_rows(others * 2), [2, 2], CFG)
-            assert len(calls) == expected
+        for others, intersecting in (([ahead, oncoming], 0), ([ahead, car(5.0, 4.0, 1.5)], 2)):
+            rewards, pending, _ = risk_module._risk_rewards(
+                kernel_rows(egos), kernel_rows(others * 2), [2, 2], CFG)
+            assessments = [a for step in pending for a in step()]
+            assert calls == []
+            # each ego's path meets the crossing car within ttc_max
+            assert [a.ttc for a in assessments if 0.0 < a.ttc < CFG.ttc_max] == [
+                a.ttc for a in assessments if a.mode is InteractionMode.INTERSECTING]
+            assert sum(a.mode is InteractionMode.INTERSECTING for a in assessments) == intersecting
+            assert same_bits(rewards, [risk_reward(ego, others, CFG)[0] for ego in egos])
 
     def test_no_pairs_call_no_numpy(self, monkeypatch):
         egos = kernel_rows([car(kind=ActorKind.EGO_VEHICLE)] * 2)

@@ -457,6 +457,14 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="max_stepz"):
             scenario_from_dict(minimal_scenario_data(max_stepz=10))
 
+    def test_unknown_keys_of_mixed_types_are_reported(self):
+        assert validate_scenario_data({1: 0, "a": 0}) == [
+            "1 is an unknown field", "a is an unknown field", "schema_version is required",
+            "route is required", "ego is required"]
+        slots = [{"kind": "vehicle", "station": 20.0, 2: 0, "x": 0}]
+        assert validate_scenario_data(minimal_scenario_data(slots=slots)) == [
+            "slots[0].2 is an unknown field", "slots[0].x is an unknown field"]
+
     def test_npc_station_out_of_range_names_path(self):
         npcs = [{"station": 500.0}]
         with pytest.raises(ScenarioError, match=r"npcs\[0\].station"):
