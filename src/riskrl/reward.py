@@ -84,11 +84,6 @@ def level_weight(i: int, beta: float) -> float:
     return beta ** (i - 1)
 
 
-def _level_weights(config: RewardConfig) -> tuple[float, float, float]:
-    """The weights of levels 1, 2 and 3."""
-    return tuple(level_weight(i, config.beta) for i in (1, 2, 3))
-
-
 def collision_penalty(v: float, v_max: float) -> float:
     """Severity-scaled collision penalty in [-1, -0.5]; harder at higher speed."""
     vv = min(max(v, 0.0), v_max)
@@ -161,26 +156,17 @@ def comfort_reward(
 
 
 def total_reward(ctx: StepContext, config: RewardConfig) -> RewardBreakdown:
-    """Evaluate every level for one step and combine them.
+    """Evaluate every level for one step and combine them, as an episode does.
 
-    Terminal outcomes replace the weighted sum with the terminal value; a
-    timeout ends the episode contributing zero. Progress and risk both carry
-    the level-1 weight.
+    `_ego_levels`, then `_totals` of one step: terminal outcomes replace the weighted
+    sum with the terminal value; a timeout ends the episode contributing zero.
+    Progress and risk both carry the level-1 weight.
     """
-    return _combine(ctx.ego, ctx.pose, ctx.prev_pose, ctx.lane_width, ctx.steering_rate, ctx.jerk,
-                    ctx.violations, ctx.outcome, *risk_reward(ctx.ego, ctx.others, config), config)
-
-
-def _combine(ego: ActorState, pose: RouteFramePose, prev_pose: RouteFramePose, lane_width: float,
-             steering_rate: float, jerk: float, violations: frozenset[str], outcome: Outcome,
-             l1_risk: float, assessments: tuple[RiskAssessment, ...],
-             config: RewardConfig) -> RewardBreakdown:
-    """`total_reward` of one step's values (`StepContext`'s fields but `others`, then the risk
-    term and its assessments, built or to build): `_ego_levels`, then `_totals` of one step."""
-    l0, l1_progress, l2, l3 = _ego_levels(ego, pose, prev_pose, lane_width, steering_rate, jerk,
-                                          violations, config)
-    (terminal,), (total,) = _totals((l0,), (l1_progress,), (l2,), (l3,), (l1_risk,), outcome,
-                                    ego.speed, pose.lateral_offset, config)
+    l1_risk, assessments = risk_reward(ctx.ego, ctx.others, config)
+    l0, l1_progress, l2, l3 = _ego_levels(ctx.ego, ctx.pose, ctx.prev_pose, ctx.lane_width,
+                                          ctx.steering_rate, ctx.jerk, ctx.violations, config)
+    (terminal,), (total,) = _totals((l0,), (l1_progress,), (l2,), (l3,), (l1_risk,), ctx.outcome,
+                                    ctx.ego.speed, ctx.pose.lateral_offset, config)
     return _make_breakdown(terminal, l0, l1_progress, l1_risk, l2, l3, total, assessments)
 
 
@@ -200,7 +186,7 @@ def _totals(l0, l1_progress, l2, l3, l1_risk, outcome: Outcome, speed: float, of
     """(terminal, total) of each step of an episode from its columns of `_ego_levels` and of
     risk, only the last step ending it (with `outcome`, at its `speed` and `offset`): the one
     place the levels are weighted."""
-    w1, w2, w3 = _level_weights(config)
+    w1, w2, w3 = (level_weight(i, config.beta) for i in (1, 2, 3))
     total = [a + w1 * (b + r) + w2 * c + w3 * d for a, b, c, d, r in zip(l0, l1_progress, l2, l3,
                                                                          l1_risk)]
     terminal = [0.0] * len(total)

@@ -126,8 +126,6 @@ def _even_power(t: float | np.ndarray, p: int) -> float | np.ndarray:
     while not q & 1:
         t = t * t
         q >>= 1
-    if q == 1:  # p is a power of two, as all the default exponents are
-        return t
     result = t
     while q := q >> 1:
         t = t * t
@@ -416,11 +414,6 @@ def _track_rows(actors: Sequence[ActorState], steps: int,
     return rows.reshape(-1, 11)
 
 
-def _columns(rows: np.ndarray, repeats: Sequence[int] | None = None) -> _Actors:
-    """The `_Actors` of an array of `_row`s, each taken `repeats[i]` times when given."""
-    return _Actors(*(rows if repeats is None else np.repeat(rows, repeats, axis=0)).T)
-
-
 def _pairs_risk(codes, e: _Actors, o: _Actors,
                 config: RewardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(geom, dyn, ttc) of each pair in its own mode, `_MODES[codes[i]]` for pair i (`codes` may
@@ -560,8 +553,8 @@ def _risk_rewards(egos: np.ndarray | None, others: np.ndarray | None, counts: Se
     `others` is read."""
     if not any(counts):
         return [0.0] * len(counts), [()] * len(counts), None
-    ego = _columns(egos, counts)  # each ego once per pair
-    other = _columns(others)
+    ego = _Actors(*np.repeat(egos, counts, axis=0).T)  # each ego once per pair
+    other = _Actors(*others.T)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently
         a = np.fmod(other.heading - ego.heading, TWO_PI)  # wrap_angle, then the partition
         dpsi = np.abs(np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a)))

@@ -501,17 +501,18 @@ class TestCmdSweep:
         self, tmp_path, scenarios_dir, configs_dir, monkeypatch
     ):
         # each ego step's levels come from `reward._ego_levels`, called as the ego track appends
-        # the row, and each episode's from one `reward._totals` call; `_combine` is the
-        # one-step path of `total_reward`, so it is spied on wherever a module binds it
-        combine, calls = reward._combine, []
+        # the row, and each episode's from one `reward._totals` call; `total_reward` is the
+        # one-step path, so it is spied on wherever a module binds it (`sim` does, for
+        # perfbench's tracer)
+        total_reward, calls = reward.total_reward, []
 
         def spy(*args):
             calls.append(args)
-            return combine(*args)
+            return total_reward(*args)
 
         for module in (cli, core, reward, risk, sim):
             for name, value in list(vars(module).items()):
-                if value is combine:
+                if value is total_reward:
                     monkeypatch.setattr(module, name, spy)
         assert main([
             "sweep", "--scenario", str(scenarios_dir / "intersection.json"),
@@ -579,7 +580,9 @@ class TestCmdSweep:
         # an episode runs the steps whose ego rows its shared track holds as array passes, which
         # give a constant-velocity NPC's rows by np.add.accumulate; only the steps past them,
         # which also grow the ego track, grow its rows one `_Track._extend` at a time, so the
-        # sweep makes 513 such calls, where one per NPC and step would be 27,946
+        # sweep makes 513 such calls, where one per NPC and step would be 27,946; a braking
+        # track stops growing one row after it comes to rest, so the sweep grows 2,296 braking
+        # rows, where without that stop it would grow 7,459
         grown, extend = [], sim._Track._extend
         monkeypatch.setattr(sim._Track, "_extend",
                             lambda track: grown.append(type(track.script)) or extend(track))
@@ -599,6 +602,7 @@ class TestCmdSweep:
             past += max(steps - held, 0) * sum(isinstance(s, sim.ConstantVelocity) for _, s in npcs)
             held = max(held, steps)
         assert grown.count(sim.ConstantVelocity) == past == 513
+        assert grown.count(sim.Braking) == 2296
 
     def test_a_directory_sweep_equals_plain_episodes(self, tmp_path, scenarios_dir,
                                                      monkeypatch):

@@ -33,7 +33,7 @@ from riskrl import (
 import oracles
 from oracles import same_bits
 from riskrl.cli import _episode_seed
-from riskrl.reward import STEER_SPEED_FLOOR, _combine, _ego_levels, _totals
+from riskrl.reward import STEER_SPEED_FLOOR, _ego_levels, _totals
 from riskrl.risk import EllipseParams, leading_clearance
 from riskrl.sim import detect_collision
 
@@ -352,9 +352,10 @@ def edge_or_any(*edges):
 
 @st.composite
 def level_steps(draw, config):
-    """An episode's steps as `_combine` takes them, each at its levels' edges or anywhere: a
-    progress of exactly +-v_max * dt, ratios of exactly 1, zeros of both signs, speeds under
-    `STEER_SPEED_FLOOR`, speeding or not, and any outcome on the last step."""
+    """An episode's steps, each (ego, pose, prev_pose, lane_width, steering_rate, jerk,
+    violations, outcome, risk term), at its levels' edges or anywhere: a progress of exactly
+    +-v_max * dt, ratios of exactly 1, zeros of both signs, speeds under `STEER_SPEED_FLOOR`,
+    speeding or not, and any outcome on the last step."""
     lane_width = draw(st.sampled_from([3.5]) | st.floats(1e-3, 1e6))
     steps = []
     for k in range(draw(st.integers(1, 6)), 0, -1):
@@ -378,9 +379,9 @@ def level_steps(draw, config):
 
 
 def levels_of(steps, config):
-    """(terminal, l0, l1_progress, l2, l3, total) of steps given in `_combine`'s argument
-    order, up to its risk term, in columns, as an episode scores them: `_ego_levels` of each
-    step, as the ego track scores its rows, transposed, then one `_totals` call."""
+    """(terminal, l0, l1_progress, l2, l3, total) of `level_steps`-shaped steps in columns, as
+    an episode scores them: `_ego_levels` of each step, as the ego track scores its rows,
+    transposed, then one `_totals` call."""
     egos, poses, *_, outcomes, risks = zip(*steps)
     levels = [list(column) for column in zip(*(_ego_levels(*step[:7], config) for step in steps))]
     terminal, total = _totals(*levels, risks, outcomes[-1], egos[-1].speed,
@@ -388,13 +389,16 @@ def levels_of(steps, config):
     return terminal, *levels, total
 
 
+def scored_alone(steps, config):
+    """`levels_of` of each step alone, as `total_reward` scores it after its risk term."""
+    alone = [levels_of([step], config) for step in steps]
+    return tuple([column[0] for column in columns] for columns in zip(*alone))
+
+
 @given(data=st.data(), config=st.sampled_from([CFG, ODD_CONFIG]))
-def test_levels_have_the_bits_of_combine_step_by_step(data, config):
+def test_levels_have_the_bits_of_each_step_scored_alone(data, config):
     steps = data.draw(level_steps(config), label="steps")
-    expected = [_combine(*step, (), config) for step in steps]
-    columns = ("terminal", "l0_rules", "l1_progress", "l2_style", "l3_comfort", "total")
-    assert same_bits(levels_of(steps, config),
-                     tuple([getattr(b, name) for b in expected] for name in columns))
+    assert same_bits(levels_of(steps, config), scored_alone(steps, config))
 
 
 def test_levels_keep_the_sign_of_a_zero_total():
@@ -405,7 +409,7 @@ def test_levels_keep_the_sign_of_a_zero_total():
               RouteFramePose(prev, 0.0, 0.0), 3.5, rate, jerk, frozenset(), Outcome.NONE, risk)
              for station, prev, offset, accel, rate, jerk, risk
              in itertools.product((0.0, -0.0), repeat=7)]
-    expected = [_combine(*step, (), CFG).total for step in steps]
+    expected = scored_alone(steps, CFG)[5]
     total = levels_of(steps, CFG)[5]
     assert same_bits(total, expected) and {math.copysign(1.0, t) for t in total} == {1.0}
 

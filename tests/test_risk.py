@@ -921,8 +921,8 @@ def pairs_risk(codes, egos, others):
     """`_pairs_risk` of the pairs (egos[i], others[i]) in modes `codes`, one tuple per pair."""
     with np.errstate(all="ignore"):
         geom, dyn, ttc = risk_module._pairs_risk(
-            codes, risk_module._columns(kernel_rows(egos)),
-            risk_module._columns(kernel_rows(others)), CFG)
+            codes, risk_module._Actors(*kernel_rows(egos).T),
+            risk_module._Actors(*kernel_rows(others).T), CFG)
     return list(zip(geom.tolist(), dyn.tolist(), ttc.tolist()))
 
 
